@@ -15,7 +15,7 @@ from .fock import (FockOperator, FockSpace, WordSpec, creation_relations_check,
 from .crossed import (CrossedProduct, FiniteGroup, GroupAction,
                       crossed_product, folner_average, folner_defect,
                       lift_automorphism, smearing_map)
-from .freeprod import (AmalgSetup, BaseExpectation, amalg_setup, build_W,
+from .freeprod import (AmalgSetup, amalg_setup, build_W,
                        freeness_check, haar_unitary, semicircular_moments,
                        swap_commutation, toeplitz_state_check,
                        wunitary_vanishing)
@@ -37,7 +37,7 @@ __all__ = [
     "quotient_dimension_check", "toeplitz_endomorphism", "word",
     "CrossedProduct", "FiniteGroup", "GroupAction", "crossed_product",
     "folner_average", "folner_defect", "lift_automorphism", "smearing_map",
-    "AmalgSetup", "BaseExpectation", "amalg_setup", "build_W",
+    "AmalgSetup", "amalg_setup", "build_W",
     "freeness_check", "haar_unitary", "semicircular_moments",
     "swap_commutation", "toeplitz_state_check", "wunitary_vanishing",
     "BogoliubovMap", "EntropyBoundReport", "OperatorChannels",

@@ -4,15 +4,12 @@ channels onto their Fock towers, and the rank-growth report."""
 
 import numpy as np
 
-from .cstar import (AlgebraAutomorphism, AlgebraElement, CStarAlgebra,
-                    PreconditionError, StructureError, identity_automorphism)
+from .cstar import (AlgebraAutomorphism, PreconditionError, StructureError,
+                    identity_automorphism, DEFAULT_TOL)
 from .hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
-                      SubmoduleSpan, augment, element_to_vector,
-                      submodule_projection, vector_to_element)
+                      SubmoduleSpan, submodule_projection)
 from .fock import FockOperator, FockSpace, asmatrix
 from .report import VerificationReport
-
-DEFAULT_TOL = 1e-9
 
 
 class BogoliubovMap:
@@ -86,21 +83,9 @@ def augmented_bogoliubov(aug: AugmentedModule, bog: BogoliubovMap):
     if bog.module is not aug.plain:
         raise StructureError("map lives on a different bimodule")
     EH, EB = aug.embed_module, aug.embed_base
-    beta_vac = _linear_matrix_of_beta(bog.beta)
+    beta_vac = bog.beta.as_linear_map().matrix
     Ut = EH @ bog.matrix @ EH.conj().T + EB @ beta_vac @ EB.conj().T
     return BogoliubovMap(aug.module, Ut, bog.beta)
-
-
-def _linear_matrix_of_beta(beta: AlgebraAutomorphism):
-    """beta as a complex-linear matrix on the flat coordinates of the base
-    algebra viewed as the trivial bimodule over itself."""
-    from .hilbmod import trivial_module
-    vac = trivial_module(beta.algebra)
-    cols = []
-    for col in np.eye(vac.dim):
-        b = vector_to_element(vac.from_flat(col))
-        cols.append(element_to_vector(vac, beta(b)).flat)
-    return np.column_stack(cols)
 
 
 def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
@@ -121,7 +106,7 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
     H = F.bimodule
     report = VerificationReport(suite="second-quantization",
                                 parameters={"N": F.N})
-    level_maps = [_linear_matrix_of_beta(bog.beta)]
+    level_maps = [bog.beta.as_linear_map().matrix]
     if F.N >= 1:
         level_maps.append(bog.matrix.copy())
     res_solve = 0.0

@@ -14,10 +14,11 @@ from . import crossed as cr
 from . import fock as fk
 from . import freeprod as fp
 from . import instances as ins
-from .cstar import (CPLinearMap, CStarAlgebra, PreconditionError,
-                    ResourceCapError, StructureError, identity_automorphism)
+from .cstar import (CPLinearMap, CStarAlgebra, ConditionalExpectation,
+                    PreconditionError, ResourceCapError, StructureError,
+                    identity_automorphism)
 from .hilbmod import augment, submodule_projection
-from .report import VerificationReport
+from .report import VerificationReport, _jsonable
 
 SUITES = ("fock", "ideal", "factorization", "toeplitz", "crossed", "free",
           "amalg", "bog")
@@ -241,8 +242,8 @@ def build_instance(data):
         rho2 = resolve("states", d["state2"], f"amalgamated/{name}/state2")
         if rho1 is None or rho2 is None:
             continue
-        ctx["amalgamated"][name] = (fp.BaseExpectation.from_state(rho1),
-                                    fp.BaseExpectation.from_state(rho2))
+        ctx["amalgamated"][name] = (ConditionalExpectation.from_state(rho1),
+                                    ConditionalExpectation.from_state(rho2))
     for name, d in data.get("bogoliubov", {}).items():
         module = resolve("bimodules", d["bimodule"],
                          f"bogoliubov/{name}/bimodule")
@@ -272,11 +273,11 @@ def build_instance(data):
 class Settings:
     def __init__(self, truncation=None, tol=1e-9, seed=0, max_word_length=5,
                  dim_cap=20000):
-        self.truncation = truncation
-        self.tol = tol
-        self.seed = seed
-        self.max_word_length = max_word_length
-        self.dim_cap = dim_cap
+        self.truncation = None if truncation is None else int(truncation)
+        self.tol = float(tol)
+        self.seed = int(seed)
+        self.max_word_length = int(max_word_length)
+        self.dim_cap = int(dim_cap)
 
     def rng(self):
         return np.random.default_rng(self.seed)
@@ -300,7 +301,6 @@ def run_fock(ctx, st):
         rep = fk.creation_relations_check(F, rng, tol=st.tol)
         rep.merge(fk.expectation_properties_check(F, rng, tol=st.tol))
         rep.parameters.update({"N": F.N, "dim": F.dim})
-        rep.seed = st.seed
         reports.append(rep)
     return reports
 
@@ -317,7 +317,6 @@ def run_ideal(ctx, st):
             rep = fk.ideal_structure_check(F, n, rng, tol=st.tol)
             rep.merge(fk.quotient_dimension_check(F, n, rng))
             rep.parameters.update({"N": F.N, "n": n})
-            rep.seed = st.seed
             reports.append(rep)
     return reports
 
@@ -333,10 +332,8 @@ def run_factorization(ctx, st):
                         continue
                     if k * (n + 1) + j == 0:
                         continue
-                    rep = fk.fock_factorization_check(
-                        H, n, k, j, rng, tol=st.tol)
-                    rep.seed = st.seed
-                    reports.append(rep)
+                    reports.append(fk.fock_factorization_check(
+                        H, n, k, j, rng, tol=st.tol))
     return reports
 
 
@@ -357,7 +354,6 @@ def run_toeplitz(ctx, st):
         _, rep = fk.toeplitz_endomorphism(F, a, L, rng=rng, tol=st.tol)
         rep.merge(fk.endomorphism_injectivity_check(F, L, F.N - 1, rng))
         rep.parameters.update({"N": F.N, "dim": F.dim})
-        rep.seed = st.seed
         reports.append(rep)
     if ctx and ctx["states"]:
         pairs = [(rho.algebra, rho) for rho in ctx["states"].values()]
@@ -365,9 +361,8 @@ def run_toeplitz(ctx, st):
         B = CStarAlgebra((1, 1))
         pairs = [(B, ins.random_state(rng, B))]
     for B, rho in pairs[:2]:
-        rep = fp.toeplitz_state_check(B, rho, st.N(4), rng, tol=st.tol)
-        rep.seed = st.seed
-        reports.append(rep)
+        reports.append(fp.toeplitz_state_check(B, rho, st.N(4), rng,
+                                               tol=st.tol))
     return reports
 
 
@@ -380,22 +375,16 @@ def run_crossed(ctx, st):
     reports = []
     for group, algebra, action in triples:
         C, rep = cr.crossed_product(algebra, action, rng, tol=st.tol)
-        rep.seed = st.seed
         reports.append(rep)
         _, lift_rep = cr.lift_automorphism(
             C, identity_automorphism(algebra), rng, tol=st.tol)
-        lift_rep.seed = st.seed
         reports.append(lift_rep)
         ident = CPLinearMap.from_callable(algebra, algebra, lambda a: a)
-        exact_rep = cr.folner_average(C, list(group.elements()), ident,
-                                      rng=rng)
-        exact_rep.seed = st.seed
-        reports.append(exact_rep)
+        reports.append(cr.folner_average(C, list(group.elements()), ident,
+                                         rng=rng))
         smear = cr.smearing_map(algebra, 0.25)
-        smear_rep = cr.folner_average(C, list(group.elements())[:-1] or [0],
-                                      smear, rng=rng)
-        smear_rep.seed = st.seed
-        reports.append(smear_rep)
+        reports.append(cr.folner_average(
+            C, list(group.elements())[:-1] or [0], smear, rng=rng))
     return reports
 
 
@@ -403,22 +392,20 @@ def run_free(ctx, st):
     rng = st.rng()
     N = max(8, st.N(8))
     report = VerificationReport(suite="scalar-semicircular",
-                                parameters={"N": N}, seed=st.seed)
+                                parameters={"N": N})
     moments = fp.semicircular_moments(N, orders=range(0, 9))
     res_even = max(abs(moments[2 * k] - fp.catalan(k)) for k in range(0, 5))
     res_odd = max(abs(moments[2 * k + 1]) for k in range(0, 4))
     report.add("even-moments", "psi(s^{2k}) = catalan(k)", res_even, st.tol)
     report.add("odd-moments", "psi(s^{2k+1}) = 0", res_odd, 1e-12)
     _, haar_rep = fp.haar_unitary(N)
-    haar_rep.seed = st.seed
     B = CStarAlgebra((1,))
     rho = ins.random_state(rng, B)
     toep = fp.toeplitz_state_check(B, rho, min(st.N(4), 6), rng, tol=st.tol)
-    toep.seed = st.seed
     return [report, haar_rep, toep]
 
 
-def run_amalg(ctx, st, deep_first_only=True):
+def run_amalg(ctx, st):
     rng = st.rng()
     if ctx and ctx["amalgamated"]:
         pairs = list(ctx["amalgamated"].values())
@@ -430,31 +417,18 @@ def run_amalg(ctx, st, deep_first_only=True):
     for i, (phi1, phi2) in enumerate(pairs):
         setup, rep = fp.amalg_setup(phi1, phi2, N, rng, tol=st.tol,
                                     dim_cap=st.dim_cap)
-        rep.seed = st.seed
         reports.append(rep)
-        _, _, wrep = fp.build_W(setup, tol=st.tol)
-        wrep.seed = st.seed
-        reports.append(wrep)
-        screp = fp.swap_commutation(setup, tol=st.tol)
-        screp.seed = st.seed
-        reports.append(screp)
-        if deep_first_only and i > 0:
+        reports.append(fp.build_W(setup, tol=st.tol)[2])
+        reports.append(fp.swap_commutation(setup, tol=st.tol))
+        if i > 0:
             continue
-        wvrep = fp.wunitary_vanishing(setup, min(budget, 2), rng, tol=st.tol)
-        wvrep.seed = st.seed
-        reports.append(wvrep)
-        la = fp.la_freeness_check(setup, budget, rng, threshold=st.tol)
-        reports.append(la.to_report(
-            "toeplitz-coefficient-freeness",
-            "psi of alternating centered words in {L, L*} and A vanishes"))
-        cf = fp.corner_freeness_check(setup, min(budget, N // 2), rng,
-                                      threshold=st.tol)
-        reports.append(cf.to_report(
-            "corner-freeness",
-            "psi of alternating centered corner words vanishes"))
-        ab = fp.alpha_beta_conditions(setup, rng, tol=st.tol)
-        ab.seed = st.seed
-        reports.append(ab)
+        reports.append(fp.wunitary_vanishing(setup, min(budget, 2), rng,
+                                             tol=st.tol))
+        reports.append(fp.la_freeness_check(setup, budget, rng,
+                                            threshold=st.tol))
+        reports.append(fp.corner_freeness_check(
+            setup, min(budget, N // 2), rng, threshold=st.tol))
+        reports.append(fp.alpha_beta_conditions(setup, rng, tol=st.tol))
     return reports
 
 
@@ -475,40 +449,32 @@ def run_bog(ctx, st):
     for entry in entries:
         bog = entry["map"]
         rep = bg.validate_bogoliubov(bog, rng, tol=st.tol)
-        rep.seed = st.seed
         reports.append(rep)
         if not rep.passed:
             continue
         n = entry["n"]
         F = fk.FockSpace(bog.module, max(n, st.N(n)), dim_cap=st.dim_cap)
-        _, erep = bg.fock_extension(F, bog, tol=st.tol)
-        erep.seed = st.seed
-        reports.append(erep)
+        reports.append(bg.fock_extension(F, bog, tol=st.tol)[1])
         aug = augment(bog.module)
         bog_t = bg.augmented_bogoliubov(aug, bog)
         Ft = fk.FockSpace(aug.module, min(F.N, 3), dim_cap=st.dim_cap)
-        _, arep = bg.fock_extension(Ft, bog_t, xi=aug.xi, tol=st.tol)
-        arep.seed = st.seed
-        reports.append(arep)
+        reports.append(bg.fock_extension(Ft, bog_t, xi=aug.xi,
+                                         tol=st.tol)[1])
         span = entry["subspace"]
         if span is None:
             span = submodule_projection(
                 [bog.module.basis()[0], bog.module.basis()[-1]])
-        _, krep = bg.kp_subspace(bog, span, entry["p_max"], tol=st.tol)
-        krep.seed = st.seed
-        reports.append(krep)
+        reports.append(bg.kp_subspace(bog, span, entry["p_max"],
+                                      tol=st.tol)[1])
         if n <= F.N:
             spanp, _ = bg.kp_subspace(bog, span, min(2, entry["p_max"]),
                                       tol=st.tol)
-            _, crep = bg.compression_channels(F, n, spanp, rng, tol=st.tol)
-            crep.seed = st.seed
-            reports.append(crep)
+            reports.append(bg.compression_channels(F, n, spanp, rng,
+                                                   tol=st.tol)[1])
         for level in entry.get("levels", [n]):
-            er = bg.entropy_bound_report(F, bog, span, level,
-                                         entry["p_max"], rng, tol=st.tol)
-            grep = er.to_report()
-            grep.seed = st.seed
-            reports.append(grep)
+            reports.append(bg.entropy_bound_report(
+                F, bog, span, level, entry["p_max"], rng,
+                tol=st.tol).to_report())
     return reports
 
 
@@ -528,6 +494,8 @@ def run_suites(ctx, names, st):
     reports = []
     for name in names:
         reports.extend(RUNNERS[name](ctx, st))
+    for rep in reports:
+        rep.seed = st.seed
     return reports
 
 
@@ -536,7 +504,8 @@ def emit(reports, fmt, out, elapsed):
     if fmt == "json":
         payload = {"passed": passed, "elapsed_seconds": round(elapsed, 3),
                    "reports": [r.as_dict() for r in reports]}
-        text = json.dumps(payload, indent=2, default=_jsonable)
+        text = json.dumps(payload, indent=2, default=_jsonable,
+                          allow_nan=False)
     else:
         blocks = [r.to_text() for r in reports]
         blocks.append(f"overall: {'PASS' if passed else 'FAIL'}"
@@ -550,17 +519,6 @@ def emit(reports, fmt, out, elapsed):
     return passed
 
 
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    try:
-        return float(obj)
-    except (TypeError, ValueError):
-        return str(obj)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="fockmod",
@@ -572,11 +530,11 @@ def main(argv=None):
                         help="which verification suite to run")
     parser.add_argument("--truncation", type=int, default=None,
                         help="Fock truncation level override")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=float, default=None,
                         help="residual tolerance")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=None,
                         help="random seed for sampled checks")
-    parser.add_argument("--max-word-length", type=int, default=5,
+    parser.add_argument("--max-word-length", type=int, default=None,
                         help="word length budget for moment checks")
     parser.add_argument("--format", dest="fmt", default="text",
                         choices=("text", "json"), help="report format")
@@ -585,20 +543,15 @@ def main(argv=None):
 
     try:
         ctx = None
-        st = Settings(truncation=args.truncation, tol=args.tol,
-                      seed=args.seed, max_word_length=args.max_word_length)
         if args.instance:
-            data = parse_instance(args.instance)
-            ctx = build_instance(data)
-            params = ctx["parameters"]
-            if args.truncation is None and "truncation" in params:
-                st.truncation = int(params["truncation"])
-            st.tol = float(params.get("tol", st.tol))
-            if "seed" in params and args.seed == 0:
-                st.seed = int(params["seed"])
-            st.max_word_length = int(params.get("max_word_length",
-                                                st.max_word_length))
-            st.dim_cap = int(params.get("dim_cap", st.dim_cap))
+            ctx = build_instance(parse_instance(args.instance))
+        # a flag overrides the instance parameter, which overrides the
+        # Settings default
+        params = dict(ctx["parameters"]) if ctx else {}
+        flags = {"truncation": args.truncation, "tol": args.tol,
+                 "seed": args.seed, "max_word_length": args.max_word_length}
+        params.update((k, v) for k, v in flags.items() if v is not None)
+        st = Settings(**params)
         names = SUITES if args.suite == "all" else (args.suite,)
         t0 = time.time()
         reports = run_suites(ctx, names, st)

@@ -55,10 +55,6 @@ class FiniteGroup:
         return range(self.order)
 
     @staticmethod
-    def trivial():
-        return FiniteGroup([[0]])
-
-    @staticmethod
     def cyclic(n):
         table = [[(g + h) % n for h in range(n)] for g in range(n)]
         return FiniteGroup(table, labels=[f"r{g}" for g in range(n)])
@@ -282,7 +278,7 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng=None,
         words = C.spanning_words(rng, per_g=2)
     set_defect = folner_defect(G, F)
     res_exact = 0.0
-    any_exact = False
+    any_exact = any_bounded = False
     bound_ok = True
     worst_ratio = 0.0
     for a, g in words:
@@ -301,6 +297,7 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng=None,
             any_exact = True
             res_exact = max(res_exact, dev / max(1.0, a.norm()))
         else:
+            any_bounded = True
             bound = eta * (a.norm() + 1.0)
             worst_ratio = max(worst_ratio, dev / bound)
             bound_ok = bound_ok and dev <= bound * (1 + 1e-9)
@@ -308,7 +305,7 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng=None,
         report.add("exact-recovery",
                    "m = id and F = G recover pi(a) lambda_g exactly",
                    res_exact, tol)
-    if worst_ratio:
+    if any_bounded:
         report.add_bool("deviation-bound",
                         "norm(channel(pi(a) lambda_g) - pi(a) lambda_g) "
                         "<= eta (norm(a) + 1)",

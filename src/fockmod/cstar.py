@@ -74,11 +74,6 @@ class CStarAlgebra:
     def basis(self):
         return [self.matrix_unit(j, p, q) for (j, p, q) in self.unit_index_iter()]
 
-    def central_projection(self, j):
-        blocks = [np.zeros((n, n), complex) for n in self.block_sizes]
-        blocks[j] = np.eye(self.block_sizes[j], dtype=complex)
-        return AlgebraElement(self, blocks)
-
     def from_flat(self, vec):
         vec = np.asarray(vec, complex).ravel()
         if vec.size != self.dim:
@@ -97,22 +92,10 @@ class CStarAlgebra:
         x = self.random_element(rng, scale)
         return 0.5 * (x + x.adjoint())
 
-    def random_unitary(self, rng):
-        return AlgebraElement(self, [haar_unitary_matrix(rng, n) for n in self.block_sizes])
-
     # -- structural pieces -------------------------------------------------
-
-    def minimal_projections(self):
-        """Diagonal matrix units of every block: pairwise orthogonal, sum 1."""
-        return [self.matrix_unit(j, q, q)
-                for j, n in enumerate(self.block_sizes) for q in range(n)]
 
     def minimal_projection_indices(self):
         return [(j, q) for j, n in enumerate(self.block_sizes) for q in range(n)]
-
-    def trace_vector(self):
-        """Flat coordinates of the unnormalized block trace functional."""
-        return self.identity().flat.conj()
 
 
 class AlgebraElement:
@@ -168,9 +151,6 @@ class AlgebraElement:
         """Operator norm: max over blocks of the largest singular value."""
         return max(np.linalg.norm(b, 2) for b in self.blocks)
 
-    def hs_norm(self):
-        return float(np.linalg.norm(self.flat))
-
     def is_hermitian(self, tol=DEFAULT_TOL):
         return (self - self.adjoint()).norm() <= tol * max(1.0, self.norm())
 
@@ -201,6 +181,8 @@ class StateFunctional:
     """Positive unital functional rho(x) = sum_j tr(density_j x_j)."""
 
     def __init__(self, algebra, density_blocks, tol=DEFAULT_TOL):
+        if len(density_blocks) != len(algebra.block_sizes):
+            raise StructureError("one density per block required")
         self.algebra = algebra
         self.densities = []
         total = 0.0
@@ -233,21 +215,10 @@ class StateFunctional:
         return complex(sum(np.trace(d @ b) for d, b in zip(self.densities, x.blocks)))
 
 
-def state_from_density(algebra, densities):
-    return StateFunctional(algebra, densities)
-
-
 def uniform_trace_state(algebra):
     """Normalized trace: densities I/(total dimension of the identity)."""
     total = sum(algebra.block_sizes)
     return StateFunctional(algebra, [np.eye(n) / total for n in algebra.block_sizes])
-
-
-def block_weighted_state(algebra, weights):
-    """State with density w_j I_{n_j} per block; weights must sum to 1 after
-    multiplying by the block sizes."""
-    dens = [w * np.eye(n) for w, n in zip(weights, algebra.block_sizes)]
-    return StateFunctional(algebra, dens)
 
 
 # -- linear and completely positive maps -----------------------------------
@@ -300,14 +271,6 @@ class CPLinearMap:
     def min_choi_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.choi_matrix()).min())
 
-    def is_completely_positive(self, tol=None):
-        scale = max(1.0, np.linalg.norm(self.matrix, 2))
-        cutoff = PSD_CUTOFF * scale if tol is None else tol
-        return self.min_choi_eigenvalue() >= -cutoff
-
-    def is_unital(self, tol=DEFAULT_TOL):
-        return (self(self.domain.identity()) - self.codomain.identity()).norm() <= tol
-
 
 def block_diag_matrix(blocks, total=None):
     sizes = [b.shape[0] for b in blocks]
@@ -320,19 +283,6 @@ def block_diag_matrix(blocks, total=None):
         out[off:off + n, off:off + n] = b
         off += n
     return out
-
-
-def validate_cp(cpmap: CPLinearMap, unital=True, tol=DEFAULT_TOL) -> VerificationReport:
-    report = VerificationReport(suite="cp-map")
-    lam = cpmap.min_choi_eigenvalue()
-    scale = max(1.0, np.linalg.norm(cpmap.matrix, 2))
-    report.add("choi-positivity", "Choi(eta) >= 0",
-               max(0.0, -lam) / scale, PSD_CUTOFF * 10,
-               min_choi_eigenvalue=lam)
-    if unital:
-        res = (cpmap(cpmap.domain.identity()) - cpmap.codomain.identity()).norm()
-        report.add("unitality", "eta(1) = 1", res, tol)
-    return report
 
 
 # -- homomorphisms, embeddings, automorphisms ------------------------------
@@ -360,6 +310,8 @@ class UnitalHomomorphism:
                     f"multiplicity equation fails on codomain block {i}")
         if unitaries is None:
             unitaries = [np.eye(m, dtype=complex) for m in codomain.block_sizes]
+        if len(unitaries) != len(codomain.block_sizes):
+            raise StructureError("one unitary per codomain block required")
         self.unitaries = []
         for m_i, u in zip(codomain.block_sizes, unitaries):
             u = np.asarray(u, complex)
@@ -385,19 +337,6 @@ class UnitalHomomorphism:
                               [self.block_image(i, x)
                                for i in range(len(self.codomain.block_sizes))])
 
-    def as_linear_map(self):
-        return CPLinearMap.from_callable(self.domain, self.codomain, self)
-
-    def annihilated_central_summands(self):
-        """Domain blocks killed by the homomorphism (nonempty iff not injective)."""
-        k = len(self.domain.block_sizes)
-        return [j for j in range(k)
-                if all(row[j] == 0 for row in self.multiplicities)]
-
-    @property
-    def is_injective(self):
-        return not self.annihilated_central_summands()
-
 
 class AlgebraAutomorphism:
     """Automorphism in permutation + inner canonical form.
@@ -421,6 +360,8 @@ class AlgebraAutomorphism:
         self.source = source
         if unitaries is None:
             unitaries = [np.eye(n, dtype=complex) for n in algebra.block_sizes]
+        if len(unitaries) != k:
+            raise StructureError("one unitary per block required")
         self.unitaries = []
         for n, u in zip(algebra.block_sizes, unitaries):
             u = np.asarray(u, complex)
@@ -436,15 +377,6 @@ class AlgebraAutomorphism:
         blocks = [u @ x.blocks[s] @ u.conj().T
                   for u, s in zip(self.unitaries, self.source)]
         return AlgebraElement(self.algebra, blocks)
-
-    def inverse(self):
-        k = len(self.source)
-        target = [0] * k
-        for j, s in enumerate(self.source):
-            target[s] = j
-        inv_unitaries = [self.unitaries[target[s]].conj().T for s in range(k)]
-        # (beta^-1 x)_s = u_{t}* x_{t} u_{t} with t = target[s]
-        return AlgebraAutomorphism(self.algebra, tuple(target), inv_unitaries)
 
     def compose(self, other: "AlgebraAutomorphism"):
         """self after other."""
@@ -475,58 +407,80 @@ def flip_automorphism(algebra):
     return AlgebraAutomorphism(algebra, (1, 0))
 
 
-def apply_automorphism(beta, x):
-    return beta(x)
-
-
 # -- conditional expectations ---------------------------------------------
 
 class ConditionalExpectation:
-    """Trace-preserving conditional expectation onto an embedded subalgebra.
+    """Conditional expectation phi: A -> B, presented by a unital embedding
+    iota of B into A together with the B-valued coordinate map.
 
-    Orthogonal projection onto iota(B) with respect to the unnormalized block
-    trace of A, read back in B coordinates.  Unital, bimodular, completely
-    positive, and faithful because the trace is.
+    The default coordinate map is the trace-preserving expectation: the
+    orthogonal projection onto iota(B) with respect to the unnormalized block
+    trace of A, read back in B coordinates.  It is unital, bimodular,
+    completely positive, and faithful because the trace is.
     """
 
-    def __init__(self, embedding: UnitalHomomorphism):
+    def __init__(self, embedding: UnitalHomomorphism, to_base=None):
         self.embedding = embedding
         self.algebra = embedding.codomain
-        self.subalgebra = embedding.domain
-        M = np.array([embedding(e).flat for e in self.subalgebra.basis()]).T
-        gram = M.conj().T @ M
-        self._solve = np.linalg.solve(gram, M.conj().T)
+        self.base = embedding.domain
+        if to_base is None:
+            M = np.array([embedding(e).flat for e in self.base.basis()]).T
+            solve = np.linalg.solve(M.conj().T @ M, M.conj().T)
+
+            def to_base(a):
+                return self.base.from_flat(solve @ a.flat)
+        self._to_base = to_base
 
     def __call__(self, a):
         if a.algebra != self.algebra:
             raise StructureError("element outside the expectation's domain")
-        return self.subalgebra.from_flat(self._solve @ a.flat)
+        return self._to_base(a)
 
-    def as_linear_map(self):
-        return CPLinearMap.from_callable(self.algebra, self.subalgebra, self)
+    @classmethod
+    def from_state(cls, rho: StateFunctional):
+        """A state, viewed as the expectation onto the scalars."""
+        emb = scalar_embedding(rho.algebra)
+        return cls(emb, lambda a: emb.domain.scalar(rho(a)))
+
+    def gns_gram(self):
+        basis = self.algebra.basis()
+        n = len(basis)
+        K = np.zeros((n, n), complex)
+        for u in range(n):
+            for v in range(n):
+                val = self(basis[u].adjoint() * basis[v])
+                K[u, v] = sum(np.trace(blk) for blk in val.blocks)
+        return K
+
+    @property
+    def has_faithful_gns(self):
+        K = self.gns_gram()
+        lam = np.linalg.eigvalsh((K + K.conj().T) / 2)
+        return lam.min() > PSD_CUTOFF * max(1.0, lam.max())
 
     def validate(self, rng, samples=5, tol=DEFAULT_TOL) -> VerificationReport:
         report = VerificationReport(suite="conditional-expectation")
-        ident_res = (self(self.embedding(self.subalgebra.identity()))
-                     - self.subalgebra.identity()).norm()
-        report.add("unitality", "phi(1) = 1", ident_res, tol)
-        res = 0.0
+        report.add("unitality", "phi(1) = 1",
+                   (self(self.algebra.identity())
+                    - self.base.identity()).norm(), tol)
+        res_bi = res_idem = 0.0
         for _ in range(samples):
-            b1 = self.subalgebra.random_element(rng)
-            b2 = self.subalgebra.random_element(rng)
+            b1 = self.base.random_element(rng)
+            b2 = self.base.random_element(rng)
             a = self.algebra.random_element(rng)
             lhs = self(self.embedding(b1) * a * self.embedding(b2))
-            rhs = b1 * self(a) * b2
-            res = max(res, (lhs - rhs).norm()
-                      / max(1.0, b1.norm() * a.norm() * b2.norm()))
-        report.add("bimodularity", "phi(b1 a b2) = b1 phi(a) b2", res, tol)
-        idem = 0.0
-        for _ in range(samples):
-            b = self.subalgebra.random_element(rng)
-            idem = max(idem, (self(self.embedding(b)) - b).norm() / max(1.0, b.norm()))
-        report.add("idempotence", "phi . iota = id", idem, tol)
-        lam = self.as_linear_map().min_choi_eigenvalue()
-        report.add("complete-positivity", "Choi(phi) >= 0", max(0.0, -lam), 1e-8)
+            res_bi = max(res_bi, (lhs - b1 * self(a) * b2).norm()
+                         / max(1.0, b1.norm() * a.norm() * b2.norm()))
+            res_idem = max(res_idem, (self(self.embedding(b1)) - b1).norm()
+                           / max(1.0, b1.norm()))
+        report.add("bimodularity", "phi(b1 a b2) = b1 phi(a) b2", res_bi, tol)
+        report.add("idempotence", "phi . iota = id", res_idem, tol)
+        lam = CPLinearMap.from_callable(
+            self.algebra, self.base, self).min_choi_eigenvalue()
+        report.add("complete-positivity", "Choi(phi) >= 0",
+                   max(0.0, -lam), 1e-8)
+        report.add_bool("faithful-gns", "phi(a* a) = 0 implies a = 0",
+                        self.has_faithful_gns)
         return report
 
 
@@ -535,24 +489,3 @@ def scalar_embedding(algebra):
     scalars = CStarAlgebra((1,))
     mults = [(n,) for n in algebra.block_sizes]
     return UnitalHomomorphism(scalars, algebra, mults)
-
-
-def state_as_conditional_expectation(state: StateFunctional):
-    """A state rho, viewed as the conditional expectation onto C subset A.
-
-    Only trace-like states yield a bimodular expectation in general; for
-    arbitrary states this is still a UCP map onto the scalars and that is all
-    the free-product constructions require when B = C.
-    """
-    algebra = state.algebra
-    scalars = CStarAlgebra((1,))
-
-    def fn(a):
-        return scalars.element([np.array([[state(a)]])])
-    return CPLinearMap.from_callable(algebra, scalars, fn)
-
-
-# -- spec-level operation wrappers ----------------------------------------
-
-def minimal_projections(algebra: CStarAlgebra):
-    return algebra.minimal_projections()

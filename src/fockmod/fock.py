@@ -204,15 +204,6 @@ class FockOperator:
     def level_block(self, i, j):
         return self.matrix[self.space.level_slice(i), self.space.level_slice(j)]
 
-    def nonzero_degrees(self, tol=1e-12):
-        degs = set()
-        scale = max(1.0, np.linalg.norm(self.matrix))
-        for i in range(self.space.N + 1):
-            for j in range(self.space.N + 1):
-                if np.linalg.norm(self.level_block(i, j)) > tol * scale:
-                    degs.add(i - j)
-        return sorted(degs)
-
 
 def asmatrix(T):
     return T.matrix if isinstance(T, FockOperator) else np.asarray(T, complex)
@@ -244,18 +235,6 @@ class WordSpec:
     def net_degree(self):
         return sum(self.degrees)
 
-    def max_prefix_climb(self):
-        """Largest level reached when applied to a vacuum-level vector."""
-        best = level = 0
-        for d in reversed(self.degrees):
-            level += d
-            best = max(best, level)
-        return best
-
-    @property
-    def is_balanced(self):
-        return self.net_degree == 0
-
 
 def word(F: FockSpace, spec: WordSpec) -> FockOperator:
     M = F.left_matrix(spec.coeffs[0])
@@ -263,13 +242,6 @@ def word(F: FockSpace, spec: WordSpec) -> FockOperator:
         c = F.creation_matrix(h)
         M = M @ (c if g == CREATE else c.conj().T) @ F.left_matrix(b)
     return FockOperator(F, M)
-
-
-def overflow_margin(specs, N):
-    """Largest input level on which a product of words avoids truncation."""
-    climb = sum(s.max_prefix_climb() if isinstance(s, WordSpec) else int(s)
-                for s in specs)
-    return N - climb
 
 
 # -- verification operations ------------------------------------

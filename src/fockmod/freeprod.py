@@ -6,14 +6,11 @@ two-algebra amalgamated construction with its swap operator W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .cstar import (AlgebraElement, CPLinearMap, CStarAlgebra,
-                    ConditionalExpectation, PreconditionError, StateFunctional,
-                    StructureError, UnitalHomomorphism, scalar_embedding,
-                    DEFAULT_TOL, PSD_CUTOFF)
+from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
+                    CStarAlgebra, ConditionalExpectation, PreconditionError,
+                    StateFunctional, UnitalHomomorphism, DEFAULT_TOL)
 from .fock import FockSpace, masked_norm, asmatrix
 from .hilbmod import (cp_bimodule, element_to_vector, gns_bimodule,
                       vector_to_element)
@@ -30,79 +27,6 @@ def product_vacuum_expectation(F: FockSpace, factors) -> AlgebraElement:
         y = asmatrix(M) @ y
     one = element_to_vector(F.levels[0], F.base.identity()).flat
     return vector_to_element(F.levels[0].from_flat(y[:d0] @ one))
-
-
-class BaseExpectation:
-    """Conditional expectation phi: A -> B, presented by a unital embedding of
-    B into A together with the B-valued coordinate map."""
-
-    def __init__(self, embedding: UnitalHomomorphism, to_base):
-        self.embedding = embedding
-        self.algebra = embedding.codomain
-        self.base = embedding.domain
-        self._to_base = to_base
-
-    def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        return self._to_base(a)
-
-    def embed(self, b: AlgebraElement) -> AlgebraElement:
-        return self.embedding(b)
-
-    @classmethod
-    def from_state(cls, rho: StateFunctional):
-        emb = scalar_embedding(rho.algebra)
-        scalars = emb.domain
-
-        def to_base(a):
-            return scalars.scalar(rho(a))
-
-        return cls(emb, to_base)
-
-    @classmethod
-    def trace_preserving(cls, embedding: UnitalHomomorphism):
-        ce = ConditionalExpectation(embedding)
-        return cls(embedding, ce)
-
-    def gns_gram(self):
-        basis = self.algebra.basis()
-        n = len(basis)
-        K = np.zeros((n, n), complex)
-        for u in range(n):
-            for v in range(n):
-                val = self(basis[u].adjoint() * basis[v])
-                K[u, v] = sum(np.trace(blk) for blk in val.blocks)
-        return K
-
-    @property
-    def has_faithful_gns(self):
-        lam = np.linalg.eigvalsh((self.gns_gram()
-                                  + self.gns_gram().conj().T) / 2)
-        return lam.min() > PSD_CUTOFF * max(1.0, lam.max())
-
-    def validate(self, rng, samples=5, tol=DEFAULT_TOL) -> VerificationReport:
-        report = VerificationReport(suite="base-expectation")
-        report.add("unitality", "phi(1) = 1",
-                   (self(self.algebra.identity())
-                    - self.base.identity()).norm(), tol)
-        res_bi = res_idem = 0.0
-        for _ in range(samples):
-            b1 = self.base.random_element(rng)
-            b2 = self.base.random_element(rng)
-            a = self.algebra.random_element(rng)
-            lhs = self(self.embed(b1) * a * self.embed(b2))
-            res_bi = max(res_bi, (lhs - b1 * self(a) * b2).norm()
-                         / max(1.0, b1.norm() * a.norm() * b2.norm()))
-            res_idem = max(res_idem, (self(self.embed(b1)) - b1).norm()
-                           / max(1.0, b1.norm()))
-        report.add("bimodularity", "phi(b1 a b2) = b1 phi(a) b2", res_bi, tol)
-        report.add("idempotence", "phi . iota = id", res_idem, tol)
-        lam = CPLinearMap.from_callable(
-            self.algebra, self.base, self).min_choi_eigenvalue()
-        report.add("complete-positivity", "Choi(phi) >= 0",
-                   max(0.0, -lam), 1e-8)
-        report.add_bool("faithful-gns", "phi(a* a) = 0 implies a = 0",
-                        self.has_faithful_gns)
-        return report
 
 
 # -- Toeplitz subalgebra of a single creation operator ---------------------
@@ -237,37 +161,14 @@ def haar_unitary(N, k_max=6, tol=DEFAULT_TOL):
     return u, report
 
 
-def haar_moment_magnitude(N, k_max=6):
-    u, report = haar_unitary(N, k_max)
-    for c in report.checks:
-        if c.name == "moment-decay-data":
-            return c.details["max_abs"]
-    raise StructureError("missing moment data")
-
-
 # -- generic moment-level freeness ------------------------------------------
 
-@dataclass
-class MomentReport:
-    budget: int
-    threshold: float
-    table: dict = field(default_factory=dict)
-    note: str = ""
-
-    @property
-    def max_residual(self):
-        return max(self.table.values()) if self.table else 0.0
-
-    @property
-    def passed(self):
-        return self.max_residual <= self.threshold
-
-    def to_report(self, suite, anchor) -> VerificationReport:
-        report = VerificationReport(suite=suite,
-                                    parameters={"budget": self.budget})
-        report.add(suite + "-max-moment", anchor, self.max_residual,
-                   self.threshold, table=self.table, note=self.note)
-        return report
+def _moment_report(suite, anchor, budget, table, threshold, note):
+    """The largest alternating-moment residual of a table, as one check."""
+    report = VerificationReport(suite=suite, parameters={"budget": budget})
+    report.add(suite + "-max-moment", anchor, max(table.values(), default=0.0),
+               threshold, table=table, note=note)
+    return report
 
 
 def alternating_patterns(n_families, budget):
@@ -287,17 +188,19 @@ def alternating_patterns(n_families, budget):
 
 
 def freeness_check(families, expectation, embed, budget, rng,
-                   samples_per_pattern=4, threshold=DEFAULT_TOL,
-                   note="") -> MomentReport:
+                   samples_per_pattern=4, threshold=DEFAULT_TOL, note="",
+                   suite="freeness",
+                   anchor="psi(alternating centered products) = 0"
+                   ) -> VerificationReport:
     """Max norm of expectations of alternating products of centered samples.
 
     families: list of callables rng -> operator matrix; expectation: list of
     factor matrices -> element with a norm; embed: value -> matrix.  Products
-    are kept as factor lists and evaluated on the vacuum."""
+    are kept as factor lists and evaluated on the vacuum.  The report's one
+    check, <suite>-max-moment, holds the residual of every pattern."""
     if len(families) < 2:
-        return MomentReport(budget=budget, threshold=threshold,
-                            note="single family: vacuously free")
-    report = MomentReport(budget=budget, threshold=threshold, note=note)
+        raise PreconditionError("freeness needs at least two families")
+    table = {}
     for pat in alternating_patterns(len(families), budget):
         if len(pat) < 2:
             continue
@@ -311,8 +214,8 @@ def freeness_check(families, expectation, embed, budget, rng,
                 scale *= max(1.0, np.linalg.norm(x))
                 factors.append(x)
             worst = max(worst, expectation(factors).norm() / scale)
-        report.table["-".join(str(f) for f in pat)] = worst
-    return report
+        table["-".join(str(f) for f in pat)] = worst
+    return _moment_report(suite, anchor, budget, table, threshold, note)
 
 
 # -- amalgamated two-algebra construction -----------------------------------
@@ -322,8 +225,8 @@ class AmalgSetup:
     the eta-creation operator L on the truncated Fock space of the bimodule
     of eta, and the derived operators P and W."""
 
-    def __init__(self, phi1: BaseExpectation, phi2: BaseExpectation, N,
-                 dim_cap=20000):
+    def __init__(self, phi1: ConditionalExpectation,
+                 phi2: ConditionalExpectation, N, dim_cap=20000):
         if phi1.base.block_sizes != phi2.base.block_sizes:
             raise PreconditionError("expectations target different bases")
         if not (phi1.has_faithful_gns and phi2.has_faithful_gns):
@@ -347,7 +250,6 @@ class AmalgSetup:
             unitaries.append(phi2.embedding.unitaries[j])
         self.embed_D = UnitalHomomorphism(self.D, self.A, mults, unitaries)
         self._n1 = n1
-        from .cstar import AlgebraAutomorphism
         self.alpha = AlgebraAutomorphism(
             self.D, tuple(range(nb, 2 * nb)) + tuple(range(nb)))
         self.eta_map = CPLinearMap.from_callable(self.A, self.A, self.eta)
@@ -366,10 +268,6 @@ class AmalgSetup:
 
     def dpair(self, b1: AlgebraElement, b2: AlgebraElement) -> AlgebraElement:
         return self.D.element(list(b1.blocks) + list(b2.blocks))
-
-    def dsplit(self, d: AlgebraElement):
-        nb = len(self.B.block_sizes)
-        return (self.B.element(d.blocks[:nb]), self.B.element(d.blocks[nb:]))
 
     def phi(self, a: AlgebraElement) -> AlgebraElement:
         a1, a2 = self.split(a)
@@ -409,8 +307,8 @@ class AmalgSetup:
         return P @ (self.L + self.L.conj().T) @ P
 
 
-def amalg_setup(phi1: BaseExpectation, phi2: BaseExpectation, N, rng,
-                samples=5, tol=DEFAULT_TOL, dim_cap=20000):
+def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,
+                N, rng, samples=5, tol=DEFAULT_TOL, dim_cap=20000):
     """Builds the amalgamated gadget stack and verifies its defining
     identities.  Returns (AmalgSetup, VerificationReport)."""
     S = AmalgSetup(phi1, phi2, N, dim_cap=dim_cap)
@@ -543,13 +441,13 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
     res_centered = res_corner = 0.0
     for _ in range(samples):
         a2 = setup.A2.random_element(rng)
-        centered = a2 - setup.phi2.embed(setup.phi2(a2))
+        centered = a2 - setup.phi2.embedding(setup.phi2(a2))
         res_centered = max(res_centered, setup.psi_factors(
             [W, setup.op(setup.pair(setup.A1.zero(), centered)), W]).norm()
             / max(1.0, a2.norm()))
         val = setup.psi_factors(
             [W, setup.op(setup.pair(setup.A1.zero(),
-                                    setup.phi2.embed(setup.phi2(a2)))), W])
+                                    setup.phi2.embedding(setup.phi2(a2)))), W])
         target = setup.dpair(setup.phi2(a2), setup.B.zero())
         res_corner = max(res_corner, (val - target).norm()
                          / max(1.0, a2.norm()))
@@ -564,7 +462,7 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
 
 
 def la_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
-                      threshold=DEFAULT_TOL) -> MomentReport:
+                      threshold=DEFAULT_TOL) -> VerificationReport:
     """Moment freeness of {L, L*} and the coefficient algebra over D."""
     F, L = setup.F, setup.L
 
@@ -583,18 +481,20 @@ def la_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
                           setup.psi_factors, embed,
                           budget, rng, samples_per_pattern=samples,
                           threshold=threshold,
-                          note="families: words in {L, L*}; coefficients")
+                          note="families: words in {L, L*}; coefficients",
+                          suite="toeplitz-coefficient-freeness",
+                          anchor="psi of alternating centered words in "
+                                 "{L, L*} and A vanishes")
 
 
 def corner_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
-                          threshold=DEFAULT_TOL) -> MomentReport:
+                          threshold=DEFAULT_TOL) -> VerificationReport:
     """Moment freeness of the two corner copies: products of centered
     (a1, 0) and W (0, a2) W factors alternate to zero expectation."""
     if 2 * budget > setup.N:
         raise PreconditionError("word budget exceeds the truncation")
     W = setup.W
-    report = MomentReport(budget=budget, threshold=threshold,
-                          note="corner copies of the two amalgamands")
+    table = {}
     for pat in alternating_patterns(2, budget):
         if len(pat) < 2:
             continue
@@ -605,18 +505,21 @@ def corner_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
             for f in pat:
                 if f == 0:
                     a1 = setup.A1.random_element(rng)
-                    a1 = a1 - setup.phi1.embed(setup.phi1(a1))
+                    a1 = a1 - setup.phi1.embedding(setup.phi1(a1))
                     scale *= max(1.0, a1.norm())
                     factors.append(setup.op(setup.pair(a1, setup.A2.zero())))
                 else:
                     a2 = setup.A2.random_element(rng)
-                    a2 = a2 - setup.phi2.embed(setup.phi2(a2))
+                    a2 = a2 - setup.phi2.embedding(setup.phi2(a2))
                     scale *= max(1.0, a2.norm())
                     factors.extend([W, setup.op(
                         setup.pair(setup.A1.zero(), a2)), W])
             worst = max(worst, setup.psi_factors(factors).norm() / scale)
-        report.table["-".join("12"[f] for f in pat)] = worst
-    return report
+        table["-".join("12"[f] for f in pat)] = worst
+    return _moment_report("corner-freeness",
+                         "psi of alternating centered corner words vanishes",
+                         budget, table, threshold,
+                         "corner copies of the two amalgamands")
 
 
 def alpha_beta_conditions(setup: AmalgSetup, rng, samples=5,

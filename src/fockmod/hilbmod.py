@@ -40,6 +40,8 @@ class HilbertBimodule:
                     f"multiplicity equation sum_k c[{j}][k] n_k = r_{j} fails")
         if left_unitaries is None:
             left_unitaries = [np.eye(r, dtype=complex) for r in self.right_mult]
+        if len(left_unitaries) != len(base.block_sizes):
+            raise StructureError("one left-action unitary per component")
         self.left_unitaries = []
         for r, u in zip(self.right_mult, left_unitaries):
             u = np.asarray(u, complex)
@@ -60,10 +62,6 @@ class HilbertBimodule:
 
     def vector(self, comps):
         return ModuleVector(self, comps)
-
-    def zero_vector(self):
-        return ModuleVector(self, [np.zeros((r, n), complex)
-                                   for r, n in zip(self.right_mult, self.base.block_sizes)])
 
     def from_flat(self, vec):
         vec = np.asarray(vec, complex).ravel()
@@ -193,13 +191,6 @@ class ModuleOperator:
         # transpose; for B-linear operators it is also the B-valued adjoint
         return ModuleOperator(self.parent, self.matrix.conj().T)
 
-    def b_linearity_residual(self):
-        res = 0.0
-        for e in self.parent.base.basis():
-            R = self.parent.right_matrix(e)
-            res = max(res, np.linalg.norm(self.matrix @ R - R @ self.matrix, 2))
-        return res / max(1.0, np.linalg.norm(self.matrix, 2))
-
 
 # -- building blocks -------------------------------------------------------
 
@@ -313,15 +304,10 @@ def projection_from_basis(module, V):
 
 def submodule_projection(X, drop_tol=None) -> SubmoduleSpan:
     if not X:
-        raise StructureError("submodule_projection of an empty family: "
-                             "pass the parent module explicitly via empty_span")
+        raise StructureError("submodule_projection of an empty family")
     module = X[0].parent
     V = gram_schmidt(X, drop_tol=drop_tol)
     return SubmoduleSpan(module, list(X), V, projection_from_basis(module, V))
-
-
-def empty_span(module) -> SubmoduleSpan:
-    return SubmoduleSpan(module, [], [], np.zeros((module.dim, module.dim), complex))
 
 
 def complex_rank(flat_vectors, cutoff=RANK_CUTOFF):
@@ -624,9 +610,6 @@ class AugmentedModule:
         self.xi = self.module.from_flat(
             self.embed_base @ element_to_vector(vac, H.base.identity()).flat)
 
-    def embed_vector(self, x: ModuleVector) -> ModuleVector:
-        return self.module.from_flat(self.embed_module @ x.flat)
-
 
 def augment(H: HilbertBimodule) -> AugmentedModule:
     return AugmentedModule(H)
@@ -737,9 +720,3 @@ class Localization:
 
 def localize(module, tau) -> Localization:
     return Localization(module, tau)
-
-
-def unnormalized_trace_state(B: CStarAlgebra) -> StateFunctional:
-    """The normalized version of the block trace (densities I_n / dim)."""
-    total = sum(B.block_sizes)
-    return StateFunctional(B, [np.eye(n) / total for n in B.block_sizes])

@@ -6,12 +6,12 @@ import itertools
 
 import numpy as np
 
-from .cstar import (AlgebraAutomorphism, CStarAlgebra, PreconditionError,
-                    StateFunctional, flip_automorphism, haar_unitary_matrix,
+from .cstar import (AlgebraAutomorphism, CStarAlgebra, ConditionalExpectation,
+                    PreconditionError, StateFunctional, block_diag_matrix,
+                    flip_automorphism, haar_unitary_matrix,
                     identity_automorphism)
 from .hilbmod import HilbertBimodule, make_bimodule, submodule_projection
 from .crossed import FiniteGroup, GroupAction
-from .freeprod import BaseExpectation
 from .bogoliubov import BogoliubovMap
 
 
@@ -54,20 +54,6 @@ def random_state(rng, algebra: CStarAlgebra, faithful=True) -> StateFunctional:
     return StateFunctional(algebra, [d / total for d in densities])
 
 
-def random_automorphism(rng, algebra: CStarAlgebra) -> AlgebraAutomorphism:
-    """Random size-preserving block permutation combined with inner parts."""
-    sizes = algebra.block_sizes
-    source = np.arange(len(sizes))
-    by_size = {}
-    for j, n in enumerate(sizes):
-        by_size.setdefault(n, []).append(j)
-    for group in by_size.values():
-        source[group] = rng.permutation(group)
-    unitaries = [haar_unitary_matrix(rng, n) for n in sizes]
-    return AlgebraAutomorphism(algebra, source=[int(s) for s in source],
-                               unitaries=unitaries)
-
-
 # -- criterion instance suites ----------------------------------------------
 
 def creation_instances(seed, count=20):
@@ -107,8 +93,8 @@ def amalg_instances(seed):
     out = []
     for sizes1, sizes2 in (((1, 1), (2,)), ((2,), (1, 1)), ((1, 1), (1, 1, 1))):
         A1, A2 = CStarAlgebra(sizes1), CStarAlgebra(sizes2)
-        phi1 = BaseExpectation.from_state(random_state(rng, A1))
-        phi2 = BaseExpectation.from_state(random_state(rng, A2))
+        phi1 = ConditionalExpectation.from_state(random_state(rng, A1))
+        phi2 = ConditionalExpectation.from_state(random_state(rng, A2))
         out.append((phi1, phi2))
     return out
 
@@ -192,22 +178,12 @@ def random_bogoliubov(rng, base_sizes=(2,), copies=2):
     beta = AlgebraAutomorphism(B, unitaries=v)
     comp_blocks = []
     for j in range(len(base_sizes)):
-        A_j = _direct_sum_mats(
+        A_j = block_diag_matrix(
             [np.kron(haar_unitary_matrix(rng, copies), v[k])
              for k in range(len(base_sizes))])
         comp_blocks.append(np.kron(A_j, v[j].conj()))
-    U = _direct_sum_mats(comp_blocks)
+    U = block_diag_matrix(comp_blocks)
     return BogoliubovMap(H, U, beta)
-
-
-def _direct_sum_mats(mats):
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total), complex)
-    off = 0
-    for m in mats:
-        out[off:off + m.shape[0], off:off + m.shape[0]] = m
-        off += m.shape[0]
-    return out
 
 
 # -- descriptor constructors (shared with the command line) ------------------
@@ -218,12 +194,6 @@ def complex_array(data):
     if arr.shape and arr.shape[-1] == 2:
         return arr[..., 0] + 1j * arr[..., 1]
     return arr.astype(complex)
-
-
-def encode_complex(arr):
-    """Complex ndarray into nested lists with [re, im] leaves."""
-    arr = np.asarray(arr, complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def algebra_from_descriptor(d) -> CStarAlgebra:

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from fockmod.bogoliubov import entropy_bound_report
-from fockmod.cstar import CPLinearMap, CStarAlgebra
+from fockmod.cstar import CPLinearMap, CStarAlgebra, ConditionalExpectation
 from fockmod.crossed import (CrossedProduct, crossed_product, folner_average,
                              smearing_map)
 from fockmod.fock import (FockSpace, creation_relations_check,
                           expectation_properties_check,
                           fock_factorization_check, ideal_structure_check,
                           quotient_dimension_check)
-from fockmod.freeprod import (BaseExpectation, amalg_setup, build_W, catalan,
+from fockmod.freeprod import (amalg_setup, build_W, catalan,
                               corner_freeness_check, freeness_check,
                               la_freeness_check, scalar_creation,
                               semicircular_moments, swap_commutation,
@@ -184,8 +184,8 @@ def test_criterion_08_amalgamated_freeness():
     wrep = wunitary_vanishing(setup, 2, rng)
     ok = la.passed and corner.passed and wrep.passed
     conclude(8, "amalgamated-freeness", ok,
-             f"moment residuals {la.max_residual:.2e} / "
-             f"{corner.max_residual:.2e}")
+             f"moment residuals {la.checks[0].residual:.2e} / "
+             f"{corner.checks[0].residual:.2e}")
 
 
 def test_criterion_09_crossed_products():
@@ -235,11 +235,11 @@ def test_criterion_11_negative_controls():
                      "b1 l(h) b2 = l(b1 h b2)") for c in rep.failures)
 
     A = CStarAlgebra((2,))
-    phi = BaseExpectation.from_state(random_state(rng, A))
+    phi = ConditionalExpectation.from_state(random_state(rng, A))
     scalars = phi.embedding.domain
     Fm = np.diag([1.5, -0.5]).astype(complex)
-    bad = BaseExpectation(phi.embedding,
-                          lambda a: scalars.scalar(np.trace(Fm @ a.blocks[0])))
+    bad = ConditionalExpectation(
+        phi.embedding, lambda a: scalars.scalar(np.trace(Fm @ a.blocks[0])))
     vrep = bad.validate(rng)
     bad_eta = (not vrep.passed) and any(
         c.anchor == "Choi(phi) >= 0" for c in vrep.failures)
@@ -259,12 +259,11 @@ def test_criterion_11_negative_controls():
 
     frep = freeness_check([lambda r: s, lambda r: s], expectation, embed,
                           budget=2, rng=rng, samples_per_pattern=2,
-                          threshold=1e-6)
-    vrep2 = frep.to_report("non-free-pair",
-                           "psi(alternating centered products) = 0")
+                          threshold=1e-6, suite="non-free-pair",
+                          anchor="psi(alternating centered products) = 0")
     non_free = (not frep.passed) and any(
         c.anchor == "psi(alternating centered products) = 0"
-        for c in vrep2.failures)
+        for c in frep.failures)
 
     conclude(11, "negative-controls", bad_action and bad_eta and non_free,
              "corrupted action, non-positive coefficient map, non-free pair")

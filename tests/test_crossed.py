@@ -119,6 +119,18 @@ def test_folner_average_bounded_deviation_with_smearing():
     assert rep.passed, rep.failures
 
 
+def test_folner_average_reports_bound_when_every_deviation_is_zero():
+    # F = {e} in Z/2 is not invariant (defect 1/2), so words are judged by
+    # the deviation bound, yet on words over g = e the channel is exact
+    G, A, action = z2_example()
+    C = CrossedProduct(action)
+    ident = CPLinearMap.from_callable(A, A, lambda a: a)
+    words = [(A.random_element(RNG), G.identity) for _ in range(2)]
+    rep = folner_average(C, [G.identity], ident, words=words)
+    assert [c.name for c in rep.checks] == ["deviation-bound"]
+    assert rep.passed and rep.checks[0].details["worst_ratio"] == 0.0
+
+
 def test_folner_average_rejects_empty_set():
     G, A, action = z2_example()
     C = CrossedProduct(action)

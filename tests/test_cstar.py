@@ -49,6 +49,17 @@ def test_state_rejects_non_hermitian_density():
         StateFunctional(A, [np.array([[0.5, 1.0], [0.0, 0.5]])])
 
 
+@pytest.mark.parametrize("build", [
+    lambda B: StateFunctional(B, [np.eye(1)]),
+    lambda B: UnitalHomomorphism(B, B, [(1, 0), (0, 1)], [np.eye(1)]),
+    lambda B: AlgebraAutomorphism(B, unitaries=[np.eye(1)]),
+], ids=["state-densities", "homomorphism-unitaries",
+        "automorphism-unitaries"])
+def test_constructors_reject_short_lists(build):
+    with pytest.raises(StructureError):
+        build(CStarAlgebra((1, 1)))
+
+
 def test_unital_homomorphism_multiplicative():
     B = CStarAlgebra((1, 2))
     A = CStarAlgebra((3,))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fockmod.cstar import CStarAlgebra, PreconditionError
-from fockmod.freeprod import (BaseExpectation, alpha_beta_conditions,
+from fockmod.cstar import (CStarAlgebra, ConditionalExpectation,
+                           PreconditionError)
+from fockmod.freeprod import (alpha_beta_conditions,
                               amalg_setup, build_W, catalan, freeness_check,
                               haar_unitary, scalar_creation,
                               semicircular_moments, swap_commutation,
@@ -16,8 +17,8 @@ def small_setup(N=4, seed=2):
     rng = np.random.default_rng(seed)
     A1 = CStarAlgebra((1, 1))
     A2 = CStarAlgebra((2,))
-    phi1 = BaseExpectation.from_state(random_state(rng, A1))
-    phi2 = BaseExpectation.from_state(random_state(rng, A2))
+    phi1 = ConditionalExpectation.from_state(random_state(rng, A1))
+    phi2 = ConditionalExpectation.from_state(random_state(rng, A2))
     setup, rep = amalg_setup(phi1, phi2, N, rng, tol=1e-9)
     assert rep.passed, rep.failures
     return setup
@@ -53,16 +54,16 @@ def test_haar_unitary_moments_vanish():
 
 def test_base_expectation_validate():
     A = CStarAlgebra((2,))
-    phi = BaseExpectation.from_state(random_state(RNG, A))
+    phi = ConditionalExpectation.from_state(random_state(RNG, A))
     assert phi.validate(RNG).passed
 
 
 def test_base_expectation_flags_non_positive_map():
     A = CStarAlgebra((2,))
-    phi = BaseExpectation.from_state(random_state(RNG, A))
+    phi = ConditionalExpectation.from_state(random_state(RNG, A))
     scalars = phi.embedding.domain
     F = np.diag([1.5, -0.5]).astype(complex)
-    bad = BaseExpectation(
+    bad = ConditionalExpectation(
         phi.embedding,
         lambda a: scalars.scalar(np.trace(F @ a.blocks[0])))
     rep = bad.validate(RNG)
@@ -125,3 +126,10 @@ def test_freeness_check_flags_dependent_families():
                             budget=2, rng=RNG, samples_per_pattern=2,
                             threshold=1e-6)
     assert not report.passed
+
+
+def test_freeness_check_needs_two_families():
+    B = CStarAlgebra((1,))
+    with pytest.raises(PreconditionError):
+        freeness_check([lambda r: np.eye(2)], lambda f: B.identity(),
+                       lambda b: np.eye(2), budget=2, rng=RNG)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from fockmod.cstar import CStarAlgebra, uniform_trace_state
-from fockmod.hilbmod import (augment, direct_sum, element_to_vector,
-                             gns_bimodule, gram_schmidt, interior_tensor,
-                             localize, make_bimodule, projection_from_basis,
-                             submodule_projection, tensor_embed,
-                             trivial_module, unnormalized_trace_state,
-                             vector_to_element)
+from fockmod.cstar import CStarAlgebra, StructureError, uniform_trace_state
+from fockmod.hilbmod import (HilbertBimodule, augment, direct_sum,
+                             element_to_vector, gns_bimodule, gram_schmidt,
+                             interior_tensor, localize, make_bimodule,
+                             projection_from_basis, submodule_projection,
+                             tensor_embed, trivial_module, vector_to_element)
 from fockmod.instances import random_algebra, random_bimodule
 
 RNG = np.random.default_rng(23)
@@ -16,6 +15,12 @@ RNG = np.random.default_rng(23)
 def small_module():
     B = CStarAlgebra((1, 2))
     return make_bimodule(B, (2, 3), [(0, 1), (1, 1)], rng=RNG)
+
+
+def test_bimodule_rejects_short_unitary_list():
+    B = CStarAlgebra((1, 1))
+    with pytest.raises(StructureError):
+        HilbertBimodule(B, (1, 1), [(0, 1), (1, 0)], [np.eye(1)])
 
 
 def test_inner_product_sesquilinear_and_positive():
@@ -151,7 +156,7 @@ def test_gns_bimodule_inner_matches_state():
 
 def test_localization_adjoint_is_conjugate_transpose():
     H = small_module()
-    tau = unnormalized_trace_state(H.base)
+    tau = uniform_trace_state(H.base)
     loc = localize(H, tau)
     M = RNG.standard_normal((H.dim, H.dim)) \
         + 1j * RNG.standard_normal((H.dim, H.dim))
