@@ -4,11 +4,11 @@ and free-product operator identities at finite dimension and truncation."""
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, ConditionalExpectation, StateFunctional,
                     StructureError, PreconditionError, UnitalHomomorphism)
-from .hilbmod import (HilbertBimodule, ModuleOperator, ModuleVector,
+from .hilbmod import (HilbertBimodule, ModuleVector,
                       SubmoduleSpan, augment, cp_bimodule, direct_sum,
                       gns_bimodule, gram_schmidt, interior_tensor, localize,
                       make_bimodule, submodule_projection, trivial_module)
-from .fock import (FockOperator, FockSpace, WordSpec, creation_relations_check,
+from .fock import (FockSpace, WordSpec, creation_relations_check,
                    fock_factorization_check, ideal_structure_check,
                    isometric_vector, masked_norm, quotient_dimension_check,
                    toeplitz_endomorphism, word)
@@ -28,10 +28,10 @@ __all__ = [
     "AlgebraAutomorphism", "AlgebraElement", "CPLinearMap", "CStarAlgebra",
     "ConditionalExpectation", "StateFunctional", "StructureError",
     "PreconditionError", "UnitalHomomorphism", "HilbertBimodule",
-    "ModuleOperator", "ModuleVector", "SubmoduleSpan", "augment",
+    "ModuleVector", "SubmoduleSpan", "augment",
     "cp_bimodule", "direct_sum", "gns_bimodule", "gram_schmidt",
     "interior_tensor", "localize", "make_bimodule", "submodule_projection",
-    "trivial_module", "FockOperator", "FockSpace", "WordSpec",
+    "trivial_module", "FockSpace", "WordSpec",
     "creation_relations_check", "fock_factorization_check",
     "ideal_structure_check", "isometric_vector", "masked_norm",
     "quotient_dimension_check", "toeplitz_endomorphism", "word",

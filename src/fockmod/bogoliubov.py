@@ -1,14 +1,15 @@
 """Inner-product-twisting linear maps on bimodules, their second-quantized
-extensions on the truncated Fock space, growth subspaces K_p, the compression
-channels onto their Fock towers, and the rank-growth report."""
+extensions on the truncated Fock space, growth subspaces K_p, the
+compression Q x Q onto their Fock towers, and the rank-growth report."""
 
 import numpy as np
 
 from .cstar import (AlgebraAutomorphism, PreconditionError, StructureError,
-                    identity_automorphism, DEFAULT_TOL)
+                    block_diag_matrix, identity_automorphism, DEFAULT_TOL)
 from .hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
-                      SubmoduleSpan, submodule_projection)
-from .fock import FockOperator, FockSpace, asmatrix
+                      SubmoduleSpan, projection_from_basis,
+                      submodule_projection)
+from .fock import FockSpace
 from .report import VerificationReport
 
 
@@ -100,7 +101,7 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
     vector xi of an augmented bimodule is supplied, additionally verifies
     U xi = xi and that F(U) commutes with l(xi).
 
-    Returns (FockOperator, VerificationReport)."""
+    Returns (matrix, VerificationReport)."""
     if bog.module is not F.bimodule:
         raise StructureError("map lives on a different bimodule")
     H = F.bimodule
@@ -114,7 +115,7 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
     for k in range(1, F.N):
         step = F.maps[k]
         Fk = level_maps[k]
-        S = np.hstack([step.apply(eyeH[:, i]) for i in range(H.dim)])
+        S = step.matrix
         Sp = np.hstack([step.apply(bog.matrix @ eyeH[:, i]) @ Fk
                         for i in range(H.dim)])
         Fk1, *_ = np.linalg.lstsq(S.conj().T, Sp.conj().T, rcond=None)
@@ -124,10 +125,7 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
         level_maps.append(Fk1)
     report.add("tensor-consistency",
                "F_{k+1}(h (x) y) = (U h) (x) F_k(y)", res_solve, tol)
-    M = np.zeros((F.dim, F.dim), complex)
-    for k, blk in enumerate(level_maps):
-        s = F.level_slice(k)
-        M[s, s] = blk
+    M = block_diag_matrix(level_maps, F.dim)
     res_int = 0.0
     for e in H.basis():
         lhs = M @ F.creation_matrix(e)
@@ -141,7 +139,7 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
         L = F.creation_matrix(xi)
         report.add("fixed-creation", "F(U) l(xi) = l(xi) F(U)",
                    float(np.linalg.norm(M @ L - L @ M)), tol)
-    return FockOperator(F, M), report
+    return M, report
 
 
 def kp_subspace(bog: BogoliubovMap, K: SubmoduleSpan, p, tol=DEFAULT_TOL):
@@ -200,48 +198,22 @@ def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
 
 
 def _tower_projection(F: FockSpace, level_bases):
-    from .hilbmod import projection_from_basis
-    Q = np.zeros((F.dim, F.dim), complex)
-    for k, basis in enumerate(level_bases):
-        s = F.level_slice(k)
-        if k == 0:
-            # the tower always contains the whole vacuum copy of B
-            Q[s, s] = np.eye(F.level_dims[0])
-        elif basis:
-            Q[s, s] = projection_from_basis(F.levels[k], basis)
-    return Q
+    # the tower always contains the whole vacuum copy of B
+    blocks = [np.eye(F.level_dims[0])]
+    for k, basis in enumerate(level_bases[1:], start=1):
+        blocks.append(projection_from_basis(F.levels[k], basis) if basis
+                      else np.zeros((F.level_dims[k],) * 2))
+    return block_diag_matrix(blocks, F.dim)
 
 
 class OperatorChannels:
-    """The compress / restrict / re-expand triple for the Fock tower of a
-    growth subspace inside the ambient truncated Fock space."""
+    """The Fock tower of a growth subspace up to level n: its per-level bases
+    and its projection Q.  Q lies under the projection onto levels <= n, so
+    Q x Q both cuts an operator x down to those levels and to the tower."""
 
     def __init__(self, F: FockSpace, n, span: SubmoduleSpan):
-        self.F = F
-        self.n = n
-        self.span = span
         self.level_bases = _fock_level_spans(F, n, span)
         self.Q = _tower_projection(F, self.level_bases)
-        self.Pn = F.up_to_projection(n)
-
-    @property
-    def tower_dim(self):
-        return int(round(np.trace(self.Q).real))
-
-    def compress(self, x):
-        """P_n x P_n: cut the ambient operator to levels <= n."""
-        return self.Pn @ asmatrix(x) @ self.Pn
-
-    def restrict(self, y):
-        """Q y Q: cut further to the subspace tower."""
-        return self.Q @ asmatrix(y) @ self.Q
-
-    def expand(self, y):
-        """Q y Q + (vacuum part of y acting on the left) (P_n - Q)."""
-        y = asmatrix(y)
-        b = self.F.vacuum_expectation(y)
-        return self.Q @ y @ self.Q \
-            + self.F.left_matrix(b) @ (self.Pn - self.Q)
 
 
 def sample_word(F: FockSpace, span: SubmoduleSpan, m, rng):
@@ -268,15 +240,15 @@ def sample_word(F: FockSpace, span: SubmoduleSpan, m, rng):
 
 def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
                          samples=4, tol=DEFAULT_TOL):
-    """Builds the channels around the Fock tower of a growth subspace and
-    verifies their structure:
+    """Builds the Fock tower of a growth subspace up to level n and verifies
+    the compression x -> Q x Q onto it:
 
       - the tower projection is an adjointable projection commuting with the
         left algebra action,
       - compressed annihilation does not leak: Q l(h)* (P_n - Q) = 0 for h
-        in the subspace,
-      - reconstruction on vectors: restrict(compress(x)) v = x v for sampled
-        words x over the subspace and vectors v in the tower up to level n-1.
+        in the subspace, with P_n the projection onto levels <= n,
+      - reconstruction on vectors: Q x Q v = x v for sampled words x over
+        the subspace and vectors v in the tower up to level n-1.
 
     Returns (OperatorChannels, VerificationReport)."""
     if n > F.N:
@@ -284,10 +256,10 @@ def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
     if n < 1:
         raise PreconditionError("compression level must be at least 1")
     ch = OperatorChannels(F, n, span)
-    Q, Pn = ch.Q, ch.Pn
+    Q = ch.Q
+    tower_dim = int(round(np.trace(Q).real))
     report = VerificationReport(suite="compression-channels",
-                                parameters={"n": n,
-                                            "tower_dim": ch.tower_dim})
+                                parameters={"n": n, "tower_dim": tower_dim})
     report.add("projection-idempotent", "Q^2 = Q",
                float(np.linalg.norm(Q @ Q - Q)), tol)
     report.add("projection-selfadjoint", "Q = Q*",
@@ -298,10 +270,12 @@ def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
         res_comm = max(res_comm, float(np.linalg.norm(Q @ lb - lb @ Q)))
     report.add("left-action-commutes", "Q (b . ) = (b . ) Q", res_comm, tol)
     res_leak = 0.0
+    complement = np.eye(F.dim) - Q
     for h in span.basis:
         ann = F.creation_matrix(h).conj().T
-        res_leak = max(res_leak,
-                       float(np.linalg.norm(Q @ ann @ (Pn - Q))))
+        leak = Q @ ann @ complement
+        leak[:, int(F.offsets[n + 1]):] = 0     # (1 - Q) P_n = P_n - Q
+        res_leak = max(res_leak, float(np.linalg.norm(leak)))
     report.add("no-annihilation-leak", "Q l(h)* (1 - Q) = 0 for h in K_p",
                res_leak, tol)
     low = [v for k, basis in enumerate(ch.level_bases[:n]) for v in
@@ -310,7 +284,7 @@ def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
     for _ in range(samples):
         m = int(rng.integers(1, n + 1))
         x, scale = sample_word(F, span, m, rng)
-        y = ch.restrict(ch.compress(x))
+        y = Q @ x @ Q
         for v in low:
             res_rec = max(res_rec,
                           float(np.linalg.norm((y - x) @ v)) / scale)

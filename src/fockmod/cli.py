@@ -3,6 +3,7 @@ default instances, and report emission in text or JSON."""
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -172,14 +173,23 @@ class InstanceError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
 def parse_instance(path):
-    """Load and validate an instance file; returns the raw dict."""
+    """Load and validate an instance file; returns the raw dict.  A number
+    that is not finite (NaN, Infinity, 1e400) is malformed JSON."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_finite_float,
+                             parse_constant=_finite_float)
     except OSError as exc:
         raise InstanceError([f"cannot read {path}: {exc}"])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError is a ValueError
         raise InstanceError([f"malformed JSON in {path}: {exc}"])
     validator = jsonschema.Draft7Validator(INSTANCE_SCHEMA)
     errors = [f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: "
@@ -270,7 +280,14 @@ def build_instance(data):
 
 # -- suite runners -----------------------------------------------------------
 
+_PARAMETERS = jsonschema.Draft7Validator(
+    INSTANCE_SCHEMA["properties"]["parameters"])
+
+
 class Settings:
+    """Run parameters within the bounds of the instance schema's `parameters`,
+    tol also finite; a value outside them is a PreconditionError."""
+
     def __init__(self, truncation=None, tol=1e-9, seed=0, max_word_length=5,
                  dim_cap=20000):
         self.truncation = None if truncation is None else int(truncation)
@@ -278,6 +295,13 @@ class Settings:
         self.seed = int(seed)
         self.max_word_length = int(max_word_length)
         self.dim_cap = int(dim_cap)
+        values = {k: v for k, v in vars(self).items() if v is not None}
+        errors = [f"{e.path[0]}: {e.message}"
+                  for e in _PARAMETERS.iter_errors(values)]
+        if not math.isfinite(self.tol):
+            errors.append(f"tol: {self.tol} is not finite")
+        if errors:
+            raise PreconditionError("; ".join(sorted(errors)))
 
     def rng(self):
         return np.random.default_rng(self.seed)
@@ -348,9 +372,9 @@ def run_toeplitz(ctx, st):
     reports = []
     for H in candidates[:2]:
         F = fk.FockSpace(H, st.N(3), dim_cap=st.dim_cap)
-        L = F.creation(fk.isometric_vector(H, rng))
+        L = F.creation_matrix(fk.isometric_vector(H, rng))
         spec = fk.random_word_spec(F, rng, 2, balanced=True)
-        a = F.gauge_expectation(fk.word(F, spec).matrix)
+        a = F.gauge_expectation(fk.word(F, spec))
         _, rep = fk.toeplitz_endomorphism(F, a, L, rng=rng, tol=st.tol)
         rep.merge(fk.endomorphism_injectivity_check(F, L, F.N - 1, rng))
         rep.parameters.update({"N": F.N, "dim": F.dim})
@@ -500,7 +524,9 @@ def run_suites(ctx, names, st):
 
 
 def emit(reports, fmt, out, elapsed):
-    passed = all(r.passed for r in reports)
+    """Write the reports; returns whether the run passed, which needs at
+    least one report and every report passing."""
+    passed = bool(reports) and all(r.passed for r in reports)
     if fmt == "json":
         payload = {"passed": passed, "elapsed_seconds": round(elapsed, 3),
                    "reports": [r.as_dict() for r in reports]}

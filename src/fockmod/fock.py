@@ -11,6 +11,8 @@ below level N, determined by degree bookkeeping.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .cstar import (AlgebraElement, PreconditionError, ResourceCapError,
@@ -24,23 +26,42 @@ from .report import VerificationReport
 DEFAULT_DIM_CAP = 20000
 
 
+def power_dims(module: HilbertBimodule, m: int):
+    """Yields the dimensions of the tensor powers 0..m of a bimodule, from
+    multiplicity arithmetic alone: r_{k+1} = C r_k with C the left
+    multiplicities and r_0 the block sizes n, and dim_k = r_k . n.  Nothing
+    is built."""
+    sizes = module.base.block_sizes
+    r = list(sizes)
+    for _ in range(m + 1):
+        yield sum(rj * n for rj, n in zip(r, sizes))
+        r = [sum(c * rk for c, rk in zip(row, r)) for row in module.left_mult]
+
+
+def _check_cap(dims, dim_cap):
+    """ResourceCapError as soon as the running total of dims passes the cap,
+    so a huge truncation is refused without walking all of its levels."""
+    total = 0
+    for d in dims:
+        total += d
+        if total > dim_cap:
+            raise ResourceCapError(
+                f"localized dimension {total} exceeds the cap {dim_cap}")
+
+
 def tensor_power_chain(module: HilbertBimodule, m: int, dim_cap=DEFAULT_DIM_CAP):
     """Iterated left-nested interior tensor powers.
 
     Returns (levels, maps): levels[i] is the i-fold power for 1 <= i <= m and
     maps[i] sends kron(flat module, flat levels[i]) to flat levels[i+1].
-    """
+    Raises ResourceCapError before building anything when the powers to be
+    built would take the total dimension of levels 1..m past the cap."""
+    if m > 1:
+        _check_cap(islice(power_dims(module, m), 1, None), dim_cap)
     levels = {1: module}
     maps = {}
-    total = module.dim
     for i in range(1, m):
-        nxt, step = interior_tensor(module, levels[i])
-        levels[i + 1] = nxt
-        maps[i] = step
-        total += nxt.dim
-        if total > dim_cap:
-            raise ResourceCapError(
-                f"localized dimension {total} exceeds the cap {dim_cap}")
+        levels[i + 1], maps[i] = interior_tensor(module, levels[i])
     return levels, maps
 
 
@@ -64,6 +85,7 @@ class FockSpace:
     def __init__(self, H: HilbertBimodule, N: int, dim_cap=DEFAULT_DIM_CAP):
         if N < 0:
             raise PreconditionError("truncation level must be nonnegative")
+        _check_cap(power_dims(H, N), dim_cap)
         self.bimodule = H
         self.base = H.base
         self.N = N
@@ -81,9 +103,6 @@ class FockSpace:
         self.level_dims = tuple(lv.dim for lv in self.levels)
         self.offsets = np.cumsum([0] + list(self.level_dims))
         self.dim = int(self.offsets[-1])
-        if self.dim > dim_cap:
-            raise ResourceCapError(
-                f"localized dimension {self.dim} exceeds the cap {dim_cap}")
 
     def __repr__(self):
         return f"FockSpace(N={self.N}, level_dims={self.level_dims})"
@@ -98,27 +117,9 @@ class FockSpace:
         out[self.level_slice(k)] = flat_vec
         return out
 
-    def vacuum_vector(self, b: AlgebraElement = None):
-        if b is None:
-            b = self.base.identity()
-        return self.embed_level(0, element_to_vector(self.levels[0], b).flat)
-
-    def level_projection(self, ks):
-        """Diagonal projection onto a set of levels (int, iterable, or slice
-        meaning levels <= n via up_to_projection)."""
-        if isinstance(ks, int):
-            ks = [ks]
-        P = np.zeros((self.dim, self.dim))
-        for k in ks:
-            s = self.level_slice(k)
-            P[s, s] = np.eye(self.level_dims[k])
-        return P
-
-    def up_to_projection(self, n):
-        return self.level_projection(range(min(n, self.N) + 1))
-
-    def top_projection(self):
-        return self.level_projection(self.N)
+    def vacuum_vector(self):
+        one = element_to_vector(self.levels[0], self.base.identity())
+        return self.embed_level(0, one.flat)
 
     # -- algebra actions ---------------------------------------------------
 
@@ -141,72 +142,22 @@ class FockSpace:
                 self.maps[k].apply(h.flat)
         return T
 
-    def creation(self, h: ModuleVector) -> "FockOperator":
-        return FockOperator(self, self.creation_matrix(h))
-
-    def identity_matrix(self):
-        return np.eye(self.dim, dtype=complex)
-
-    def vacuum_expectation(self, T) -> AlgebraElement:
-        """Compression to level 0, read as an element of B."""
-        M = asmatrix(T)
-        s = self.level_slice(0)
+    def vacuum_expectation(self, *factors) -> AlgebraElement:
+        """Compression of the product of the factors to level 0, read as an
+        element of B.  The thin vacuum columns are pushed through the factors
+        from the right, so the product is never multiplied out."""
+        d0 = self.level_dims[0]
+        y = factors[-1][:, :d0]
+        for M in reversed(factors[:-1]):
+            y = M @ y
         one = element_to_vector(self.levels[0], self.base.identity()).flat
-        return vector_to_element(self.levels[0].from_flat(M[s, s] @ one))
+        return vector_to_element(self.levels[0].from_flat(y[:d0] @ one))
 
     def gauge_expectation(self, T):
         """Exact projection onto the degree-0 part: keep diagonal level blocks."""
-        M = asmatrix(T).copy()
-        out = np.zeros_like(M)
-        for k in range(self.N + 1):
-            s = self.level_slice(k)
-            out[s, s] = M[s, s]
-        return FockOperator(self, out) if isinstance(T, FockOperator) else out
-
-
-class FockOperator:
-    """Operator on the truncated Fock space; adjoints via the Euclidean
-    localization, which agrees with the B-valued adjoint for B-linear maps."""
-
-    def __init__(self, space: FockSpace, matrix):
-        matrix = np.asarray(matrix, complex)
-        if matrix.shape != (space.dim, space.dim):
-            raise StructureError("operator shape does not match the Fock space")
-        self.space = space
-        self.matrix = matrix
-
-    def __matmul__(self, other):
-        return FockOperator(self.space, self.matrix @ asmatrix(other))
-
-    def __rmatmul__(self, other):
-        return FockOperator(self.space, asmatrix(other) @ self.matrix)
-
-    def __add__(self, other):
-        return FockOperator(self.space, self.matrix + asmatrix(other))
-
-    def __sub__(self, other):
-        return FockOperator(self.space, self.matrix - asmatrix(other))
-
-    def __mul__(self, z):
-        return FockOperator(self.space, self.matrix * z)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1)
-
-    def adjoint(self):
-        return FockOperator(self.space, self.matrix.conj().T)
-
-    def norm(self):
-        return float(np.linalg.norm(self.matrix, 2))
-
-    def level_block(self, i, j):
-        return self.matrix[self.space.level_slice(i), self.space.level_slice(j)]
-
-
-def asmatrix(T):
-    return T.matrix if isinstance(T, FockOperator) else np.asarray(T, complex)
+        return block_diag_matrix(
+            [T[self.level_slice(k), self.level_slice(k)]
+             for k in range(self.N + 1)], self.dim)
 
 
 # -- words ------------------------------------------------------------------
@@ -236,12 +187,12 @@ class WordSpec:
         return sum(self.degrees)
 
 
-def word(F: FockSpace, spec: WordSpec) -> FockOperator:
+def word(F: FockSpace, spec: WordSpec):
     M = F.left_matrix(spec.coeffs[0])
     for (h, g), b in zip(spec.factors, spec.coeffs[1:]):
         c = F.creation_matrix(h)
         M = M @ (c if g == CREATE else c.conj().T) @ F.left_matrix(b)
-    return FockOperator(F, M)
+    return M
 
 
 # -- verification operations ------------------------------------
@@ -254,7 +205,7 @@ def masked_norm(F: FockSpace, M, max_level):
     if max_level < 0:
         raise PreconditionError("no overflow-free room at this truncation")
     cut = int(F.offsets[min(max_level, F.N) + 1])
-    return float(np.linalg.norm(asmatrix(M)[:, :cut]))
+    return float(np.linalg.norm(M[:, :cut]))
 
 
 def creation_relations_check(F: FockSpace, rng, samples=5,
@@ -262,7 +213,6 @@ def creation_relations_check(F: FockSpace, rng, samples=5,
     """l(h)*l(g) = <h,g>(1 - E_N) and b1 l(h) b2 = l(b1 h b2)."""
     report = VerificationReport(suite="creation-relations")
     H = F.bimodule
-    EN = F.top_projection()
     res_ls = res_bimod = 0.0
     for _ in range(samples):
         h = H.random_vector(rng)
@@ -271,7 +221,8 @@ def creation_relations_check(F: FockSpace, rng, samples=5,
         b2 = F.base.random_element(rng)
         lh, lg = F.creation_matrix(h), F.creation_matrix(g)
         lhs = lh.conj().T @ lg
-        rhs = F.left_matrix(H.inner(h, g)) @ (np.eye(F.dim) - EN)
+        rhs = F.left_matrix(H.inner(h, g))
+        rhs[:, F.level_slice(F.N)] = 0      # the factor (1 - E_N)
         res_ls = max(res_ls, np.linalg.norm(lhs - rhs, 2)
                      / max(1.0, h.norm() * g.norm()))
         lhs2 = F.left_matrix(b1) @ lh @ F.left_matrix(b2)
@@ -292,7 +243,7 @@ def expectation_properties_check(F: FockSpace, rng, samples=4,
     ones."""
     report = VerificationReport(suite="expectations")
     H = F.bimodule
-    one = F.identity_matrix()
+    one = np.eye(F.dim, dtype=complex)
     res = (F.vacuum_expectation(one) - F.base.identity()).norm()
     report.add("vacuum-unital", "E(1) = 1", res, tol)
     h = H.random_vector(rng)
@@ -359,13 +310,13 @@ def ideal_structure_check(F: FockSpace, n, rng, samples=4,
         scale = max(1.0, np.prod([c.norm() for c in coeffs])
                     * np.prod([h.norm() for h in hs]))
         res_kill = max(res_kill,
-                       masked_norm(F, x.matrix, n - 1) / scale)
+                       masked_norm(F, x, n - 1) / scale)
         # explicit finite-rank form on level n: x w = u <v, w>
         prefix = F.left_matrix(coeffs[0]).copy()
         for i in range(n):
             prefix = prefix @ F.creation_matrix(hs[i]) @ F.left_matrix(coeffs[i + 1])
         u_flat = prefix @ F.vacuum_vector()
-        suffix_adj = F.identity_matrix()
+        suffix_adj = np.eye(F.dim, dtype=complex)
         for i in range(n):
             suffix_adj = F.left_matrix(coeffs[n + 1 + i].adjoint()) \
                 @ F.creation_matrix(hs[n + i]) @ suffix_adj
@@ -377,12 +328,13 @@ def ideal_structure_check(F: FockSpace, n, rng, samples=4,
             [np.kron(uj @ vj.conj().T, np.eye(nb))
              for uj, vj, nb in zip(u.comps, v.comps, F.base.block_sizes)],
             lev.dim)
+        s = F.level_slice(n)
         res_rank = max(res_rank,
-                       np.linalg.norm(x.level_block(n, n) - rank_one, 2) / scale)
+                       np.linalg.norm(x[s, s] - rank_one, 2) / scale)
         # ideal property: (balanced word) . x still kills levels < n
         a = word(F, random_word_spec(F, rng, 2, balanced=True))
-        res_prod = max(res_prod, masked_norm(F, asmatrix(a) @ x.matrix, n - 1)
-                       / (scale * max(1.0, a.norm())))
+        res_prod = max(res_prod, masked_norm(F, a @ x, n - 1)
+                       / (scale * max(1.0, np.linalg.norm(a, 2))))
     report.add("ideal-kills-lower-levels",
                "x in I_n  =>  x|_{F_{n-1}} = 0", res_kill, tol, n=n)
     report.add("ideal-finite-rank-form",
@@ -400,14 +352,14 @@ def quotient_dimension_check(F: FockSpace, n, rng, words_per_length=6,
     report = VerificationReport(suite="filtration-quotient")
     if F.N < n:
         raise PreconditionError("truncation below the requested level")
-    P = F.up_to_projection(n - 1)
+    cut = int(F.offsets[n])     # levels <= n - 1
 
     def compressed_span(depth):
         mats = []
         for m in range(0, depth + 1):
             for _ in range(words_per_length):
                 spec = random_word_spec(F, rng, 2 * m, balanced=True)
-                mats.append((P @ word(F, spec).matrix @ P).ravel())
+                mats.append(word(F, spec)[:cut, :cut].ravel())
         return mats
 
     res = 0.0
@@ -418,7 +370,7 @@ def quotient_dimension_check(F: FockSpace, n, rng, words_per_length=6,
                              + [(h, ANNIHILATE) for h in hs[n:]]))
         scale = max(1.0, np.prod([c.norm() for c in coeffs])
                     * np.prod([h.norm() for h in hs]))
-        res = max(res, np.linalg.norm(P @ x.matrix @ P, 2) / scale)
+        res = max(res, np.linalg.norm(x[:cut, :cut], 2) / scale)
     report.add("ideal-in-quotient-kernel",
                "I_n compresses to 0 on F_{n-1}", res, tol, n=n)
     r_n = complex_rank(compressed_span(n))
@@ -520,18 +472,18 @@ def isometric_vector(H: HilbertBimodule, rng) -> ModuleVector:
 def toeplitz_endomorphism(F: FockSpace, a, L, rng=None, tol=DEFAULT_TOL):
     """Psi(a) = L a L* for degree-0 a; returns (operator, report)."""
     report = VerificationReport(suite="toeplitz-endomorphism")
-    aM = asmatrix(a)
-    if np.linalg.norm(asmatrix(F.gauge_expectation(aM)) - aM) \
-            > tol * max(1.0, np.linalg.norm(aM)):
+    if np.linalg.norm(F.gauge_expectation(a) - a) \
+            > tol * max(1.0, np.linalg.norm(a)):
         raise PreconditionError("argument is not in the degree-0 part")
-    LM = asmatrix(L)
-    out = LM @ aM @ LM.conj().T
+    out = L @ a @ L.conj().T
     report.add("shifted-vacuum", "E(L a L*) = 0",
-               F.vacuum_expectation(out).norm() / max(1.0, np.linalg.norm(aM, 2)),
+               F.vacuum_expectation(out).norm() / max(1.0, np.linalg.norm(a, 2)),
                tol)
     if rng is not None:
-        res_iso = np.linalg.norm(LM.conj().T @ LM
-                                 - (np.eye(F.dim) - F.top_projection()), 2)
+        iso = L.conj().T @ L
+        below = np.arange(int(F.offsets[F.N]))
+        iso[below, below] -= 1              # minus (1 - E_N)
+        res_iso = np.linalg.norm(iso, 2)
         report.add("truncated-isometry", "L* L = 1 - E_N", res_iso, tol)
         res = 0.0
         for _ in range(3):
@@ -539,16 +491,15 @@ def toeplitz_endomorphism(F: FockSpace, a, L, rng=None, tol=DEFAULT_TOL):
                                     + 1j * rng.standard_normal((F.dim, F.dim)))
             y = F.gauge_expectation(rng.standard_normal((F.dim, F.dim))
                                     + 1j * rng.standard_normal((F.dim, F.dim)))
-            lhs = LM @ asmatrix(x) @ asmatrix(y) @ LM.conj().T
-            rhs = (LM @ asmatrix(x) @ LM.conj().T) @ (LM @ asmatrix(y) @ LM.conj().T)
+            lhs = L @ x @ y @ L.conj().T
+            rhs = (L @ x @ L.conj().T) @ (L @ y @ L.conj().T)
             # difference is L x E_N y L*: vanishes below the truncation rim
             res = max(res, masked_norm(F, lhs - rhs, F.N - 1)
-                      / max(1.0, np.linalg.norm(asmatrix(x))
-                            * np.linalg.norm(asmatrix(y))))
+                      / max(1.0, np.linalg.norm(x) * np.linalg.norm(y)))
         report.add("multiplicative-on-degree-zero",
                    "Psi(xy) = Psi(x)Psi(y) on the overflow-free domain",
                    res, 1e-7)
-    return FockOperator(F, out), report
+    return out, report
 
 
 def endomorphism_injectivity_check(F: FockSpace, L, n, rng,
@@ -557,13 +508,12 @@ def endomorphism_injectivity_check(F: FockSpace, L, n, rng,
     report = VerificationReport(suite="endomorphism-injectivity")
     if n > F.N - 1:
         raise PreconditionError("need n <= N - 1 for overflow-free words")
-    LM = asmatrix(L)
     mats = []
     for m in range(0, n + 1):
         for _ in range(words_per_length):
-            mats.append(word(F, random_word_spec(F, rng, 2 * m, balanced=True)).matrix)
+            mats.append(word(F, random_word_spec(F, rng, 2 * m, balanced=True)))
     r_in = complex_rank([m.ravel() for m in mats])
-    r_out = complex_rank([(LM @ m @ LM.conj().T).ravel() for m in mats])
+    r_out = complex_rank([(L @ m @ L.conj().T).ravel() for m in mats])
     report.add_bool("rank-preserved",
                     "x -> L x L* preserves the rank of balanced-word spans",
                     r_in == r_out, rank_in=r_in, rank_out=r_out)

@@ -11,22 +11,9 @@ import numpy as np
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, ConditionalExpectation, PreconditionError,
                     StateFunctional, UnitalHomomorphism, DEFAULT_TOL)
-from .fock import FockSpace, masked_norm, asmatrix
-from .hilbmod import (cp_bimodule, element_to_vector, gns_bimodule,
-                      vector_to_element)
+from .fock import FockSpace, masked_norm
+from .hilbmod import cp_bimodule, gns_bimodule
 from .report import VerificationReport
-
-
-def product_vacuum_expectation(F: FockSpace, factors) -> AlgebraElement:
-    """Vacuum expectation of a product, evaluated on thin vacuum columns so
-    the factors are never multiplied out."""
-    d0 = F.level_dims[0]
-    y = np.zeros((F.dim, d0), complex)
-    y[:d0] = np.eye(d0)
-    for M in reversed(list(factors)):
-        y = asmatrix(M) @ y
-    one = element_to_vector(F.levels[0], F.base.identity()).flat
-    return vector_to_element(F.levels[0].from_flat(y[:d0] @ one))
 
 
 # -- Toeplitz subalgebra of a single creation operator ---------------------
@@ -288,13 +275,9 @@ class AmalgSetup:
     def op_d(self, d: AlgebraElement):
         return self.F.left_matrix(self.embed_D(d))
 
-    def psi(self, x) -> AlgebraElement:
-        """The D-valued expectation phi . E."""
-        return self.phi(self.F.vacuum_expectation(asmatrix(x)))
-
-    def psi_factors(self, factors) -> AlgebraElement:
-        """psi of a product given as its list of factors."""
-        return self.phi(product_vacuum_expectation(self.F, factors))
+    def psi(self, *factors) -> AlgebraElement:
+        """The D-valued expectation phi . E of the product of the factors."""
+        return self.phi(self.F.vacuum_expectation(*factors))
 
     @property
     def P(self):
@@ -432,7 +415,7 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
                     factors.append(coeff())
                     factors.extend([W] * q)
                 factors.append(coeff())
-                pat = max(pat, setup.psi_factors(factors).norm() / scale)
+                pat = max(pat, setup.psi(*factors).norm() / scale)
             table[f"k={k},l={el}"] = pat
             worst = max(worst, pat)
     report.add("complement-moments",
@@ -442,12 +425,12 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
     for _ in range(samples):
         a2 = setup.A2.random_element(rng)
         centered = a2 - setup.phi2.embedding(setup.phi2(a2))
-        res_centered = max(res_centered, setup.psi_factors(
-            [W, setup.op(setup.pair(setup.A1.zero(), centered)), W]).norm()
+        res_centered = max(res_centered, setup.psi(
+            W, setup.op(setup.pair(setup.A1.zero(), centered)), W).norm()
             / max(1.0, a2.norm()))
-        val = setup.psi_factors(
-            [W, setup.op(setup.pair(setup.A1.zero(),
-                                    setup.phi2.embedding(setup.phi2(a2)))), W])
+        val = setup.psi(
+            W, setup.op(setup.pair(setup.A1.zero(),
+                                   setup.phi2.embedding(setup.phi2(a2)))), W)
         target = setup.dpair(setup.phi2(a2), setup.B.zero())
         res_corner = max(res_corner, (val - target).norm()
                          / max(1.0, a2.norm()))
@@ -464,12 +447,12 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
 def la_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
                       threshold=DEFAULT_TOL) -> VerificationReport:
     """Moment freeness of {L, L*} and the coefficient algebra over D."""
-    F, L = setup.F, setup.L
+    L = setup.L
+    words = [L, L.conj().T, L @ L.conj().T, L.conj().T @ L, L + L.conj().T]
 
     def family_toeplitz(r):
-        words = [L, L.conj().T, L @ L.conj().T, L.conj().T @ L,
-                 L + L.conj().T]
-        return words[int(r.integers(len(words)))].copy()
+        # freeness_check centers samples into new arrays: no word is written
+        return words[int(r.integers(len(words)))]
 
     def family_coeff(r):
         return setup.op(setup.A.random_element(r))
@@ -478,7 +461,7 @@ def la_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
         return setup.op_d(d)
 
     return freeness_check([family_toeplitz, family_coeff],
-                          setup.psi_factors, embed,
+                          lambda factors: setup.psi(*factors), embed,
                           budget, rng, samples_per_pattern=samples,
                           threshold=threshold,
                           note="families: words in {L, L*}; coefficients",
@@ -514,7 +497,7 @@ def corner_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
                     scale *= max(1.0, a2.norm())
                     factors.extend([W, setup.op(
                         setup.pair(setup.A1.zero(), a2)), W])
-            worst = max(worst, setup.psi_factors(factors).norm() / scale)
+            worst = max(worst, setup.psi(*factors).norm() / scale)
         table["-".join("12"[f] for f in pat)] = worst
     return _moment_report("corner-freeness",
                          "psi of alternating centered corner words vanishes",
@@ -542,8 +525,7 @@ def alpha_beta_conditions(setup: AmalgSetup, rng, samples=5,
             factors = [coeff()]
             for _ in range(k):
                 factors.extend([L, coeff()])
-            worst = max(worst,
-                        setup.psi_factors(factors).norm() / scale)
+            worst = max(worst, setup.psi(*factors).norm() / scale)
     report.add("unmatched-words", "psi(a1 L a2 ... L a_{k+1}) = 0",
                worst, tol)
     res = 0.0

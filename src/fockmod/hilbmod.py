@@ -173,25 +173,6 @@ class ModuleVector:
         return f"ModuleVector(dim={self.parent.dim}, norm={self.norm():.4g})"
 
 
-class ModuleOperator:
-    """Adjointable B-linear operator, stored on flat coordinates."""
-
-    def __init__(self, parent: HilbertBimodule, matrix):
-        matrix = np.asarray(matrix, complex)
-        if matrix.shape != (parent.dim, parent.dim):
-            raise StructureError("operator shape does not match the module")
-        self.parent = parent
-        self.matrix = matrix
-
-    def __call__(self, x: ModuleVector) -> ModuleVector:
-        return self.parent.from_flat(self.matrix @ x.flat)
-
-    def adjoint(self):
-        # trace localization is Euclidean, so the adjoint is the conjugate
-        # transpose; for B-linear operators it is also the B-valued adjoint
-        return ModuleOperator(self.parent, self.matrix.conj().T)
-
-
 # -- building blocks -------------------------------------------------------
 
 def trivial_module(base: CStarAlgebra) -> HilbertBimodule:
@@ -508,15 +489,8 @@ class TensorStep:
 
     @property
     def matrix(self):
-        """Dense map kron(flat H, flat K) -> flat T (built on demand)."""
-        if not hasattr(self, "_matrix"):
-            dH, dK = self.H.dim, self.K.dim
-            C = np.zeros((self.module.dim, dH * dK), complex)
-            eye = np.eye(dH)
-            for i in range(dH):
-                C[:, i * dK:(i + 1) * dK] = self.apply(eye[:, i])
-            self._matrix = C
-        return self._matrix
+        """Dense map kron(flat H, flat K) -> flat T."""
+        return np.hstack([self.apply(e) for e in np.eye(self.H.dim)])
 
 
 def H_rows(h: ModuleVector, k):
@@ -714,7 +688,7 @@ class Localization:
 
     def adjoint(self, T):
         """G^-1 T^dagger G; agrees with the B-valued adjoint for B-linear T."""
-        M = T.matrix if isinstance(T, ModuleOperator) else np.asarray(T, complex)
+        M = np.asarray(T, complex)
         return np.linalg.solve(self.gram, M.conj().T @ self.gram)
 
 

@@ -7,8 +7,8 @@ import itertools
 import numpy as np
 
 from .cstar import (AlgebraAutomorphism, CStarAlgebra, ConditionalExpectation,
-                    PreconditionError, StateFunctional, block_diag_matrix,
-                    flip_automorphism, haar_unitary_matrix,
+                    PreconditionError, StateFunctional, StructureError,
+                    block_diag_matrix, flip_automorphism, haar_unitary_matrix,
                     identity_automorphism)
 from .hilbmod import HilbertBimodule, make_bimodule, submodule_projection
 from .crossed import FiniteGroup, GroupAction
@@ -188,9 +188,17 @@ def random_bogoliubov(rng, base_sizes=(2,), copies=2):
 
 # -- descriptor constructors (shared with the command line) ------------------
 
+def _regular_array(data, dtype):
+    """Nested lists into an ndarray; ragged nesting is a StructureError."""
+    try:
+        return np.asarray(data, dtype)
+    except ValueError as exc:
+        raise StructureError(f"ragged or non-numeric array: {exc}") from None
+
+
 def complex_array(data):
     """Nested lists with [re, im] leaves into a complex ndarray."""
-    arr = np.asarray(data, float)
+    arr = _regular_array(data, float)
     if arr.shape and arr.shape[-1] == 2:
         return arr[..., 0] + 1j * arr[..., 1]
     return arr.astype(complex)
@@ -223,7 +231,7 @@ def automorphism_from_descriptor(d, algebra) -> AlgebraAutomorphism:
 
 
 def group_from_descriptor(d) -> FiniteGroup:
-    return FiniteGroup(np.asarray(d["table"], int))
+    return FiniteGroup(_regular_array(d["table"], int))
 
 
 def action_from_descriptor(d, group, algebra) -> GroupAction:

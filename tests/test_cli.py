@@ -1,7 +1,13 @@
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from fockmod.cli import (EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION,
-                         EXIT_RESOURCE, emit, main)
+                         EXIT_RESOURCE, InstanceError, Settings,
+                         build_instance, emit, main, parse_instance)
+from fockmod.cstar import PreconditionError
 from fockmod.report import VerificationReport
 
 EXAMPLE = "instances/example.json"
@@ -66,22 +72,124 @@ def test_empty_report_does_not_pass():
     assert not VerificationReport(suite="empty").passed
 
 
+MAT2 = {"m2": {"blocks": [2]}}
+
+# (instance, text in the error output); each must exit 2 without a traceback
+MALFORMED = [
+    ({"name": "short-lists",
+      "algebras": {"pair": {"blocks": [1, 1]}},
+      "bimodules": {"swap": {"base": "pair",
+                             "right_multiplicities": [1, 1],
+                             "left_multiplicities": [[0, 1], [1, 0]],
+                             "unitaries": [[[[1.0, 0.0]]]]}},
+      "states": {"half": {"algebra": "pair",
+                          "densities": [[[[1.0, 0.0]]]]}}},
+     ["bimodules/swap", "states/half"]),
+    ({"name": "ragged-density", "algebras": MAT2,
+      "states": {"s": {"algebra": "m2", "densities": [
+          [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]]}}},
+     ["states/s"]),
+    ({"name": "ragged-unitary", "algebras": MAT2,
+      "bimodules": {"h": {"base": "m2", "right_multiplicities": [2],
+                          "left_multiplicities": [[1]],
+                          "unitaries": [[[[1.0, 0.0], [0.0, 0.0]],
+                                         [[0.0, 0.0]]]]}}},
+     ["bimodules/h"]),
+    ({"name": "ragged-table", "groups": {"g": {"table": [[0, 1], [1]]}}},
+     ["groups/g"]),
+    ({"name": "nan-density", "algebras": {"c": {"blocks": [1]}},
+      "states": {"s": {"algebra": "c",
+                       "densities": [[[[float("nan"), 0.0]]]]}}},
+     ["malformed JSON", "NaN"]),
+    ({"name": "infinite-tol", "parameters": {"tol": float("inf")}},
+     ["malformed JSON", "Infinity"]),
+    ('{"name": "overflowing-tol", "parameters": {"tol": 1e400}}',
+     ["malformed JSON", "1e400"]),
+]
+
+
 def test_wrong_length_lists_are_input_errors(tmp_path, capsys):
-    path = write_instance(tmp_path, {
-        "name": "short-lists",
-        "algebras": {"pair": {"blocks": [1, 1]}},
-        "bimodules": {"swap": {"base": "pair",
-                               "right_multiplicities": [1, 1],
-                               "left_multiplicities": [[0, 1], [1, 0]],
-                               "unitaries": [[[[1.0, 0.0]]]]}},
-        "states": {"half": {"algebra": "pair",
-                            "densities": [[[[1.0, 0.0]]]]}},
-    })
-    code = main(["--suite", "toeplitz", "--instance", path])
+    for i, (data, names) in enumerate(MALFORMED):
+        path = tmp_path / f"inst{i}.json"
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        code = main(["--suite", "toeplitz", "--instance", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PRECONDITION, names
+        assert all(name in err for name in names), err
+        assert "Traceback" not in err
+
+
+_NUM = st.integers(-2, 2) | st.floats(-2, 2, allow_nan=False)
+_CMATRIX = st.lists(st.lists(st.lists(_NUM, min_size=2, max_size=2),
+                             max_size=3), max_size=3)
+_INDICES = st.lists(st.integers(0, 2), max_size=3)
+_AUTOMORPHISM = st.fixed_dictionaries(
+    {}, optional={"source": _INDICES,
+                  "unitaries": st.lists(_CMATRIX, max_size=2)})
+_DESCRIPTOR = st.fixed_dictionaries({
+    "name": st.just("fuzz"),
+    "algebras": st.fixed_dictionaries({"a": st.fixed_dictionaries({
+        "blocks": st.lists(st.integers(1, 2), min_size=1, max_size=2)})}),
+}, optional={
+    "bimodules": st.fixed_dictionaries({"h": st.fixed_dictionaries({
+        "base": st.just("a"),
+        "right_multiplicities": _INDICES,
+        "left_multiplicities": st.lists(_INDICES, max_size=3),
+    }, optional={"unitaries": st.lists(_CMATRIX, max_size=2)})}),
+    "states": st.fixed_dictionaries({"s": st.fixed_dictionaries({
+        "algebra": st.just("a"),
+        "densities": st.lists(_CMATRIX, max_size=2)})}),
+    "groups": st.fixed_dictionaries({"g": st.fixed_dictionaries({
+        "table": st.lists(_INDICES, max_size=3)})}),
+    "actions": st.fixed_dictionaries({"act": st.fixed_dictionaries({
+        "group": st.just("g"), "algebra": st.just("a"),
+        "automorphisms": st.lists(_AUTOMORPHISM, max_size=2)})}),
+    "amalgamated": st.fixed_dictionaries({"p": st.fixed_dictionaries({
+        "state1": st.just("s"), "state2": st.just("s")})}),
+    "bogoliubov": st.fixed_dictionaries({"u": st.fixed_dictionaries({
+        "bimodule": st.just("h"), "matrix": _CMATRIX,
+    }, optional={"beta": _AUTOMORPHISM,
+                 "subspace": st.lists(st.lists(
+                     st.lists(_NUM, min_size=2, max_size=2), max_size=4),
+                     max_size=2)})}),
+})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_DESCRIPTOR)
+def test_schema_valid_descriptors_build_or_report(tmp_path, data):
+    # small schema-valid descriptors, ragged ones included: building either
+    # succeeds or names what is wrong; no suite runs, so no Fock space
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    try:
+        build_instance(parse_instance(str(path)))
+    except InstanceError:
+        pass
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "inf"], ["--tol", "nan"], ["--tol", "-1"], ["--tol", "0"],
+    ["--max-word-length", "0"], ["--seed", "-1"], ["--truncation", "-1"],
+])
+def test_out_of_range_flags_are_input_errors(flags, capsys):
+    code = main(["--suite", "factorization"] + flags)
     err = capsys.readouterr().err
     assert code == EXIT_PRECONDITION
-    assert "bimodules/swap" in err and "states/half" in err
-    assert "Traceback" not in err
+    assert flags[0].lstrip("-").replace("-", "_") in err
+
+
+def test_settings_bounds():
+    with pytest.raises(PreconditionError):
+        Settings(dim_cap=0)
+    st_ = Settings(truncation=None, seed=4)
+    assert (st_.truncation, st_.seed, st_.tol) == (None, 4, 1e-9)
+
+
+def test_empty_run_does_not_pass(tmp_path):
+    assert emit([], "json", str(tmp_path / "empty.json"), 0.0) is False
+
 
 
 def test_schema_violation_names_the_field(tmp_path, capsys):

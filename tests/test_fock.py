@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from fockmod import fock
 from fockmod.cstar import CStarAlgebra, PreconditionError, ResourceCapError
 from fockmod.fock import (FockSpace, creation_relations_check,
                           endomorphism_injectivity_check,
                           expectation_properties_check,
                           fock_factorization_check, ideal_structure_check,
-                          isometric_vector, masked_norm,
+                          isometric_vector, masked_norm, power_dims,
                           quotient_dimension_check, random_word_spec,
                           toeplitz_endomorphism, word)
 from fockmod.hilbmod import make_bimodule
@@ -31,9 +32,9 @@ def test_creation_commutation_relation():
     F = plane_fock()
     H = F.bimodule
     x, y = H.random_vector(RNG), H.random_vector(RNG)
-    Lx, Ly = F.creation(x), F.creation(y)
+    Lx, Ly = F.creation_matrix(x), F.creation_matrix(y)
     rhs = F.left_matrix(H.inner(x, y))
-    diff = (Lx.adjoint() @ Ly).matrix - rhs
+    diff = Lx.conj().T @ Ly - rhs
     assert masked_norm(F, diff, F.N - 1) < 1e-10
 
 
@@ -42,8 +43,8 @@ def test_creation_intertwines_right_action():
     H = F.bimodule
     x = H.random_vector(RNG)
     b = H.base.random_element(RNG)
-    lhs = F.creation(x).matrix @ F.right_matrix(b)
-    rhs = F.right_matrix(b) @ F.creation(x).matrix
+    lhs = F.creation_matrix(x) @ F.right_matrix(b)
+    rhs = F.right_matrix(b) @ F.creation_matrix(x)
     assert masked_norm(F, lhs - rhs, F.N - 1) < 1e-10
 
 
@@ -52,16 +53,16 @@ def test_creation_left_module_map():
     H = F.bimodule
     x = H.random_vector(RNG)
     b = H.base.random_element(RNG)
-    lhs = F.creation(H.left(b, x)).matrix
-    rhs = F.left_matrix(b) @ F.creation(x).matrix
+    lhs = F.creation_matrix(H.left(b, x))
+    rhs = F.left_matrix(b) @ F.creation_matrix(x)
     assert masked_norm(F, lhs - rhs, F.N - 1) < 1e-10
 
 
 def test_vacuum_expectation_is_conditional():
     F = plane_fock()
     x = F.bimodule.random_vector(RNG)
-    L = F.creation(x)
-    val = F.vacuum_expectation(L.adjoint() @ L)
+    L = F.creation_matrix(x)
+    val = F.vacuum_expectation(L.conj().T @ L)
     want = F.bimodule.inner(x, x)
     assert (val - want).norm() < 1e-10
     assert F.vacuum_expectation(L).norm() < 1e-12
@@ -104,12 +105,12 @@ def test_balanced_word_specs_have_zero_net_degree():
         spec = random_word_spec(F, RNG, 4, balanced=True)
         assert spec.net_degree == 0
         W = word(F, spec)
-        assert W.matrix.shape == (F.dim, F.dim)
+        assert W.shape == (F.dim, F.dim)
 
 
 def test_toeplitz_endomorphism_and_injectivity():
     F = plane_fock(4)
-    L = F.creation(isometric_vector(F.bimodule, RNG))
+    L = F.creation_matrix(isometric_vector(F.bimodule, RNG))
     op, rep = toeplitz_endomorphism(F, F.left_matrix(F.bimodule.base.identity()),
                                     L, rng=RNG, tol=1e-9)
     assert rep.passed, rep.failures
@@ -120,9 +121,9 @@ def test_toeplitz_endomorphism_and_injectivity():
 def test_toeplitz_rejects_offdiagonal_argument():
     F = plane_fock(4)
     x = F.bimodule.random_vector(RNG)
-    L = F.creation(isometric_vector(F.bimodule, RNG))
+    L = F.creation_matrix(isometric_vector(F.bimodule, RNG))
     with pytest.raises(PreconditionError):
-        toeplitz_endomorphism(F, F.creation(x).matrix, L, rng=RNG)
+        toeplitz_endomorphism(F, F.creation_matrix(x), L, rng=RNG)
 
 
 def test_dimension_cap_raises_resource_error():
@@ -130,3 +131,22 @@ def test_dimension_cap_raises_resource_error():
     H = make_bimodule(B, (3,), [(3,)])
     with pytest.raises(ResourceCapError):
         FockSpace(H, 8, dim_cap=100)
+
+
+def test_dimension_cap_checked_before_building(monkeypatch):
+    B = CStarAlgebra((1,))
+    H = make_bimodule(B, (3,), [(3,)])
+    calls = []
+    real = fock.interior_tensor
+    monkeypatch.setattr(fock, "interior_tensor",
+                        lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(ResourceCapError):
+        FockSpace(H, 8, dim_cap=100)
+    assert calls == []
+
+
+def test_predicted_dims_match_built_levels():
+    for H, N in creation_instances(11, count=6):
+        F = FockSpace(H, N)
+        assert tuple(power_dims(H, N))[1:] == F.level_dims[1:]
+        assert tuple(power_dims(H, N)) == F.level_dims
