@@ -191,8 +191,10 @@ def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
         if not prev or not span.basis:
             level_bases.append([])
             continue
-        vs = [F.levels[k + 1].from_flat(F.maps[k].apply(g.flat) @ v.flat)
-              for g in span.basis for v in prev]
+        vs = []
+        for g in span.basis:
+            A = F.maps[k].apply(g.flat)
+            vs.extend(F.levels[k + 1].from_flat(A @ v.flat) for v in prev)
         level_bases.append(submodule_projection(vs).basis)
     return level_bases
 

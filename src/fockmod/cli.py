@@ -339,7 +339,7 @@ def run_ideal(ctx, st):
             if n + 1 > F.N:
                 continue
             rep = fk.ideal_structure_check(F, n, rng, tol=st.tol)
-            rep.merge(fk.quotient_dimension_check(F, n, rng))
+            rep.merge(fk.quotient_dimension_check(F, n, rng, tol=st.tol))
             rep.parameters.update({"N": F.N, "n": n})
             reports.append(rep)
     return reports
@@ -357,7 +357,7 @@ def run_factorization(ctx, st):
                     if k * (n + 1) + j == 0:
                         continue
                     reports.append(fk.fock_factorization_check(
-                        H, n, k, j, rng, tol=st.tol))
+                        H, n, k, j, rng, tol=st.tol, dim_cap=st.dim_cap))
     return reports
 
 
@@ -415,6 +415,9 @@ def run_crossed(ctx, st):
 def run_free(ctx, st):
     rng = st.rng()
     N = max(8, st.N(8))
+    if N + 1 > st.dim_cap:
+        raise ResourceCapError(
+            f"scalar Fock dimension {N + 1} exceeds the cap {st.dim_cap}")
     report = VerificationReport(suite="scalar-semicircular",
                                 parameters={"N": N})
     moments = fp.semicircular_moments(N, orders=range(0, 9))

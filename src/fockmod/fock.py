@@ -441,12 +441,13 @@ def fock_factorization_check(M: HilbertBimodule, n, k, j, rng, samples=None,
         rights.append(right_mod.from_flat(embed_right(hs)))
     res = 0.0
     pairs = min(samples, 25)
+    norms = [v.norm() for v in lefts[:pairs]]
     for s in range(pairs):
         for t in range(s, pairs):
             gl = left_mod.inner(lefts[s], lefts[t])
             gr = right_mod.inner(rights[s], rights[t])
             res = max(res, (gl - gr).norm()
-                      / max(1.0, lefts[s].norm() * lefts[t].norm()))
+                      / max(1.0, norms[s] * norms[t]))
     report.add("gram-equality",
                "regrouping preserves the B-valued inner product", res, tol)
     rank_l = complex_rank([v.flat for v in lefts])

@@ -226,9 +226,16 @@ def gram_schmidt(X, drop_tol=None):
     """Orthogonalize a finite family of module vectors.
 
     Returns V with the same generated submodule, pairwise <v,w> = 0 and each
-    <v,v> a minimal projection of B.  Inputs are first split along the
-    minimal projections of the base, then orthogonalized recursively with a
-    second re-orthogonalization pass for numerical stability.
+    <v,v> a minimal projection of B.  Each input x splits into the pieces
+    x.e_qq along the minimal projections of the base.  The piece of block j
+    is column q of component j, zero elsewhere: pieces of different blocks
+    are orthogonal, and between pieces v, w of block j the correction
+    v<v,w> is column v_j times the scalar v_j* w_j.  So each block keeps an
+    orthonormal column matrix U_j, and a piece's column t becomes
+    t - U_j (U_j* t), twice (classical Gram-Schmidt with one
+    re-orthogonalization).  A piece with |t| <= drop_tol is dropped;
+    otherwise v holds t/|t| in column q of component j, and <v,v> = e_qq.
+    Pieces are visited input by input, then by block and column.
     """
     X = [x for x in X]
     if not X:
@@ -238,21 +245,22 @@ def gram_schmidt(X, drop_tol=None):
     scale = max([x.norm() for x in X] + [1.0])
     if drop_tol is None:
         drop_tol = 1e-8 * scale
-    pieces = []
+    U = [np.zeros((r, 0), complex) for r in module.right_mult]
+    V = []
     for x in X:
         for (j, q) in base.minimal_projection_indices():
-            pieces.append((x.rmul(base.matrix_unit(j, q, q)), j, q))
-    V = []
-    for w, j, q in pieces:
-        for _ in range(2):
-            for v in V:
-                w = w - v.rmul(module.inner(v, w))
-        t = w.comps[j][:, q]
-        length = float(np.linalg.norm(t))
-        # w = w.e_{qq}, so <w,w> = |col|^2 e_qq and the module norm is |col|
-        if length <= drop_tol:
-            continue
-        V.append(w * (1.0 / length))
+            t = x.comps[j][:, q]
+            for _ in range(2):
+                t = t - U[j] @ (U[j].conj().T @ t)
+            length = float(np.linalg.norm(t))
+            if length <= drop_tol:
+                continue
+            t = t / length
+            U[j] = np.column_stack([U[j], t])
+            comps = [np.zeros((r, n), complex) for r, n in
+                     zip(module.right_mult, base.block_sizes)]
+            comps[j][:, q] = t
+            V.append(ModuleVector(module, comps))
     return V
 
 
@@ -274,13 +282,13 @@ class SubmoduleSpan:
 
 
 def projection_from_basis(module, V):
-    """P h = sum_v v<v,h> as a flat matrix."""
-    P = np.zeros((module.dim, module.dim), complex)
-    for v in V:
-        blocks = [np.kron(vj @ vj.conj().T, np.eye(n))
-                  for vj, n in zip(v.comps, module.base.block_sizes)]
-        P += block_diag_matrix(blocks, module.dim)
-    return P
+    """P h = sum_v v<v,h> as a flat matrix.  Component j of the sum is
+    kron(S_j S_j*, I_{n_j}) with S_j the columns of every v_j side by side."""
+    blocks = []
+    for j, (r, n) in enumerate(zip(module.right_mult, module.base.block_sizes)):
+        S = np.hstack([np.zeros((r, 0), complex)] + [v.comps[j] for v in V])
+        blocks.append(np.kron(S @ S.conj().T, np.eye(n)))
+    return block_diag_matrix(blocks, module.dim)
 
 
 def submodule_projection(X, drop_tol=None) -> SubmoduleSpan:

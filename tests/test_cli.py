@@ -229,6 +229,34 @@ def test_dimension_cap_exit_code(tmp_path):
     assert main(["--suite", "fock", "--instance", path]) == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("suite", ["free", "factorization"])
+def test_dimension_cap_reaches_free_and_factorization(tmp_path, capsys,
+                                                      suite):
+    path = write_instance(tmp_path, {
+        "name": "capped",
+        "parameters": {"dim_cap": 10},
+        "algebras": {"c": {"blocks": [1]}},
+        "bimodules": {"plane": {"base": "c",
+                                "right_multiplicities": [2],
+                                "left_multiplicities": [[2]]}},
+    })
+    code = main(["--suite", suite, "--instance", path, "--truncation", "300"])
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE
+    assert "exceeds the cap 10" in err
+    assert "Traceback" not in err
+
+
+def test_tol_flag_reaches_quotient_kernel_check(tmp_path):
+    out = tmp_path / "report.json"
+    main(["--suite", "ideal", "--tol", "1e-30", "--format", "json",
+          "--out", str(out)])
+    checks = [c for r in json.loads(out.read_text())["reports"]
+              for c in r["checks"] if c["name"] == "ideal-in-quotient-kernel"]
+    assert checks
+    assert {c["threshold"] for c in checks} == {1e-30}
+
+
 def test_invalid_twisted_map_fails(tmp_path, capsys):
     path = write_instance(tmp_path, {
         "name": "bad-twist",

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from fockmod.cstar import CStarAlgebra, StructureError, uniform_trace_state
+from fockmod.cstar import (CStarAlgebra, StructureError, block_diag_matrix,
+                          uniform_trace_state)
 from fockmod.hilbmod import (HilbertBimodule, augment, direct_sum,
                              element_to_vector, gns_bimodule, gram_schmidt,
                              interior_tensor, localize, make_bimodule,
                              projection_from_basis, submodule_projection,
                              tensor_embed, trivial_module, vector_to_element)
-from fockmod.instances import random_algebra, random_bimodule
+from fockmod.instances import (multiplicity_shift_instance, random_algebra,
+                               random_bimodule)
 
 RNG = np.random.default_rng(23)
 
@@ -73,6 +75,113 @@ def test_gram_schmidt_orthonormal_minimal_projections():
         assert abs(g.trace() - 1.0) < 1e-9
         for w in basis[i + 1:]:
             assert H.inner(v, w).norm() < 1e-9
+
+
+def reference_gram_schmidt(X, drop_tol=None):
+    """Modified Gram-Schmidt in module-vector arithmetic: the pieces
+    x.e_qq orthogonalized against every vector found so far, twice."""
+    X = [x for x in X]
+    if not X:
+        return []
+    module = X[0].parent
+    base = module.base
+    scale = max([x.norm() for x in X] + [1.0])
+    if drop_tol is None:
+        drop_tol = 1e-8 * scale
+    pieces = []
+    for x in X:
+        for (j, q) in base.minimal_projection_indices():
+            pieces.append((x.rmul(base.matrix_unit(j, q, q)), j, q))
+    V = []
+    for w, j, q in pieces:
+        for _ in range(2):
+            for v in V:
+                w = w - v.rmul(module.inner(v, w))
+        t = w.comps[j][:, q]
+        length = float(np.linalg.norm(t))
+        # w = w.e_{qq}, so <w,w> = |col|^2 e_qq and the module norm is |col|
+        if length <= drop_tol:
+            continue
+        V.append(w * (1.0 / length))
+    return V
+
+
+def reference_projection(module, V):
+    """sum_v v<v, .> built one vector at a time."""
+    P = np.zeros((module.dim, module.dim), complex)
+    for v in V:
+        blocks = [np.kron(vj @ vj.conj().T, np.eye(n))
+                  for vj, n in zip(v.comps, module.base.block_sizes)]
+        P += block_diag_matrix(blocks, module.dim)
+    return P
+
+
+def support(v):
+    """The (component, column) pairs where v is nonzero."""
+    return [(j, q) for j, c in enumerate(v.comps)
+            for q in range(c.shape[1]) if np.any(c[:, q] != 0)]
+
+
+def gram_schmidt_families():
+    """Multi-block modules, one with a zero right multiplicity, and families
+    with exact duplicates and vectors already in the span."""
+    rng = np.random.default_rng(5)
+    modules = [
+        small_module(),                                          # (1, 2)
+        HilbertBimodule(CStarAlgebra((2, 3)), (5, 2), [(1, 1), (1, 0)]),
+        HilbertBimodule(CStarAlgebra((2, 1)), (0, 2), [(0, 0), (1, 0)]),
+        random_bimodule(rng, CStarAlgebra((2, 3)), dim_cap=60),
+    ]
+    for H in modules:
+        x, y, z = (H.random_vector(rng) for _ in range(3))
+        b = H.base.random_element(rng)
+        yield H, [x, y], False
+        yield H, [x, x, y, x.rmul(b), y * 2.0 - x.rmul(b), z, y], True
+        yield H, [x.rmul(H.base.matrix_unit(0, 0, 0)), x, z] + H.basis(), True
+
+
+def test_gram_schmidt_matches_module_arithmetic_reference():
+    cases = 0
+    for H, X, drops in gram_schmidt_families():
+        want = reference_gram_schmidt(X)
+        got = gram_schmidt(X)
+        assert len(got) == len(want)
+        if drops:
+            assert len(got) < len(X) * sum(H.base.block_sizes)
+        assert [support(v) for v in got] == [support(v) for v in want]
+        assert all(len(support(v)) == 1 for v in got)
+        assert np.linalg.norm(projection_from_basis(H, got)
+                              - projection_from_basis(H, want)) < 1e-12
+        cases += 1
+    assert cases == 12
+
+
+def test_projection_from_basis_of_any_family():
+    rng = np.random.default_rng(9)
+    for H, _, _ in gram_schmidt_families():
+        vecs = [H.random_vector(rng) for _ in range(3)]
+        assert np.linalg.norm(projection_from_basis(H, vecs)
+                              - reference_projection(H, vecs)) < 1e-12
+        assert np.linalg.norm(projection_from_basis(H, [])) == 0
+
+
+def test_gram_schmidt_makes_one_inner_call_per_input(monkeypatch):
+    """The scale is the only module inner product: orthogonalization works
+    on component columns, not through <v, w>."""
+    H, K, U = multiplicity_shift_instance()
+    gens = [H.from_flat(U.power(i) @ g.flat)
+            for i in range(3) for g in K.generators]
+    calls = []
+    inner = HilbertBimodule.inner
+
+    def counted(self, x, y):
+        calls.append(1)
+        return inner(self, x, y)
+
+    monkeypatch.setattr(HilbertBimodule, "inner", counted)
+    basis = gram_schmidt(gens)
+    assert len(basis) == 6
+    assert len(calls) <= len(gens)
 
 
 def test_projection_from_basis_reproduces_span():
