@@ -4,9 +4,9 @@ and free-product operator identities at finite dimension and truncation."""
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, ConditionalExpectation, StateFunctional,
                     StructureError, PreconditionError, UnitalHomomorphism)
-from .hilbmod import (HilbertBimodule, ModuleVector,
-                      SubmoduleSpan, augment, cp_bimodule, direct_sum,
-                      gns_bimodule, gram_schmidt, interior_tensor, localize,
+from .hilbmod import (AugmentedModule, HilbertBimodule, Localization,
+                      ModuleVector, SubmoduleSpan, cp_bimodule, direct_sum,
+                      gns_bimodule, gram_schmidt, interior_tensor,
                       make_bimodule, submodule_projection, trivial_module)
 from .fock import (FockSpace, WordSpec, creation_relations_check,
                    fock_factorization_check, ideal_structure_check,
@@ -19,18 +19,18 @@ from .freeprod import (AmalgSetup, amalg_setup, build_W,
                        freeness_check, haar_unitary, semicircular_moments,
                        swap_commutation, toeplitz_state_check,
                        wunitary_vanishing)
-from .bogoliubov import (BogoliubovMap, EntropyBoundReport, OperatorChannels,
-                         compression_channels, entropy_bound_report,
-                         fock_extension, kp_subspace, validate_bogoliubov)
+from .bogoliubov import (BogoliubovMap, compression_channels,
+                         entropy_bound_report, fock_extension, kp_subspace,
+                         validate_bogoliubov)
 from .report import VerificationReport
 
 __all__ = [
     "AlgebraAutomorphism", "AlgebraElement", "CPLinearMap", "CStarAlgebra",
     "ConditionalExpectation", "StateFunctional", "StructureError",
-    "PreconditionError", "UnitalHomomorphism", "HilbertBimodule",
-    "ModuleVector", "SubmoduleSpan", "augment",
+    "PreconditionError", "UnitalHomomorphism", "AugmentedModule",
+    "HilbertBimodule", "Localization", "ModuleVector", "SubmoduleSpan",
     "cp_bimodule", "direct_sum", "gns_bimodule", "gram_schmidt",
-    "interior_tensor", "localize", "make_bimodule", "submodule_projection",
+    "interior_tensor", "make_bimodule", "submodule_projection",
     "trivial_module", "FockSpace", "WordSpec",
     "creation_relations_check", "fock_factorization_check",
     "ideal_structure_check", "isometric_vector", "masked_norm",
@@ -40,9 +40,9 @@ __all__ = [
     "AmalgSetup", "amalg_setup", "build_W",
     "freeness_check", "haar_unitary", "semicircular_moments",
     "swap_commutation", "toeplitz_state_check", "wunitary_vanishing",
-    "BogoliubovMap", "EntropyBoundReport", "OperatorChannels",
-    "compression_channels", "entropy_bound_report", "fock_extension",
-    "kp_subspace", "validate_bogoliubov", "VerificationReport",
+    "BogoliubovMap", "compression_channels", "entropy_bound_report",
+    "fock_extension", "kp_subspace", "validate_bogoliubov",
+    "VerificationReport",
 ]
 
 __version__ = "0.1.0"

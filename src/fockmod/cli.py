@@ -18,7 +18,7 @@ from . import instances as ins
 from .cstar import (CPLinearMap, CStarAlgebra, ConditionalExpectation,
                     PreconditionError, ResourceCapError, StructureError,
                     identity_automorphism)
-from .hilbmod import augment, submodule_projection
+from .hilbmod import AugmentedModule, submodule_projection
 from .report import VerificationReport, _jsonable
 
 SUITES = ("fock", "ideal", "factorization", "toeplitz", "crossed", "free",
@@ -289,7 +289,7 @@ class Settings:
     tol also finite; a value outside them is a PreconditionError."""
 
     def __init__(self, truncation=None, tol=1e-9, seed=0, max_word_length=5,
-                 dim_cap=20000):
+                 dim_cap=fk.DEFAULT_DIM_CAP):
         self.truncation = None if truncation is None else int(truncation)
         self.tol = float(tol)
         self.seed = int(seed)
@@ -386,7 +386,8 @@ def run_toeplitz(ctx, st):
         pairs = [(B, ins.random_state(rng, B))]
     for B, rho in pairs[:2]:
         reports.append(fp.toeplitz_state_check(B, rho, st.N(4), rng,
-                                               tol=st.tol))
+                                               tol=st.tol,
+                                               dim_cap=st.dim_cap))
     return reports
 
 
@@ -428,7 +429,8 @@ def run_free(ctx, st):
     _, haar_rep = fp.haar_unitary(N)
     B = CStarAlgebra((1,))
     rho = ins.random_state(rng, B)
-    toep = fp.toeplitz_state_check(B, rho, min(st.N(4), 6), rng, tol=st.tol)
+    toep = fp.toeplitz_state_check(B, rho, min(st.N(4), 6), rng, tol=st.tol,
+                                   dim_cap=st.dim_cap)
     return [report, haar_rep, toep]
 
 
@@ -482,7 +484,7 @@ def run_bog(ctx, st):
         n = entry["n"]
         F = fk.FockSpace(bog.module, max(n, st.N(n)), dim_cap=st.dim_cap)
         reports.append(bg.fock_extension(F, bog, tol=st.tol)[1])
-        aug = augment(bog.module)
+        aug = AugmentedModule(bog.module)
         bog_t = bg.augmented_bogoliubov(aug, bog)
         Ft = fk.FockSpace(aug.module, min(F.N, 3), dim_cap=st.dim_cap)
         reports.append(bg.fock_extension(Ft, bog_t, xi=aug.xi,
@@ -493,15 +495,13 @@ def run_bog(ctx, st):
                 [bog.module.basis()[0], bog.module.basis()[-1]])
         reports.append(bg.kp_subspace(bog, span, entry["p_max"],
                                       tol=st.tol)[1])
-        if n <= F.N:
-            spanp, _ = bg.kp_subspace(bog, span, min(2, entry["p_max"]),
-                                      tol=st.tol)
-            reports.append(bg.compression_channels(F, n, spanp, rng,
-                                                   tol=st.tol)[1])
+        spanp, _ = bg.kp_subspace(bog, span, min(2, entry["p_max"]),
+                                  tol=st.tol)
+        reports.append(bg.compression_channels(F, n, spanp, rng,
+                                               tol=st.tol)[1])
         for level in entry.get("levels", [n]):
             reports.append(bg.entropy_bound_report(
-                F, bog, span, level, entry["p_max"], rng,
-                tol=st.tol).to_report())
+                F, bog, span, level, entry["p_max"], rng, tol=st.tol))
     return reports
 
 

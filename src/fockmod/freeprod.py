@@ -11,7 +11,7 @@ import numpy as np
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, ConditionalExpectation, PreconditionError,
                     StateFunctional, UnitalHomomorphism, DEFAULT_TOL)
-from .fock import FockSpace, masked_norm
+from .fock import DEFAULT_DIM_CAP, FockSpace, masked_norm
 from .hilbmod import cp_bimodule, gns_bimodule
 from .report import VerificationReport
 
@@ -26,14 +26,15 @@ def scalar_fit(b: AlgebraElement):
 
 
 def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,
-                         samples=6, tol=DEFAULT_TOL) -> VerificationReport:
+                         samples=6, tol=DEFAULT_TOL,
+                         dim_cap=DEFAULT_DIM_CAP) -> VerificationReport:
     """The creation operator of the cyclic vector of the bimodule of a state:
     l(xi)* b l(xi) = rho(b) 1, the vacuum expectation is scalar on words in
     l(xi), and the scalar state is supported on 1 - l(xi) l(xi)*."""
     if not rho.has_faithful_gns:
         raise PreconditionError("state annihilates a central summand")
     module, xi = gns_bimodule(B, rho)
-    F = FockSpace(module, N)
+    F = FockSpace(module, N, dim_cap=dim_cap)
     L = F.creation_matrix(xi)
     report = VerificationReport(suite="toeplitz-state",
                                 parameters={"N": N, "blocks": list(B.block_sizes)})
@@ -213,7 +214,7 @@ class AmalgSetup:
     of eta, and the derived operators P and W."""
 
     def __init__(self, phi1: ConditionalExpectation,
-                 phi2: ConditionalExpectation, N, dim_cap=20000):
+                 phi2: ConditionalExpectation, N, dim_cap=DEFAULT_DIM_CAP):
         if phi1.base.block_sizes != phi2.base.block_sizes:
             raise PreconditionError("expectations target different bases")
         if not (phi1.has_faithful_gns and phi2.has_faithful_gns):
@@ -291,7 +292,7 @@ class AmalgSetup:
 
 
 def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,
-                N, rng, samples=5, tol=DEFAULT_TOL, dim_cap=20000):
+                N, rng, samples=5, tol=DEFAULT_TOL, dim_cap=DEFAULT_DIM_CAP):
     """Builds the amalgamated gadget stack and verifies its defining
     identities.  Returns (AmalgSetup, VerificationReport)."""
     S = AmalgSetup(phi1, phi2, N, dim_cap=dim_cap)

@@ -513,22 +513,11 @@ def interior_tensor(H: HilbertBimodule, K: HilbertBimodule):
     return step.module, step
 
 
-def tensor_embed(step: TensorStep, x: ModuleVector, y: ModuleVector,
-                 target=None):
-    """Class of the simple tensor x (x) y in a built interior tensor product."""
-    return step.embed(x, y)
-
-
 # -- direct sums and augmentation ------------------------------------------
 
-class DirectSum:
-    def __init__(self, module, embed_first, embed_second):
-        self.module = module
-        self.embed_first = embed_first      # dim(sum) x dim(H) matrix
-        self.embed_second = embed_second    # dim(sum) x dim(K) matrix
-
-
-def direct_sum(H: HilbertBimodule, K: HilbertBimodule) -> DirectSum:
+def direct_sum(H: HilbertBimodule, K: HilbertBimodule):
+    """H + K in canonical form.  Returns (module, embed_H, embed_K), the
+    embeddings as dim(sum) x dim(H) and dim(sum) x dim(K) flat matrices."""
     base = H.base
     if K.base != base:
         raise StructureError("direct sum over different base algebras")
@@ -567,7 +556,7 @@ def direct_sum(H: HilbertBimodule, K: HilbertBimodule) -> DirectSum:
         embed_H[so:so + rH * n, H.offsets[j]:H.offsets[j + 1]] = np.eye(rH * n)
         embed_K[so + rH * n:so + (rH + rK) * n,
                 K.offsets[j]:K.offsets[j + 1]] = np.eye(rK * n)
-    return DirectSum(module, embed_H, embed_K)
+    return module, embed_H, embed_K
 
 
 def _canon_offsets(mult_row, block_sizes):
@@ -584,17 +573,10 @@ class AugmentedModule:
 
     def __init__(self, H: HilbertBimodule):
         vac = trivial_module(H.base)
-        ds = direct_sum(H, vac)
         self.plain = H
-        self.module = ds.module
-        self.embed_module = ds.embed_first
-        self.embed_base = ds.embed_second
+        self.module, self.embed_module, self.embed_base = direct_sum(H, vac)
         self.xi = self.module.from_flat(
             self.embed_base @ element_to_vector(vac, H.base.identity()).flat)
-
-
-def augment(H: HilbertBimodule) -> AugmentedModule:
-    return AugmentedModule(H)
 
 
 # -- GNS and CP-map bimodules ----------------------------------------------
@@ -698,7 +680,3 @@ class Localization:
         """G^-1 T^dagger G; agrees with the B-valued adjoint for B-linear T."""
         M = np.asarray(T, complex)
         return np.linalg.solve(self.gram, M.conj().T @ self.gram)
-
-
-def localize(module, tau) -> Localization:
-    return Localization(module, tau)

@@ -212,9 +212,8 @@ def test_criterion_10_rank_growth_bound():
     rng = np.random.default_rng(SEED)
     ok = True
     for n in (1, 2, 3):
-        table = entropy_bound_report(F, U, K, n, p_max=6, rng=rng)
-        ok = ok and table.bound_satisfied and table.eventually_nonincreasing
-        ok = ok and table.containment_residual <= 1e-8
+        ok = ok and entropy_bound_report(F, U, K, n, p_max=6, rng=rng,
+                                         tol=1e-8).passed
     elapsed = time.time() - t0
     conclude(10, "rank-growth-bound", ok and elapsed < 300.0,
              f"n in 1..3, p in 1..6, {elapsed:.1f}s")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from fockmod.bogoliubov import (compression_channels, entropy_bound_report,
-                                fock_extension, identity_bogoliubov,
-                                kp_subspace, validate_bogoliubov)
+from fockmod.bogoliubov import (augmented_bogoliubov, compression_channels,
+                                entropy_bound_report, fock_extension,
+                                identity_bogoliubov, kp_subspace,
+                                validate_bogoliubov)
 from fockmod.cstar import CStarAlgebra
 from fockmod.fock import FockSpace
-from fockmod.hilbmod import augment, make_bimodule, submodule_projection
+from fockmod.hilbmod import AugmentedModule, TensorStep, make_bimodule
 from fockmod.instances import (flip_twisted_module,
                                multiplicity_shift_instance, random_bogoliubov)
 
@@ -63,8 +64,7 @@ def test_extension_intertwines_creation():
 
 def test_augmented_extension_fixes_unit_vector():
     H, U = flip_twisted_module()
-    from fockmod.bogoliubov import augmented_bogoliubov
-    aug = augment(H)
+    aug = AugmentedModule(H)
     tU = augmented_bogoliubov(aug, U)
     F = FockSpace(aug.module, 3)
     FU, rep = fock_extension(F, tU, xi=aug.xi, tol=1e-9)
@@ -85,9 +85,8 @@ def test_compression_channel_properties():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
     span, _ = kp_subspace(U, K, 2)
-    ch, rep = compression_channels(F, 2, span, RNG, tol=1e-8)
+    Q, rep = compression_channels(F, 2, span, RNG, tol=1e-8)
     assert rep.passed, rep.failures
-    Q = ch.Q
     assert np.linalg.norm(Q @ Q - Q) < 1e-9
     assert np.linalg.norm(Q - Q.conj().T) < 1e-9
 
@@ -96,15 +95,68 @@ def test_entropy_dimension_bound_on_shift_grid():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
     for n in (1, 2, 3):
-        table = entropy_bound_report(F, U, K, n, p_max=4, rng=RNG)
-        checks = {c.name: c for c in table.to_report().checks}
-        assert checks["dimension-bound"].passed, table.rows
+        rep = entropy_bound_report(F, U, K, n, p_max=4, rng=RNG)
+        checks = {c.name: c for c in rep.checks}
+        assert checks["dimension-bound"].passed, \
+            checks["dimension-bound"].details["table"]
         assert checks["ratio-trend"].passed
 
 
 def test_entropy_measured_dims_for_shift():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
-    table = entropy_bound_report(F, U, K, 1, p_max=5, rng=RNG)
-    measured = [row[2] for row in table.rows]
+    rep = entropy_bound_report(F, U, K, 1, p_max=5, rng=RNG)
+    table = {c.name: c for c in rep.checks}["dimension-bound"].details["table"]
+    measured = [row["measured"] for row in table.values()]
     assert measured == [4, 6, 8, 8, 8]
+
+
+def _reference_level_maps(F, bog):
+    """The level maps of the second quantization, with the right-hand side
+    of each level solve built one basis vector at a time."""
+    level_maps = [bog.beta.as_linear_map().matrix, bog.matrix]
+    eyeH = np.eye(F.bimodule.dim)
+    for k in range(1, F.N):
+        step = F.maps[k]
+        S = step.matrix
+        Sp = np.hstack([step.apply(bog.matrix @ eyeH[:, i]) @ level_maps[k]
+                        for i in range(F.bimodule.dim)])
+        X, *_ = np.linalg.lstsq(S.conj().T, Sp.conj().T, rcond=None)
+        level_maps.append(X.conj().T)
+    return level_maps
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_extension_matches_per_vector_construction(augmented):
+    bog = random_bogoliubov(np.random.default_rng(5))
+    assert np.linalg.norm(bog.matrix @ bog.matrix.conj().T
+                          - np.eye(bog.module.dim)) < 1e-9
+    assert np.count_nonzero(np.abs(bog.matrix) > 1e-12) > bog.module.dim
+    xi = None
+    if augmented:
+        aug = AugmentedModule(bog.module)
+        bog, xi = augmented_bogoliubov(aug, bog), aug.xi
+    F = FockSpace(bog.module, 3)
+    M, rep = fock_extension(F, bog, xi=xi, tol=1e-9)
+    assert rep.passed, rep.failures
+    for k, ref in enumerate(_reference_level_maps(F, bog)):
+        blk = M[F.level_slice(k), F.level_slice(k)]
+        assert np.linalg.norm(blk - ref) <= 1e-12 * max(
+            1.0, np.linalg.norm(ref)), k
+
+
+def test_extension_builds_each_level_from_one_tensor_matrix(monkeypatch):
+    H, K, U = multiplicity_shift_instance()
+    N = 3
+    F = FockSpace(H, N)
+    calls = []
+    apply = TensorStep.apply
+
+    def counted(self, h_flat):
+        calls.append(1)
+        return apply(self, h_flat)
+
+    monkeypatch.setattr(TensorStep, "apply", counted)
+    _, rep = fock_extension(F, U, tol=1e-9)
+    assert rep.passed, rep.failures
+    assert len(calls) <= 3 * (N - 1) * H.dim

@@ -247,6 +247,26 @@ def test_dimension_cap_reaches_free_and_factorization(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_dimension_cap_reaches_toeplitz_state(tmp_path, capsys):
+    path = write_instance(tmp_path, {
+        "name": "capped-state",
+        "parameters": {"dim_cap": 10},
+        "algebras": {"c": {"blocks": [1]}, "mat2": {"blocks": [2]}},
+        "bimodules": {"line": {"base": "c",
+                               "right_multiplicities": [1],
+                               "left_multiplicities": [[1]]}},
+        "states": {"trace": {"algebra": "mat2",
+                             "densities": [[[[0.5, 0.0], [0.0, 0.0]],
+                                            [[0.0, 0.0], [0.5, 0.0]]]]}},
+    })
+    code = main(["--suite", "toeplitz", "--instance", path,
+                 "--truncation", "3"])
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE
+    assert "exceeds the cap 10" in err
+    assert "Traceback" not in err
+
+
 def test_tol_flag_reaches_quotient_kernel_check(tmp_path):
     out = tmp_path / "report.json"
     main(["--suite", "ideal", "--tol", "1e-30", "--format", "json",

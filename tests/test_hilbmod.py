@@ -3,11 +3,11 @@ import pytest
 
 from fockmod.cstar import (CStarAlgebra, StructureError, block_diag_matrix,
                           uniform_trace_state)
-from fockmod.hilbmod import (HilbertBimodule, augment, direct_sum,
-                             element_to_vector, gns_bimodule, gram_schmidt,
-                             interior_tensor, localize, make_bimodule,
+from fockmod.hilbmod import (AugmentedModule, HilbertBimodule, Localization,
+                             direct_sum, element_to_vector, gns_bimodule,
+                             gram_schmidt, interior_tensor, make_bimodule,
                              projection_from_basis, submodule_projection,
-                             tensor_embed, trivial_module, vector_to_element)
+                             trivial_module, vector_to_element)
 from fockmod.instances import (multiplicity_shift_instance, random_algebra,
                                random_bimodule)
 
@@ -211,8 +211,8 @@ def test_interior_tensor_inner_products():
     _, step = interior_tensor(H, H)
     x1, y1 = H.random_vector(RNG), H.random_vector(RNG)
     x2, y2 = H.random_vector(RNG), H.random_vector(RNG)
-    t1 = tensor_embed(step, x1, y1)
-    t2 = tensor_embed(step, x2, y2)
+    t1 = step.embed(x1, y1)
+    t2 = step.embed(x2, y2)
     want = step.module.inner(t1, t2)
     got = H.inner(y1, H.left(H.inner(x1, x2), y2))
     assert (want - got).norm() < 1e-10
@@ -224,8 +224,8 @@ def test_tensor_balancing_over_base():
     _, step = interior_tensor(H, H)
     x, y = H.random_vector(RNG), H.random_vector(RNG)
     b = B.random_element(RNG)
-    lhs = tensor_embed(step, x.rmul(b), y)
-    rhs = tensor_embed(step, x, H.left(b, y))
+    lhs = step.embed(x.rmul(b), y)
+    rhs = step.embed(x, H.left(b, y))
     assert (lhs - rhs).norm() < 1e-10
 
 
@@ -233,19 +233,19 @@ def test_direct_sum_embeddings_are_isometric():
     B = CStarAlgebra((1, 1))
     H = make_bimodule(B, (1, 1), [(0, 1), (1, 0)])
     K = trivial_module(B)
-    ds = direct_sum(H, K)
+    S, embed_H, embed_K = direct_sum(H, K)
     x = H.random_vector(RNG)
     y = K.random_vector(RNG)
-    ex = ds.module.from_flat(ds.embed_first @ x.flat)
-    ey = ds.module.from_flat(ds.embed_second @ y.flat)
-    assert (ds.module.inner(ex, ex) - H.inner(x, x)).norm() < 1e-12
-    assert (ds.module.inner(ex, ey)).norm() < 1e-12
-    assert (ds.module.inner(ey, ey) - K.inner(y, y)).norm() < 1e-12
+    ex = S.from_flat(embed_H @ x.flat)
+    ey = S.from_flat(embed_K @ y.flat)
+    assert (S.inner(ex, ex) - H.inner(x, x)).norm() < 1e-12
+    assert (S.inner(ex, ey)).norm() < 1e-12
+    assert (S.inner(ey, ey) - K.inner(y, y)).norm() < 1e-12
 
 
 def test_augmented_module_unit_vector():
     H = small_module()
-    aug = augment(H)
+    aug = AugmentedModule(H)
     xi = aug.xi
     g = aug.module.inner(xi, xi)
     assert (g - aug.module.base.identity()).norm() < 1e-12
@@ -266,7 +266,7 @@ def test_gns_bimodule_inner_matches_state():
 def test_localization_adjoint_is_conjugate_transpose():
     H = small_module()
     tau = uniform_trace_state(H.base)
-    loc = localize(H, tau)
+    loc = Localization(H, tau)
     M = RNG.standard_normal((H.dim, H.dim)) \
         + 1j * RNG.standard_normal((H.dim, H.dim))
     assert np.linalg.norm(loc.adjoint(M) - M.conj().T) < 1e-12
