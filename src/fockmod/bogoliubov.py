@@ -190,10 +190,11 @@ def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
         if not prev or not span.basis:
             level_bases.append([])
             continue
-        vs = []
-        for g in span.basis:
-            A = F.maps[k].apply(g.flat)
-            vs.extend(F.levels[k + 1].from_flat(A @ v.flat) for v in prev)
+        # every g (x) v, g outer and v inner, in one broadcast call
+        G = np.array([g.flat for g in span.basis])
+        P = np.array([v.flat for v in prev])
+        T = F.maps[k].tensor(G[:, None], P[None])
+        vs = [F.levels[k + 1].from_flat(t) for t in T.reshape(-1, T.shape[-1])]
         level_bases.append(submodule_projection(vs).basis)
     return level_bases
 

@@ -21,6 +21,28 @@ from .cstar import (AlgebraElement, CStarAlgebra, PreconditionError,
 RANK_CUTOFF = 1e-10
 
 
+def _kron_eye(X, n, eye_first=False):
+    """np.kron(X, I_n), or np.kron(I_n, X) with eye_first, entry for entry.
+
+    X is written once into a zeroed 4-index array through a strided view of
+    its diagonal: kron(X, I_n)[(a,i),(b,l)] = X[a,b] delta_il is the
+    (r, n, c, n) array with X on the i = l diagonal, kron(I_n, X) the
+    (n, r, n, c) array with X on the first and third index diagonal."""
+    X = np.asarray(X)
+    r, c = X.shape
+    dtype = np.result_type(X.dtype, float)
+    if eye_first:
+        out = np.zeros((n, r, n, c), dtype)
+        s = out.strides
+        np.ndarray((n, r, c), dtype, out, 0, (s[0] + s[2], s[1], s[3]))[...] = X
+    else:
+        out = np.zeros((r, n, c, n), dtype)
+        s = out.strides
+        np.ndarray((r, c, n), dtype, out, 0,
+                   (s[0], s[2], s[1] + s[3]))[...] = X[:, :, None]
+    return out.reshape(r * n, c * n)
+
+
 class HilbertBimodule:
     def __init__(self, base: CStarAlgebra, right_mult, left_mult, left_unitaries=None):
         self.base = base
@@ -84,7 +106,7 @@ class HilbertBimodule:
 
     def right_matrix(self, b: AlgebraElement):
         """Flat matrix of x -> x.b  (vec(X b) = (I x b^T) vec X, row-major)."""
-        blocks = [np.kron(np.eye(r), bj.T)
+        blocks = [_kron_eye(bj.T, r, eye_first=True)
                   for r, bj in zip(self.right_mult, b.blocks)]
         return block_diag_matrix(blocks, self.dim)
 
@@ -94,14 +116,14 @@ class HilbertBimodule:
         pieces = []
         for k, c in enumerate(row):
             if c:
-                pieces.append(np.kron(np.eye(c), b.blocks[k]))
+                pieces.append(_kron_eye(b.blocks[k], c, eye_first=True))
         diag = block_diag_matrix(pieces, self.right_mult[j]) if pieces \
             else np.zeros((self.right_mult[j],) * 2, complex)
         u = self.left_unitaries[j]
         return u @ diag @ u.conj().T
 
     def left_matrix(self, b: AlgebraElement):
-        blocks = [np.kron(self.left_rep_block(j, b), np.eye(n))
+        blocks = [_kron_eye(self.left_rep_block(j, b), n)
                   for j, n in enumerate(self.base.block_sizes)]
         return block_diag_matrix(blocks, self.dim)
 
@@ -287,7 +309,7 @@ def projection_from_basis(module, V):
     blocks = []
     for j, (r, n) in enumerate(zip(module.right_mult, module.base.block_sizes)):
         S = np.hstack([np.zeros((r, 0), complex)] + [v.comps[j] for v in V])
-        blocks.append(np.kron(S @ S.conj().T, np.eye(n)))
+        blocks.append(_kron_eye(S @ S.conj().T, n))
     return block_diag_matrix(blocks, module.dim)
 
 
@@ -301,10 +323,10 @@ def submodule_projection(X, drop_tol=None) -> SubmoduleSpan:
 
 def complex_rank(flat_vectors, cutoff=RANK_CUTOFF):
     """Rank of the complex span of flat vectors, relative singular cutoff."""
-    A = np.array([np.asarray(v).ravel() for v in flat_vectors])
+    A = np.asarray(flat_vectors)
     if A.size == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
+    s = np.linalg.svd(A.reshape(len(A), -1), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > cutoff * s[0]))
@@ -467,42 +489,59 @@ class TensorStep:
         self.module = HilbertBimodule(base, rho, left, unitaries)
         self._UKd = [u.conj().T for u in K.left_unitaries]
 
-    def apply(self, h_flat):
-        """Matrix of k -> class(h (x) k), shape (dim T, dim K)."""
-        h = self.H.from_flat(h_flat)
-        base = self.H.base
-        nb = len(base.block_sizes)
-        out = np.zeros((self.module.dim, self.K.dim), complex)
-        for j, n_j in enumerate(base.block_sizes):
-            rho_j = self.module.right_mult[j]
-            rK_j = self.K.right_mult[j]
+    def tensor(self, Hs, Ks):
+        """Flat simple tensors h_s (x) k_s of stacked flat rows Hs of H and
+        Ks of K, as rows of flat T.  Leading axes broadcast, so one h against
+        many k is Hs of shape (1, dim H).
+
+        Component j is (U_j^K^* k_j) cut into row blocks, one per (k, t),
+        each multiplied by h_k from the left: never kron(B, I_{n_j})."""
+        H, K, T = self.H, self.K, self.module
+        Hs = np.asarray(Hs, complex)
+        Ks = np.asarray(Ks, complex)
+        lead = np.broadcast_shapes(Hs.shape[:-1], Ks.shape[:-1])
+        sizes = H.base.block_sizes
+        h_blocks = [Hs[..., H.offsets[k]:H.offsets[k + 1]].reshape(
+            Hs.shape[:-1] + (1, r, n))
+            for k, (r, n) in enumerate(zip(H.right_mult, sizes))]
+        out = np.zeros(lead + (T.dim,), complex)
+        for j, n_j in enumerate(sizes):
+            rho_j, rK_j = T.right_mult[j], K.right_mult[j]
             if rho_j == 0 or rK_j == 0:
                 continue
-            M = np.zeros((rho_j, rK_j), complex)
+            Kt = self._UKd[j] @ Ks[..., K.offsets[j]:K.offsets[j + 1]].reshape(
+                Ks.shape[:-1] + (rK_j, n_j))
+            # a view: writing Tj fills component j of out
+            Tj = out[..., T.offsets[j]:T.offsets[j + 1]].reshape(
+                lead + (rho_j, n_j))
             row = col = 0
-            for k in range(nb):
-                n_k = base.block_sizes[k]
-                for _ in range(self.K.left_mult[j][k]):
-                    M[row:row + H_rows(h, k), col:col + n_k] = h.comps[k]
-                    row += H_rows(h, k)
-                    col += n_k
-            B = M @ self._UKd[j]
-            out[self.module.offsets[j]:self.module.offsets[j + 1],
-                self.K.offsets[j]:self.K.offsets[j + 1]] = \
-                np.kron(B, np.eye(n_j))
+            for k, (r_k, n_k) in enumerate(zip(H.right_mult, sizes)):
+                c = K.left_mult[j][k]
+                if c == 0:
+                    continue
+                Kt_k = Kt[..., col:col + c * n_k, :].reshape(
+                    Kt.shape[:-2] + (c, n_k, n_j))
+                Tj[..., row:row + c * r_k, :] = (h_blocks[k] @ Kt_k).reshape(
+                    lead + (c * r_k, n_j))
+                row += c * r_k
+                col += c * n_k
         return out
 
+    def apply(self, h_flat):
+        """Matrix of k -> class(h (x) k), shape (dim T, dim K)."""
+        return self.tensor(np.asarray(h_flat)[None],
+                           np.eye(self.K.dim, dtype=complex)).T
+
     def embed(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
-        return self.module.from_flat(self.apply(x.flat) @ y.flat)
+        return self.module.from_flat(self.tensor(x.flat, y.flat))
 
     @property
     def matrix(self):
-        """Dense map kron(flat H, flat K) -> flat T."""
-        return np.hstack([self.apply(e) for e in np.eye(self.H.dim)])
-
-
-def H_rows(h: ModuleVector, k):
-    return h.comps[k].shape[0]
+        """Dense map kron(flat H, flat K) -> flat T: column (i, l) is
+        e_i (x) e_l."""
+        pairs = self.tensor(np.eye(self.H.dim, dtype=complex)[:, None],
+                            np.eye(self.K.dim, dtype=complex)[None])
+        return pairs.reshape(-1, self.module.dim).T
 
 
 def interior_tensor(H: HilbertBimodule, K: HilbertBimodule):
@@ -665,7 +704,7 @@ class Localization:
             raise PreconditionError("localizing state is not faithful")
         self.module = module
         self.tau = tau
-        blocks = [np.kron(np.eye(r), d.T)
+        blocks = [_kron_eye(d.T, r, eye_first=True)
                   for r, d in zip(module.right_mult, tau.densities)]
         self.gram = block_diag_matrix(blocks, module.dim)
         self.factor = np.linalg.cholesky(self.gram)

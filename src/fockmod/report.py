@@ -18,6 +18,15 @@ class Check:
     passed: bool
     details: dict = field(default_factory=dict)
 
+    @property
+    def margin(self):
+        """residual / threshold, or None for a zero threshold (every
+        add_bool check) and for a quotient that is not finite."""
+        if not self.threshold:
+            return None
+        ratio = self.residual / self.threshold
+        return ratio if math.isfinite(ratio) else None
+
     def as_dict(self):
         """Strict-JSON form: a non-finite residual or threshold is written
         as null and named, with its value, under "nonfinite"."""
@@ -26,6 +35,7 @@ class Check:
             "anchor": self.anchor,
             "residual": self.residual,
             "threshold": self.threshold,
+            "margin": self.margin,
             "passed": self.passed,
             "details": self.details,
         }

@@ -68,6 +68,29 @@ def test_json_output_is_strict(tmp_path):
     assert "nonfinite" not in payload["reports"][0]["checks"][1]
 
 
+def test_every_check_in_json_has_its_margin(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["--suite", "all", "--truncation", "3", "--format", "json",
+                 "--out", str(out)])
+    assert code == EXIT_PASS
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    checks = [c for r in payload["reports"] for c in r["checks"]]
+    assert checks and all("margin" in c for c in checks)
+    for c in checks:
+        if c["threshold"] == 0:
+            assert c["margin"] is None
+        else:
+            assert c["margin"] == c["residual"] / c["threshold"]
+
+
+def test_margin_is_null_for_boolean_and_nonfinite_checks():
+    rep = VerificationReport(suite="margins")
+    rep.add_bool("holds", "true claim", True)
+    rep.add("half", "x = x", 0.5e-9, 1e-9)
+    rep.add("nan", "x = x", float("nan"), 1e-9)
+    assert [c.as_dict()["margin"] for c in rep.checks] == [None, 0.5, None]
+
+
 def test_empty_report_does_not_pass():
     assert not VerificationReport(suite="empty").passed
 

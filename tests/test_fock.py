@@ -10,8 +10,10 @@ from fockmod.fock import (FockSpace, creation_relations_check,
                           isometric_vector, masked_norm, power_dims,
                           quotient_dimension_check, random_word_spec,
                           toeplitz_endomorphism, word)
-from fockmod.hilbmod import make_bimodule
+from fockmod.hilbmod import (HilbertBimodule, TensorStep, complex_rank,
+                             interior_tensor, make_bimodule)
 from fockmod.instances import creation_instances
+from fockmod.report import VerificationReport
 
 RNG = np.random.default_rng(37)
 
@@ -150,3 +152,132 @@ def test_predicted_dims_match_built_levels():
         F = FockSpace(H, N)
         assert tuple(power_dims(H, N))[1:] == F.level_dims[1:]
         assert tuple(power_dims(H, N)) == F.level_dims
+
+
+def _per_sample_factorization_check(M, n, k, j, rng, samples=None, tol=1e-9,
+                                    dim_cap=fock.DEFAULT_DIM_CAP):
+    """The factorization check as it was before its samples were batched:
+    one tensor-step matrix per sample and level, one B-valued inner product
+    per pair.  Kept as the reference for the batched check."""
+    if not (0 <= j <= n):
+        raise PreconditionError("need 0 <= j <= n")
+    m = k * (n + 1) + j
+    if m < 1:
+        raise PreconditionError("empty regrouping")
+    report = VerificationReport(suite="fock-factorization",
+                                parameters={"n": n, "k": k, "j": j})
+    levels, maps = fock.tensor_power_chain(M, max(m, n + 1), dim_cap)
+
+    def fold(h_list):
+        v = h_list[-1].flat
+        for i, h in enumerate(reversed(h_list[:-1])):
+            v = maps[i + 1].apply(h.flat) @ v
+        return v
+
+    left_mod = levels[m]
+    Y = levels[n + 1]
+    pow_levels, pow_maps = ({1: Y}, {}) if k <= 1 else \
+        fock.tensor_power_chain(Y, k, dim_cap)
+    if k >= 1:
+        Ypow = pow_levels[k]
+    if k == 0:
+        right_mod = levels[j]
+    elif j == 0:
+        right_mod = Ypow
+    else:
+        right_mod, cross_step = interior_tensor(levels[j], Ypow)
+
+    def embed_right(h_list):
+        groups = [h_list[j + i * (n + 1): j + (i + 1) * (n + 1)] for i in range(k)]
+        ys = [fold(g) for g in groups]
+        if k >= 1:
+            y = ys[-1]
+            for i in range(k - 2, -1, -1):
+                y = pow_maps[k - 1 - i].apply(ys[i]) @ y
+        if k == 0:
+            return fold(h_list[:j])
+        if j == 0:
+            return y
+        return cross_step.apply(fold(h_list[:j])) @ y
+
+    report.add_bool("dimension-equality",
+                    "dim of the regrouped power equals dim of the plain power",
+                    left_mod.dim == right_mod.dim,
+                    left=left_mod.dim, right=right_mod.dim)
+    if samples is None:
+        samples = left_mod.dim + 8
+    lefts, rights = [], []
+    for _ in range(samples):
+        hs = [M.random_vector(rng) for _ in range(m)]
+        lefts.append(left_mod.from_flat(fold(hs)))
+        rights.append(right_mod.from_flat(embed_right(hs)))
+    res = 0.0
+    pairs = min(samples, 25)
+    norms = [v.norm() for v in lefts[:pairs]]
+    for s in range(pairs):
+        for t in range(s, pairs):
+            gl = left_mod.inner(lefts[s], lefts[t])
+            gr = right_mod.inner(rights[s], rights[t])
+            res = max(res, (gl - gr).norm()
+                      / max(1.0, norms[s] * norms[t]))
+    report.add("gram-equality",
+               "regrouping preserves the B-valued inner product", res, tol)
+    rank_l = complex_rank([v.flat for v in lefts])
+    report.add_bool("span-coverage",
+                    "sampled simple tensors span the regrouped power",
+                    rank_l == left_mod.dim, rank=rank_l, dim=left_mod.dim)
+    return report
+
+
+def _factorization_shapes(max_len=5):
+    return [(n, k, j) for n in range(max_len) for k in range(max_len)
+            for j in range(n + 1) if 0 < k * (n + 1) + j <= max_len]
+
+
+def test_batched_factorization_matches_per_sample_reference():
+    compared = 0
+    for H, _ in creation_instances(25, count=5)[:2]:
+        for n, k, j in _factorization_shapes():
+            seed = 1000 * n + 100 * k + j
+            new = fock_factorization_check(H, n, k, j,
+                                           np.random.default_rng(seed))
+            old = _per_sample_factorization_check(H, n, k, j,
+                                                  np.random.default_rng(seed))
+            assert [(c.name, c.passed, c.details) for c in new.checks] \
+                == [(c.name, c.passed, c.details) for c in old.checks]
+            for a, b in zip(new.checks, old.checks):
+                if a.name == "gram-equality":
+                    assert abs(a.residual - b.residual) <= 1e-15
+            compared += 1
+    assert compared == 2 * len(_factorization_shapes())
+
+
+def test_factorization_uses_no_pairwise_inner_products_or_dense_steps(
+        monkeypatch):
+    calls = {"inner": 0, "apply": 0}
+    inner, apply = HilbertBimodule.inner, TensorStep.apply
+
+    def counted_inner(self, x, y):
+        calls["inner"] += 1
+        return inner(self, x, y)
+
+    def counted_apply(self, h_flat):
+        calls["apply"] += 1
+        return apply(self, h_flat)
+
+    monkeypatch.setattr(HilbertBimodule, "inner", counted_inner)
+    monkeypatch.setattr(TensorStep, "apply", counted_apply)
+    B = CStarAlgebra((1, 1))
+    H = make_bimodule(B, (1, 1), [(0, 1), (1, 0)])
+    calls["inner"] = 0      # make_bimodule's own law checks do not count
+    rep = fock_factorization_check(H, 1, 2, 1, RNG, tol=1e-9)
+    assert rep.passed, rep.failures
+    assert calls == {"inner": 0, "apply": 0}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_factorization_rejects_no_samples(samples):
+    B = CStarAlgebra((1, 1))
+    H = make_bimodule(B, (1, 1), [(0, 1), (1, 0)])
+    with pytest.raises(PreconditionError):
+        fock_factorization_check(H, 1, 1, 0, RNG, samples=samples)

@@ -4,7 +4,7 @@ import pytest
 from fockmod.cstar import (CStarAlgebra, StructureError, block_diag_matrix,
                           uniform_trace_state)
 from fockmod.hilbmod import (AugmentedModule, HilbertBimodule, Localization,
-                             direct_sum, element_to_vector, gns_bimodule,
+                             _kron_eye, direct_sum, element_to_vector, gns_bimodule,
                              gram_schmidt, interior_tensor, make_bimodule,
                              projection_from_basis, submodule_projection,
                              trivial_module, vector_to_element)
@@ -281,3 +281,86 @@ def test_random_bimodule_respects_row_constraint():
             total = sum(c * n for c, n in
                         zip(H.left_mult[j], B.block_sizes))
             assert total == r
+
+
+def _unitary(r):
+    q, _ = np.linalg.qr(RNG.standard_normal((r, r))
+                        + 1j * RNG.standard_normal((r, r)))
+    return q
+
+
+def _module(sizes, right, left):
+    return HilbertBimodule(CStarAlgebra(sizes), right, left,
+                           [_unitary(r) for r in right])
+
+
+# (H, K) pairs over (1,), (1, 2) and (2, 3), then two with empty blocks: K
+# with rK_1 = 0, and T = H (x) K with rho_1 = 0 although rK_1 > 0, since
+# K's left action on block 1 reaches only H's empty component.
+TENSOR_PAIRS = [
+    (((1,), (2,), [(2,)]), ((1,), (3,), [(3,)])),
+    (((1, 2), (3, 2), [(1, 1), (0, 1)]), ((1, 2), (2, 3), [(0, 1), (1, 1)])),
+    (((2, 3), (5, 3), [(1, 1), (0, 1)]), ((2, 3), (4, 5), [(2, 0), (1, 1)])),
+    (((1, 2), (1, 0), [(1, 0), (0, 0)]), ((1, 2), (1, 0), [(1, 0), (0, 0)])),
+    (((1, 2), (1, 0), [(1, 0), (0, 0)]), ((1, 2), (1, 2), [(1, 0), (0, 1)])),
+]
+
+
+def _kron_apply(step, h_flat):
+    """TensorStep.apply as it was before `tensor`: the matrix of
+    k -> h (x) k assembled from kron(M U_j^K*, I_{n_j}) per block.  Kept as
+    the reference for `tensor` and `apply`."""
+    h = step.H.from_flat(h_flat)
+    base = step.H.base
+    out = np.zeros((step.module.dim, step.K.dim), complex)
+    for j, n_j in enumerate(base.block_sizes):
+        rho_j = step.module.right_mult[j]
+        rK_j = step.K.right_mult[j]
+        if rho_j == 0 or rK_j == 0:
+            continue
+        M = np.zeros((rho_j, rK_j), complex)
+        row = col = 0
+        for k, n_k in enumerate(base.block_sizes):
+            for _ in range(step.K.left_mult[j][k]):
+                rows = h.comps[k].shape[0]
+                M[row:row + rows, col:col + n_k] = h.comps[k]
+                row += rows
+                col += n_k
+        B = M @ step.K.left_unitaries[j].conj().T
+        out[step.module.offsets[j]:step.module.offsets[j + 1],
+            step.K.offsets[j]:step.K.offsets[j + 1]] = np.kron(B, np.eye(n_j))
+    return out
+
+
+@pytest.mark.parametrize("h_spec, k_spec", TENSOR_PAIRS)
+def test_tensor_matches_apply_row_by_row(h_spec, k_spec):
+    H, K = _module(*h_spec), _module(*k_spec)
+    step = interior_tensor(H, K)[1]
+    Hs = RNG.standard_normal((6, H.dim)) + 1j * RNG.standard_normal((6, H.dim))
+    Ks = RNG.standard_normal((6, K.dim)) + 1j * RNG.standard_normal((6, K.dim))
+    rows = step.tensor(Hs, Ks)
+    assert rows.shape == (6, step.module.dim)
+    for h, k, row in zip(Hs, Ks, rows):
+        ref = _kron_apply(step, h)
+        assert np.allclose(step.apply(h), ref, atol=1e-13)
+        want = ref @ k
+        assert np.linalg.norm(row - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+    # one h against many k broadcasts
+    many = step.tensor(Hs[:1], Ks)
+    assert np.allclose(many, [step.apply(Hs[0]) @ k for k in Ks], atol=1e-13)
+    # the dense map, column (i, l) = e_i (x) e_l
+    assert np.allclose(step.matrix,
+                       np.hstack([step.apply(e) for e in np.eye(H.dim)]),
+                       atol=1e-13)
+
+
+@pytest.mark.parametrize("shape, n", [((3, 2), 2), ((1, 1), 3), ((2, 5), 1),
+                                      ((0, 0), 2), ((4, 3), 0)])
+def test_kron_eye_equals_np_kron(shape, n):
+    X = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+    assert np.array_equal(_kron_eye(X, n), np.kron(X, np.eye(n)))
+    assert np.array_equal(_kron_eye(X, n, eye_first=True),
+                          np.kron(np.eye(n), X))
+    Xr = X.real
+    assert np.array_equal(_kron_eye(Xr, n), np.kron(Xr, np.eye(n)))
+    assert _kron_eye(Xr, n).dtype == np.kron(Xr, np.eye(n)).dtype
