@@ -6,8 +6,8 @@ from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     StructureError, PreconditionError, UnitalHomomorphism)
 from .hilbmod import (AugmentedModule, HilbertBimodule, Localization,
                       ModuleVector, SubmoduleSpan, cp_bimodule, direct_sum,
-                      gns_bimodule, gram_schmidt, interior_tensor,
-                      make_bimodule, submodule_projection, trivial_module)
+                      TensorStep, gns_bimodule, gram_schmidt, make_bimodule,
+                      submodule_projection, trivial_module)
 from .fock import (FockSpace, WordSpec, creation_relations_check,
                    fock_factorization_check, ideal_structure_check,
                    isometric_vector, masked_norm, quotient_dimension_check,
@@ -29,8 +29,8 @@ __all__ = [
     "ConditionalExpectation", "StateFunctional", "StructureError",
     "PreconditionError", "UnitalHomomorphism", "AugmentedModule",
     "HilbertBimodule", "Localization", "ModuleVector", "SubmoduleSpan",
-    "cp_bimodule", "direct_sum", "gns_bimodule", "gram_schmidt",
-    "interior_tensor", "make_bimodule", "submodule_projection",
+    "TensorStep", "cp_bimodule", "direct_sum", "gns_bimodule",
+    "gram_schmidt", "make_bimodule", "submodule_projection",
     "trivial_module", "FockSpace", "WordSpec",
     "creation_relations_check", "fock_factorization_check",
     "ideal_structure_check", "isometric_vector", "masked_norm",

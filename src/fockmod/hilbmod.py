@@ -441,7 +441,8 @@ def canonicalize(base, gram, right_apply, left_apply, rank_cutoff=RANK_CUTOFF):
 # -- interior tensor products ----------------------------------------------
 
 class TensorStep:
-    """Structural presentation of T = H (x)_B K in canonical form.
+    """T = H (x)_B K in canonical form (`module`), <h1(x)k1, h2(x)k2> =
+    <k1, <h1,h2>.k2>, and the map of simple tensors into it.
 
     Component j of T has rows indexed by triples (k, t, a): base block k,
     copy index t below the left multiplicity of K at (j, k), and a row index
@@ -532,9 +533,6 @@ class TensorStep:
         return self.tensor(np.asarray(h_flat)[None],
                            np.eye(self.K.dim, dtype=complex)).T
 
-    def embed(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
-        return self.module.from_flat(self.tensor(x.flat, y.flat))
-
     @property
     def matrix(self):
         """Dense map kron(flat H, flat K) -> flat T: column (i, l) is
@@ -542,14 +540,6 @@ class TensorStep:
         pairs = self.tensor(np.eye(self.H.dim, dtype=complex)[:, None],
                             np.eye(self.K.dim, dtype=complex)[None])
         return pairs.reshape(-1, self.module.dim).T
-
-
-def interior_tensor(H: HilbertBimodule, K: HilbertBimodule):
-    """H (x)_B K with <h1(x)k1, h2(x)k2> = <k1, <h1,h2>.k2>, in canonical
-    form.  Returns (module, step) with step a TensorStep embedding simple
-    tensors."""
-    step = TensorStep(H, K)
-    return step.module, step
 
 
 # -- direct sums and augmentation ------------------------------------------

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fockmod.bogoliubov import (augmented_bogoliubov, compression_channels,
+from fockmod.bogoliubov import (BogoliubovMap, augmented_bogoliubov,
+                                compression_channels,
                                 entropy_bound_report, fock_extension,
                                 identity_bogoliubov, kp_subspace,
                                 validate_bogoliubov)
-from fockmod.cstar import CStarAlgebra
+from fockmod.cstar import CStarAlgebra, haar_unitary_matrix
 from fockmod.fock import FockSpace
 from fockmod.hilbmod import AugmentedModule, TensorStep, make_bimodule
 from fockmod.instances import (flip_twisted_module,
@@ -160,3 +161,55 @@ def test_extension_builds_each_level_from_one_tensor_matrix(monkeypatch):
     _, rep = fock_extension(F, U, tol=1e-9)
     assert rep.passed, rep.failures
     assert len(calls) <= 3 * (N - 1) * H.dim
+
+
+def _dense_intertwining_residual(F, bog, M):
+    """creation-intertwining as it was before it was read off the level
+    defects: two Fock-size creation matrices and two products per basis
+    vector.  Kept as the reference for fock_extension."""
+    H = F.bimodule
+    res_int = 0.0
+    for e in H.basis():
+        lhs = M @ F.creation_matrix(e)
+        rhs = F.creation_matrix(bog(e)) @ M
+        res_int = max(res_int, float(np.linalg.norm(lhs - rhs)))
+    return res_int
+
+
+def _intertwining_cases():
+    H, K, U = multiplicity_shift_instance()
+    _, Uf = flip_twisted_module()
+    return [random_bogoliubov(np.random.default_rng(5)), U, Uf]
+
+
+def _extension(bog, augmented):
+    xi = None
+    if augmented:
+        aug = AugmentedModule(bog.module)
+        bog, xi = augmented_bogoliubov(aug, bog), aug.xi
+    F = FockSpace(bog.module, 3)
+    M, rep = fock_extension(F, bog, xi=xi, tol=1e-9)
+    res = {c.name: c.residual for c in rep.checks}["creation-intertwining"]
+    return F, bog, M, rep, res
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("case", range(3))
+def test_intertwining_matches_dense_reference(case, augmented):
+    bog = _intertwining_cases()[case]
+    F, bog, M, rep, res = _extension(bog, augmented)
+    assert rep.passed, rep.failures
+    assert abs(res - _dense_intertwining_residual(F, bog, M)) <= 1e-15
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_non_bimodular_map_fails_intertwining(augmented):
+    H, K, U = multiplicity_shift_instance()
+    rng = np.random.default_rng(17)
+    bad = BogoliubovMap(H, haar_unitary_matrix(rng, H.dim), U.beta)
+    assert not validate_bogoliubov(bad, rng=rng, tol=1e-9).passed
+    F, bad, M, rep, res = _extension(bad, augmented)
+    ref = _dense_intertwining_residual(F, bad, M)
+    assert "creation-intertwining" in {c.name for c in rep.failures}
+    assert ref > 1e-9
+    assert abs(res - ref) <= 1e-12 * ref

@@ -270,6 +270,33 @@ def test_dimension_cap_reaches_free_and_factorization(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_factorization_cap_counts_the_vacuum_level(tmp_path, capsys):
+    # levels 1..3 of the plane have dimensions 2 + 4 + 8 = 14: within the
+    # cap when only the levels above the vacuum counted, 15 with level 0
+    path = write_instance(tmp_path, {
+        "name": "vacuum-counts",
+        "parameters": {"dim_cap": 14, "max_word_length": 3},
+        "algebras": {"c": {"blocks": [1]}},
+        "bimodules": {"plane": {"base": "c",
+                                "right_multiplicities": [2],
+                                "left_multiplicities": [[2]]}},
+    })
+    code = main(["--suite", "factorization", "--instance", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE
+    assert "15 exceeds the cap 14" in err
+
+
+@pytest.mark.parametrize("truncation", ["0", "1"])
+@pytest.mark.parametrize("suite", ["fock", "ideal", "factorization",
+                                   "toeplitz", "free", "crossed", "bog"])
+def test_lowest_truncations_never_fail(capsys, suite, truncation):
+    """At N = 0 and 1 every suite passes or refuses the input (exit 2);
+    none reports a failed identity or raises."""
+    code = main(["--suite", suite, "--truncation", truncation])
+    assert code in (EXIT_PASS, EXIT_PRECONDITION), capsys.readouterr().out
+
+
 def test_dimension_cap_reaches_toeplitz_state(tmp_path, capsys):
     path = write_instance(tmp_path, {
         "name": "capped-state",

@@ -11,7 +11,7 @@ from fockmod.fock import (FockSpace, creation_relations_check,
                           quotient_dimension_check, random_word_spec,
                           toeplitz_endomorphism, word)
 from fockmod.hilbmod import (HilbertBimodule, TensorStep, complex_rank,
-                             interior_tensor, make_bimodule)
+                             make_bimodule, trivial_module, vector_to_element)
 from fockmod.instances import creation_instances
 from fockmod.report import VerificationReport
 
@@ -135,16 +135,39 @@ def test_dimension_cap_raises_resource_error():
         FockSpace(H, 8, dim_cap=100)
 
 
+def _count_tensor_steps(monkeypatch):
+    calls = []
+    real = fock.TensorStep
+    monkeypatch.setattr(fock, "TensorStep",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 def test_dimension_cap_checked_before_building(monkeypatch):
     B = CStarAlgebra((1,))
     H = make_bimodule(B, (3,), [(3,)])
-    calls = []
-    real = fock.interior_tensor
-    monkeypatch.setattr(fock, "interior_tensor",
-                        lambda *a: calls.append(a) or real(*a))
+    calls = _count_tensor_steps(monkeypatch)
     with pytest.raises(ResourceCapError):
         FockSpace(H, 8, dim_cap=100)
     assert calls == []
+
+
+def test_factorization_cap_checked_before_building(monkeypatch):
+    B = CStarAlgebra((1,))
+    H = make_bimodule(B, (3,), [(3,)])
+    calls = _count_tensor_steps(monkeypatch)
+    with pytest.raises(ResourceCapError):
+        fock_factorization_check(H, 1, 3, 1, RNG, dim_cap=100)
+    assert calls == []
+
+
+def test_factorization_cap_counts_the_vacuum_level():
+    """Levels 0..m count, also at m = 1, where nothing but level 1 is new."""
+    B = CStarAlgebra((1,))
+    H = make_bimodule(B, (3,), [(3,)])
+    fock_factorization_check(H, 0, 1, 0, RNG, dim_cap=4)
+    with pytest.raises(ResourceCapError):
+        fock_factorization_check(H, 0, 1, 0, RNG, dim_cap=3)
 
 
 def test_predicted_dims_match_built_levels():
@@ -152,6 +175,50 @@ def test_predicted_dims_match_built_levels():
         F = FockSpace(H, N)
         assert tuple(power_dims(H, N))[1:] == F.level_dims[1:]
         assert tuple(power_dims(H, N)) == F.level_dims
+
+
+class _BaseStep:
+    """Level 0 to 1 creation data: b -> h.b on the vacuum copy of B.  The
+    level-0 step as it was before every level came from a TensorStep; kept
+    as the reference for maps[0]."""
+
+    def __init__(self, H: HilbertBimodule):
+        self.H = H
+        vac = trivial_module(H.base)
+        self._right_units = [
+            H.right_matrix(vector_to_element(vac.from_flat(col)))
+            for col in np.eye(vac.dim)]
+
+    def apply(self, h_flat):
+        return np.column_stack([R @ h_flat for R in self._right_units])
+
+
+def test_vacuum_step_is_the_right_action():
+    compared = 0
+    for seed in (25, 50, 54, 3, 7):
+        for H, N in creation_instances(seed, count=5):
+            F = FockSpace(H, 1)
+            lv = F.levels[1]
+            assert (lv.right_mult, lv.left_mult) == (H.right_mult, H.left_mult)
+            assert all(np.array_equal(u, v) for u, v in
+                       zip(lv.left_unitaries, H.left_unitaries))
+            ref = _BaseStep(H)
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                h = H.random_vector(rng).flat
+                assert np.array_equal(F.maps[0].apply(h), ref.apply(h))
+                compared += 1
+    assert compared == 75
+
+
+def _power_chain(module, m):
+    """levels[i], 1 <= i <= m, the i-fold power; maps[i] the step
+    module (x) levels[i] -> levels[i+1]."""
+    levels, maps = {1: module}, {}
+    for i in range(1, m):
+        maps[i] = TensorStep(module, levels[i])
+        levels[i + 1] = maps[i].module
+    return levels, maps
 
 
 def _per_sample_factorization_check(M, n, k, j, rng, samples=None, tol=1e-9,
@@ -166,7 +233,7 @@ def _per_sample_factorization_check(M, n, k, j, rng, samples=None, tol=1e-9,
         raise PreconditionError("empty regrouping")
     report = VerificationReport(suite="fock-factorization",
                                 parameters={"n": n, "k": k, "j": j})
-    levels, maps = fock.tensor_power_chain(M, max(m, n + 1), dim_cap)
+    levels, maps = _power_chain(M, max(m, n + 1))
 
     def fold(h_list):
         v = h_list[-1].flat
@@ -176,8 +243,7 @@ def _per_sample_factorization_check(M, n, k, j, rng, samples=None, tol=1e-9,
 
     left_mod = levels[m]
     Y = levels[n + 1]
-    pow_levels, pow_maps = ({1: Y}, {}) if k <= 1 else \
-        fock.tensor_power_chain(Y, k, dim_cap)
+    pow_levels, pow_maps = ({1: Y}, {}) if k <= 1 else _power_chain(Y, k)
     if k >= 1:
         Ypow = pow_levels[k]
     if k == 0:
@@ -185,7 +251,8 @@ def _per_sample_factorization_check(M, n, k, j, rng, samples=None, tol=1e-9,
     elif j == 0:
         right_mod = Ypow
     else:
-        right_mod, cross_step = interior_tensor(levels[j], Ypow)
+        cross_step = TensorStep(levels[j], Ypow)
+        right_mod = cross_step.module
 
     def embed_right(h_list):
         groups = [h_list[j + i * (n + 1): j + (i + 1) * (n + 1)] for i in range(k)]

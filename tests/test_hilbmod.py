@@ -4,10 +4,11 @@ import pytest
 from fockmod.cstar import (CStarAlgebra, StructureError, block_diag_matrix,
                           uniform_trace_state)
 from fockmod.hilbmod import (AugmentedModule, HilbertBimodule, Localization,
-                             _kron_eye, direct_sum, element_to_vector, gns_bimodule,
-                             gram_schmidt, interior_tensor, make_bimodule,
-                             projection_from_basis, submodule_projection,
-                             trivial_module, vector_to_element)
+                             TensorStep, _kron_eye, direct_sum,
+                             element_to_vector, gns_bimodule, gram_schmidt,
+                             make_bimodule, projection_from_basis,
+                             submodule_projection, trivial_module,
+                             vector_to_element)
 from fockmod.instances import (multiplicity_shift_instance, random_algebra,
                                random_bimodule)
 
@@ -208,11 +209,11 @@ def test_submodule_projection_dimension():
 def test_interior_tensor_inner_products():
     B = CStarAlgebra((1, 1))
     H = make_bimodule(B, (1, 1), [(0, 1), (1, 0)])
-    _, step = interior_tensor(H, H)
+    step = TensorStep(H, H)
     x1, y1 = H.random_vector(RNG), H.random_vector(RNG)
     x2, y2 = H.random_vector(RNG), H.random_vector(RNG)
-    t1 = step.embed(x1, y1)
-    t2 = step.embed(x2, y2)
+    t1 = step.module.from_flat(step.tensor(x1.flat, y1.flat))
+    t2 = step.module.from_flat(step.tensor(x2.flat, y2.flat))
     want = step.module.inner(t1, t2)
     got = H.inner(y1, H.left(H.inner(x1, x2), y2))
     assert (want - got).norm() < 1e-10
@@ -221,11 +222,11 @@ def test_interior_tensor_inner_products():
 def test_tensor_balancing_over_base():
     B = CStarAlgebra((1, 1))
     H = make_bimodule(B, (1, 1), [(0, 1), (1, 0)])
-    _, step = interior_tensor(H, H)
+    step = TensorStep(H, H)
     x, y = H.random_vector(RNG), H.random_vector(RNG)
     b = B.random_element(RNG)
-    lhs = step.embed(x.rmul(b), y)
-    rhs = step.embed(x, H.left(b, y))
+    lhs = step.module.from_flat(step.tensor(x.rmul(b).flat, y.flat))
+    rhs = step.module.from_flat(step.tensor(x.flat, H.left(b, y).flat))
     assert (lhs - rhs).norm() < 1e-10
 
 
@@ -335,7 +336,7 @@ def _kron_apply(step, h_flat):
 @pytest.mark.parametrize("h_spec, k_spec", TENSOR_PAIRS)
 def test_tensor_matches_apply_row_by_row(h_spec, k_spec):
     H, K = _module(*h_spec), _module(*k_spec)
-    step = interior_tensor(H, K)[1]
+    step = TensorStep(H, K)
     Hs = RNG.standard_normal((6, H.dim)) + 1j * RNG.standard_normal((6, H.dim))
     Ks = RNG.standard_normal((6, K.dim)) + 1j * RNG.standard_normal((6, K.dim))
     rows = step.tensor(Hs, Ks)
