@@ -46,7 +46,7 @@ def identity_bogoliubov(module: HilbertBimodule) -> BogoliubovMap:
                          identity_automorphism(module.base))
 
 
-def validate_bogoliubov(bog: BogoliubovMap, rng=None, samples=4,
+def validate_bogoliubov(bog: BogoliubovMap, rng=None,
                         tol=DEFAULT_TOL) -> VerificationReport:
     """Both defining equations, on a vector basis and on random algebra
     coefficients.  A violation is an error in the map, not a warning."""
@@ -65,7 +65,7 @@ def validate_bogoliubov(bog: BogoliubovMap, rng=None, samples=4,
     if rng is None:
         rng = np.random.default_rng(0)
     res_act = 0.0
-    for _ in range(samples):
+    for _ in range(4):
         b1 = H.base.random_element(rng)
         b2 = H.base.random_element(rng)
         scale = max(1.0, b1.norm()) * max(1.0, b2.norm())
@@ -146,21 +146,26 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
 
 
 def kp_subspace(bog: BogoliubovMap, K: SubmoduleSpan, p, tol=DEFAULT_TOL):
-    """K_p = K + U(K) + ... + U^{p-1}(K) as a span with its projection.
+    """The growth chain K_q = K + U(K) + ... + U^{q-1}(K), q = 1..p, as
+    spans with their projections.
 
-    Returns (SubmoduleSpan, VerificationReport) verifying the dimension
-    inequality dim_C(K_p) <= p dim_C(K) and that K_p is closed under both
-    algebra actions."""
+    Returns ([K_1, ..., K_p], VerificationReport) verifying for K_p the
+    dimension inequality dim_C(K_p) <= p dim_C(K) and that K_p is closed
+    under both algebra actions."""
     if p < 1:
         raise PreconditionError("power count must be at least 1")
     if K.parent is not bog.module:
         raise StructureError("span lives on a different bimodule")
+    if not K.basis:
+        raise PreconditionError("growth subspace K is zero")
     H = bog.module
     gens = []
     for i in range(p):
         Ui = bog.power(i)
         gens.extend(H.from_flat(Ui @ g.flat) for g in K.generators)
-    span = submodule_projection(gens)
+    r = len(K.generators)
+    spans = [submodule_projection(gens[:q * r]) for q in range(1, p + 1)]
+    span = spans[-1]
     report = VerificationReport(suite="growth-subspace",
                                 parameters={"p": p})
     report.add_bool("dimension-inequality", "dim_C(K_p) <= p dim_C(K)",
@@ -176,7 +181,7 @@ def kp_subspace(bog: BogoliubovMap, K: SubmoduleSpan, p, tol=DEFAULT_TOL):
             (one - Q) @ H.right_matrix(b) @ Q)))
     report.add("left-closure", "b . K_p inside K_p", res_left, tol)
     report.add("right-closure", "K_p . b inside K_p", res_right, tol)
-    return span, report
+    return spans, report
 
 
 def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
@@ -239,7 +244,7 @@ def sample_word(F: FockSpace, span: SubmoduleSpan, m, rng):
 
 
 def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
-                         samples=4, tol=DEFAULT_TOL):
+                         tol=DEFAULT_TOL):
     """Builds the Fock tower of a growth subspace up to level n and verifies
     the compression x -> Q x Q onto it:
 
@@ -282,7 +287,7 @@ def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
     low = [v for k, basis in enumerate(level_bases[:n]) for v in
            (F.embed_level(k, b.flat) for b in basis)]
     res_rec = 0.0
-    for _ in range(samples):
+    for _ in range(4):
         m = int(rng.integers(1, n + 1))
         x, scale = sample_word(F, span, m, rng)
         y = Q @ x @ Q
@@ -307,58 +312,62 @@ def localized_tensor_dim(module: HilbertBimodule, vectors):
     return total
 
 
-def entropy_bound_report(F: FockSpace, bog: BogoliubovMap, K: SubmoduleSpan,
-                         n, p_max, rng, samples=3,
-                         tol=DEFAULT_TOL) -> VerificationReport:
-    """For p = 1..p_max, builds K_p, measures the dimension of its Fock
-    tower tensored with the defining representation, and compares it with
-    the coarse bound n p^n dim(V) dim_C(K)^n; checks that vectors of
-    conjugated sample words stay inside K_p.  The log(dim)/p ratio column
-    must not increase past its peak; whether the growth subspace saturates
-    is noted, not asserted."""
-    if n > F.N:
+def entropy_bound_report(F: FockSpace, bog: BogoliubovMap, spans, levels,
+                         rng, tol=DEFAULT_TOL):
+    """One report per tower level n in levels, for the growth chain
+    spans = [K_1, ..., K_{p_max}]: measures the dimension of the Fock tower
+    of each K_p up to level n tensored with the defining representation,
+    and compares it with the coarse bound n p^n dim(V) dim_C(K)^n; checks
+    that vectors of conjugated sample words stay inside K_p.  The
+    log(dim)/p ratio column must not increase past its peak; whether the
+    growth subspace saturates is noted, not asserted."""
+    if any(n > F.N for n in levels):
         raise PreconditionError("tower level exceeds the truncation")
-    H = F.bimodule
-    dimV = sum(H.base.block_sizes)
-    sample_flats = [_random_flat(K.basis, rng) for _ in range(samples)]
-    rows = []           # (p, dim K_p, measured, bound, ratio)
-    containment = 0.0
-    for p in range(1, p_max + 1):
-        span, _ = kp_subspace(bog, K, p, tol=tol)
-        level_bases = _fock_level_spans(F, n, span)
-        measured = sum(localized_tensor_dim(F.levels[k], basis)
-                       for k, basis in enumerate(level_bases))
-        bound = n * p ** n * dimV * K.complex_dim ** n
-        ratio = np.log(measured) / p if measured > 0 else 0.0
-        rows.append((p, span.complex_dim, measured, bound, ratio))
-        Qp = span.projection
-        one = np.eye(H.dim)
-        for j in range(p):
-            Uj = bog.power(j)
-            for flat in sample_flats:
-                v = Uj @ flat
-                containment = max(containment,
-                                  float(np.linalg.norm((one - Qp) @ v))
-                                  / max(1.0, float(np.linalg.norm(v))))
-    ratios = [r for (*_, r) in rows]
-    tail = ratios[int(np.argmax(ratios)):] if ratios else []
-    report = VerificationReport(
-        suite="rank-growth",
-        parameters={"n": n, "dim_C(K)": K.complex_dim, "dim(V)": dimV})
-    table = {f"p={p}": {"dim_Kp": dk, "measured": m, "bound": b,
-                        "log_dim_over_p": round(r, 6)}
-             for (p, dk, m, b, r) in rows}
-    report.add_bool("dimension-bound",
-                    "dim(F_n(K_p) (x)_B V) <= n p^n dim(V) dim_C(K)^n",
-                    all(m <= b for (_, _, m, b, _) in rows), table=table)
-    report.add("word-containment",
-               "conjugated words stay inside the tower of K_p",
-               containment, tol)
-    report.add_bool("ratio-trend",
-                    "log(dim)/p non-increasing past its peak",
-                    all(a >= b - 1e-12 for a, b in zip(tail, tail[1:])),
-                    ratios=[round(r, 6) for r in ratios],
-                    note=("saturating growth subspace" if rows and
-                          rows[-1][1] < p_max * K.complex_dim else
-                          "growth subspace still expanding at p_max"))
-    return report
+    K = spans[0]
+    dimV = sum(F.base.block_sizes)
+    # each K_p's tower is built once, up to the highest level
+    local_dims = [[localized_tensor_dim(F.levels[k], basis) for k, basis in
+                   enumerate(_fock_level_spans(F, max(levels, default=0),
+                                               span))]
+                  for span in spans]
+    reports = []
+    for n in levels:
+        sample_flats = [_random_flat(K.basis, rng) for _ in range(3)]
+        rows = []       # (p, dim K_p, measured, bound, ratio)
+        containment = 0.0
+        for p, (span, dims) in enumerate(zip(spans, local_dims), start=1):
+            measured = sum(dims[:n + 1])
+            bound = n * p ** n * dimV * K.complex_dim ** n
+            ratio = np.log(measured) / p if measured > 0 else 0.0
+            rows.append((p, span.complex_dim, measured, bound, ratio))
+            outside = np.eye(F.bimodule.dim) - span.projection
+            for j in range(p):
+                Uj = bog.power(j)
+                for flat in sample_flats:
+                    v = Uj @ flat
+                    containment = max(containment,
+                                      float(np.linalg.norm(outside @ v))
+                                      / max(1.0, float(np.linalg.norm(v))))
+        ratios = [r for (*_, r) in rows]
+        tail = ratios[int(np.argmax(ratios)):]
+        report = VerificationReport(
+            suite="rank-growth",
+            parameters={"n": n, "dim_C(K)": K.complex_dim, "dim(V)": dimV})
+        table = {f"p={p}": {"dim_Kp": dk, "measured": m, "bound": b,
+                            "log_dim_over_p": round(r, 6)}
+                 for (p, dk, m, b, r) in rows}
+        report.add_bool("dimension-bound",
+                        "dim(F_n(K_p) (x)_B V) <= n p^n dim(V) dim_C(K)^n",
+                        all(m <= b for (_, _, m, b, _) in rows), table=table)
+        report.add("word-containment",
+                   "conjugated words stay inside the tower of K_p",
+                   containment, tol)
+        report.add_bool("ratio-trend",
+                        "log(dim)/p non-increasing past its peak",
+                        all(a >= b - 1e-12 for a, b in zip(tail, tail[1:])),
+                        ratios=[round(r, 6) for r in ratios],
+                        note=("saturating growth subspace"
+                              if rows[-1][1] < len(spans) * K.complex_dim else
+                              "growth subspace still expanding at p_max"))
+        reports.append(report)
+    return reports

@@ -373,8 +373,7 @@ def run_toeplitz(ctx, st):
     for H in candidates[:2]:
         F = fk.FockSpace(H, st.N(3), dim_cap=st.dim_cap)
         L = F.creation_matrix(fk.isometric_vector(H, rng))
-        spec = fk.random_word_spec(F, rng, 2, balanced=True)
-        a = F.gauge_expectation(fk.word(F, spec))
+        a = F.gauge_expectation(fk.word(F, *fk.random_word(F, rng, 1)))
         _, rep = fk.toeplitz_endomorphism(F, a, L, rng=rng, tol=st.tol)
         rep.merge(fk.endomorphism_injectivity_check(F, L, F.N - 1, rng))
         rep.parameters.update({"N": F.N, "dim": F.dim})
@@ -493,15 +492,12 @@ def run_bog(ctx, st):
         if span is None:
             span = submodule_projection(
                 [bog.module.basis()[0], bog.module.basis()[-1]])
-        reports.append(bg.kp_subspace(bog, span, entry["p_max"],
-                                      tol=st.tol)[1])
-        spanp, _ = bg.kp_subspace(bog, span, min(2, entry["p_max"]),
-                                  tol=st.tol)
-        reports.append(bg.compression_channels(F, n, spanp, rng,
-                                               tol=st.tol)[1])
-        for level in entry.get("levels", [n]):
-            reports.append(bg.entropy_bound_report(
-                F, bog, span, level, entry["p_max"], rng, tol=st.tol))
+        spans, rep = bg.kp_subspace(bog, span, entry["p_max"], tol=st.tol)
+        reports.append(rep)
+        reports.append(bg.compression_channels(
+            F, n, spans[min(2, entry["p_max"]) - 1], rng, tol=st.tol)[1])
+        reports.extend(bg.entropy_bound_report(
+            F, bog, spans, entry.get("levels", [n]), rng, tol=st.tol))
     return reports
 
 

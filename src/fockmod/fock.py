@@ -125,37 +125,26 @@ class FockSpace:
 
 # -- words ------------------------------------------------------------------
 
-CREATE = "create"
-ANNIHILATE = "annihilate"
-
-
-class WordSpec:
-    """Alternating word b_0 l(h_1)^g1 b_1 ... l(h_m)^gm b_m."""
-
-    def __init__(self, coeffs, factors):
-        self.coeffs = list(coeffs)
-        self.factors = list(factors)
-        if len(self.coeffs) != len(self.factors) + 1:
-            raise StructureError("need one more coefficient than factors")
-        for h, g in self.factors:
-            if g not in (CREATE, ANNIHILATE):
-                raise StructureError(f"unknown factor kind {g!r}")
-
-    @property
-    def degrees(self):
-        return [1 if g == CREATE else -1 for _, g in self.factors]
-
-    @property
-    def net_degree(self):
-        return sum(self.degrees)
-
-
-def word(F: FockSpace, spec: WordSpec):
-    M = F.left_matrix(spec.coeffs[0])
-    for (h, g), b in zip(spec.factors, spec.coeffs[1:]):
+def word(F: FockSpace, coeffs, hs):
+    """The balanced word b_0 l(h_1) b_1 ... l(h_m) b_m l(h_{m+1})* ...
+    l(h_{2m})* b_{2m} with m = len(hs) / 2: every creator before every
+    annihilator, as in the gauge-invariant core."""
+    if len(hs) % 2 or len(coeffs) != len(hs) + 1:
+        raise StructureError("need 2m vectors and 2m + 1 coefficients")
+    m = len(hs) // 2
+    M = F.left_matrix(coeffs[0])
+    for i, (h, b) in enumerate(zip(hs, coeffs[1:])):
         c = F.creation_matrix(h)
-        M = M @ (c if g == CREATE else c.conj().T) @ F.left_matrix(b)
+        M = M @ (c if i < m else c.conj().T) @ F.left_matrix(b)
     return M
+
+
+def random_word(F: FockSpace, rng, m):
+    """Coefficients and vectors of a random balanced word with m creators:
+    2m + 1 elements of B, then 2m vectors of H."""
+    coeffs = [F.base.random_element(rng) for _ in range(2 * m + 1)]
+    hs = [F.bimodule.random_vector(rng) for _ in range(2 * m)]
+    return coeffs, hs
 
 
 # -- verification operations ------------------------------------
@@ -171,13 +160,13 @@ def masked_norm(F: FockSpace, M, max_level):
     return float(np.linalg.norm(M[:, :cut]))
 
 
-def creation_relations_check(F: FockSpace, rng, samples=5,
+def creation_relations_check(F: FockSpace, rng,
                              tol=DEFAULT_TOL) -> VerificationReport:
     """l(h)*l(g) = <h,g>(1 - E_N) and b1 l(h) b2 = l(b1 h b2)."""
     report = VerificationReport(suite="creation-relations")
     H = F.bimodule
     res_ls = res_bimod = 0.0
-    for _ in range(samples):
+    for _ in range(5):
         h = H.random_vector(rng)
         g = H.random_vector(rng)
         b1 = F.base.random_element(rng)
@@ -199,7 +188,7 @@ def creation_relations_check(F: FockSpace, rng, samples=5,
     return report
 
 
-def expectation_properties_check(F: FockSpace, rng, samples=4,
+def expectation_properties_check(F: FockSpace, rng,
                                  tol=DEFAULT_TOL) -> VerificationReport:
     """Vacuum expectation E and gauge expectation Phi: idempotent, unital,
     compatible (E = E . Phi), Phi kills unbalanced words and fixes balanced
@@ -220,7 +209,7 @@ def expectation_properties_check(F: FockSpace, rng, samples=4,
     report.add("vacuum-pairing", "E(l(h)* l(g)) = <h,g>",
                (lhs - rhs).norm() / max(1.0, h.norm() * g.norm()), tol)
     res_idem = res_ephi = 0.0
-    for _ in range(samples):
+    for _ in range(4):
         T = rng.standard_normal((F.dim, F.dim)) + 1j * rng.standard_normal((F.dim, F.dim))
         PT = F.gauge_expectation(T)
         res_idem = max(res_idem, np.linalg.norm(F.gauge_expectation(PT) - PT)
@@ -241,22 +230,7 @@ def expectation_properties_check(F: FockSpace, rng, samples=4,
     return report
 
 
-def random_word_spec(F: FockSpace, rng, m, balanced=False, vectors=None):
-    H = F.bimodule
-    kinds = []
-    if balanced:
-        kinds = [CREATE] * (m // 2) + [ANNIHILATE] * (m - m // 2)
-    else:
-        kinds = [CREATE if rng.random() < 0.5 else ANNIHILATE for _ in range(m)]
-    coeffs = [F.base.random_element(rng) for _ in range(m + 1)]
-    if vectors is None:
-        factors = [(H.random_vector(rng), g) for g in kinds]
-    else:
-        factors = [(vectors[rng.integers(len(vectors))], g) for g in kinds]
-    return WordSpec(coeffs, factors)
-
-
-def ideal_structure_check(F: FockSpace, n, rng, samples=4,
+def ideal_structure_check(F: FockSpace, n, rng,
                           tol=DEFAULT_TOL) -> VerificationReport:
     """Generators of the n-th ideal of the balanced-word filtration:
     they kill levels below n, restrict to explicit finite-rank operators on
@@ -264,14 +238,10 @@ def ideal_structure_check(F: FockSpace, n, rng, samples=4,
     if F.N < n:
         raise PreconditionError("truncation below the requested filtration level")
     report = VerificationReport(suite="ideal-structure")
-    H = F.bimodule
     res_kill = res_rank = res_prod = 0.0
-    for _ in range(samples):
-        coeffs = [F.base.random_element(rng) for _ in range(2 * n + 1)]
-        hs = [H.random_vector(rng) for _ in range(2 * n)]
-        spec = WordSpec(coeffs, [(h, CREATE) for h in hs[:n]]
-                        + [(h, ANNIHILATE) for h in hs[n:]])
-        x = word(F, spec)
+    for _ in range(4):
+        coeffs, hs = random_word(F, rng, n)
+        x = word(F, coeffs, hs)
         scale = max(1.0, np.prod([c.norm() for c in coeffs])
                     * np.prod([h.norm() for h in hs]))
         res_kill = max(res_kill,
@@ -297,7 +267,7 @@ def ideal_structure_check(F: FockSpace, n, rng, samples=4,
         res_rank = max(res_rank,
                        np.linalg.norm(x[s, s] - rank_one, 2) / scale)
         # ideal property: (balanced word) . x still kills levels < n
-        a = word(F, random_word_spec(F, rng, 2, balanced=True))
+        a = word(F, *random_word(F, rng, 1))
         res_prod = max(res_prod, masked_norm(F, a @ x, n - 1)
                        / (scale * max(1.0, np.linalg.norm(a, 2))))
     report.add("ideal-kills-lower-levels",
@@ -309,7 +279,7 @@ def ideal_structure_check(F: FockSpace, n, rng, samples=4,
     return report
 
 
-def quotient_dimension_check(F: FockSpace, n, rng, words_per_length=6,
+def quotient_dimension_check(F: FockSpace, n, rng,
                              tol=DEFAULT_TOL) -> VerificationReport:
     """The quotient of the depth-n word span by the n-th ideal is realized by
     compression to levels below n, and agrees there with the depth-(n-1)
@@ -320,19 +290,13 @@ def quotient_dimension_check(F: FockSpace, n, rng, words_per_length=6,
     cut = int(F.offsets[n])     # levels <= n - 1
 
     def compressed_span(depth):
-        mats = []
-        for m in range(0, depth + 1):
-            for _ in range(words_per_length):
-                spec = random_word_spec(F, rng, 2 * m, balanced=True)
-                mats.append(word(F, spec)[:cut, :cut].ravel())
-        return mats
+        return [word(F, *random_word(F, rng, m))[:cut, :cut].ravel()
+                for m in range(depth + 1) for _ in range(6)]
 
     res = 0.0
-    for _ in range(words_per_length):
-        coeffs = [F.base.random_element(rng) for _ in range(2 * n + 1)]
-        hs = [F.bimodule.random_vector(rng) for _ in range(2 * n)]
-        x = word(F, WordSpec(coeffs, [(h, CREATE) for h in hs[:n]]
-                             + [(h, ANNIHILATE) for h in hs[n:]]))
+    for _ in range(6):
+        coeffs, hs = random_word(F, rng, n)
+        x = word(F, coeffs, hs)
         scale = max(1.0, np.prod([c.norm() for c in coeffs])
                     * np.prod([h.norm() for h in hs]))
         res = max(res, np.linalg.norm(x[:cut, :cut], 2) / scale)
@@ -483,16 +447,14 @@ def toeplitz_endomorphism(F: FockSpace, a, L, rng=None, tol=DEFAULT_TOL):
     return out, report
 
 
-def endomorphism_injectivity_check(F: FockSpace, L, n, rng,
-                                   words_per_length=5) -> VerificationReport:
+def endomorphism_injectivity_check(F: FockSpace, L, n,
+                                   rng) -> VerificationReport:
     """Rank preservation of x -> L x L* on spans of balanced words."""
     report = VerificationReport(suite="endomorphism-injectivity")
     if n > F.N - 1:
         raise PreconditionError("need n <= N - 1 for overflow-free words")
-    mats = []
-    for m in range(0, n + 1):
-        for _ in range(words_per_length):
-            mats.append(word(F, random_word_spec(F, rng, 2 * m, balanced=True)))
+    mats = [word(F, *random_word(F, rng, m))
+            for m in range(n + 1) for _ in range(5)]
     r_in = complex_rank([m.ravel() for m in mats])
     r_out = complex_rank([(L @ m @ L.conj().T).ravel() for m in mats])
     report.add_bool("rank-preserved",

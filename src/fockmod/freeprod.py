@@ -243,7 +243,9 @@ class AmalgSetup:
         self.eta_map = CPLinearMap.from_callable(self.A, self.A, self.eta)
         self.H, self.xi = cp_bimodule(self.A, self.eta_map)
         self.F = FockSpace(self.H, N, dim_cap=dim_cap)
-        self.L = self.F.creation_matrix(self.xi)
+        L = self.L = self.F.creation_matrix(self.xi)
+        self.P = np.eye(self.F.dim) - L @ L @ L.conj().T @ L.conj().T
+        self.W = self.P @ (L + L.conj().T) @ self.P
 
     # element plumbing ------------------------------------------------------
 
@@ -279,16 +281,6 @@ class AmalgSetup:
     def psi(self, *factors) -> AlgebraElement:
         """The D-valued expectation phi . E of the product of the factors."""
         return self.phi(self.F.vacuum_expectation(*factors))
-
-    @property
-    def P(self):
-        L = self.L
-        return np.eye(self.F.dim) - L @ L @ L.conj().T @ L.conj().T
-
-    @property
-    def W(self):
-        P = self.P
-        return P @ (self.L + self.L.conj().T) @ P
 
 
 def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,

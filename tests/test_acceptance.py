@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from fockmod.bogoliubov import entropy_bound_report
+from fockmod.bogoliubov import entropy_bound_report, kp_subspace
 from fockmod.cstar import CPLinearMap, CStarAlgebra, ConditionalExpectation
 from fockmod.crossed import (CrossedProduct, crossed_product, folner_average,
                              smearing_map)
@@ -210,10 +210,9 @@ def test_criterion_10_rank_growth_bound():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
     rng = np.random.default_rng(SEED)
-    ok = True
-    for n in (1, 2, 3):
-        ok = ok and entropy_bound_report(F, U, K, n, p_max=6, rng=rng,
-                                         tol=1e-8).passed
+    spans, _ = kp_subspace(U, K, 6, tol=1e-8)
+    ok = all(rep.passed for rep in entropy_bound_report(
+        F, U, spans, (1, 2, 3), rng, tol=1e-8))
     elapsed = time.time() - t0
     conclude(10, "rank-growth-bound", ok and elapsed < 300.0,
              f"n in 1..3, p in 1..6, {elapsed:.1f}s")

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
-from fockmod.bogoliubov import (BogoliubovMap, augmented_bogoliubov,
+from fockmod import bogoliubov as bg
+from fockmod import cli
+from fockmod.bogoliubov import (BogoliubovMap, _fock_level_spans,
+                                _random_flat, augmented_bogoliubov,
                                 compression_channels,
                                 entropy_bound_report, fock_extension,
                                 identity_bogoliubov, kp_subspace,
-                                validate_bogoliubov)
-from fockmod.cstar import CStarAlgebra, haar_unitary_matrix
+                                localized_tensor_dim, validate_bogoliubov)
+from fockmod.cstar import (CStarAlgebra, PreconditionError,
+                           haar_unitary_matrix)
 from fockmod.fock import FockSpace
-from fockmod.hilbmod import AugmentedModule, TensorStep, make_bimodule
+from fockmod.hilbmod import (AugmentedModule, TensorStep, make_bimodule,
+                             submodule_projection)
 from fockmod.instances import (flip_twisted_module,
                                multiplicity_shift_instance, random_bogoliubov)
+from fockmod.report import VerificationReport
 
 RNG = np.random.default_rng(61)
 
@@ -76,17 +82,26 @@ def test_kp_dimensions_grow_until_saturation():
     H, K, U = multiplicity_shift_instance(copies=3, block=2)
     dims = []
     for p in range(1, 6):
-        span, rep = kp_subspace(U, K, p)
+        spans, rep = kp_subspace(U, K, p)
         assert rep.passed, rep.failures
-        dims.append(span.complex_dim)
+        dims.append(spans[-1].complex_dim)
     assert dims == [4, 8, 12, 12, 12]
+    assert [span.complex_dim for span in spans] == dims
+
+
+def test_zero_growth_subspace_is_rejected():
+    H, K, U = multiplicity_shift_instance()
+    K0 = submodule_projection([H.from_flat(np.zeros(H.dim))])
+    assert K0.basis == []
+    with pytest.raises(PreconditionError, match="growth subspace K is zero"):
+        kp_subspace(U, K0, 2)
 
 
 def test_compression_channel_properties():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
-    span, _ = kp_subspace(U, K, 2)
-    Q, rep = compression_channels(F, 2, span, RNG, tol=1e-8)
+    spans, _ = kp_subspace(U, K, 2)
+    Q, rep = compression_channels(F, 2, spans[-1], RNG, tol=1e-8)
     assert rep.passed, rep.failures
     assert np.linalg.norm(Q @ Q - Q) < 1e-9
     assert np.linalg.norm(Q - Q.conj().T) < 1e-9
@@ -95,8 +110,10 @@ def test_compression_channel_properties():
 def test_entropy_dimension_bound_on_shift_grid():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
-    for n in (1, 2, 3):
-        rep = entropy_bound_report(F, U, K, n, p_max=4, rng=RNG)
+    spans, _ = kp_subspace(U, K, 4)
+    reports = entropy_bound_report(F, U, spans, (1, 2, 3), RNG)
+    assert [rep.parameters["n"] for rep in reports] == [1, 2, 3]
+    for rep in reports:
         checks = {c.name: c for c in rep.checks}
         assert checks["dimension-bound"].passed, \
             checks["dimension-bound"].details["table"]
@@ -106,7 +123,8 @@ def test_entropy_dimension_bound_on_shift_grid():
 def test_entropy_measured_dims_for_shift():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
-    rep = entropy_bound_report(F, U, K, 1, p_max=5, rng=RNG)
+    spans, _ = kp_subspace(U, K, 5)
+    rep, = entropy_bound_report(F, U, spans, [1], RNG)
     table = {c.name: c for c in rep.checks}["dimension-bound"].details["table"]
     measured = [row["measured"] for row in table.values()]
     assert measured == [4, 6, 8, 8, 8]
@@ -213,3 +231,113 @@ def test_non_bimodular_map_fails_intertwining(augmented):
     assert "creation-intertwining" in {c.name for c in rep.failures}
     assert ref > 1e-9
     assert abs(res - ref) <= 1e-12 * ref
+
+
+def _reference_entropy_bound_report(F, bog, K, n, p_max, rng, samples=3,
+                                    tol=1e-9):
+    """entropy_bound_report as it was before it took the growth chain: one
+    level per call, K_p rebuilt for every p.  Kept verbatim, with the
+    K_p build of kp_subspace inlined, as the reference."""
+    if n > F.N:
+        raise PreconditionError("tower level exceeds the truncation")
+    H = F.bimodule
+    dimV = sum(H.base.block_sizes)
+    sample_flats = [_random_flat(K.basis, rng) for _ in range(samples)]
+    rows = []           # (p, dim K_p, measured, bound, ratio)
+    containment = 0.0
+    for p in range(1, p_max + 1):
+        gens = []
+        for i in range(p):
+            Ui = bog.power(i)
+            gens.extend(H.from_flat(Ui @ g.flat) for g in K.generators)
+        span = submodule_projection(gens)
+        level_bases = _fock_level_spans(F, n, span)
+        measured = sum(localized_tensor_dim(F.levels[k], basis)
+                       for k, basis in enumerate(level_bases))
+        bound = n * p ** n * dimV * K.complex_dim ** n
+        ratio = np.log(measured) / p if measured > 0 else 0.0
+        rows.append((p, span.complex_dim, measured, bound, ratio))
+        Qp = span.projection
+        one = np.eye(H.dim)
+        for j in range(p):
+            Uj = bog.power(j)
+            for flat in sample_flats:
+                v = Uj @ flat
+                containment = max(containment,
+                                  float(np.linalg.norm((one - Qp) @ v))
+                                  / max(1.0, float(np.linalg.norm(v))))
+    ratios = [r for (*_, r) in rows]
+    tail = ratios[int(np.argmax(ratios)):] if ratios else []
+    report = VerificationReport(
+        suite="rank-growth",
+        parameters={"n": n, "dim_C(K)": K.complex_dim, "dim(V)": dimV})
+    table = {f"p={p}": {"dim_Kp": dk, "measured": m, "bound": b,
+                        "log_dim_over_p": round(r, 6)}
+             for (p, dk, m, b, r) in rows}
+    report.add_bool("dimension-bound",
+                    "dim(F_n(K_p) (x)_B V) <= n p^n dim(V) dim_C(K)^n",
+                    all(m <= b for (_, _, m, b, _) in rows), table=table)
+    report.add("word-containment",
+               "conjugated words stay inside the tower of K_p",
+               containment, tol)
+    report.add_bool("ratio-trend",
+                    "log(dim)/p non-increasing past its peak",
+                    all(a >= b - 1e-12 for a, b in zip(tail, tail[1:])),
+                    ratios=[round(r, 6) for r in ratios],
+                    note=("saturating growth subspace" if rows and
+                          rows[-1][1] < p_max * K.complex_dim else
+                          "growth subspace still expanding at p_max"))
+    return report
+
+
+def _first_and_last(bog):
+    basis = bog.module.basis()
+    return submodule_projection([basis[0], basis[-1]])
+
+
+def _entropy_cases():
+    """(map, growth subspace, levels, p_max) of the default bog suite."""
+    H, K, U = multiplicity_shift_instance()
+    bog = random_bogoliubov(np.random.default_rng(5))
+    _, Uf = flip_twisted_module()
+    return [(U, K, [1, 2, 3], 6), (bog, _first_and_last(bog), [2], 3),
+            (Uf, _first_and_last(Uf), [1], 2)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_entropy_reports_match_per_level_reference(case):
+    bog, K, levels, p_max = _entropy_cases()[case]
+    F = FockSpace(bog.module, max(levels))
+    rng, rng_ref = np.random.default_rng(19), np.random.default_rng(19)
+    spans, _ = kp_subspace(bog, K, p_max)
+    got = entropy_bound_report(F, bog, spans, levels, rng)
+    want = [_reference_entropy_bound_report(F, bog, K, n, p_max, rng_ref)
+            for n in levels]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.suite, a.parameters) == (b.suite, b.parameters)
+        assert [(c.name, c.anchor, c.residual, c.threshold, c.passed,
+                 c.details) for c in a.checks] \
+            == [(c.name, c.anchor, c.residual, c.threshold, c.passed,
+                 c.details) for c in b.checks]
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert entropy_bound_report(F, bog, spans, [], rng) == []
+
+
+def test_bog_suite_builds_each_growth_chain_once(monkeypatch):
+    counts = {"kp_subspace": 0, "_fock_level_spans": 0}
+
+    def counted(name):
+        fn = getattr(bg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(bg, name, counted(name))
+    reports = cli.run_suites(None, ("bog",), cli.Settings(seed=0))
+    assert reports and all(rep.passed for rep in reports)
+    assert counts["kp_subspace"] == 3
+    assert counts["_fock_level_spans"] <= 14

@@ -348,6 +348,28 @@ def test_invalid_twisted_map_fails(tmp_path, capsys):
     assert "inner-twist" in out
 
 
+def test_zero_growth_subspace_is_a_precondition_error(tmp_path, capsys):
+    path = write_instance(tmp_path, {
+        "name": "zero-subspace",
+        "parameters": {"truncation": 2},
+        "algebras": {"pair": {"blocks": [1, 1]}},
+        "bimodules": {"swap": {"base": "pair",
+                               "right_multiplicities": [1, 1],
+                               "left_multiplicities": [[0, 1], [1, 0]]}},
+        "bogoliubov": {"flip": {
+            "bimodule": "swap",
+            "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            "beta": {"source": [1, 0]},
+            "subspace": [[[0.0, 0.0], [0.0, 0.0]]],
+        }},
+    })
+    code = main(["--suite", "bog", "--instance", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECONDITION
+    assert "growth subspace K is zero" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_suite_rejected():
     try:
         main(["--suite", "nonsense"])

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from fockmod import fock
-from fockmod.cstar import CStarAlgebra, PreconditionError, ResourceCapError
+from fockmod.cstar import (CStarAlgebra, PreconditionError, ResourceCapError,
+                           StructureError)
 from fockmod.fock import (FockSpace, creation_relations_check,
                           endomorphism_injectivity_check,
                           expectation_properties_check,
                           fock_factorization_check, ideal_structure_check,
                           isometric_vector, masked_norm, power_dims,
-                          quotient_dimension_check, random_word_spec,
+                          quotient_dimension_check, random_word,
                           toeplitz_endomorphism, word)
 from fockmod.hilbmod import (HilbertBimodule, TensorStep, complex_rank,
                              make_bimodule, trivial_module, vector_to_element)
@@ -101,13 +102,87 @@ def test_factorization_small_words():
         assert rep.passed, rep.failures
 
 
-def test_balanced_word_specs_have_zero_net_degree():
+def test_balanced_words_keep_every_level():
     F = plane_fock()
     for _ in range(5):
-        spec = random_word_spec(F, RNG, 4, balanced=True)
-        assert spec.net_degree == 0
-        W = word(F, spec)
+        W = word(F, *random_word(F, RNG, 2))
         assert W.shape == (F.dim, F.dim)
+        assert np.array_equal(F.gauge_expectation(W), W)
+
+
+# The general alternating word of the parent implementation, kept verbatim
+# as the reference for word and random_word on balanced words.
+
+CREATE = "create"
+ANNIHILATE = "annihilate"
+
+
+class WordSpec:
+    """Alternating word b_0 l(h_1)^g1 b_1 ... l(h_m)^gm b_m."""
+
+    def __init__(self, coeffs, factors):
+        self.coeffs = list(coeffs)
+        self.factors = list(factors)
+        if len(self.coeffs) != len(self.factors) + 1:
+            raise StructureError("need one more coefficient than factors")
+        for h, g in self.factors:
+            if g not in (CREATE, ANNIHILATE):
+                raise StructureError(f"unknown factor kind {g!r}")
+
+    @property
+    def degrees(self):
+        return [1 if g == CREATE else -1 for _, g in self.factors]
+
+    @property
+    def net_degree(self):
+        return sum(self.degrees)
+
+
+def _reference_word(F: FockSpace, spec: WordSpec):
+    M = F.left_matrix(spec.coeffs[0])
+    for (h, g), b in zip(spec.factors, spec.coeffs[1:]):
+        c = F.creation_matrix(h)
+        M = M @ (c if g == CREATE else c.conj().T) @ F.left_matrix(b)
+    return M
+
+
+def _reference_random_word_spec(F: FockSpace, rng, m, balanced=False,
+                                vectors=None):
+    H = F.bimodule
+    kinds = []
+    if balanced:
+        kinds = [CREATE] * (m // 2) + [ANNIHILATE] * (m - m // 2)
+    else:
+        kinds = [CREATE if rng.random() < 0.5 else ANNIHILATE for _ in range(m)]
+    coeffs = [F.base.random_element(rng) for _ in range(m + 1)]
+    if vectors is None:
+        factors = [(H.random_vector(rng), g) for g in kinds]
+    else:
+        factors = [(vectors[rng.integers(len(vectors))], g) for g in kinds]
+    return WordSpec(coeffs, factors)
+
+
+def test_word_matches_alternating_reference():
+    spaces = [plane_fock()] + [FockSpace(H, N)
+                               for H, N in creation_instances(25, 5)[:2]]
+    for F in spaces:
+        for m in range(4):
+            rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+            W = word(F, *random_word(F, rng, m))
+            spec = _reference_random_word_spec(F, rng_ref, 2 * m,
+                                               balanced=True)
+            assert spec.net_degree == 0
+            assert np.array_equal(W, _reference_word(F, spec))
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_word_rejects_wrong_counts():
+    F = plane_fock()
+    coeffs, hs = random_word(F, RNG, 1)
+    with pytest.raises(StructureError):
+        word(F, coeffs[:-1], hs)
+    with pytest.raises(StructureError):
+        word(F, coeffs[:-1], hs[:-1])
 
 
 def test_toeplitz_endomorphism_and_injectivity():

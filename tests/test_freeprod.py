@@ -88,6 +88,12 @@ def test_amalg_corner_projection_and_swap():
     assert rep.passed, rep.failures
 
 
+def test_amalg_setup_builds_P_and_W_once():
+    setup = small_setup()
+    assert setup.P is setup.P
+    assert setup.W is setup.W
+
+
 def test_amalg_alternating_moments_vanish():
     setup = small_setup()
     rep = wunitary_vanishing(setup, 2, RNG)
