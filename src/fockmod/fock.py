@@ -11,6 +11,8 @@ below level N, determined by degree bookkeeping.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .cstar import (AlgebraElement, PreconditionError, ResourceCapError,
@@ -80,10 +82,6 @@ class FockSpace:
         out[self.level_slice(k)] = flat_vec
         return out
 
-    def vacuum_vector(self):
-        one = element_to_vector(self.levels[0], self.base.identity())
-        return self.embed_level(0, one.flat)
-
     # -- algebra actions ---------------------------------------------------
 
     def left_matrix(self, b: AlgebraElement):
@@ -125,18 +123,54 @@ class FockSpace:
 
 # -- words ------------------------------------------------------------------
 
-def word(F: FockSpace, coeffs, hs):
-    """The balanced word b_0 l(h_1) b_1 ... l(h_m) b_m l(h_{m+1})* ...
-    l(h_{2m})* b_{2m} with m = len(hs) / 2: every creator before every
-    annihilator, as in the gauge-invariant core."""
+def word_blocks(F: FockSpace, coeffs, hs):
+    """The diagonal level blocks x_0, ..., x_N of the balanced word
+    b_0 l(h_1) b_1 ... l(h_m) b_m l(h_{m+1})* ... l(h_{2m})* b_{2m} with
+    m = len(hs) / 2, one level at a time and only when asked for.
+
+    A balanced word has degree 0, so it maps each level into itself: x_k is
+    zero for k < m, and otherwise the product, from the left, of the level
+    blocks of the factors on the path k -> k - m -> k, which never reaches
+    the top level's compressed creation."""
     if len(hs) % 2 or len(coeffs) != len(hs) + 1:
         raise StructureError("need 2m vectors and 2m + 1 coefficients")
+    if any(h.parent is not F.bimodule for h in hs):
+        raise StructureError("vector outside the base bimodule")
     m = len(hs) // 2
-    M = F.left_matrix(coeffs[0])
-    for i, (h, b) in enumerate(zip(hs, coeffs[1:])):
-        c = F.creation_matrix(h)
-        M = M @ (c if i < m else c.conj().T) @ F.left_matrix(b)
-    return M
+
+    def blocks():
+        for k, d in enumerate(F.level_dims):
+            if k < m:
+                yield np.zeros((d, d), complex)
+                continue
+            M = F.levels[k].left_matrix(coeffs[0])
+            for i, (h, b) in enumerate(zip(hs, coeffs[1:])):
+                if i < m:       # l(h): level k-i-1 -> level k-i
+                    j = k - i - 1
+                    M = M @ F.maps[j].apply(h.flat) @ F.levels[j].left_matrix(b)
+                else:           # l(h)*: level j+1 -> level j
+                    j = k - 2 * m + i
+                    M = M @ F.maps[j].apply(h.flat).conj().T \
+                        @ F.levels[j + 1].left_matrix(b)
+            yield M
+
+    return blocks()
+
+
+def word(F: FockSpace, coeffs, hs):
+    """The balanced word of `word_blocks` as a dense Fock-size matrix."""
+    return block_diag_matrix(list(word_blocks(F, coeffs, hs)), F.dim)
+
+
+def _vacuum_tensor(F: FockSpace, coeffs, hs):
+    """b_0.(h_1 (x) b_1.(... (x) (h_p (x) b_p.1))) in level p, grown from the
+    vacuum with one tensor step per vector: l(h) on level j is h (x) .,
+    so this is b_0 l(h_1) b_1 ... l(h_p) b_p applied to the vacuum."""
+    x = element_to_vector(F.levels[0], coeffs[-1])
+    for j, (h, b) in enumerate(zip(hs[::-1], coeffs[-2::-1])):
+        step = F.maps[j]
+        x = step.module.from_flat(step.tensor(h.flat, x.flat)).lmul(b)
+    return x
 
 
 def random_word(F: FockSpace, rng, m):
@@ -230,46 +264,54 @@ def expectation_properties_check(F: FockSpace, rng,
     return report
 
 
+def _check_depth(F: FockSpace, n):
+    if n < 1:
+        raise PreconditionError("filtration depth must be at least 1")
+    if F.N < n:
+        raise PreconditionError("truncation below the requested filtration level")
+
+
+def _word_scale(coeffs, hs):
+    return max(1.0, np.prod([c.norm() for c in coeffs])
+               * np.prod([h.norm() for h in hs]))
+
+
 def ideal_structure_check(F: FockSpace, n, rng,
                           tol=DEFAULT_TOL) -> VerificationReport:
     """Generators of the n-th ideal of the balanced-word filtration:
     they kill levels below n, restrict to explicit finite-rank operators on
-    level n, and absorb products of balanced words."""
-    if F.N < n:
-        raise PreconditionError("truncation below the requested filtration level")
+    level n, and absorb products of balanced words.  Everything is read off
+    level blocks; residuals on levels below n are Frobenius norms, and the
+    spectral norm of a block-diagonal operator is the largest of its
+    blocks'."""
+    _check_depth(F, n)
     report = VerificationReport(suite="ideal-structure")
+    one = F.base.identity()
     res_kill = res_rank = res_prod = 0.0
     for _ in range(4):
         coeffs, hs = random_word(F, rng, n)
-        x = word(F, coeffs, hs)
-        scale = max(1.0, np.prod([c.norm() for c in coeffs])
-                    * np.prod([h.norm() for h in hs]))
+        x = list(islice(word_blocks(F, coeffs, hs), n + 1))
+        scale = _word_scale(coeffs, hs)
         res_kill = max(res_kill,
-                       masked_norm(F, x, n - 1) / scale)
-        # explicit finite-rank form on level n: x w = u <v, w>
-        prefix = F.left_matrix(coeffs[0]).copy()
-        for i in range(n):
-            prefix = prefix @ F.creation_matrix(hs[i]) @ F.left_matrix(coeffs[i + 1])
-        u_flat = prefix @ F.vacuum_vector()
-        suffix_adj = np.eye(F.dim, dtype=complex)
-        for i in range(n):
-            suffix_adj = F.left_matrix(coeffs[n + 1 + i].adjoint()) \
-                @ F.creation_matrix(hs[n + i]) @ suffix_adj
-        v_flat = suffix_adj @ F.vacuum_vector()
-        lev = F.levels[n]
-        u = lev.from_flat(u_flat[F.level_slice(n)])
-        v = lev.from_flat(v_flat[F.level_slice(n)])
+                       np.linalg.norm([np.linalg.norm(xk) for xk in x[:n]])
+                       / scale)
+        # explicit finite-rank form on level n: x w = u <v, w> with
+        # u = b_0 l(h_1) ... l(h_n) b_n 1 and v = b_2n* l(h_2n) ... l(h_n+1) 1
+        u = _vacuum_tensor(F, coeffs[:n + 1], hs[:n])
+        v = _vacuum_tensor(F, [c.adjoint() for c in coeffs[:n:-1]] + [one],
+                           hs[:n - 1:-1])
         rank_one = block_diag_matrix(
             [_kron_eye(uj @ vj.conj().T, nb)
              for uj, vj, nb in zip(u.comps, v.comps, F.base.block_sizes)],
-            lev.dim)
-        s = F.level_slice(n)
-        res_rank = max(res_rank,
-                       np.linalg.norm(x[s, s] - rank_one, 2) / scale)
+            F.level_dims[n])
+        res_rank = max(res_rank, np.linalg.norm(x[n] - rank_one, 2) / scale)
         # ideal property: (balanced word) . x still kills levels < n
-        a = word(F, *random_word(F, rng, 1))
-        res_prod = max(res_prod, masked_norm(F, a @ x, n - 1)
-                       / (scale * max(1.0, np.linalg.norm(a, 2))))
+        a = list(word_blocks(F, *random_word(F, rng, 1)))
+        a_norm = max(np.linalg.norm(ak, 2) for ak in a)
+        res_prod = max(res_prod,
+                       np.linalg.norm([np.linalg.norm(a[k] @ x[k])
+                                       for k in range(n)])
+                       / (scale * max(1.0, a_norm)))
     report.add("ideal-kills-lower-levels",
                "x in I_n  =>  x|_{F_{n-1}} = 0", res_kill, tol, n=n)
     report.add("ideal-finite-rank-form",
@@ -283,23 +325,25 @@ def quotient_dimension_check(F: FockSpace, n, rng,
                              tol=DEFAULT_TOL) -> VerificationReport:
     """The quotient of the depth-n word span by the n-th ideal is realized by
     compression to levels below n, and agrees there with the depth-(n-1)
-    span."""
+    span.  The compression of a word is its first n level blocks; levels
+    n and above are never evaluated."""
+    _check_depth(F, n)
     report = VerificationReport(suite="filtration-quotient")
-    if F.N < n:
-        raise PreconditionError("truncation below the requested level")
     cut = int(F.offsets[n])     # levels <= n - 1
 
+    def corner(coeffs, hs):
+        return block_diag_matrix(list(islice(word_blocks(F, coeffs, hs), n)),
+                                 cut)
+
     def compressed_span(depth):
-        return [word(F, *random_word(F, rng, m))[:cut, :cut].ravel()
+        return [corner(*random_word(F, rng, m)).ravel()
                 for m in range(depth + 1) for _ in range(6)]
 
     res = 0.0
     for _ in range(6):
         coeffs, hs = random_word(F, rng, n)
-        x = word(F, coeffs, hs)
-        scale = max(1.0, np.prod([c.norm() for c in coeffs])
-                    * np.prod([h.norm() for h in hs]))
-        res = max(res, np.linalg.norm(x[:cut, :cut], 2) / scale)
+        res = max(res, np.linalg.norm(corner(coeffs, hs), 2)
+                  / _word_scale(coeffs, hs))
     report.add("ideal-in-quotient-kernel",
                "I_n compresses to 0 on F_{n-1}", res, tol, n=n)
     r_n = complex_rank(compressed_span(n))
@@ -451,6 +495,8 @@ def endomorphism_injectivity_check(F: FockSpace, L, n,
                                    rng) -> VerificationReport:
     """Rank preservation of x -> L x L* on spans of balanced words."""
     report = VerificationReport(suite="endomorphism-injectivity")
+    if n < 0:
+        raise PreconditionError("word depth must be nonnegative")
     if n > F.N - 1:
         raise PreconditionError("need n <= N - 1 for overflow-free words")
     mats = [word(F, *random_word(F, rng, m))

@@ -10,9 +10,10 @@ from fockmod.fock import (FockSpace, creation_relations_check,
                           fock_factorization_check, ideal_structure_check,
                           isometric_vector, masked_norm, power_dims,
                           quotient_dimension_check, random_word,
-                          toeplitz_endomorphism, word)
+                          toeplitz_endomorphism, word, word_blocks)
 from fockmod.hilbmod import (HilbertBimodule, TensorStep, complex_rank,
-                             make_bimodule, trivial_module, vector_to_element)
+                             element_to_vector, make_bimodule, trivial_module,
+                             vector_to_element)
 from fockmod.instances import creation_instances
 from fockmod.report import VerificationReport
 
@@ -172,8 +173,163 @@ def test_word_matches_alternating_reference():
             spec = _reference_random_word_spec(F, rng_ref, 2 * m,
                                                balanced=True)
             assert spec.net_degree == 0
-            assert np.array_equal(W, _reference_word(F, spec))
+            R = _reference_word(F, spec)
+            zero = R == 0
+            if m == 0:
+                assert np.array_equal(W, R)
+            # a block product sums in another order than the dense one
+            assert np.array_equal(W[zero], R[zero])
+            assert np.linalg.norm(W[~zero] - R[~zero]) \
+                <= 1e-14 * max(1.0, np.linalg.norm(R))
             assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _word_spaces():
+    return [plane_fock(), swap_fock()] + [
+        FockSpace(H, N) for H, N in creation_instances(25, 5)[:2]]
+
+
+def test_word_blocks_are_the_reference_diagonal():
+    for F in _word_spaces():
+        for m in range(4):
+            rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+            blocks = list(word_blocks(F, *random_word(F, rng, m)))
+            R = _reference_word(F, _reference_random_word_spec(
+                F, rng_ref, 2 * m, balanced=True))
+            assert len(blocks) == F.N + 1
+            for k, xk in enumerate(blocks):
+                s = F.level_slice(k)
+                assert xk.shape == (F.level_dims[k],) * 2
+                if k < m:
+                    assert not xk.any()
+                assert np.linalg.norm(xk - R[s, s]) \
+                    <= 1e-14 * max(1.0, np.linalg.norm(R))
+
+
+def test_quotient_corner_is_the_word_corner(monkeypatch):
+    F = swap_fock(4)
+    corners = []
+    block_diag = fock.block_diag_matrix
+
+    def recorded(blocks, total=None):
+        out = block_diag(blocks, total)
+        corners.append(out)
+        return out
+
+    monkeypatch.setattr(fock, "block_diag_matrix", recorded)
+    n, cut = 2, int(F.offsets[2])
+    rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+    rep = quotient_dimension_check(F, n, rng)
+    assert rep.passed, rep.failures
+    monkeypatch.setattr(fock, "block_diag_matrix", block_diag)
+    ms = [n] * 6 + [m for depth in (n, n - 1)
+                    for m in range(depth + 1) for _ in range(6)]
+    assert len(corners) == len(ms)
+    for m, C in zip(ms, corners):
+        assert np.array_equal(C, word(F, *random_word(F, rng_ref, m))[:cut, :cut])
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _reference_vacuum(F: FockSpace):
+    one = element_to_vector(F.levels[0], F.base.identity())
+    return F.embed_level(0, one.flat)
+
+
+def _reference_u_v(F: FockSpace, coeffs, hs, n):
+    """The dense prefix and suffix products of the parent implementation,
+    kept verbatim as the reference for the level-n vectors u and v."""
+    prefix = F.left_matrix(coeffs[0]).copy()
+    for i in range(n):
+        prefix = prefix @ F.creation_matrix(hs[i]) @ F.left_matrix(coeffs[i + 1])
+    u_flat = prefix @ _reference_vacuum(F)
+    suffix_adj = np.eye(F.dim, dtype=complex)
+    for i in range(n):
+        suffix_adj = F.left_matrix(coeffs[n + 1 + i].adjoint()) \
+            @ F.creation_matrix(hs[n + i]) @ suffix_adj
+    v_flat = suffix_adj @ _reference_vacuum(F)
+    lev = F.levels[n]
+    u = lev.from_flat(u_flat[F.level_slice(n)])
+    v = lev.from_flat(v_flat[F.level_slice(n)])
+    return u, v
+
+
+def test_rank_one_vectors_match_dense_prefix_and_suffix():
+    rng = np.random.default_rng(19)
+    for F in _word_spaces():
+        for n in range(1, F.N + 1):
+            coeffs, hs = random_word(F, rng, n)
+            u_ref, v_ref = _reference_u_v(F, coeffs, hs, n)
+            u = fock._vacuum_tensor(F, coeffs[:n + 1], hs[:n])
+            v = fock._vacuum_tensor(
+                F, [c.adjoint() for c in coeffs[:n:-1]] + [F.base.identity()],
+                hs[:n - 1:-1])
+            for got, ref in ((u, u_ref), (v, v_ref)):
+                assert got.parent is F.levels[n]
+                assert np.linalg.norm(got.flat - ref.flat) \
+                    <= 1e-14 * max(1.0, np.linalg.norm(ref.flat))
+
+
+def test_ideal_and_quotient_checks_build_no_fock_size_operators(monkeypatch):
+    calls = {"creation_matrix": 0, "left_matrix": 0}
+
+    def counted(name):
+        original = getattr(FockSpace, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(FockSpace, name, counted(name))
+    for F in (plane_fock(4), swap_fock(4)):
+        for n in (1, 2):
+            rep = ideal_structure_check(F, n, RNG)
+            rep.merge(quotient_dimension_check(F, n, RNG))
+            assert rep.passed, rep.failures
+    assert calls == {"creation_matrix": 0, "left_matrix": 0}
+
+
+def test_quotient_check_never_evaluates_levels_from_n(monkeypatch):
+    F = swap_fock(4)
+    n = 2
+
+    def refuse(self, b):
+        raise AssertionError("level block at or above n evaluated")
+
+    for lev in F.levels[n:]:
+        monkeypatch.setattr(lev, "left_matrix", refuse.__get__(lev))
+    rep = quotient_dimension_check(F, n, RNG)
+    assert rep.passed, rep.failures
+
+
+def _first_instance_fock():
+    H, _ = creation_instances(25, 5)[0]
+    return FockSpace(H, 3)
+
+
+@pytest.mark.parametrize("check, n", [
+    (ideal_structure_check, 0),
+    (quotient_dimension_check, 0),
+    (quotient_dimension_check, -1),
+])
+def test_filtration_depth_below_one_is_refused_before_drawing(check, n):
+    F = _first_instance_fock()
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(PreconditionError, match="at least 1"):
+        check(F, n, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_injectivity_depth_below_zero_is_refused_before_drawing():
+    F = _first_instance_fock()
+    L = F.creation_matrix(F.bimodule.random_vector(RNG))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        endomorphism_injectivity_check(F, L, -1, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_word_rejects_wrong_counts():
