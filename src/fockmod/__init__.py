@@ -8,7 +8,7 @@ from .hilbmod import (AugmentedModule, HilbertBimodule, Localization,
                       ModuleVector, SubmoduleSpan, cp_bimodule, direct_sum,
                       TensorStep, gns_bimodule, gram_schmidt, make_bimodule,
                       submodule_projection, trivial_module)
-from .fock import (FockSpace, creation_relations_check,
+from .fock import (FockSpace, LevelOp, creation_relations_check,
                    fock_factorization_check, ideal_structure_check,
                    isometric_vector, masked_norm, quotient_dimension_check,
                    toeplitz_endomorphism, word)
@@ -31,7 +31,7 @@ __all__ = [
     "HilbertBimodule", "Localization", "ModuleVector", "SubmoduleSpan",
     "TensorStep", "cp_bimodule", "direct_sum", "gns_bimodule",
     "gram_schmidt", "make_bimodule", "submodule_projection",
-    "trivial_module", "FockSpace",
+    "trivial_module", "FockSpace", "LevelOp",
     "creation_relations_check", "fock_factorization_check",
     "ideal_structure_check", "isometric_vector", "masked_norm",
     "quotient_dimension_check", "toeplitz_endomorphism", "word",

@@ -434,6 +434,9 @@ def run_free(ctx, st):
 
 
 def run_amalg(ctx, st):
+    if st.max_word_length < 2:
+        raise PreconditionError(
+            "the amalg freeness checks need --max-word-length at least 2")
     rng = st.rng()
     if ctx and ctx["amalgamated"]:
         pairs = list(ctx["amalgamated"].values())

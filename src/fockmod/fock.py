@@ -49,6 +49,74 @@ def _check_cap(dims, dim_cap):
                 f"localized dimension {total} exceeds the cap {dim_cap}")
 
 
+class LevelOp:
+    """An operator on a truncated Fock space as its level blocks:
+    blocks[i, j] maps level j into level i, and a pair that is not a key is
+    a zero block.  A product sums only over matching middle levels, so
+    creation (blocks (k+1, k)), the left action (blocks (k, k)) and their
+    words never meet a zero block."""
+
+    def __init__(self, dims, blocks):
+        self.dims = tuple(dims)
+        self.blocks = blocks
+
+    def __add__(self, other):
+        out = dict(self.blocks)
+        for key, Y in other.blocks.items():
+            out[key] = out[key] + Y if key in out else Y
+        return LevelOp(self.dims, out)
+
+    def __sub__(self, other):
+        out = dict(self.blocks)
+        for key, Y in other.blocks.items():
+            out[key] = out[key] - Y if key in out else -Y
+        return LevelOp(self.dims, out)
+
+    def __matmul__(self, other):
+        rows = {}
+        for (m, j), Y in other.blocks.items():
+            rows.setdefault(m, []).append((j, Y))
+        out = {}
+        for (i, m), X in self.blocks.items():
+            for j, Y in rows.get(m, ()):
+                Z = X @ Y
+                out[i, j] = out[i, j] + Z if (i, j) in out else Z
+        return LevelOp(self.dims, out)
+
+    def adjoint(self):
+        return LevelOp(self.dims, {(j, i): X.conj().T
+                                   for (i, j), X in self.blocks.items()})
+
+    def restrict(self, max_level):
+        """The operator on inputs from levels <= max_level: the blocks whose
+        input level is at most max_level.  Restricting the rightmost factor
+        of a product first multiplies only those blocks."""
+        return LevelOp(self.dims, {(i, j): X for (i, j), X
+                                   in self.blocks.items() if j <= max_level})
+
+    def norm(self):
+        """Frobenius norm, from the blocks' Frobenius norms."""
+        return float(np.linalg.norm([np.linalg.norm(X)
+                                     for X in self.blocks.values()]))
+
+    def spectral_norm(self):
+        """Exact spectral norm of an operator whose blocks all shift the
+        level by the same amount: each input and each output level then
+        meets one block, so the operator is the direct sum of its blocks
+        and its norm is the largest of theirs."""
+        if len({i - j for i, j in self.blocks}) > 1:
+            raise StructureError("blocks on more than one level shift")
+        return max((float(np.linalg.norm(X, 2))
+                    for X in self.blocks.values()), default=0.0)
+
+    def dense(self):
+        offsets = np.cumsum((0,) + self.dims)
+        out = np.zeros((offsets[-1], offsets[-1]), complex)
+        for (i, j), X in self.blocks.items():
+            out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = X
+        return out
+
+
 class FockSpace:
     """B + H + H(x)H + ... truncated at level N, one chain of tensor steps
     from the vacuum: level k+1 = H (x) level k, and H (x) B = H by h.b."""
@@ -82,11 +150,65 @@ class FockSpace:
         out[self.level_slice(k)] = flat_vec
         return out
 
+    def level_blocks(self, M):
+        """M as a LevelOp: a LevelOp as it is, a dense matrix as views of
+        its level slices (no copy)."""
+        if isinstance(M, LevelOp):
+            return M
+        s = [self.level_slice(k) for k in range(self.N + 1)]
+        return LevelOp(self.level_dims, {(i, j): M[si, sj]
+                                         for i, si in enumerate(s)
+                                         for j, sj in enumerate(s)})
+
     # -- algebra actions ---------------------------------------------------
 
+    def identity(self):
+        return LevelOp(self.level_dims,
+                       {(k, k): np.eye(d, dtype=complex)
+                        for k, d in enumerate(self.level_dims)})
+
+    def left(self, b: AlgebraElement):
+        """Left action of b, level by level.  Level 0 is b itself: component
+        j is kron(b_j, I_{n_j}).  Level k+1 is H (x) level k in the tensor
+        step's row order (s, t, a), where b acts on the row a of H alone:
+        component j is kron(R_j, I_{n_j}) with R_j block diagonal, c_js
+        copies of lambda_s(b) for each base block s, c the left
+        multiplicities of level k and lambda_s(b) the left action of b on
+        component s of H, formed once.  No level is conjugated by its left
+        unitary."""
+        reps = self._left_reps(b)
+        return LevelOp(self.level_dims,
+                       {(k, k): self._left_level(k, b, reps)
+                        for k in range(self.N + 1)})
+
+    def _left_reps(self, b):
+        """lambda_s(b) for every base block s."""
+        return [self.bimodule.left_rep_block(s, b)
+                for s in range(len(self.base.block_sizes))]
+
+    def _left_level(self, k, b, reps):
+        """Level k of `left(b)`, from reps = `_left_reps(b)`."""
+        if k == 0:      # B over itself: one copy of b_j in component j
+            pieces, rows = b.blocks, self.levels[0].left_mult
+        else:
+            pieces, rows = reps, self.levels[k - 1].left_mult
+        X = np.zeros((self.level_dims[k],) * 2, complex)
+        off = 0
+        for row, r, n in zip(rows, self.levels[k].right_mult,
+                             self.base.block_sizes):
+            R = np.zeros((r, r), complex)
+            pos = 0
+            for piece, c in zip(pieces, row):
+                if c:
+                    end = pos + c * len(piece)
+                    R[pos:end, pos:end] = _kron_eye(piece, c, eye_first=True)
+                    pos = end
+            X[off:off + r * n, off:off + r * n] = _kron_eye(R, n)
+            off += r * n
+        return X
+
     def left_matrix(self, b: AlgebraElement):
-        return block_diag_matrix([lv.left_matrix(b) for lv in self.levels],
-                                 self.dim)
+        return self.left(b).dense()
 
     def right_matrix(self, b: AlgebraElement):
         return block_diag_matrix([lv.right_matrix(b) for lv in self.levels],
@@ -94,31 +216,36 @@ class FockSpace:
 
     # -- operators ---------------------------------------------------------
 
-    def creation_matrix(self, h: ModuleVector):
+    def creation(self, h: ModuleVector):
+        """l(h): level k -> level k+1 by k -> h (x) k; level N maps to 0."""
         if h.parent is not self.bimodule:
             raise StructureError("vector outside the base bimodule")
-        T = np.zeros((self.dim, self.dim), complex)
-        for k in range(self.N):
-            T[self.level_slice(k + 1), self.level_slice(k)] = \
-                self.maps[k].apply(h.flat)
-        return T
+        return LevelOp(self.level_dims,
+                       {(k + 1, k): step.apply(h.flat)
+                        for k, step in enumerate(self.maps)})
+
+    def creation_matrix(self, h: ModuleVector):
+        return self.creation(h).dense()
 
     def vacuum_expectation(self, *factors) -> AlgebraElement:
         """Compression of the product of the factors to level 0, read as an
-        element of B.  The thin vacuum columns are pushed through the factors
-        from the right, so the product is never multiplied out."""
+        element of B.  The level-0 columns of the last factor are pushed
+        through the others from the right, so the product is never
+        multiplied out."""
+        ops = [self.level_blocks(M) for M in factors]
+        y = ops[-1].restrict(0)
+        for T in reversed(ops[:-1]):
+            y = T @ y
         d0 = self.level_dims[0]
-        y = factors[-1][:, :d0]
-        for M in reversed(factors[:-1]):
-            y = M @ y
+        y0 = y.blocks.get((0, 0), np.zeros((d0, d0), complex))
         one = element_to_vector(self.levels[0], self.base.identity()).flat
-        return vector_to_element(self.levels[0].from_flat(y[:d0] @ one))
+        return vector_to_element(self.levels[0].from_flat(y0 @ one))
 
-    def gauge_expectation(self, T):
+    def gauge_expectation(self, T) -> LevelOp:
         """Exact projection onto the degree-0 part: keep diagonal level blocks."""
-        return block_diag_matrix(
-            [T[self.level_slice(k), self.level_slice(k)]
-             for k in range(self.N + 1)], self.dim)
+        return LevelOp(self.level_dims,
+                       {(i, j): X for (i, j), X
+                        in self.level_blocks(T).blocks.items() if i == j})
 
 
 # -- words ------------------------------------------------------------------
@@ -137,21 +264,28 @@ def word_blocks(F: FockSpace, coeffs, hs):
     if any(h.parent is not F.bimodule for h in hs):
         raise StructureError("vector outside the base bimodule")
     m = len(hs) // 2
+    reps = {}
+
+    def left(i, j):
+        """Coefficient i on level j, its lambda_s(b_i) formed once."""
+        if i not in reps:
+            reps[i] = F._left_reps(coeffs[i])
+        return F._left_level(j, coeffs[i], reps[i])
 
     def blocks():
         for k, d in enumerate(F.level_dims):
             if k < m:
                 yield np.zeros((d, d), complex)
                 continue
-            M = F.levels[k].left_matrix(coeffs[0])
-            for i, (h, b) in enumerate(zip(hs, coeffs[1:])):
+            M = left(0, k)
+            for i, h in enumerate(hs):
                 if i < m:       # l(h): level k-i-1 -> level k-i
                     j = k - i - 1
-                    M = M @ F.maps[j].apply(h.flat) @ F.levels[j].left_matrix(b)
+                    M = M @ F.maps[j].apply(h.flat) @ left(i + 1, j)
                 else:           # l(h)*: level j+1 -> level j
                     j = k - 2 * m + i
                     M = M @ F.maps[j].apply(h.flat).conj().T \
-                        @ F.levels[j + 1].left_matrix(b)
+                        @ left(i + 1, j + 1)
             yield M
 
     return blocks()
@@ -184,19 +318,21 @@ def random_word(F: FockSpace, rng, m):
 # -- verification operations ------------------------------------
 
 def masked_norm(F: FockSpace, M, max_level):
-    """Norm of an operator restricted to inputs from levels <= max_level.
+    """Norm of an operator restricted to inputs from levels <= max_level:
+    the Frobenius norm of its blocks whose input level is <= max_level.
 
-    Uses the Frobenius norm, which dominates the operator norm, so residual
-    checks only get stricter."""
+    The Frobenius norm dominates the operator norm, so residual checks only
+    get stricter."""
     if max_level < 0:
         raise PreconditionError("no overflow-free room at this truncation")
-    cut = int(F.offsets[min(max_level, F.N) + 1])
-    return float(np.linalg.norm(M[:, :cut]))
+    return F.level_blocks(M).restrict(max_level).norm()
 
 
 def creation_relations_check(F: FockSpace, rng,
                              tol=DEFAULT_TOL) -> VerificationReport:
-    """l(h)*l(g) = <h,g>(1 - E_N) and b1 l(h) b2 = l(b1 h b2)."""
+    """l(h)*l(g) = <h,g>(1 - E_N) and b1 l(h) b2 = l(b1 h b2).  Each
+    difference shifts every level by the same amount (0 and +1), so its
+    spectral norm is exactly the largest of its blocks'."""
     report = VerificationReport(suite="creation-relations")
     H = F.bimodule
     res_ls = res_bimod = 0.0
@@ -205,15 +341,14 @@ def creation_relations_check(F: FockSpace, rng,
         g = H.random_vector(rng)
         b1 = F.base.random_element(rng)
         b2 = F.base.random_element(rng)
-        lh, lg = F.creation_matrix(h), F.creation_matrix(g)
-        lhs = lh.conj().T @ lg
-        rhs = F.left_matrix(H.inner(h, g))
-        rhs[:, F.level_slice(F.N)] = 0      # the factor (1 - E_N)
-        res_ls = max(res_ls, np.linalg.norm(lhs - rhs, 2)
-                     / max(1.0, h.norm() * g.norm()))
-        lhs2 = F.left_matrix(b1) @ lh @ F.left_matrix(b2)
-        rhs2 = F.creation_matrix(h.lmul(b1).rmul(b2))
-        res_bimod = max(res_bimod, np.linalg.norm(lhs2 - rhs2, 2)
+        lh = F.creation(h)
+        # the factor (1 - E_N): no block on the top level
+        rhs = F.left(H.inner(h, g)).restrict(F.N - 1)
+        res_ls = max(res_ls, (lh.adjoint() @ F.creation(g) - rhs)
+                     .spectral_norm() / max(1.0, h.norm() * g.norm()))
+        lhs2 = F.left(b1) @ lh @ F.left(b2)
+        rhs2 = F.creation(h.lmul(b1).rmul(b2))
+        res_bimod = max(res_bimod, (lhs2 - rhs2).spectral_norm()
                         / max(1.0, b1.norm() * h.norm() * b2.norm()))
     report.add("creation-adjoint-relation", "l(h)* l(g) = <h,g> (1 - E_N)",
                res_ls, tol)
@@ -229,15 +364,15 @@ def expectation_properties_check(F: FockSpace, rng,
     ones."""
     report = VerificationReport(suite="expectations")
     H = F.bimodule
-    one = np.eye(F.dim, dtype=complex)
-    res = (F.vacuum_expectation(one) - F.base.identity()).norm()
+    res = (F.vacuum_expectation(F.identity()) - F.base.identity()).norm()
     report.add("vacuum-unital", "E(1) = 1", res, tol)
     h = H.random_vector(rng)
+    lh = F.creation(h)
     report.add("vacuum-kills-creation", "E(l(h)) = 0",
-               F.vacuum_expectation(F.creation_matrix(h)).norm()
-               / max(1.0, h.norm()), tol)
+               F.vacuum_expectation(lh).norm() / max(1.0, h.norm()), tol)
     g = H.random_vector(rng)
-    lhs = F.vacuum_expectation(F.creation_matrix(h).conj().T @ F.creation_matrix(g))
+    lg = F.creation(g)
+    lhs = F.vacuum_expectation(lh.adjoint(), lg)
     # the factor (1 - E_N) of the adjoint relation: l = 0 at N = 0
     rhs = H.inner(h, g) if F.N >= 1 else F.base.zero()
     report.add("vacuum-pairing", "E(l(h)* l(g)) = <h,g>",
@@ -246,7 +381,7 @@ def expectation_properties_check(F: FockSpace, rng,
     for _ in range(4):
         T = rng.standard_normal((F.dim, F.dim)) + 1j * rng.standard_normal((F.dim, F.dim))
         PT = F.gauge_expectation(T)
-        res_idem = max(res_idem, np.linalg.norm(F.gauge_expectation(PT) - PT)
+        res_idem = max(res_idem, (F.gauge_expectation(PT) - PT).norm()
                        / max(1.0, np.linalg.norm(T)))
         res_ephi = max(res_ephi,
                        (F.vacuum_expectation(T) - F.vacuum_expectation(PT)).norm()
@@ -255,11 +390,10 @@ def expectation_properties_check(F: FockSpace, rng,
     report.add("vacuum-gauge-compatible", "E = E . Phi", res_ephi, 1e-12)
     if F.N >= 1:
         report.add("gauge-kills-creation", "Phi(l(h)) = 0",
-                   np.linalg.norm(F.gauge_expectation(F.creation_matrix(h)))
-                   / max(1.0, h.norm()), tol)
-        lw = F.creation_matrix(h) @ F.creation_matrix(g).conj().T
+                   F.gauge_expectation(lh).norm() / max(1.0, h.norm()), tol)
+        lw = lh @ lg.adjoint()
         report.add("gauge-fixes-balanced", "Phi(l(h) l(g)*) = l(h) l(g)*",
-                   np.linalg.norm(F.gauge_expectation(lw) - lw)
+                   (F.gauge_expectation(lw) - lw).norm()
                    / max(1.0, h.norm() * g.norm()), 1e-12)
     return report
 
@@ -461,7 +595,7 @@ def isometric_vector(H: HilbertBimodule, rng) -> ModuleVector:
 def toeplitz_endomorphism(F: FockSpace, a, L, rng=None, tol=DEFAULT_TOL):
     """Psi(a) = L a L* for degree-0 a; returns (operator, report)."""
     report = VerificationReport(suite="toeplitz-endomorphism")
-    if np.linalg.norm(F.gauge_expectation(a) - a) \
+    if np.linalg.norm(F.gauge_expectation(a).dense() - a) \
             > tol * max(1.0, np.linalg.norm(a)):
         raise PreconditionError("argument is not in the degree-0 part")
     out = L @ a @ L.conj().T
@@ -477,9 +611,11 @@ def toeplitz_endomorphism(F: FockSpace, a, L, rng=None, tol=DEFAULT_TOL):
         res = 0.0
         for _ in range(3):
             x = F.gauge_expectation(rng.standard_normal((F.dim, F.dim))
-                                    + 1j * rng.standard_normal((F.dim, F.dim)))
+                                    + 1j * rng.standard_normal((F.dim, F.dim))
+                                    ).dense()
             y = F.gauge_expectation(rng.standard_normal((F.dim, F.dim))
-                                    + 1j * rng.standard_normal((F.dim, F.dim)))
+                                    + 1j * rng.standard_normal((F.dim, F.dim))
+                                    ).dense()
             lhs = L @ x @ y @ L.conj().T
             rhs = (L @ x @ L.conj().T) @ (L @ y @ L.conj().T)
             # difference is L x E_N y L*: vanishes below the truncation rim

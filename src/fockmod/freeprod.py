@@ -11,7 +11,7 @@ import numpy as np
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, ConditionalExpectation, PreconditionError,
                     StateFunctional, UnitalHomomorphism, DEFAULT_TOL)
-from .fock import DEFAULT_DIM_CAP, FockSpace, masked_norm
+from .fock import DEFAULT_DIM_CAP, FockSpace, LevelOp, masked_norm
 from .hilbmod import cp_bimodule, gns_bimodule
 from .report import VerificationReport
 
@@ -182,12 +182,17 @@ def freeness_check(families, expectation, embed, budget, rng,
                    ) -> VerificationReport:
     """Max norm of expectations of alternating products of centered samples.
 
-    families: list of callables rng -> operator matrix; expectation: list of
-    factor matrices -> element with a norm; embed: value -> matrix.  Products
-    are kept as factor lists and evaluated on the vacuum.  The report's one
-    check, <suite>-max-moment, holds the residual of every pattern."""
+    families: list of callables rng -> operator, a dense matrix or a
+    LevelOp; expectation: list of factors -> element with a norm; embed:
+    value -> operator.  Products are kept as factor lists and evaluated on
+    the vacuum.  The report's one check, <suite>-max-moment, holds the
+    residual of every pattern; a budget below 2 has no alternating pattern
+    and is refused."""
     if len(families) < 2:
         raise PreconditionError("freeness needs at least two families")
+    if budget < 2:
+        raise PreconditionError(
+            "freeness needs a word budget of at least 2")
     table = {}
     for pat in alternating_patterns(len(families), budget):
         if len(pat) < 2:
@@ -199,7 +204,8 @@ def freeness_check(families, expectation, embed, budget, rng,
             for f in pat:
                 x = families[f](rng)
                 x = x - embed(expectation([x]))
-                scale *= max(1.0, np.linalg.norm(x))
+                scale *= max(1.0, x.norm() if isinstance(x, LevelOp)
+                             else np.linalg.norm(x))
                 factors.append(x)
             worst = max(worst, expectation(factors).norm() / scale)
         table["-".join(str(f) for f in pat)] = worst
@@ -211,7 +217,7 @@ def freeness_check(families, expectation, embed, budget, rng,
 class AmalgSetup:
     """A = A1 + A2, D = B + B inside A, the swap-twisted expectation eta,
     the eta-creation operator L on the truncated Fock space of the bimodule
-    of eta, and the derived operators P and W."""
+    of eta, and the derived operators P and W, all as level operators."""
 
     def __init__(self, phi1: ConditionalExpectation,
                  phi2: ConditionalExpectation, N, dim_cap=DEFAULT_DIM_CAP):
@@ -243,9 +249,10 @@ class AmalgSetup:
         self.eta_map = CPLinearMap.from_callable(self.A, self.A, self.eta)
         self.H, self.xi = cp_bimodule(self.A, self.eta_map)
         self.F = FockSpace(self.H, N, dim_cap=dim_cap)
-        L = self.L = self.F.creation_matrix(self.xi)
-        self.P = np.eye(self.F.dim) - L @ L @ L.conj().T @ L.conj().T
-        self.W = self.P @ (L + L.conj().T) @ self.P
+        L = self.L = self.F.creation(self.xi)
+        Ls = L.adjoint()
+        self.P = self.F.identity() - L @ L @ Ls @ Ls
+        self.W = self.P @ (L + Ls) @ self.P
 
     # element plumbing ------------------------------------------------------
 
@@ -273,10 +280,10 @@ class AmalgSetup:
     # operators on the Fock space -------------------------------------------
 
     def op(self, a: AlgebraElement):
-        return self.F.left_matrix(a)
+        return self.F.left(a)
 
     def op_d(self, d: AlgebraElement):
-        return self.F.left_matrix(self.embed_D(d))
+        return self.F.left(self.embed_D(d))
 
     def psi(self, *factors) -> AlgebraElement:
         """The D-valued expectation phi . E of the product of the factors."""
@@ -310,7 +317,8 @@ def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,
         res_inner = max(res_inner,
                         (S.H.inner(S.xi, S.xi.lmul(a)) - S.eta(a)).norm()
                         / max(1.0, a.norm()))
-        diff = S.L.conj().T @ S.op(a) @ S.L - S.op(S.eta(a))
+        diff = S.L.adjoint() @ (S.op(a) @ S.L.restrict(N - 1)) \
+            - S.op(S.eta(a)).restrict(N - 1)
         res_comp = max(res_comp, masked_norm(S.F, diff, N - 1)
                        / max(1.0, a.norm()))
     report.add("cyclic-vector", "<xi, a xi> = eta(a)", res_inner, tol)
@@ -320,31 +328,35 @@ def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,
 
 def build_W(setup: AmalgSetup, tol=DEFAULT_TOL):
     """P = 1 - L^2 (L*)^2 and W = P (L + L*) P with their algebraic laws on
-    the overflow-free domain (input levels <= N - 2).
+    the overflow-free domain (input levels <= N - 2); the rightmost factor of
+    each masked product is restricted to that domain first.  P - P* keeps
+    each level, so its spectral norm is the largest of its blocks'; W - W*
+    moves each level by one up or down, and takes the Frobenius norm.
 
     Returns (P, W, VerificationReport)."""
     if setup.N < 3:
         raise PreconditionError(
             "need truncation at least 3 for overflow-free room")
     F, L = setup.F, setup.L
+    Ls = L.adjoint()
     P, W = setup.P, setup.W
     dom = setup.N - 2
+    Lc, Lsc, Pc, Wc = (X.restrict(dom) for X in (L, Ls, P, W))
     report = VerificationReport(suite="swap-operator",
                                 parameters={"N": setup.N, "domain_level": dom})
     report.add("P-idempotent", "P^2 = P",
-               masked_norm(F, P @ P - P, dom), tol)
+               masked_norm(F, P @ Pc - Pc, dom), tol)
     report.add("P-selfadjoint", "P = P*",
-               float(np.linalg.norm(P - P.conj().T, 2)), tol)
-    expansion = L + L.conj().T \
-        - L @ L.conj().T @ L.conj().T - L @ L @ L.conj().T
+               (P - P.adjoint()).spectral_norm(), tol)
+    expansion = Lc + Lsc - L @ (Ls @ Lsc) - L @ (L @ Lsc)
     report.add("W-expansion", "W = L + L* - L(L*)^2 - L^2 L*",
-               masked_norm(F, W - expansion, dom), tol)
-    report.add("W-selfadjoint", "W = W*",
-               float(np.linalg.norm(W - W.conj().T, 2)), tol)
+               masked_norm(F, Wc - expansion, dom), tol)
+    report.add("W-selfadjoint", "W = W*", (W - W.adjoint()).norm(), tol)
     report.add("W-squared", "W^2 = P",
-               masked_norm(F, W @ W - P, dom), tol)
+               masked_norm(F, W @ Wc - Pc, dom), tol)
     report.add("W-kills-complement", "W (1 - P) = 0",
-               masked_norm(F, W @ (np.eye(F.dim) - P), dom), tol)
+               masked_norm(F, W @ (F.identity().restrict(dom) - Pc), dom),
+               tol)
     report.add("W-expectation", "psi(W) = 0", setup.psi(W).norm(), tol)
     return P, W, report
 
@@ -352,17 +364,19 @@ def build_W(setup: AmalgSetup, tol=DEFAULT_TOL):
 def swap_commutation(setup: AmalgSetup, tol=DEFAULT_TOL) -> VerificationReport:
     """L d = alpha(d) L and its consequences, for d over a basis of D."""
     F, L = setup.F, setup.L
+    Ls = L.adjoint()
     P, W = setup.P, setup.W
     dom = setup.N - 2
+    Lc, Lsc, Pc, Wc = (X.restrict(dom) for X in (L, Ls, P, W))
     res_l = res_ls = res_p = res_w = 0.0
     for d in setup.D.basis():
         dm = setup.op_d(d)
+        dmc = dm.restrict(dom)
         am = setup.op_d(setup.alpha(d))
-        res_l = max(res_l, masked_norm(F, L @ dm - am @ L, dom))
-        res_ls = max(res_ls,
-                     masked_norm(F, L.conj().T @ dm - am @ L.conj().T, dom))
-        res_p = max(res_p, masked_norm(F, P @ dm - dm @ P, dom))
-        res_w = max(res_w, masked_norm(F, W @ dm - am @ W, dom))
+        res_l = max(res_l, masked_norm(F, L @ dmc - am @ Lc, dom))
+        res_ls = max(res_ls, masked_norm(F, Ls @ dmc - am @ Lsc, dom))
+        res_p = max(res_p, masked_norm(F, P @ dmc - dm @ Pc, dom))
+        res_w = max(res_w, masked_norm(F, W @ dmc - am @ Wc, dom))
     report = VerificationReport(suite="swap-commutation")
     report.add("L-twist", "L d = alpha(d) L", res_l, tol)
     report.add("Lstar-twist", "L* d = alpha(d) L*", res_ls, tol)
@@ -378,7 +392,8 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
     if budget > setup.N:
         raise PreconditionError("word budget exceeds the truncation")
     F, W, P = setup.F, setup.W, setup.P
-    one = np.eye(F.dim)
+    one = F.identity()
+    complement = one - P
     report = VerificationReport(suite="swap-unitary-moments",
                                 parameters={"budget": budget})
     worst = 0.0
@@ -403,7 +418,7 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
                 for q in qs:
                     factors.extend([W] * q)
                     factors.append(coeff())
-                factors.append(one - P)
+                factors.append(complement)
                 for q in reversed(qps):
                     factors.append(coeff())
                     factors.extend([W] * q)
@@ -433,7 +448,9 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
                res_corner, tol)
     q = setup.op_d(setup.dpair(setup.B.identity(), setup.B.zero()))
     report.add("corner-swap", "W q W = alpha(q) P",
-               masked_norm(F, W @ q @ W - (one - q) @ P, setup.N - 2), tol)
+               masked_norm(F, W @ (q @ W.restrict(setup.N - 2))
+                           - (one - q) @ P.restrict(setup.N - 2),
+                           setup.N - 2), tol)
     return report
 
 
@@ -441,7 +458,8 @@ def la_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
                       threshold=DEFAULT_TOL) -> VerificationReport:
     """Moment freeness of {L, L*} and the coefficient algebra over D."""
     L = setup.L
-    words = [L, L.conj().T, L @ L.conj().T, L.conj().T @ L, L + L.conj().T]
+    Ls = L.adjoint()
+    words = [L, Ls, L @ Ls, Ls @ L, L + Ls]
 
     def family_toeplitz(r):
         # freeness_check centers samples into new arrays: no word is written
@@ -524,8 +542,10 @@ def alpha_beta_conditions(setup: AmalgSetup, rng, samples=5,
     res = 0.0
     for _ in range(samples):
         a = setup.A.random_element(rng)
-        diff = L.conj().T @ setup.op(a) @ L \
-            - setup.op_d(setup.eta_D(setup.embed_D(setup.psi(setup.op(a)))))
+        oa = setup.op(a)
+        diff = L.adjoint() @ (oa @ L.restrict(setup.N - 1)) \
+            - setup.op_d(setup.eta_D(setup.embed_D(setup.psi(oa)))) \
+            .restrict(setup.N - 1)
         res = max(res, masked_norm(F, diff, setup.N - 1) / max(1.0, a.norm()))
     report.add("compressed-expectation", "L* a L = eta(psi(a))", res, tol)
     return report

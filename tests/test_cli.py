@@ -370,6 +370,21 @@ def test_zero_growth_subspace_is_a_precondition_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_amalg_refuses_word_length_below_two(monkeypatch, capsys):
+    """At --max-word-length 1 the freeness checks have no pattern to
+    check; the run is refused before anything is built."""
+    from fockmod import freeprod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("amalgamated setup built")
+
+    monkeypatch.setattr(freeprod, "amalg_setup", refuse)
+    code = main(["--suite", "amalg", "--truncation", "3",
+                 "--max-word-length", "1"])
+    assert code == EXIT_PRECONDITION
+    assert "max-word-length" in capsys.readouterr().err
+
+
 def test_unknown_suite_rejected():
     try:
         main(["--suite", "nonsense"])

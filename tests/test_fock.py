@@ -3,18 +3,19 @@ import pytest
 
 from fockmod import fock
 from fockmod.cstar import (CStarAlgebra, PreconditionError, ResourceCapError,
-                           StructureError)
-from fockmod.fock import (FockSpace, creation_relations_check,
+                           StructureError, block_diag_matrix)
+from fockmod.fock import (FockSpace, LevelOp, creation_relations_check,
                           endomorphism_injectivity_check,
                           expectation_properties_check,
                           fock_factorization_check, ideal_structure_check,
                           isometric_vector, masked_norm, power_dims,
                           quotient_dimension_check, random_word,
                           toeplitz_endomorphism, word, word_blocks)
-from fockmod.hilbmod import (HilbertBimodule, TensorStep, complex_rank,
-                             element_to_vector, make_bimodule, trivial_module,
-                             vector_to_element)
-from fockmod.instances import creation_instances
+from fockmod.freeprod import AmalgSetup
+from fockmod.hilbmod import (HilbertBimodule, TensorStep, _kron_eye,
+                             complex_rank, element_to_vector, make_bimodule,
+                             trivial_module, vector_to_element)
+from fockmod.instances import amalg_instances, creation_instances
 from fockmod.report import VerificationReport
 
 RNG = np.random.default_rng(37)
@@ -108,7 +109,7 @@ def test_balanced_words_keep_every_level():
     for _ in range(5):
         W = word(F, *random_word(F, RNG, 2))
         assert W.shape == (F.dim, F.dim)
-        assert np.array_equal(F.gauge_expectation(W), W)
+        assert np.array_equal(F.gauge_expectation(W).dense(), W)
 
 
 # The general alternating word of the parent implementation, kept verbatim
@@ -299,6 +300,14 @@ def test_quotient_check_never_evaluates_levels_from_n(monkeypatch):
 
     for lev in F.levels[n:]:
         monkeypatch.setattr(lev, "left_matrix", refuse.__get__(lev))
+    left_level = F._left_level
+
+    def below_n(k, b, reps):
+        if k >= n:
+            raise AssertionError("level block at or above n evaluated")
+        return left_level(k, b, reps)
+
+    monkeypatch.setattr(F, "_left_level", below_n)
     rep = quotient_dimension_check(F, n, RNG)
     assert rep.passed, rep.failures
 
@@ -579,3 +588,128 @@ def test_factorization_rejects_no_samples(samples):
     H = make_bimodule(B, (1, 1), [(0, 1), (1, 0)])
     with pytest.raises(PreconditionError):
         fock_factorization_check(H, 1, 1, 0, RNG, samples=samples)
+
+
+# The dense level left action and creation matrix of the implementation
+# before level operators, kept verbatim as the references for
+# FockSpace.left and FockSpace.creation.
+
+def _reference_left_matrix(F: FockSpace, b):
+    """Every level conjugated by its left unitary: u diag u* per component."""
+    levels = []
+    for lv in F.levels:
+        comps = []
+        for j, n in enumerate(lv.base.block_sizes):
+            pieces = []
+            for k, c in enumerate(lv.left_mult[j]):
+                if c:
+                    pieces.append(_kron_eye(b.blocks[k], c, eye_first=True))
+            diag = block_diag_matrix(pieces, lv.right_mult[j]) if pieces \
+                else np.zeros((lv.right_mult[j],) * 2, complex)
+            u = lv.left_unitaries[j]
+            comps.append(_kron_eye(u @ diag @ u.conj().T, n))
+        levels.append(block_diag_matrix(comps, lv.dim))
+    return block_diag_matrix(levels, F.dim)
+
+
+def _reference_creation_matrix(F: FockSpace, h):
+    T = np.zeros((F.dim, F.dim), complex)
+    for k in range(F.N):
+        T[F.level_slice(k + 1), F.level_slice(k)] = F.maps[k].apply(h.flat)
+    return T
+
+
+@pytest.fixture(scope="module")
+def builder_spaces():
+    spaces = [AmalgSetup(phi1, phi2, 3).F
+              for seed in range(3) for phi1, phi2 in amalg_instances(seed)]
+    return spaces + [FockSpace(H, N) for H, N in creation_instances(25, 5)[:2]]
+
+
+def test_left_matches_the_conjugated_reference(builder_spaces):
+    rng = np.random.default_rng(19)
+    for F in builder_spaces:
+        for _ in range(3):
+            b = F.base.random_element(rng)
+            ref = _reference_left_matrix(F, b)
+            got = F.left(b)
+            assert set(got.blocks) == {(k, k) for k in range(F.N + 1)}
+            assert np.linalg.norm(got.dense() - ref) \
+                <= 1e-14 * max(1.0, np.linalg.norm(ref))
+            assert np.array_equal(F.left_matrix(b), got.dense())
+
+
+def test_creation_equals_the_dense_reference(builder_spaces):
+    rng = np.random.default_rng(23)
+    for F in builder_spaces:
+        h = F.bimodule.random_vector(rng)
+        got = F.creation(h)
+        assert set(got.blocks) == {(k + 1, k) for k in range(F.N)}
+        assert np.array_equal(got.dense(), _reference_creation_matrix(F, h))
+        assert np.array_equal(F.creation_matrix(h), got.dense())
+
+
+def _random_level_op(F, rng, pairs):
+    d = F.level_dims
+    return LevelOp(d, {(i, j): rng.standard_normal((d[i], d[j]))
+                       + 1j * rng.standard_normal((d[i], d[j]))
+                       for i, j in pairs})
+
+
+def test_level_op_arithmetic_matches_dense():
+    F = plane_fock(3)       # level dimensions 1, 2, 4, 8
+    rng = np.random.default_rng(29)
+    shapes = [[(1, 0), (2, 1), (3, 2)], [(k, k) for k in range(4)],
+              [(0, 1), (1, 1), (3, 0), (2, 3), (0, 3)], []]
+    ops = [_random_level_op(F, rng, pairs) for pairs in shapes]
+    for A in ops:
+        Ad = A.dense()
+        assert np.array_equal(A.adjoint().dense(), Ad.conj().T)
+        assert abs(A.norm() - np.linalg.norm(Ad)) \
+            <= 1e-14 * max(1.0, np.linalg.norm(Ad))
+        for m in range(F.N + 1):
+            cut = int(F.offsets[m + 1])
+            R = A.restrict(m).dense()
+            assert np.array_equal(R[:, :cut], Ad[:, :cut])
+            assert not R[:, cut:].any()
+            want = np.linalg.norm(Ad[:, :cut])
+            for M in (A, Ad):
+                assert abs(masked_norm(F, M, m) - want) \
+                    <= 1e-14 * max(1.0, want)
+        for B in ops:
+            Bd = B.dense()
+            assert np.array_equal((A + B).dense(), Ad + Bd)
+            assert np.array_equal((A - B).dense(), Ad - Bd)
+            assert np.linalg.norm((A @ B).dense() - Ad @ Bd) \
+                <= 1e-14 * max(1.0, np.linalg.norm(Ad) * np.linalg.norm(Bd))
+
+
+def test_level_op_spectral_norm_is_the_block_maximum():
+    F = plane_fock(3)
+    rng = np.random.default_rng(31)
+    for pairs in ([(k, k) for k in range(4)], [(1, 0), (2, 1), (3, 2)],
+                  [(0, 2), (1, 3)], []):
+        A = _random_level_op(F, rng, pairs)
+        want = np.linalg.norm(A.dense(), 2)
+        assert abs(A.spectral_norm() - want) <= 1e-14 * max(1.0, want)
+    with pytest.raises(StructureError, match="level shift"):
+        _random_level_op(F, rng, [(1, 0), (0, 1)]).spectral_norm()
+
+
+def test_expectations_of_level_ops_match_dense():
+    F = plane_fock(3)
+    rng = np.random.default_rng(37)
+    A = _random_level_op(F, rng, [(0, 1), (1, 1), (3, 0), (2, 3), (0, 3)])
+    B = _random_level_op(F, rng, [(1, 0), (2, 1), (3, 2), (3, 3)])
+    Ad, Bd = A.dense(), B.dense()
+    d0 = F.level_dims[0]
+    one = element_to_vector(F.levels[0], F.base.identity()).flat
+    want = (Ad @ Bd)[:d0, :d0] @ one
+    for factors in ((A, B), (Ad, Bd), (A, Bd)):
+        got = F.vacuum_expectation(*factors)
+        assert np.linalg.norm(got.blocks[0].ravel() - want) <= 1e-14 * max(
+            1.0, np.linalg.norm(Ad) * np.linalg.norm(Bd))
+    diag = block_diag_matrix([Ad[F.level_slice(k), F.level_slice(k)]
+                              for k in range(F.N + 1)], F.dim)
+    for M in (A, Ad):
+        assert np.array_equal(F.gauge_expectation(M).dense(), diag)

@@ -1,8 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fockmod.cli import Settings, run_amalg
 from fockmod.cstar import (CStarAlgebra, ConditionalExpectation,
                            PreconditionError)
+from fockmod.fock import FockSpace
 from fockmod.freeprod import (alpha_beta_conditions,
                               amalg_setup, build_W, catalan, freeness_check,
                               haar_unitary, scalar_creation,
@@ -139,3 +144,51 @@ def test_freeness_check_needs_two_families():
     with pytest.raises(PreconditionError):
         freeness_check([lambda r: np.eye(2)], lambda f: B.identity(),
                        lambda b: np.eye(2), budget=2, rng=RNG)
+
+
+def test_freeness_check_needs_budget_two():
+    """Budget 1 has no alternating pattern of length 2: the check would
+    pass on an empty table."""
+    B = CStarAlgebra((1,))
+    l = scalar_creation(4)
+    with pytest.raises(PreconditionError, match="budget"):
+        freeness_check([lambda r: l, lambda r: l.conj().T],
+                       lambda f: B.identity(), lambda b: np.eye(5),
+                       budget=1, rng=RNG)
+
+
+def test_amalg_suite_builds_no_dense_fock_operators(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("dense Fock-size operator built")
+
+    for name in ("left_matrix", "creation_matrix"):
+        monkeypatch.setattr(FockSpace, name, refuse)
+    reports = run_amalg(None, Settings(truncation=3))
+    assert reports and all(r.passed for r in reports)
+
+
+def test_w_selfadjoint_is_the_frobenius_norm():
+    """W - W* has blocks on two level shifts; its residual is the
+    Frobenius norm, never below the dense spectral norm."""
+    setup = small_setup()
+    _, W, rep = build_W(setup, tol=1e-9)
+    res = next(c.residual for c in rep.checks if c.name == "W-selfadjoint")
+    Wd = W.dense()
+    diff = Wd - Wd.conj().T
+    assert abs(res - np.linalg.norm(diff)) <= 1e-15 * max(1.0, np.linalg.norm(Wd))
+    assert res >= np.linalg.norm(diff, 2) * (1 - 1e-12)
+    assert res <= 1e-9
+
+
+@pytest.mark.parametrize("truncation", ["3", "4"])
+def test_amalg_checks_match_the_dense_implementation(truncation):
+    path = Path(__file__).parent / "data" / "amalg_dense_checks.json"
+    want = json.loads(path.read_text())["truncations"][truncation]
+    got = [(r.suite, c.name, c.passed, c.residual)
+           for r in run_amalg(None, Settings(truncation=int(truncation)))
+           for c in r.checks]
+    assert [tuple(row[:3]) for row in want] == [row[:3] for row in got]
+    for (_, name, _, ref), (_, _, _, res) in zip(want, got):
+        if ref is None or name == "W-selfadjoint":
+            continue
+        assert abs(res - ref) <= 1e-13, name
