@@ -96,8 +96,13 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
 
         F_{k+1}(h (x) y) = (U h) (x) F_k(y).
 
-    With S_k the tensor-step matrix of level k and F_1 = U, verifies the
-    level solves by D_k = F_{k+1} S_k - S_k (U (x) F_k), k >= 1, and the
+    With S_k the tensor-step matrix of level k and F_1 = U, each level
+    k >= 1 is the least-squares solution of F_{k+1} S_k = S_k (U (x) F_k).
+    The rows of S_k are orthogonal (`TensorStep.matrix`): S_k S_k* = E_k is
+    diagonal, each row's entry the size of the base block of its H
+    component.  So the solution is F_{k+1} = S_k (U (x) F_k) S_k* E_k^-1,
+    one product and no least-squares solve.  Verifies the level solves by
+    the defects D_k = F_{k+1} S_k - S_k (U (x) F_k), k >= 1, and the
     intertwining F(U) l(h) = l(U h) F(U) on basis vectors e_i, whose only
     nonzero blocks are the D_k[:, i, :].  If the distinguished unit vector
     xi of an augmented bimodule is supplied, additionally verifies U xi = xi
@@ -121,8 +126,7 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
         if k == 0:
             Fk1 = bog.matrix
         else:
-            Fk1, *_ = np.linalg.lstsq(S.conj().T, Sp.conj().T, rcond=None)
-            Fk1 = Fk1.conj().T
+            Fk1 = (Sp @ S.conj().T) / np.einsum("ij,ij->i", S, S.conj()).real
         D = Fk1 @ S - Sp
         if k >= 1:
             res_solve = max(res_solve, float(np.linalg.norm(D))

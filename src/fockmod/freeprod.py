@@ -329,9 +329,8 @@ def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,
 def build_W(setup: AmalgSetup, tol=DEFAULT_TOL):
     """P = 1 - L^2 (L*)^2 and W = P (L + L*) P with their algebraic laws on
     the overflow-free domain (input levels <= N - 2); the rightmost factor of
-    each masked product is restricted to that domain first.  P - P* keeps
-    each level, so its spectral norm is the largest of its blocks'; W - W*
-    moves each level by one up or down, and takes the Frobenius norm.
+    each masked product is restricted to that domain first.  P - P* and
+    W - W* take the Frobenius norm, which is never below the spectral norm.
 
     Returns (P, W, VerificationReport)."""
     if setup.N < 3:
@@ -346,8 +345,7 @@ def build_W(setup: AmalgSetup, tol=DEFAULT_TOL):
                                 parameters={"N": setup.N, "domain_level": dom})
     report.add("P-idempotent", "P^2 = P",
                masked_norm(F, P @ Pc - Pc, dom), tol)
-    report.add("P-selfadjoint", "P = P*",
-               (P - P.adjoint()).spectral_norm(), tol)
+    report.add("P-selfadjoint", "P = P*", (P - P.adjoint()).norm(), tol)
     expansion = Lc + Lsc - L @ (Ls @ Lsc) - L @ (L @ Lsc)
     report.add("W-expansion", "W = L + L* - L(L*)^2 - L^2 L*",
                masked_norm(F, Wc - expansion, dom), tol)

@@ -264,7 +264,10 @@ def gram_schmidt(X, drop_tol=None):
         return []
     module = X[0].parent
     base = module.base
-    scale = max([x.norm() for x in X] + [1.0])
+    # ||x|| = max_j ||x_j||_2: one batched SVD per block over all inputs
+    scale = max([float(np.linalg.svd(np.stack([x.comps[j] for x in X]),
+                                     compute_uv=False)[:, 0].max())
+                 for j, r in enumerate(module.right_mult) if r] + [1.0])
     if drop_tol is None:
         drop_tol = 1e-8 * scale
     U = [np.zeros((r, 0), complex) for r in module.right_mult]
@@ -536,7 +539,9 @@ class TensorStep:
     @property
     def matrix(self):
         """Dense map kron(flat H, flat K) -> flat T: column (i, l) is
-        e_i (x) e_l."""
+        e_i (x) e_l.  Its rows are orthogonal: S S* = diag(n_k), n_k the
+        size of the base block k of the row's H component, since the rows
+        of each left unitary of K are orthonormal."""
         pairs = self.tensor(np.eye(self.H.dim, dtype=complex)[:, None],
                             np.eye(self.K.dim, dtype=complex)[None])
         return pairs.reshape(-1, self.module.dim).T

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from fockmod.cstar import (CStarAlgebra, PreconditionError,
 from fockmod.fock import FockSpace
 from fockmod.hilbmod import (AugmentedModule, TensorStep, make_bimodule,
                              submodule_projection)
-from fockmod.instances import (flip_twisted_module,
+from fockmod.instances import (creation_instances, flip_twisted_module,
                                multiplicity_shift_instance, random_bogoliubov)
 from fockmod.report import VerificationReport
 
@@ -181,6 +184,63 @@ def test_extension_builds_each_level_from_one_tensor_matrix(monkeypatch):
     assert len(calls) <= 3 * (N - 1) * H.dim
 
 
+def _row_block_sizes(step):
+    """n_k for each row of the tensor-step matrix: component j of T has
+    K.left_mult[j][k] copies of the r_k rows of H's component k, each row
+    of length n_j."""
+    H, K = step.H, step.K
+    sizes = H.base.block_sizes
+    return np.concatenate([np.full(K.left_mult[j][k] * H.right_mult[k] * n_j,
+                                   float(n_k))
+                           for j, n_j in enumerate(sizes)
+                           for k, n_k in enumerate(sizes)])
+
+
+def _tensor_step_modules():
+    modules = [H for H, _ in creation_instances(25, 5)]
+    for bog in _intertwining_cases():
+        modules += [bog.module, AugmentedModule(bog.module).module]
+    return modules
+
+
+def test_tensor_step_rows_are_orthogonal():
+    """S S* = diag(n_k): the closed-form level solve of fock_extension."""
+    steps = 0
+    for H in _tensor_step_modules():
+        for step in FockSpace(H, 3).maps:
+            S = step.matrix
+            want = _row_block_sizes(step)
+            assert want.shape == (S.shape[0],)
+            assert np.abs(S @ S.conj().T - np.diag(want)).max() <= 1e-13
+            steps += 1
+    assert steps == 3 * 11
+    assert {n for H in _tensor_step_modules()
+            for n in H.base.block_sizes} >= {1, 2, 3}
+
+
+@pytest.mark.parametrize("case", ["random", "shift"])
+def test_perturbed_map_fails_the_level_solves(case):
+    """Noise on a Bogoliubov map leaves S kron(U, F_k) outside the row space
+    of S, so the residuals that vanish on exact maps stay live checks."""
+    if case == "random":
+        bog = random_bogoliubov(np.random.default_rng(5))
+    else:
+        bog = multiplicity_shift_instance()[2]
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(bog.matrix.shape) \
+        + 1j * rng.standard_normal(bog.matrix.shape)
+    bad = BogoliubovMap(bog.module, bog.matrix + 1e-3 * noise, bog.beta)
+    for U in (bog, bad):
+        _, rep = fock_extension(FockSpace(U.module, 3), U, tol=1e-9)
+        res = {c.name: c.residual for c in rep.checks}
+        if U is bog:
+            assert rep.passed, rep.failures
+            continue
+        assert {c.name for c in rep.failures} \
+            == {"tensor-consistency", "creation-intertwining"}
+        assert min(res.values()) > 1e-6
+
+
 def _dense_intertwining_residual(F, bog, M):
     """creation-intertwining as it was before it was read off the level
     defects: two Fock-size creation matrices and two products per basis
@@ -341,3 +401,21 @@ def test_bog_suite_builds_each_growth_chain_once(monkeypatch):
     assert reports and all(rep.passed for rep in reports)
     assert counts["kp_subspace"] == 3
     assert counts["_fock_level_spans"] <= 14
+
+
+@pytest.mark.parametrize("truncation", ["3", "4", "default"])
+def test_bog_crossed_checks_match_the_recorded_residuals(truncation):
+    """crossed, free and bog against their checks as recorded with
+    least-squares level solves, per-matrix-unit automorphism distances and
+    per-vector Gram-Schmidt norms."""
+    path = Path(__file__).parent / "data" / "bog_crossed_checks.json"
+    want = json.loads(path.read_text())["truncations"][truncation]
+    st = cli.Settings(truncation=None if truncation == "default"
+                      else int(truncation))
+    got = [(r.suite, c.name, c.passed, c.residual)
+           for suite in ("crossed", "free", "bog")
+           for r in cli.run_suites(None, (suite,), st) for c in r.checks]
+    assert [tuple(row[:3]) for row in want] == [row[:3] for row in got]
+    for (_, name, _, ref), (_, _, _, res) in zip(want, got):
+        if ref is not None:
+            assert abs(res - ref) <= 1e-13, name

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fockmod import cstar
 from fockmod.cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
                            ConditionalExpectation, PreconditionError,
                            StateFunctional, StructureError,
@@ -114,6 +115,62 @@ def test_automorphism_composition_and_distance():
     ident = identity_automorphism(A)
     assert beta.compose(ident).distance_to(beta) < 1e-9
     assert ident.distance_to(ident) < 1e-12
+
+
+def _matrix_unit_distance(a, b):
+    """distance_to by its definition: both automorphisms applied to every
+    matrix unit, kept as the reference for the stacked outer products."""
+    return max((a(e) - b(e)).norm() for e in a.algebra.basis())
+
+
+def test_distance_matches_the_matrix_unit_definition():
+    A = CStarAlgebra((2, 2, 3, 1, 1))
+    rng = np.random.default_rng(5)
+    autos = [AlgebraAutomorphism(A, source, [haar_unitary_matrix(rng, n)
+                                             for n in A.block_sizes])
+             for source in [(0, 1, 2, 3, 4), (1, 0, 2, 3, 4),
+                            (0, 1, 2, 4, 3), (1, 0, 2, 4, 3)]]
+    autos += [autos[1].compose(autos[2]), autos[3].compose(autos[3]),
+              AlgebraAutomorphism(A, (1, 0, 2, 4, 3))]
+    ident = identity_automorphism(A)
+    assert ident.distance_to(identity_automorphism(A)) == 0.0
+    for a in autos + [ident]:
+        assert a.distance_to(a) == 0.0
+        for b in autos + [ident]:
+            want = _matrix_unit_distance(a, b)
+            assert abs(a.distance_to(b) - want) <= 1e-14
+    assert min(a.distance_to(ident) for a in autos) > 0.1
+
+
+def test_distance_builds_no_element_per_matrix_unit(monkeypatch):
+    A = CStarAlgebra((2, 2, 1))
+    beta = AlgebraAutomorphism(A, (1, 0, 2),
+                               [haar_unitary_matrix(RNG, n)
+                                for n in A.block_sizes])
+    built = []
+    init = cstar.AlgebraElement.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(cstar.AlgebraElement, "__init__", counted)
+    assert beta.distance_to(identity_automorphism(A)) > 0
+    assert built == []
+
+
+def test_distance_across_algebras_is_rejected():
+    with pytest.raises(StructureError):
+        identity_automorphism(CStarAlgebra((2,))).distance_to(
+            identity_automorphism(CStarAlgebra((1, 1))))
+
+
+def test_norm_is_bit_equal_to_the_matrix_two_norm():
+    A = CStarAlgebra((1, 2, 3, 5))
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        x = A.random_element(rng)
+        assert x.norm() == max(np.linalg.norm(b, 2) for b in x.blocks)
 
 
 def test_choi_detects_complete_positivity():

@@ -180,6 +180,19 @@ def test_w_selfadjoint_is_the_frobenius_norm():
     assert res <= 1e-9
 
 
+def test_p_selfadjoint_is_the_frobenius_norm():
+    """P - P* keeps each level; its residual is the Frobenius norm, never
+    below the dense spectral norm."""
+    setup = small_setup()
+    P, _, rep = build_W(setup, tol=1e-9)
+    res = next(c.residual for c in rep.checks if c.name == "P-selfadjoint")
+    Pd = P.dense()
+    diff = Pd - Pd.conj().T
+    assert abs(res - np.linalg.norm(diff)) <= 1e-15 * max(1.0, np.linalg.norm(Pd))
+    assert res >= np.linalg.norm(diff, 2) * (1 - 1e-12)
+    assert 0 < res <= 1e-9
+
+
 @pytest.mark.parametrize("truncation", ["3", "4"])
 def test_amalg_checks_match_the_dense_implementation(truncation):
     path = Path(__file__).parent / "data" / "amalg_dense_checks.json"
@@ -189,6 +202,6 @@ def test_amalg_checks_match_the_dense_implementation(truncation):
            for c in r.checks]
     assert [tuple(row[:3]) for row in want] == [row[:3] for row in got]
     for (_, name, _, ref), (_, _, _, res) in zip(want, got):
-        if ref is None or name == "W-selfadjoint":
+        if ref is None or name in ("P-selfadjoint", "W-selfadjoint"):
             continue
         assert abs(res - ref) <= 1e-13, name

@@ -166,9 +166,20 @@ def test_projection_from_basis_of_any_family():
         assert np.linalg.norm(projection_from_basis(H, [])) == 0
 
 
-def test_gram_schmidt_makes_one_inner_call_per_input(monkeypatch):
-    """The scale is the only module inner product: orthogonalization works
-    on component columns, not through <v, w>."""
+def test_gram_schmidt_drop_scale_with_an_empty_component():
+    """The default drop tolerance is 1e-8 times the largest module norm,
+    here 5, read off the one nonempty component: a remainder of 3e-8 is
+    dropped, one of 6e-8 is kept."""
+    H = HilbertBimodule(CStarAlgebra((2, 1)), (0, 2), [(0, 0), (1, 0)])
+    x = H.vector([np.zeros((0, 2)), [[3.0], [4.0]]])
+    for t, kept in ((5e-8, 1), (1e-7, 2)):
+        y = H.vector([np.zeros((0, 2)), [[0.0], [t]]])
+        assert len(gram_schmidt([x, y])) == kept
+
+
+def test_gram_schmidt_makes_no_inner_call(monkeypatch):
+    """Neither the scale nor the orthogonalization takes a module inner
+    product: both work on component matrices, not through <v, w>."""
     H, K, U = multiplicity_shift_instance()
     gens = [H.from_flat(U.power(i) @ g.flat)
             for i in range(3) for g in K.generators]
@@ -182,7 +193,7 @@ def test_gram_schmidt_makes_one_inner_call_per_input(monkeypatch):
     monkeypatch.setattr(HilbertBimodule, "inner", counted)
     basis = gram_schmidt(gens)
     assert len(basis) == 6
-    assert len(calls) <= len(gens)
+    assert calls == []
 
 
 def test_projection_from_basis_reproduces_span():
