@@ -50,70 +50,126 @@ def _check_cap(dims, dim_cap):
 
 
 class LevelOp:
-    """An operator on a truncated Fock space as its level blocks:
-    blocks[i, j] maps level j into level i, and a pair that is not a key is
-    a zero block.  A product sums only over matching middle levels, so
-    creation (blocks (k+1, k)), the left action (blocks (k, k)) and their
-    words never meet a zero block."""
+    """A right B-linear operator on a truncated Fock space, stored by level
+    blocks and, inside each block, by base component.
 
-    def __init__(self, dims, blocks):
-        self.dims = tuple(dims)
+    blocks[i, m] maps level m into level i.  It is the list of the matrices
+    T_j, one per base block j, of shape (rmult[i][j], rmult[m][j]), with
+    rmult[k] the right multiplicities of level k; the dense block is the
+    direct sum of kron(T_j, I_{n_j}) in each component's flat layout, n =
+    sizes.  A pair that is not a key is a zero block, and a component with
+    r_j = 0 is an empty matrix.  Every operator of the Toeplitz algebra is
+    adjointable, so it commutes with the right action of B and has this
+    form; creation, the left action and their words are built in it.  A
+    general matrix is the case of one component of size 1
+    (`FockSpace.level_blocks`).
+
+    Sums, products and adjoints work per level pair and per component: a
+    product sums only over matching middle levels, so creation (blocks
+    (k+1, k)), the left action (blocks (k, k)) and their words never meet a
+    zero block, and never a zero off-component block either."""
+
+    def __init__(self, rmult, sizes, blocks):
+        self.rmult = tuple(tuple(int(r) for r in rk) for rk in rmult)
+        self.sizes = tuple(int(n) for n in sizes)
+        if any(len(rk) != len(self.sizes) for rk in self.rmult):
+            raise StructureError("one right multiplicity per component")
+        if any(len(X) != len(self.sizes) for X in blocks.values()):
+            raise StructureError("one matrix per component in every block")
+        self.dims = tuple(sum(r * n for r, n in zip(rk, self.sizes))
+                          for rk in self.rmult)
         self.blocks = blocks
 
+    def _new(self, blocks):
+        """An operator on the same levels and components."""
+        out = object.__new__(LevelOp)
+        out.rmult, out.sizes, out.dims = self.rmult, self.sizes, self.dims
+        out.blocks = blocks
+        return out
+
+    def _check(self, other):
+        if other.sizes != self.sizes or other.rmult != self.rmult:
+            raise StructureError("level operators on different components")
+
     def __add__(self, other):
+        self._check(other)
         out = dict(self.blocks)
         for key, Y in other.blocks.items():
-            out[key] = out[key] + Y if key in out else Y
-        return LevelOp(self.dims, out)
+            X = out.get(key)
+            out[key] = Y if X is None else [x + y for x, y in zip(X, Y)]
+        return self._new(out)
 
     def __sub__(self, other):
+        self._check(other)
         out = dict(self.blocks)
         for key, Y in other.blocks.items():
-            out[key] = out[key] - Y if key in out else -Y
-        return LevelOp(self.dims, out)
+            X = out.get(key)
+            out[key] = [-y for y in Y] if X is None \
+                else [x - y for x, y in zip(X, Y)]
+        return self._new(out)
 
     def __matmul__(self, other):
+        self._check(other)
         rows = {}
         for (m, j), Y in other.blocks.items():
             rows.setdefault(m, []).append((j, Y))
         out = {}
         for (i, m), X in self.blocks.items():
             for j, Y in rows.get(m, ()):
-                Z = X @ Y
-                out[i, j] = out[i, j] + Z if (i, j) in out else Z
-        return LevelOp(self.dims, out)
+                Z = [x @ y for x, y in zip(X, Y)]
+                S = out.get((i, j))
+                out[i, j] = Z if S is None else [s + z for s, z in zip(S, Z)]
+        return self._new(out)
 
     def adjoint(self):
-        return LevelOp(self.dims, {(j, i): X.conj().T
-                                   for (i, j), X in self.blocks.items()})
+        return self._new({(j, i): [x.conj().T for x in X]
+                          for (i, j), X in self.blocks.items()})
 
     def restrict(self, max_level):
         """The operator on inputs from levels <= max_level: the blocks whose
         input level is at most max_level.  Restricting the rightmost factor
         of a product first multiplies only those blocks."""
-        return LevelOp(self.dims, {(i, j): X for (i, j), X
-                                   in self.blocks.items() if j <= max_level})
+        return self._new({(i, j): X for (i, j), X in self.blocks.items()
+                          if j <= max_level})
 
     def norm(self):
-        """Frobenius norm, from the blocks' Frobenius norms."""
-        return float(np.linalg.norm([np.linalg.norm(X)
-                                     for X in self.blocks.values()]))
+        """Frobenius norm: kron(T_j, I_{n_j}) has n_j ||T_j||_F^2 as its
+        squared Frobenius norm."""
+        return float(np.sqrt(sum(n * np.vdot(x, x).real
+                                 for X in self.blocks.values()
+                                 for x, n in zip(X, self.sizes))))
 
     def spectral_norm(self):
         """Exact spectral norm of an operator whose blocks all shift the
         level by the same amount: each input and each output level then
-        meets one block, so the operator is the direct sum of its blocks
-        and its norm is the largest of theirs."""
+        meets one block, so the operator is the direct sum of its blocks and
+        of their components, and its norm is the largest of the T_j's."""
         if len({i - j for i, j in self.blocks}) > 1:
             raise StructureError("blocks on more than one level shift")
-        return max((float(np.linalg.norm(X, 2))
-                    for X in self.blocks.values()), default=0.0)
+        return max((float(np.linalg.norm(x, 2))
+                    for X in self.blocks.values() for x in X if x.size),
+                   default=0.0)
+
+    def block(self, i, j):
+        """The dense level block (i, j): kron(T_c, I_{n_c}) on the diagonal
+        of the components' flat layout."""
+        out = np.zeros((self.dims[i], self.dims[j]), complex)
+        X = self.blocks.get((i, j))
+        if X is not None:
+            row = col = 0
+            for x, r, c, n in zip(X, self.rmult[i], self.rmult[j],
+                                  self.sizes):
+                out[row:row + r * n, col:col + c * n] = _kron_eye(x, n)
+                row += r * n
+                col += c * n
+        return out
 
     def dense(self):
         offsets = np.cumsum((0,) + self.dims)
         out = np.zeros((offsets[-1], offsets[-1]), complex)
-        for (i, j), X in self.blocks.items():
-            out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = X
+        for i, j in self.blocks:
+            out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = \
+                self.block(i, j)
         return out
 
 
@@ -134,6 +190,8 @@ class FockSpace:
             self.maps.append(TensorStep(H, self.levels[k]))
             self.levels.append(self.maps[k].module)
         self.level_dims = tuple(lv.dim for lv in self.levels)
+        self.level_mult = tuple(lv.right_mult for lv in self.levels)
+        self._zero = LevelOp(self.level_mult, self.base.block_sizes, {})
         self.offsets = np.cumsum([0] + list(self.level_dims))
         self.dim = int(self.offsets[-1])
 
@@ -152,34 +210,37 @@ class FockSpace:
 
     def level_blocks(self, M):
         """M as a LevelOp: a LevelOp as it is, a dense matrix as views of
-        its level slices (no copy)."""
+        its level slices (no copy), over one component of size 1 (every
+        matrix is right linear over C)."""
         if isinstance(M, LevelOp):
             return M
         s = [self.level_slice(k) for k in range(self.N + 1)]
-        return LevelOp(self.level_dims, {(i, j): M[si, sj]
-                                         for i, si in enumerate(s)
-                                         for j, sj in enumerate(s)})
+        return LevelOp([(d,) for d in self.level_dims], (1,),
+                       {(i, j): [M[si, sj]] for i, si in enumerate(s)
+                        for j, sj in enumerate(s)})
+
+    def _level_op(self, blocks):
+        """A LevelOp over the components of the base's blocks."""
+        return self._zero._new(blocks)
 
     # -- algebra actions ---------------------------------------------------
 
     def identity(self):
-        return LevelOp(self.level_dims,
-                       {(k, k): np.eye(d, dtype=complex)
-                        for k, d in enumerate(self.level_dims)})
+        return self._level_op({(k, k): [np.eye(r, dtype=complex) for r in rk]
+                               for k, rk in enumerate(self.level_mult)})
 
     def left(self, b: AlgebraElement):
-        """Left action of b, level by level.  Level 0 is b itself: component
-        j is kron(b_j, I_{n_j}).  Level k+1 is H (x) level k in the tensor
-        step's row order (s, t, a), where b acts on the row a of H alone:
-        component j is kron(R_j, I_{n_j}) with R_j block diagonal, c_js
-        copies of lambda_s(b) for each base block s, c the left
-        multiplicities of level k and lambda_s(b) the left action of b on
-        component s of H, formed once.  No level is conjugated by its left
-        unitary."""
+        """Left action of b, level by level and component by component.
+        Level 0 is b itself: component j is b_j.  Level k+1 is H (x) level
+        k in the tensor step's row order (s, t, a), where b acts on the row
+        a of H alone: component j is R_j, block diagonal, c_js copies of
+        lambda_s(b) for each base block s, c the left multiplicities of
+        level k and lambda_s(b) the left action of b on component s of H,
+        formed once.  No level is conjugated by its left unitary, and no
+        level-size matrix is formed."""
         reps = self._left_reps(b)
-        return LevelOp(self.level_dims,
-                       {(k, k): self._left_level(k, b, reps)
-                        for k in range(self.N + 1)})
+        return self._level_op({(k, k): self._left_level(k, b, reps)
+                               for k in range(self.N + 1)})
 
     def _left_reps(self, b):
         """lambda_s(b) for every base block s."""
@@ -187,25 +248,27 @@ class FockSpace:
                 for s in range(len(self.base.block_sizes))]
 
     def _left_level(self, k, b, reps):
-        """Level k of `left(b)`, from reps = `_left_reps(b)`."""
+        """The components R_j of level k of `left(b)`, from reps =
+        `_left_reps(b)`."""
         if k == 0:      # B over itself: one copy of b_j in component j
             pieces, rows = b.blocks, self.levels[0].left_mult
         else:
             pieces, rows = reps, self.levels[k - 1].left_mult
-        X = np.zeros((self.level_dims[k],) * 2, complex)
-        off = 0
-        for row, r, n in zip(rows, self.levels[k].right_mult,
-                             self.base.block_sizes):
+        out = []
+        for row, r in zip(rows, self.level_mult[k]):
             R = np.zeros((r, r), complex)
             pos = 0
             for piece, c in zip(pieces, row):
                 if c:
-                    end = pos + c * len(piece)
-                    R[pos:end, pos:end] = _kron_eye(piece, c, eye_first=True)
+                    q = len(piece)
+                    end = pos + c * q
+                    # kron(I_c, piece): its c diagonal copies, written
+                    # through a (c, q, c, q) view of R's block
+                    np.einsum("iaib->iab", R[pos:end, pos:end].reshape(
+                        c, q, c, q))[...] = piece
                     pos = end
-            X[off:off + r * n, off:off + r * n] = _kron_eye(R, n)
-            off += r * n
-        return X
+            out.append(R)
+        return out
 
     def left_matrix(self, b: AlgebraElement):
         return self.left(b).dense()
@@ -217,12 +280,12 @@ class FockSpace:
     # -- operators ---------------------------------------------------------
 
     def creation(self, h: ModuleVector):
-        """l(h): level k -> level k+1 by k -> h (x) k; level N maps to 0."""
+        """l(h): level k -> level k+1 by k -> h (x) k; level N maps to 0.
+        Block (k+1, k) holds the components of `TensorStep.components`."""
         if h.parent is not self.bimodule:
             raise StructureError("vector outside the base bimodule")
-        return LevelOp(self.level_dims,
-                       {(k + 1, k): step.apply(h.flat)
-                        for k, step in enumerate(self.maps)})
+        return self._level_op({(k + 1, k): step.components(h.flat)
+                               for k, step in enumerate(self.maps)})
 
     def creation_matrix(self, h: ModuleVector):
         return self.creation(h).dense()
@@ -236,16 +299,15 @@ class FockSpace:
         y = ops[-1].restrict(0)
         for T in reversed(ops[:-1]):
             y = T @ y
-        d0 = self.level_dims[0]
-        y0 = y.blocks.get((0, 0), np.zeros((d0, d0), complex))
+        y0 = y.block(0, 0)
         one = element_to_vector(self.levels[0], self.base.identity()).flat
         return vector_to_element(self.levels[0].from_flat(y0 @ one))
 
     def gauge_expectation(self, T) -> LevelOp:
         """Exact projection onto the degree-0 part: keep diagonal level blocks."""
-        return LevelOp(self.level_dims,
-                       {(i, j): X for (i, j), X
-                        in self.level_blocks(T).blocks.items() if i == j})
+        T = self.level_blocks(T)
+        return T._new({(i, j): X for (i, j), X in T.blocks.items()
+                       if i == j})
 
 
 # -- words ------------------------------------------------------------------
@@ -258,7 +320,9 @@ def word_blocks(F: FockSpace, coeffs, hs):
     A balanced word has degree 0, so it maps each level into itself: x_k is
     zero for k < m, and otherwise the product, from the left, of the level
     blocks of the factors on the path k -> k - m -> k, which never reaches
-    the top level's compressed creation."""
+    the top level's compressed creation.  The product is taken component by
+    component (`FockSpace._left_level`, `TensorStep.components`) and placed
+    as one dense level block by `LevelOp.block`."""
     if len(hs) % 2 or len(coeffs) != len(hs) + 1:
         raise StructureError("need 2m vectors and 2m + 1 coefficients")
     if any(h.parent is not F.bimodule for h in hs):
@@ -267,7 +331,8 @@ def word_blocks(F: FockSpace, coeffs, hs):
     reps = {}
 
     def left(i, j):
-        """Coefficient i on level j, its lambda_s(b_i) formed once."""
+        """Components of coefficient i on level j, its lambda_s(b_i) formed
+        once."""
         if i not in reps:
             reps[i] = F._left_reps(coeffs[i])
         return F._left_level(j, coeffs[i], reps[i])
@@ -281,12 +346,13 @@ def word_blocks(F: FockSpace, coeffs, hs):
             for i, h in enumerate(hs):
                 if i < m:       # l(h): level k-i-1 -> level k-i
                     j = k - i - 1
-                    M = M @ F.maps[j].apply(h.flat) @ left(i + 1, j)
+                    M = [x @ c @ y for x, c, y in zip(
+                        M, F.maps[j].components(h.flat), left(i + 1, j))]
                 else:           # l(h)*: level j+1 -> level j
                     j = k - 2 * m + i
-                    M = M @ F.maps[j].apply(h.flat).conj().T \
-                        @ left(i + 1, j + 1)
-            yield M
+                    M = [x @ c.conj().T @ y for x, c, y in zip(
+                        M, F.maps[j].components(h.flat), left(i + 1, j + 1))]
+            yield F._level_op({(k, k): M}).block(k, k)
 
     return blocks()
 
@@ -629,16 +695,27 @@ def toeplitz_endomorphism(F: FockSpace, a, L, rng=None, tol=DEFAULT_TOL):
 
 def endomorphism_injectivity_check(F: FockSpace, L, n,
                                    rng) -> VerificationReport:
-    """Rank preservation of x -> L x L* on spans of balanced words."""
+    """Rank preservation of x -> L x L* on spans of balanced words, for a
+    creation operator L (blocks (k+1, k) only), a LevelOp or a dense matrix.
+
+    A balanced word is block diagonal with blocks x_k, so L x L* is block
+    diagonal with blocks C_k x_k C_k* on the levels k + 1 <= N, C_k the
+    block (k+1, k) of L.  Both ranks are read off the stacked level blocks:
+    no Fock-size word and no dense conjugation is formed."""
     report = VerificationReport(suite="endomorphism-injectivity")
     if n < 0:
         raise PreconditionError("word depth must be nonnegative")
     if n > F.N - 1:
         raise PreconditionError("need n <= N - 1 for overflow-free words")
-    mats = [word(F, *random_word(F, rng, m))
-            for m in range(n + 1) for _ in range(5)]
-    r_in = complex_rank([m.ravel() for m in mats])
-    r_out = complex_rank([(L @ m @ L.conj().T).ravel() for m in mats])
+    words = [list(word_blocks(F, *random_word(F, rng, m)))
+             for m in range(n + 1) for _ in range(5)]
+    L = F.level_blocks(L)
+    C = [L.block(k + 1, k) for k in range(F.N)]
+    r_in = complex_rank([np.concatenate([xk.ravel() for xk in x])
+                         for x in words])
+    r_out = complex_rank([np.concatenate([(c @ xk @ c.conj().T).ravel()
+                                          for c, xk in zip(C, x)])
+                          for x in words])
     report.add_bool("rank-preserved",
                     "x -> L x L* preserves the rank of balanced-word spans",
                     r_in == r_out, rank_in=r_in, rank_out=r_out)

@@ -531,6 +531,32 @@ class TensorStep:
                 col += c * n_k
         return out
 
+    def components(self, h_flat):
+        """k -> h (x) k by components: the matrices C_j of shape
+        (rho_j, r^K_j), rho and r^K the right multiplicities of T and K,
+        with T_j = C_j (K_j) for each component j, so `apply(h)` is the
+        direct sum of kron(C_j, I_{n_j}).  Row block (k, t) of C_j is
+        h_k @ U_j^K^* [rows of (k, t)]."""
+        H, K, T = self.H, self.K, self.module
+        sizes = H.base.block_sizes
+        h = [np.asarray(h_flat, complex)[H.offsets[k]:H.offsets[k + 1]]
+             .reshape(r, n) for k, (r, n) in enumerate(zip(H.right_mult,
+                                                           sizes))]
+        out = []
+        for j, rK_j in enumerate(K.right_mult):
+            C = np.empty((T.right_mult[j], rK_j), complex)
+            row = col = 0
+            for k, (r_k, n_k) in enumerate(zip(H.right_mult, sizes)):
+                c = K.left_mult[j][k]
+                if c == 0:
+                    continue
+                U = self._UKd[j][col:col + c * n_k].reshape(c, n_k, rK_j)
+                C[row:row + c * r_k] = (h[k] @ U).reshape(c * r_k, rK_j)
+                row += c * r_k
+                col += c * n_k
+            out.append(C)
+        return out
+
     def apply(self, h_flat):
         """Matrix of k -> class(h (x) k), shape (dim T, dim K)."""
         return self.tensor(np.asarray(h_flat)[None],

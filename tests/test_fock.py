@@ -308,6 +308,8 @@ def test_quotient_check_never_evaluates_levels_from_n(monkeypatch):
         return left_level(k, b, reps)
 
     monkeypatch.setattr(F, "_left_level", below_n)
+    for step in F.maps[n - 1:]:     # the steps into levels n and above
+        monkeypatch.setattr(step, "components", refuse.__get__(step))
     rep = quotient_dimension_check(F, n, RNG)
     assert rep.passed, rep.failures
 
@@ -645,71 +647,209 @@ def test_creation_equals_the_dense_reference(builder_spaces):
         h = F.bimodule.random_vector(rng)
         got = F.creation(h)
         assert set(got.blocks) == {(k + 1, k) for k in range(F.N)}
-        assert np.array_equal(got.dense(), _reference_creation_matrix(F, h))
+        # the component products sum in another order than the dense step
+        ref = _reference_creation_matrix(F, h)
+        assert np.linalg.norm(got.dense() - ref) \
+            <= 1e-14 * max(1.0, np.linalg.norm(ref))
         assert np.array_equal(F.creation_matrix(h), got.dense())
 
 
+def _place(step, comps):
+    """The direct sum of kron(C_j, I_{n_j}) in the flat layouts of the
+    tensor step's module and its right factor."""
+    T, K = step.module, step.K
+    out = np.zeros((T.dim, K.dim), complex)
+    for j, (C, n) in enumerate(zip(comps, K.base.block_sizes)):
+        assert C.shape == (T.right_mult[j], K.right_mult[j])
+        out[T.offsets[j]:T.offsets[j + 1], K.offsets[j]:K.offsets[j + 1]] = \
+            _kron_eye(C, n)
+    return out
+
+
+def test_tensor_step_components_are_the_applied_step(builder_spaces):
+    rng = np.random.default_rng(41)
+    spaces = list(builder_spaces) + [FockSpace(H, min(N, 3)) for H, N
+                                     in creation_instances(25, 5)]
+    for F in spaces:
+        h = F.bimodule.random_vector(rng)
+        for step in F.maps:
+            ref = step.apply(h.flat)
+            assert np.linalg.norm(_place(step, step.components(h.flat))
+                                  - ref) \
+                <= 1e-14 * max(1.0, np.linalg.norm(ref))
+
+
+# Level operators over base blocks of mixed sizes: the plane's one
+# component of size 1 (where a dense matrix is the same operator), B = (1, 2)
+# with both components filled, and B = (1, 2) with component 1 empty above
+# the vacuum.
+
+def _mixed_fock(N=3):
+    B = CStarAlgebra((1, 2))
+    H = make_bimodule(B, (3, 2), [(1, 1), (0, 1)])
+    return FockSpace(H, N)
+
+
+def _empty_component_fock(N=3):
+    B = CStarAlgebra((1, 2))
+    H = HilbertBimodule(B, (3, 0), [(1, 1), (0, 0)])
+    return FockSpace(H, N)
+
+
+def _level_op_spaces():
+    return [plane_fock(3), _mixed_fock(), _empty_component_fock()]
+
+
 def _random_level_op(F, rng, pairs):
-    d = F.level_dims
-    return LevelOp(d, {(i, j): rng.standard_normal((d[i], d[j]))
-                       + 1j * rng.standard_normal((d[i], d[j]))
-                       for i, j in pairs})
+    """A random right B-linear operator with the given level blocks."""
+    r = F.level_mult
+    return LevelOp(r, F.base.block_sizes, {
+        (i, j): [rng.standard_normal((ri, rj))
+                 + 1j * rng.standard_normal((ri, rj))
+                 for ri, rj in zip(r[i], r[j])] for i, j in pairs})
+
+
+_SHAPES = [[(1, 0), (2, 1), (3, 2)], [(k, k) for k in range(4)],
+           [(0, 1), (1, 1), (3, 0), (2, 3), (0, 3)], []]
+
+
+def test_level_op_spaces_cover_mixed_and_empty_components():
+    sizes = [F.base.block_sizes for F in _level_op_spaces()]
+    assert sizes == [(1,), (1, 2), (1, 2)]
+    assert any(0 in rk for rk in _empty_component_fock().level_mult)
+
+
+def test_level_op_dense_is_right_b_linear():
+    rng = np.random.default_rng(43)
+    for F in _level_op_spaces():
+        b = F.base.random_element(rng)
+        Rb = F.right_matrix(b)
+        for pairs in _SHAPES:
+            D = _random_level_op(F, rng, pairs).dense()
+            assert D.shape == (F.dim, F.dim)
+            assert np.linalg.norm(D @ Rb - Rb @ D) \
+                <= 1e-13 * max(1.0, np.linalg.norm(D) * np.linalg.norm(Rb))
 
 
 def test_level_op_arithmetic_matches_dense():
-    F = plane_fock(3)       # level dimensions 1, 2, 4, 8
     rng = np.random.default_rng(29)
-    shapes = [[(1, 0), (2, 1), (3, 2)], [(k, k) for k in range(4)],
-              [(0, 1), (1, 1), (3, 0), (2, 3), (0, 3)], []]
-    ops = [_random_level_op(F, rng, pairs) for pairs in shapes]
-    for A in ops:
-        Ad = A.dense()
-        assert np.array_equal(A.adjoint().dense(), Ad.conj().T)
-        assert abs(A.norm() - np.linalg.norm(Ad)) \
-            <= 1e-14 * max(1.0, np.linalg.norm(Ad))
-        for m in range(F.N + 1):
-            cut = int(F.offsets[m + 1])
-            R = A.restrict(m).dense()
-            assert np.array_equal(R[:, :cut], Ad[:, :cut])
-            assert not R[:, cut:].any()
-            want = np.linalg.norm(Ad[:, :cut])
-            for M in (A, Ad):
-                assert abs(masked_norm(F, M, m) - want) \
-                    <= 1e-14 * max(1.0, want)
-        for B in ops:
-            Bd = B.dense()
-            assert np.array_equal((A + B).dense(), Ad + Bd)
-            assert np.array_equal((A - B).dense(), Ad - Bd)
-            assert np.linalg.norm((A @ B).dense() - Ad @ Bd) \
-                <= 1e-14 * max(1.0, np.linalg.norm(Ad) * np.linalg.norm(Bd))
+    for F in _level_op_spaces():
+        ops = [_random_level_op(F, rng, pairs) for pairs in _SHAPES]
+        for A in ops:
+            Ad = A.dense()
+            assert np.array_equal(A.adjoint().dense(), Ad.conj().T)
+            assert abs(A.norm() - np.linalg.norm(Ad)) \
+                <= 1e-14 * max(1.0, np.linalg.norm(Ad))
+            for i in range(F.N + 1):
+                for j in range(F.N + 1):
+                    assert np.array_equal(A.block(i, j),
+                                          Ad[F.level_slice(i),
+                                             F.level_slice(j)])
+            for m in range(F.N + 1):
+                cut = int(F.offsets[m + 1])
+                R = A.restrict(m).dense()
+                assert np.array_equal(R[:, :cut], Ad[:, :cut])
+                assert not R[:, cut:].any()
+                want = np.linalg.norm(Ad[:, :cut])
+                for M in (A, Ad):
+                    assert abs(masked_norm(F, M, m) - want) \
+                        <= 1e-14 * max(1.0, want)
+            for B in ops:
+                Bd = B.dense()
+                assert np.array_equal((A + B).dense(), Ad + Bd)
+                assert np.array_equal((A - B).dense(), Ad - Bd)
+                assert np.linalg.norm((A @ B).dense() - Ad @ Bd) \
+                    <= 1e-14 * max(1.0,
+                                   np.linalg.norm(Ad) * np.linalg.norm(Bd))
 
 
 def test_level_op_spectral_norm_is_the_block_maximum():
-    F = plane_fock(3)
     rng = np.random.default_rng(31)
-    for pairs in ([(k, k) for k in range(4)], [(1, 0), (2, 1), (3, 2)],
-                  [(0, 2), (1, 3)], []):
-        A = _random_level_op(F, rng, pairs)
-        want = np.linalg.norm(A.dense(), 2)
-        assert abs(A.spectral_norm() - want) <= 1e-14 * max(1.0, want)
-    with pytest.raises(StructureError, match="level shift"):
-        _random_level_op(F, rng, [(1, 0), (0, 1)]).spectral_norm()
+    for F in _level_op_spaces():
+        for pairs in ([(k, k) for k in range(4)], [(1, 0), (2, 1), (3, 2)],
+                      [(0, 2), (1, 3)], []):
+            A = _random_level_op(F, rng, pairs)
+            want = np.linalg.norm(A.dense(), 2)
+            assert abs(A.spectral_norm() - want) <= 1e-14 * max(1.0, want)
+        with pytest.raises(StructureError, match="level shift"):
+            _random_level_op(F, rng, [(1, 0), (0, 1)]).spectral_norm()
 
 
 def test_expectations_of_level_ops_match_dense():
-    F = plane_fock(3)
     rng = np.random.default_rng(37)
-    A = _random_level_op(F, rng, [(0, 1), (1, 1), (3, 0), (2, 3), (0, 3)])
-    B = _random_level_op(F, rng, [(1, 0), (2, 1), (3, 2), (3, 3)])
-    Ad, Bd = A.dense(), B.dense()
-    d0 = F.level_dims[0]
-    one = element_to_vector(F.levels[0], F.base.identity()).flat
-    want = (Ad @ Bd)[:d0, :d0] @ one
-    for factors in ((A, B), (Ad, Bd), (A, Bd)):
-        got = F.vacuum_expectation(*factors)
-        assert np.linalg.norm(got.blocks[0].ravel() - want) <= 1e-14 * max(
-            1.0, np.linalg.norm(Ad) * np.linalg.norm(Bd))
-    diag = block_diag_matrix([Ad[F.level_slice(k), F.level_slice(k)]
-                              for k in range(F.N + 1)], F.dim)
-    for M in (A, Ad):
-        assert np.array_equal(F.gauge_expectation(M).dense(), diag)
+    for F in _level_op_spaces():
+        A = _random_level_op(F, rng, [(0, 1), (1, 1), (3, 0), (2, 3),
+                                      (0, 3)])
+        B = _random_level_op(F, rng, [(1, 0), (2, 1), (3, 2), (3, 3)])
+        Ad, Bd = A.dense(), B.dense()
+        d0 = F.level_dims[0]
+        one = element_to_vector(F.levels[0], F.base.identity()).flat
+        want = (Ad @ Bd)[:d0, :d0] @ one
+        # a dense matrix is an operator over one component of size 1, so
+        # it mixes with a level operator only over B = C
+        mixed = [(A, Bd)] if F.base.block_sizes == (1,) else []
+        for factors in [(A, B), (Ad, Bd)] + mixed:
+            got = F.vacuum_expectation(*factors)
+            assert np.linalg.norm(got.flat - want) <= 1e-14 * max(
+                1.0, np.linalg.norm(Ad) * np.linalg.norm(Bd))
+        diag = block_diag_matrix([Ad[F.level_slice(k), F.level_slice(k)]
+                                  for k in range(F.N + 1)], F.dim)
+        for M in (A, Ad):
+            assert np.array_equal(F.gauge_expectation(M).dense(), diag)
+        assert set(F.gauge_expectation(A).blocks) == {(1, 1)}
+
+
+def test_level_ops_on_different_components_are_refused():
+    rng = np.random.default_rng(47)
+    mixed, empty = _mixed_fock(), _empty_component_fock()
+    A = _random_level_op(mixed, rng, [(1, 1)])
+    others = [_random_level_op(empty, rng, [(1, 1)]),      # other rmult
+              _random_level_op(plane_fock(3), rng, [(1, 1)]),  # other sizes
+              mixed.level_blocks(A.dense())]            # one component
+    for B in others:
+        for op in (lambda: A + B, lambda: A - B, lambda: A @ B,
+                   lambda: B @ A, lambda: mixed.vacuum_expectation(A, B)):
+            with pytest.raises(StructureError, match="different components"):
+                op()
+    with pytest.raises(StructureError):
+        LevelOp(mixed.level_mult, (1,), {})
+    with pytest.raises(StructureError):
+        LevelOp(mixed.level_mult, (1, 2), {(1, 1): [np.eye(3)]})
+
+
+def test_amalg_operators_stay_in_component_form():
+    S = AmalgSetup(*amalg_instances(0)[0], 5)
+    F = S.F
+    assert F.level_dims[-1] == 1024
+    a = S.A.random_element(np.random.default_rng(53))
+    for X in (S.L, S.P, S.W, S.op(a)):
+        assert (X.rmult, X.sizes) == (F.level_mult, F.base.block_sizes)
+        for (i, m), comps in X.blocks.items():
+            assert len(comps) == len(F.base.block_sizes)
+            for j, T in enumerate(comps):
+                assert T.shape == (F.level_mult[i][j], F.level_mult[m][j])
+                # never a level dimension on either axis
+                assert T.shape[0] < F.level_dims[i]
+                assert T.shape[1] < F.level_dims[m]
+                assert max(T.shape) <= 256
+
+
+def test_injectivity_ranks_match_the_dense_conjugation(monkeypatch):
+    spaces = [(plane_fock(4), 2), (swap_fock(4), 2)] + [
+        (FockSpace(H, 3), 2) for H, _ in creation_instances(25, 5)[:2]]
+    for F, n in spaces:
+        L = F.creation(F.bimodule.random_vector(RNG))
+        rng, rng_ref = np.random.default_rng(59), np.random.default_rng(59)
+        mats = [word(F, *random_word(F, rng_ref, m))
+                for m in range(n + 1) for _ in range(5)]
+        Ld = L.dense()
+        want = (complex_rank([m.ravel() for m in mats]),
+                complex_rank([(Ld @ m @ Ld.conj().T).ravel()
+                              for m in mats]))
+        monkeypatch.setattr(fock, "word", None)     # no Fock-size word
+        for op in (L, Ld):
+            rep = endomorphism_injectivity_check(
+                F, op, n, np.random.default_rng(59))
+            details = rep.checks[0].details
+            assert (details["rank_in"], details["rank_out"]) == want
+        monkeypatch.undo()
