@@ -191,6 +191,8 @@ class FockSpace:
             self.levels.append(self.maps[k].module)
         self.level_dims = tuple(lv.dim for lv in self.levels)
         self.level_mult = tuple(lv.right_mult for lv in self.levels)
+        # the zero operator: every builder's output shares its levels and
+        # components, so they are checked once, here
         self._zero = LevelOp(self.level_mult, self.base.block_sizes, {})
         self.offsets = np.cumsum([0] + list(self.level_dims))
         self.dim = int(self.offsets[-1])
