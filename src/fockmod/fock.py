@@ -50,24 +50,19 @@ def _check_cap(dims, dim_cap):
 
 
 class LevelOp:
-    """A right B-linear operator on a truncated Fock space, stored by level
-    blocks and, inside each block, by base component.
+    """A right B-linear operator on a truncated Fock space, by level blocks
+    and base components.
 
-    blocks[i, m] maps level m into level i.  It is the list of the matrices
-    T_j, one per base block j, of shape (rmult[i][j], rmult[m][j]), with
-    rmult[k] the right multiplicities of level k; the dense block is the
-    direct sum of kron(T_j, I_{n_j}) in each component's flat layout, n =
-    sizes.  A pair that is not a key is a zero block, and a component with
-    r_j = 0 is an empty matrix.  Every operator of the Toeplitz algebra is
-    adjointable, so it commutes with the right action of B and has this
-    form; creation, the left action and their words are built in it.  A
-    general matrix is the case of one component of size 1
-    (`FockSpace.level_blocks`).
-
-    Sums, products and adjoints work per level pair and per component: a
-    product sums only over matching middle levels, so creation (blocks
-    (k+1, k)), the left action (blocks (k, k)) and their words never meet a
-    zero block, and never a zero off-component block either."""
+    blocks[i, m] maps level m into level i: the list of the matrices T_j,
+    one per base block j, of shape (rmult[i][j], rmult[m][j]), rmult[k] the
+    right multiplicities of level k.  The dense block is the direct sum of
+    kron(T_j, I_{n_j}), n = sizes, in the components' flat layout, and a
+    missing pair is a zero block.  Every operator of the Toeplitz algebra
+    is adjointable, hence right B-linear, so creation, the left action and
+    their words have this form; a dense matrix is the case of one component
+    of size 1 (`FockSpace.level_blocks`).  A product sums only over
+    matching middle levels and components, so it never meets a zero block.
+    """
 
     def __init__(self, rmult, sizes, blocks):
         self.rmult = tuple(tuple(int(r) for r in rk) for rk in rmult)
