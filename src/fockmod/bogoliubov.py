@@ -2,14 +2,17 @@
 extensions on the truncated Fock space, growth subspaces K_p, the
 compression Q x Q onto their Fock towers, and the rank-growth report."""
 
+from itertools import islice
+from math import prod
+
 import numpy as np
 
 from .cstar import (AlgebraAutomorphism, PreconditionError, StructureError,
-                    block_diag_matrix, identity_automorphism, DEFAULT_TOL)
+                    identity_automorphism, DEFAULT_TOL)
 from .hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
                       SubmoduleSpan, complex_rank, projection_from_basis,
                       submodule_projection)
-from .fock import FockSpace
+from .fock import FockSpace, word_blocks
 from .report import VerificationReport
 
 
@@ -108,7 +111,10 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
     xi of an augmented bimodule is supplied, additionally verifies U xi = xi
     and that F(U) commutes with l(xi).
 
-    Returns (matrix, VerificationReport)."""
+    F(U) is twisted by beta, so it is not right B-linear: it is returned as
+    the level maps on one component of size 1 (`FockSpace.diagonal`).
+
+    Returns (LevelOp, VerificationReport)."""
     if bog.module is not F.bimodule:
         raise StructureError("map lives on a different bimodule")
     H = F.bimodule
@@ -136,16 +142,16 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
         level_maps.append(Fk1)
     report.add("tensor-consistency",
                "F_{k+1}(h (x) y) = (U h) (x) F_k(y)", res_solve, tol)
-    M = block_diag_matrix(level_maps, F.dim)
+    M = F.diagonal(level_maps)
     report.add("creation-intertwining", "F(U) l(h) = l(U h) F(U)",
                max((float(np.linalg.norm(row)) for row in np.hstack(defects)),
                    default=0.0), tol)
     if xi is not None:
         report.add("fixed-unit-vector", "U xi = xi",
                    (bog(xi) - xi).norm(), tol)
-        L = F.creation_matrix(xi)
+        L = F.creation(xi).placed()
         report.add("fixed-creation", "F(U) l(xi) = l(xi) F(U)",
-                   float(np.linalg.norm(M @ L - L @ M)), tol)
+                   (M @ L - L @ M).norm(), tol)
     return M, report
 
 
@@ -218,7 +224,7 @@ def _tower_projection(F: FockSpace, level_bases):
     for k, basis in enumerate(level_bases[1:], start=1):
         blocks.append(projection_from_basis(F.levels[k], basis) if basis
                       else np.zeros((F.level_dims[k],) * 2))
-    return block_diag_matrix(blocks, F.dim)
+    return blocks
 
 
 def _random_flat(basis, rng):
@@ -226,25 +232,6 @@ def _random_flat(basis, rng):
     coeffs = rng.standard_normal(len(basis)) \
         + 1j * rng.standard_normal(len(basis))
     return sum(c * v.flat for c, v in zip(coeffs, basis))
-
-
-def sample_word(F: FockSpace, span: SubmoduleSpan, m, rng):
-    """A word l(h_1)...l(h_m) l(h_{m+1})*...l(h_{2m})* with all vectors
-    random combinations over the span basis.  Returns (matrix, scale)."""
-    def rand_vec():
-        return span.parent.from_flat(_random_flat(span.basis, rng))
-
-    x = np.eye(F.dim, dtype=complex)
-    scale = 1.0
-    for _ in range(m):
-        h = rand_vec()
-        scale *= max(1.0, h.norm())
-        x = x @ F.creation_matrix(h)
-    for _ in range(m):
-        h = rand_vec()
-        scale *= max(1.0, h.norm())
-        x = x @ F.creation_matrix(h).conj().T
-    return x, scale
 
 
 def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
@@ -260,44 +247,51 @@ def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
         the subspace and vectors v in the tower up to level n-1.
 
     Q lies under P_n, so Q x Q cuts x down both to the levels <= n and to
-    the tower.  Returns (Q, VerificationReport)."""
+    the tower.  Q is formed from dense level projections, so it and what
+    it meets live on one component of size 1 (`FockSpace.diagonal`,
+    `LevelOp.placed`).
+    Returns (Q, VerificationReport), Q a LevelOp."""
     if n > F.N:
         raise PreconditionError("compression level exceeds the truncation")
     if n < 1:
         raise PreconditionError("compression level must be at least 1")
     level_bases = _fock_level_spans(F, n, span)
-    Q = _tower_projection(F, level_bases)
-    tower_dim = int(round(np.trace(Q).real))
+    P = _tower_projection(F, level_bases)
+    Q = F.diagonal(P)
+    tower_dim = int(round(sum(np.trace(Pk).real for Pk in P)))
     report = VerificationReport(suite="compression-channels",
                                 parameters={"n": n, "tower_dim": tower_dim})
-    report.add("projection-idempotent", "Q^2 = Q",
-               float(np.linalg.norm(Q @ Q - Q)), tol)
+    report.add("projection-idempotent", "Q^2 = Q", (Q @ Q - Q).norm(), tol)
     report.add("projection-selfadjoint", "Q = Q*",
-               float(np.linalg.norm(Q - Q.conj().T)), tol)
+               (Q - Q.adjoint()).norm(), tol)
     res_comm = 0.0
     for b in F.base.basis():
-        lb = F.left_matrix(b)
-        res_comm = max(res_comm, float(np.linalg.norm(Q @ lb - lb @ Q)))
+        lb = F.left(b).placed()
+        res_comm = max(res_comm, (Q @ lb - lb @ Q).norm())
     report.add("left-action-commutes", "Q (b . ) = (b . ) Q", res_comm, tol)
     res_leak = 0.0
-    complement = np.eye(F.dim) - Q
+    # (1 - Q) P_n = P_n - Q: the complement on inputs from levels <= n
+    complement = (F.identity().placed() - Q).restrict(n)
     for h in span.basis:
-        ann = F.creation_matrix(h).conj().T
-        leak = Q @ ann @ complement
-        leak[:, int(F.offsets[n + 1]):] = 0     # (1 - Q) P_n = P_n - Q
-        res_leak = max(res_leak, float(np.linalg.norm(leak)))
+        ann = F.creation(h).placed().adjoint()
+        res_leak = max(res_leak, (Q @ ann @ complement).norm())
     report.add("no-annihilation-leak", "Q l(h)* (1 - Q) = 0 for h in K_p",
                res_leak, tol)
-    low = [v for k, basis in enumerate(level_bases[:n]) for v in
-           (F.embed_level(k, b.flat) for b in basis)]
+    one = F.base.identity()
     res_rec = 0.0
     for _ in range(4):
         m = int(rng.integers(1, n + 1))
-        x, scale = sample_word(F, span, m, rng)
-        y = Q @ x @ Q
-        for v in low:
-            res_rec = max(res_rec,
-                          float(np.linalg.norm((y - x) @ v)) / scale)
+        # l(h_1) ... l(h_m) l(h_{m+1})* ... l(h_{2m})*, every h a random
+        # combination over the span basis
+        hs = [span.parent.from_flat(_random_flat(span.basis, rng))
+              for _ in range(2 * m)]
+        scale = prod(max(1.0, h.norm()) for h in hs)
+        xs = word_blocks(F, [one] * (2 * m + 1), hs)
+        for Pk, xk, basis in zip(P, islice(xs, n), level_bases):
+            d = Pk @ xk @ Pk - xk
+            for v in basis:
+                res_rec = max(res_rec,
+                              float(np.linalg.norm(d @ v.flat)) / scale)
     report.add("vector-reconstruction",
                "Q P_n x P_n Q v = x v on the tower below level n",
                res_rec, tol)

@@ -59,8 +59,11 @@ class LevelOp:
     kron(T_j, I_{n_j}), n = sizes, in the components' flat layout, and a
     missing pair is a zero block.  Every operator of the Toeplitz algebra
     is adjointable, hence right B-linear, so creation, the left action and
-    their words have this form; a dense matrix is the case of one component
-    of size 1 (`FockSpace.level_blocks`).  A product sums only over
+    their words have this form.  Any other operator (a random matrix, a map
+    twisted by an automorphism of B, a projection formed from dense level
+    projections) lives on one component of size 1, where its blocks are
+    dense level blocks (`FockSpace.level_blocks`, `FockSpace.diagonal`);
+    `placed` brings a right B-linear operator there.  A product sums only over
     matching middle levels and components, so it never meets a zero block.
     """
 
@@ -102,6 +105,11 @@ class LevelOp:
             out[key] = [-y for y in Y] if X is None \
                 else [x - y for x, y in zip(X, Y)]
         return self._new(out)
+
+    def __mul__(self, c):
+        """The operator times the scalar c."""
+        return self._new({key: [c * x for x in X]
+                          for key, X in self.blocks.items()})
 
     def __matmul__(self, other):
         self._check(other)
@@ -159,6 +167,13 @@ class LevelOp:
                 col += c * n
         return out
 
+    def placed(self):
+        """The same operator over one component of size 1: its dense level
+        blocks `block(i, j)`.  The explicit bridge to operators that are
+        not right B-linear."""
+        return LevelOp([(d,) for d in self.dims], (1,),
+                       {key: [self.block(*key)] for key in self.blocks})
+
     def dense(self):
         offsets = np.cumsum((0,) + self.dims)
         out = np.zeros((offsets[-1], offsets[-1]), complex)
@@ -186,9 +201,11 @@ class FockSpace:
             self.levels.append(self.maps[k].module)
         self.level_dims = tuple(lv.dim for lv in self.levels)
         self.level_mult = tuple(lv.right_mult for lv in self.levels)
-        # the zero operator: every builder's output shares its levels and
-        # components, so they are checked once, here
+        # the zero operators over the base's components and over one
+        # component of size 1: every builder's output shares the levels and
+        # components of one of them, so they are checked once, here
         self._zero = LevelOp(self.level_mult, self.base.block_sizes, {})
+        self._placed_zero = LevelOp([(d,) for d in self.level_dims], (1,), {})
         self.offsets = np.cumsum([0] + list(self.level_dims))
         self.dim = int(self.offsets[-1])
 
@@ -200,21 +217,21 @@ class FockSpace:
     def level_slice(self, k):
         return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
 
-    def embed_level(self, k, flat_vec):
-        out = np.zeros(self.dim, complex)
-        out[self.level_slice(k)] = flat_vec
-        return out
-
     def level_blocks(self, M):
-        """M as a LevelOp: a LevelOp as it is, a dense matrix as views of
-        its level slices (no copy), over one component of size 1 (every
-        matrix is right linear over C)."""
-        if isinstance(M, LevelOp):
-            return M
+        """A dense Fock-size matrix as a LevelOp: views of its level slices
+        (no copy), over one component of size 1 (every matrix is right
+        linear over C)."""
         s = [self.level_slice(k) for k in range(self.N + 1)]
-        return LevelOp([(d,) for d in self.level_dims], (1,),
-                       {(i, j): [M[si, sj]] for i, si in enumerate(s)
-                        for j, sj in enumerate(s)})
+        return self._placed_zero._new({(i, j): [M[si, sj]]
+                                       for i, si in enumerate(s)
+                                       for j, sj in enumerate(s)})
+
+    def diagonal(self, blocks):
+        """The degree-0 operator with the dense level blocks blocks[k] on
+        levels k = 0, 1, ..., len(blocks) - 1 and zero above, over one
+        component of size 1."""
+        return self._placed_zero._new({(k, k): [X]
+                                       for k, X in enumerate(blocks)})
 
     def _level_op(self, blocks):
         """A LevelOp over the components of the base's blocks."""
@@ -267,13 +284,6 @@ class FockSpace:
             out.append(R)
         return out
 
-    def left_matrix(self, b: AlgebraElement):
-        return self.left(b).dense()
-
-    def right_matrix(self, b: AlgebraElement):
-        return block_diag_matrix([lv.right_matrix(b) for lv in self.levels],
-                                 self.dim)
-
     # -- operators ---------------------------------------------------------
 
     def creation(self, h: ModuleVector):
@@ -284,25 +294,20 @@ class FockSpace:
         return self._level_op({(k + 1, k): step.components(h.flat)
                                for k, step in enumerate(self.maps)})
 
-    def creation_matrix(self, h: ModuleVector):
-        return self.creation(h).dense()
-
     def vacuum_expectation(self, *factors) -> AlgebraElement:
         """Compression of the product of the factors to level 0, read as an
         element of B.  The level-0 columns of the last factor are pushed
         through the others from the right, so the product is never
         multiplied out."""
-        ops = [self.level_blocks(M) for M in factors]
-        y = ops[-1].restrict(0)
-        for T in reversed(ops[:-1]):
+        y = factors[-1].restrict(0)
+        for T in reversed(factors[:-1]):
             y = T @ y
         y0 = y.block(0, 0)
         one = element_to_vector(self.levels[0], self.base.identity()).flat
         return vector_to_element(self.levels[0].from_flat(y0 @ one))
 
-    def gauge_expectation(self, T) -> LevelOp:
+    def gauge_expectation(self, T: LevelOp) -> LevelOp:
         """Exact projection onto the degree-0 part: keep diagonal level blocks."""
-        T = self.level_blocks(T)
         return T._new({(i, j): X for (i, j), X in T.blocks.items()
                        if i == j})
 
@@ -354,11 +359,6 @@ def word_blocks(F: FockSpace, coeffs, hs):
     return blocks()
 
 
-def word(F: FockSpace, coeffs, hs):
-    """The balanced word of `word_blocks` as a dense Fock-size matrix."""
-    return block_diag_matrix(list(word_blocks(F, coeffs, hs)), F.dim)
-
-
 def _vacuum_tensor(F: FockSpace, coeffs, hs):
     """b_0.(h_1 (x) b_1.(... (x) (h_p (x) b_p.1))) in level p, grown from the
     vacuum with one tensor step per vector: l(h) on level j is h (x) .,
@@ -380,7 +380,7 @@ def random_word(F: FockSpace, rng, m):
 
 # -- verification operations ------------------------------------
 
-def masked_norm(F: FockSpace, M, max_level):
+def masked_norm(F: FockSpace, M: LevelOp, max_level):
     """Norm of an operator restricted to inputs from levels <= max_level:
     the Frobenius norm of its blocks whose input level is <= max_level.
 
@@ -388,7 +388,7 @@ def masked_norm(F: FockSpace, M, max_level):
     get stricter."""
     if max_level < 0:
         raise PreconditionError("no overflow-free room at this truncation")
-    return F.level_blocks(M).restrict(max_level).norm()
+    return M.restrict(max_level).norm()
 
 
 def creation_relations_check(F: FockSpace, rng,
@@ -442,13 +442,14 @@ def expectation_properties_check(F: FockSpace, rng,
                (lhs - rhs).norm() / max(1.0, h.norm() * g.norm()), tol)
     res_idem = res_ephi = 0.0
     for _ in range(4):
-        T = rng.standard_normal((F.dim, F.dim)) + 1j * rng.standard_normal((F.dim, F.dim))
+        X = rng.standard_normal((F.dim, F.dim)) + 1j * rng.standard_normal((F.dim, F.dim))
+        T = F.level_blocks(X)
         PT = F.gauge_expectation(T)
         res_idem = max(res_idem, (F.gauge_expectation(PT) - PT).norm()
-                       / max(1.0, np.linalg.norm(T)))
+                       / max(1.0, np.linalg.norm(X)))
         res_ephi = max(res_ephi,
                        (F.vacuum_expectation(T) - F.vacuum_expectation(PT)).norm()
-                       / max(1.0, np.linalg.norm(T)))
+                       / max(1.0, np.linalg.norm(X)))
     report.add("gauge-idempotent", "Phi . Phi = Phi", res_idem, 1e-12)
     report.add("vacuum-gauge-compatible", "E = E . Phi", res_ephi, 1e-12)
     if F.N >= 1:
@@ -655,35 +656,39 @@ def isometric_vector(H: HilbertBimodule, rng) -> ModuleVector:
     return H.vector(comps)
 
 
-def toeplitz_endomorphism(F: FockSpace, a, L, rng=None, tol=DEFAULT_TOL):
-    """Psi(a) = L a L* for degree-0 a; returns (operator, report)."""
+def toeplitz_endomorphism(F: FockSpace, a: LevelOp, L: LevelOp, rng=None,
+                          tol=DEFAULT_TOL):
+    """Psi(a) = L a L* for a degree-0 level operator a and a creation
+    operator L = `F.creation(h)`; returns (operator, report).  The random
+    degree-0 x and y are not right B-linear, so Psi is evaluated with L
+    `placed`.  L* L - (1 - E_N) shifts no level: its spectral norm is
+    exactly the largest of its blocks'."""
     report = VerificationReport(suite="toeplitz-endomorphism")
-    if np.linalg.norm(F.gauge_expectation(a).dense() - a) \
-            > tol * max(1.0, np.linalg.norm(a)):
+    if (F.gauge_expectation(a) - a).norm() > tol * max(1.0, a.norm()):
         raise PreconditionError("argument is not in the degree-0 part")
-    out = L @ a @ L.conj().T
+    Lp = L.placed()
+    Lps = Lp.adjoint()
+    out = Lp @ a.placed() @ Lps
     report.add("shifted-vacuum", "E(L a L*) = 0",
-               F.vacuum_expectation(out).norm() / max(1.0, np.linalg.norm(a, 2)),
-               tol)
+               F.vacuum_expectation(out).norm()
+               / max(1.0, F.gauge_expectation(a).spectral_norm()), tol)
     if rng is not None:
-        iso = L.conj().T @ L
-        below = np.arange(int(F.offsets[F.N]))
-        iso[below, below] -= 1              # minus (1 - E_N)
-        res_iso = np.linalg.norm(iso, 2)
+        one_below = F.identity().restrict(F.N - 1)     # 1 - E_N
+        res_iso = (L.adjoint() @ L - one_below).spectral_norm()
         report.add("truncated-isometry", "L* L = 1 - E_N", res_iso, tol)
         res = 0.0
         for _ in range(3):
-            x = F.gauge_expectation(rng.standard_normal((F.dim, F.dim))
-                                    + 1j * rng.standard_normal((F.dim, F.dim))
-                                    ).dense()
-            y = F.gauge_expectation(rng.standard_normal((F.dim, F.dim))
-                                    + 1j * rng.standard_normal((F.dim, F.dim))
-                                    ).dense()
-            lhs = L @ x @ y @ L.conj().T
-            rhs = (L @ x @ L.conj().T) @ (L @ y @ L.conj().T)
+            x = F.gauge_expectation(F.level_blocks(
+                rng.standard_normal((F.dim, F.dim))
+                + 1j * rng.standard_normal((F.dim, F.dim))))
+            y = F.gauge_expectation(F.level_blocks(
+                rng.standard_normal((F.dim, F.dim))
+                + 1j * rng.standard_normal((F.dim, F.dim))))
+            lhs = Lp @ x @ y @ Lps
+            rhs = (Lp @ x @ Lps) @ (Lp @ y @ Lps)
             # difference is L x E_N y L*: vanishes below the truncation rim
             res = max(res, masked_norm(F, lhs - rhs, F.N - 1)
-                      / max(1.0, np.linalg.norm(x) * np.linalg.norm(y)))
+                      / max(1.0, x.norm() * y.norm()))
         report.add("multiplicative-on-degree-zero",
                    "Psi(xy) = Psi(x)Psi(y) on the overflow-free domain",
                    res, 1e-7)
@@ -693,7 +698,7 @@ def toeplitz_endomorphism(F: FockSpace, a, L, rng=None, tol=DEFAULT_TOL):
 def endomorphism_injectivity_check(F: FockSpace, L, n,
                                    rng) -> VerificationReport:
     """Rank preservation of x -> L x L* on spans of balanced words, for a
-    creation operator L (blocks (k+1, k) only), a LevelOp or a dense matrix.
+    level operator L with blocks (k+1, k) only, such as a creation operator.
 
     A balanced word is block diagonal with blocks x_k, so L x L* is block
     diagonal with blocks C_k x_k C_k* on the levels k + 1 <= N, C_k the
@@ -706,7 +711,6 @@ def endomorphism_injectivity_check(F: FockSpace, L, n,
         raise PreconditionError("need n <= N - 1 for overflow-free words")
     words = [list(word_blocks(F, *random_word(F, rng, m)))
              for m in range(n + 1) for _ in range(5)]
-    L = F.level_blocks(L)
     C = [L.block(k + 1, k) for k in range(F.N)]
     r_in = complex_rank([np.concatenate([xk.ravel() for xk in x])
                          for x in words])

@@ -11,7 +11,7 @@ import numpy as np
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, ConditionalExpectation, PreconditionError,
                     StateFunctional, UnitalHomomorphism, DEFAULT_TOL)
-from .fock import DEFAULT_DIM_CAP, FockSpace, LevelOp, masked_norm
+from .fock import DEFAULT_DIM_CAP, FockSpace, masked_norm
 from .hilbmod import cp_bimodule, gns_bimodule
 from .report import VerificationReport
 
@@ -35,20 +35,21 @@ def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,
         raise PreconditionError("state annihilates a central summand")
     module, xi = gns_bimodule(B, rho)
     F = FockSpace(module, N, dim_cap=dim_cap)
-    L = F.creation_matrix(xi)
+    L = F.creation(xi)
+    Ls = L.adjoint()
+    one = F.identity()
     report = VerificationReport(suite="toeplitz-state",
                                 parameters={"N": N, "blocks": list(B.block_sizes)})
     res = 0.0
     for _ in range(samples):
         b = B.random_element(rng)
-        diff = L.conj().T @ F.left_matrix(b) @ L \
-            - rho(b) * np.eye(F.dim)
+        diff = Ls @ F.left(b) @ L - one * rho(b)
         res = max(res, masked_norm(F, diff, N - 1) / max(1.0, b.norm()))
     report.add("compressed-state", "l(xi)* b l(xi) = rho(b) 1", res, tol)
 
     def random_toeplitz_word(max_len):
         m = int(rng.integers(1, max_len + 1))
-        word = np.eye(F.dim, dtype=complex)
+        word = one
         climb = level = 0
         for _ in range(m):
             if rng.random() < 0.5:
@@ -56,12 +57,12 @@ def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,
                 level += 1
                 climb = max(climb, level)
             else:
-                word = L.conj().T @ word
+                word = Ls @ word
                 level -= 1
         return word, climb
 
     res_scalar = 0.0
-    support = np.eye(F.dim) - L @ L.conj().T
+    support = one - L @ Ls
     res_support = 0.0
     for _ in range(2 * samples):
         w, climb = random_toeplitz_word(N)
@@ -70,7 +71,7 @@ def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,
         e = F.vacuum_expectation(w)
         _, fit = scalar_fit(e)
         res_scalar = max(res_scalar, fit)
-        e2 = F.vacuum_expectation(support @ w @ support)
+        e2 = F.vacuum_expectation(support, w, support)
         res_support = max(res_support, (e - e2).norm())
     report.add("scalar-expectation",
                "E(w) is a scalar multiple of 1 for words w in C*(l(xi))",
@@ -182,12 +183,11 @@ def freeness_check(families, expectation, embed, budget, rng,
                    ) -> VerificationReport:
     """Max norm of expectations of alternating products of centered samples.
 
-    families: list of callables rng -> operator, a dense matrix or a
-    LevelOp; expectation: list of factors -> element with a norm; embed:
-    value -> operator.  Products are kept as factor lists and evaluated on
-    the vacuum.  The report's one check, <suite>-max-moment, holds the
-    residual of every pattern; a budget below 2 has no alternating pattern
-    and is refused."""
+    families: list of callables rng -> LevelOp; expectation: list of
+    factors -> element with a norm; embed: value -> LevelOp.  Products are
+    kept as factor lists and evaluated on the vacuum.  The report's one
+    check, <suite>-max-moment, holds the residual of every pattern; a
+    budget below 2 has no alternating pattern and is refused."""
     if len(families) < 2:
         raise PreconditionError("freeness needs at least two families")
     if budget < 2:
@@ -204,8 +204,7 @@ def freeness_check(families, expectation, embed, budget, rng,
             for f in pat:
                 x = families[f](rng)
                 x = x - embed(expectation([x]))
-                scale *= max(1.0, x.norm() if isinstance(x, LevelOp)
-                             else np.linalg.norm(x))
+                scale *= max(1.0, x.norm())
                 factors.append(x)
             worst = max(worst, expectation(factors).norm() / scale)
         table["-".join(str(f) for f in pat)] = worst

@@ -16,11 +16,12 @@ from fockmod.fock import (FockSpace, creation_relations_check,
                           quotient_dimension_check)
 from fockmod.freeprod import (amalg_setup, build_W, catalan,
                               corner_freeness_check, freeness_check,
-                              la_freeness_check, scalar_creation,
+                              la_freeness_check,
                               semicircular_moments, swap_commutation,
                               wunitary_vanishing)
 from fockmod.hilbmod import (gram_schmidt, make_bimodule,
-                             projection_from_basis, submodule_projection)
+                             projection_from_basis, submodule_projection,
+                             trivial_module)
 from fockmod.instances import (amalg_instances, creation_instances,
                                crossed_instances, multiplicity_shift_instance,
                                random_state, vector_families)
@@ -242,20 +243,15 @@ def test_criterion_11_negative_controls():
     bad_eta = (not vrep.passed) and any(
         c.anchor == "Choi(phi) >= 0" for c in vrep.failures)
 
-    C = CStarAlgebra((1,))
-    l = scalar_creation(8)
-    s = l + l.conj().T
+    # the semicircular element l + l* on the Fock space of C over itself
+    Fs = FockSpace(trivial_module(CStarAlgebra((1,))), 8)
+    l = Fs.creation(Fs.bimodule.basis()[0])
+    s = l + l.adjoint()
 
     def expectation(factors):
-        y = np.eye(9, dtype=complex)[:, :1]
-        for M in reversed(list(factors)):
-            y = M @ y
-        return C.scalar(y[0, 0])
+        return Fs.vacuum_expectation(*factors)
 
-    def embed(b):
-        return complex(b.blocks[0][0, 0]) * np.eye(9, dtype=complex)
-
-    frep = freeness_check([lambda r: s, lambda r: s], expectation, embed,
+    frep = freeness_check([lambda r: s, lambda r: s], expectation, Fs.left,
                           budget=2, rng=rng, samples_per_pattern=2,
                           threshold=1e-6, suite="non-free-pair",
                           anchor="psi(alternating centered products) = 0")

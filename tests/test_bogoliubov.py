@@ -57,7 +57,7 @@ def test_identity_extension_is_identity():
     F = FockSpace(H, 2)
     FI, rep = fock_extension(F, identity_bogoliubov(H), tol=1e-9)
     assert rep.passed, rep.failures
-    assert np.linalg.norm(FI - np.eye(F.dim)) < 1e-9
+    assert np.linalg.norm(FI.dense() - np.eye(F.dim)) < 1e-9
 
 
 def test_extension_intertwines_creation():
@@ -66,10 +66,11 @@ def test_extension_intertwines_creation():
     FU, rep = fock_extension(F, U, tol=1e-9)
     assert rep.passed, rep.failures
     x = H.random_vector(RNG)
-    lhs = FU @ F.creation_matrix(x)
-    rhs = F.creation_matrix(U(x)) @ FU
+    FU = FU.dense()
+    lhs = FU @ F.creation(x).dense()
+    rhs = F.creation(U(x)).dense() @ FU
     from fockmod.fock import masked_norm
-    assert masked_norm(F, lhs - rhs, F.N - 1) < 1e-8
+    assert masked_norm(F, F.level_blocks(lhs - rhs), F.N - 1) < 1e-8
 
 
 def test_augmented_extension_fixes_unit_vector():
@@ -106,6 +107,7 @@ def test_compression_channel_properties():
     spans, _ = kp_subspace(U, K, 2)
     Q, rep = compression_channels(F, 2, spans[-1], RNG, tol=1e-8)
     assert rep.passed, rep.failures
+    Q = Q.dense()
     assert np.linalg.norm(Q @ Q - Q) < 1e-9
     assert np.linalg.norm(Q - Q.conj().T) < 1e-9
 
@@ -157,7 +159,7 @@ def _assert_matches_per_vector_construction(bog, augmented):
     M, rep = fock_extension(F, bog, xi=xi, tol=1e-9)
     assert rep.passed, rep.failures
     for k, ref in enumerate(_reference_level_maps(F, bog)):
-        blk = M[F.level_slice(k), F.level_slice(k)]
+        blk = M.dense()[F.level_slice(k), F.level_slice(k)]
         assert np.linalg.norm(blk - ref) <= 1e-12 * max(
             1.0, np.linalg.norm(ref)), k
 
@@ -245,10 +247,11 @@ def _dense_intertwining_residual(F, bog, M):
     defects: two Fock-size creation matrices and two products per basis
     vector.  Kept as the reference for fock_extension."""
     H = F.bimodule
+    M = M.dense()
     res_int = 0.0
     for e in H.basis():
-        lhs = M @ F.creation_matrix(e)
-        rhs = F.creation_matrix(bog(e)) @ M
+        lhs = M @ F.creation(e).dense()
+        rhs = F.creation(bog(e)).dense() @ M
         res_int = max(res_int, float(np.linalg.norm(lhs - rhs)))
     return res_int
 
@@ -402,17 +405,27 @@ def test_bog_suite_builds_each_growth_chain_once(monkeypatch):
     assert counts["_fock_level_spans"] <= 14
 
 
-@pytest.mark.parametrize("truncation", ["3", "4", "default"])
-def test_bog_crossed_checks_match_the_recorded_residuals(truncation):
-    """crossed, free and bog against their checks as recorded with
-    least-squares level solves, per-matrix-unit automorphism distances and
-    per-vector Gram-Schmidt norms."""
-    path = Path(__file__).parent / "data" / "bog_crossed_checks.json"
+_RECORDED = [("bog_crossed_checks.json", ("crossed", "free", "bog"), ""),
+             ("fock_toeplitz_checks.json", ("fock", "toeplitz"),
+              "fock_toeplitz-")]
+
+
+@pytest.mark.parametrize("data, suites, truncation", [
+    pytest.param(data, suites, truncation, id=prefix + truncation)
+    for data, suites, prefix in _RECORDED
+    for truncation in ("3", "4", "default")])
+def test_bog_crossed_checks_match_the_recorded_residuals(data, suites,
+                                                         truncation):
+    """The suites against their checks as recorded in tests/data: crossed,
+    free and bog with least-squares level solves, per-matrix-unit
+    automorphism distances and per-vector Gram-Schmidt norms; fock and
+    toeplitz with the dense Fock builders."""
+    path = Path(__file__).parent / "data" / data
     want = json.loads(path.read_text())["truncations"][truncation]
     st = cli.Settings(truncation=None if truncation == "default"
                       else int(truncation))
     got = [(r.suite, c.name, c.passed, c.residual)
-           for suite in ("crossed", "free", "bog")
+           for suite in suites
            for r in cli.run_suites(None, (suite,), st) for c in r.checks]
     assert [tuple(row[:3]) for row in want] == [row[:3] for row in got]
     for (_, name, _, ref), (_, _, _, res) in zip(want, got):

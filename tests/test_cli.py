@@ -5,9 +5,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fockmod.cli import (EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION,
-                         EXIT_RESOURCE, InstanceError, Settings,
-                         build_instance, emit, main, parse_instance)
+                         EXIT_RESOURCE, SUITES, InstanceError, Settings,
+                         build_instance, emit, main, parse_instance,
+                         run_suites)
 from fockmod.cstar import PreconditionError
+from fockmod.fock import LevelOp
 from fockmod.report import VerificationReport
 
 EXAMPLE = "instances/example.json"
@@ -295,6 +297,18 @@ def test_lowest_truncations_never_fail(capsys, suite, truncation):
     none reports a failed identity or raises."""
     code = main(["--suite", suite, "--truncation", truncation])
     assert code in (EXIT_PASS, EXIT_PRECONDITION), capsys.readouterr().out
+
+
+def test_no_suite_builds_a_dense_fock_operator(monkeypatch):
+    """Every Fock-space operator of every suite stays a level operator:
+    none is multiplied out into a Fock-size matrix."""
+    def refuse(self):
+        raise AssertionError("dense Fock-size operator built")
+
+    monkeypatch.setattr(LevelOp, "dense", refuse)
+    for suite in SUITES:
+        reports = run_suites(None, (suite,), Settings(truncation=3))
+        assert reports and all(r.passed for r in reports), suite
 
 
 def test_dimension_cap_reaches_toeplitz_state(tmp_path, capsys):

@@ -10,7 +10,7 @@ from fockmod.fock import (FockSpace, LevelOp, creation_relations_check,
                           fock_factorization_check, ideal_structure_check,
                           isometric_vector, masked_norm, power_dims,
                           quotient_dimension_check, random_word,
-                          toeplitz_endomorphism, word, word_blocks)
+                          toeplitz_endomorphism, word_blocks)
 from fockmod.freeprod import AmalgSetup
 from fockmod.hilbmod import (HilbertBimodule, TensorStep, _kron_eye,
                              complex_rank, element_to_vector, make_bimodule,
@@ -33,14 +33,24 @@ def swap_fock(N=4):
     return FockSpace(H, N)
 
 
+def _dense_word(F: FockSpace, coeffs, hs):
+    """The balanced word of `word_blocks` as a dense Fock-size matrix."""
+    return block_diag_matrix(list(word_blocks(F, coeffs, hs)), F.dim)
+
+
+def _right_matrix(F: FockSpace, b):
+    """The dense right action of b on the Fock space, level by level."""
+    return block_diag_matrix([lv.right_matrix(b) for lv in F.levels], F.dim)
+
+
 def test_creation_commutation_relation():
     F = plane_fock()
     H = F.bimodule
     x, y = H.random_vector(RNG), H.random_vector(RNG)
-    Lx, Ly = F.creation_matrix(x), F.creation_matrix(y)
-    rhs = F.left_matrix(H.inner(x, y))
+    Lx, Ly = F.creation(x).dense(), F.creation(y).dense()
+    rhs = F.left(H.inner(x, y)).dense()
     diff = Lx.conj().T @ Ly - rhs
-    assert masked_norm(F, diff, F.N - 1) < 1e-10
+    assert masked_norm(F, F.level_blocks(diff), F.N - 1) < 1e-10
 
 
 def test_creation_intertwines_right_action():
@@ -48,9 +58,8 @@ def test_creation_intertwines_right_action():
     H = F.bimodule
     x = H.random_vector(RNG)
     b = H.base.random_element(RNG)
-    lhs = F.creation_matrix(x) @ F.right_matrix(b)
-    rhs = F.right_matrix(b) @ F.creation_matrix(x)
-    assert masked_norm(F, lhs - rhs, F.N - 1) < 1e-10
+    Lx, Rb = F.creation(x).dense(), _right_matrix(F, b)
+    assert masked_norm(F, F.level_blocks(Lx @ Rb - Rb @ Lx), F.N - 1) < 1e-10
 
 
 def test_creation_left_module_map():
@@ -58,19 +67,19 @@ def test_creation_left_module_map():
     H = F.bimodule
     x = H.random_vector(RNG)
     b = H.base.random_element(RNG)
-    lhs = F.creation_matrix(H.left(b, x))
-    rhs = F.left_matrix(b) @ F.creation_matrix(x)
-    assert masked_norm(F, lhs - rhs, F.N - 1) < 1e-10
+    lhs = F.creation(H.left(b, x)).dense()
+    rhs = F.left(b).dense() @ F.creation(x).dense()
+    assert masked_norm(F, F.level_blocks(lhs - rhs), F.N - 1) < 1e-10
 
 
 def test_vacuum_expectation_is_conditional():
     F = plane_fock()
     x = F.bimodule.random_vector(RNG)
-    L = F.creation_matrix(x)
-    val = F.vacuum_expectation(L.conj().T @ L)
+    L = F.creation(x).dense()
+    val = F.vacuum_expectation(F.level_blocks(L.conj().T @ L))
     want = F.bimodule.inner(x, x)
     assert (val - want).norm() < 1e-10
-    assert F.vacuum_expectation(L).norm() < 1e-12
+    assert F.vacuum_expectation(F.level_blocks(L)).norm() < 1e-12
 
 
 def test_relation_and_expectation_reports_on_seeded_instances():
@@ -107,13 +116,14 @@ def test_factorization_small_words():
 def test_balanced_words_keep_every_level():
     F = plane_fock()
     for _ in range(5):
-        W = word(F, *random_word(F, RNG, 2))
+        W = _dense_word(F, *random_word(F, RNG, 2))
         assert W.shape == (F.dim, F.dim)
-        assert np.array_equal(F.gauge_expectation(W).dense(), W)
+        assert np.array_equal(F.gauge_expectation(F.level_blocks(W)).dense(),
+                              W)
 
 
 # The general alternating word of the parent implementation, kept verbatim
-# as the reference for word and random_word on balanced words.
+# as the reference for word_blocks and random_word on balanced words.
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -141,10 +151,10 @@ class WordSpec:
 
 
 def _reference_word(F: FockSpace, spec: WordSpec):
-    M = F.left_matrix(spec.coeffs[0])
+    M = F.left(spec.coeffs[0]).dense()
     for (h, g), b in zip(spec.factors, spec.coeffs[1:]):
-        c = F.creation_matrix(h)
-        M = M @ (c if g == CREATE else c.conj().T) @ F.left_matrix(b)
+        c = F.creation(h).dense()
+        M = M @ (c if g == CREATE else c.conj().T) @ F.left(b).dense()
     return M
 
 
@@ -170,7 +180,7 @@ def test_word_matches_alternating_reference():
     for F in spaces:
         for m in range(4):
             rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-            W = word(F, *random_word(F, rng, m))
+            W = _dense_word(F, *random_word(F, rng, m))
             spec = _reference_random_word_spec(F, rng_ref, 2 * m,
                                                balanced=True)
             assert spec.net_degree == 0
@@ -227,26 +237,30 @@ def test_quotient_corner_is_the_word_corner(monkeypatch):
                     for m in range(depth + 1) for _ in range(6)]
     assert len(corners) == len(ms)
     for m, C in zip(ms, corners):
-        assert np.array_equal(C, word(F, *random_word(F, rng_ref, m))[:cut, :cut])
+        assert np.array_equal(
+            C, _dense_word(F, *random_word(F, rng_ref, m))[:cut, :cut])
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def _reference_vacuum(F: FockSpace):
     one = element_to_vector(F.levels[0], F.base.identity())
-    return F.embed_level(0, one.flat)
+    out = np.zeros(F.dim, complex)
+    out[F.level_slice(0)] = one.flat
+    return out
 
 
 def _reference_u_v(F: FockSpace, coeffs, hs, n):
     """The dense prefix and suffix products of the parent implementation,
     kept verbatim as the reference for the level-n vectors u and v."""
-    prefix = F.left_matrix(coeffs[0]).copy()
+    prefix = F.left(coeffs[0]).dense()
     for i in range(n):
-        prefix = prefix @ F.creation_matrix(hs[i]) @ F.left_matrix(coeffs[i + 1])
+        prefix = prefix @ F.creation(hs[i]).dense() \
+            @ F.left(coeffs[i + 1]).dense()
     u_flat = prefix @ _reference_vacuum(F)
     suffix_adj = np.eye(F.dim, dtype=complex)
     for i in range(n):
-        suffix_adj = F.left_matrix(coeffs[n + 1 + i].adjoint()) \
-            @ F.creation_matrix(hs[n + i]) @ suffix_adj
+        suffix_adj = F.left(coeffs[n + 1 + i].adjoint()).dense() \
+            @ F.creation(hs[n + i]).dense() @ suffix_adj
     v_flat = suffix_adj @ _reference_vacuum(F)
     lev = F.levels[n]
     u = lev.from_flat(u_flat[F.level_slice(n)])
@@ -268,27 +282,6 @@ def test_rank_one_vectors_match_dense_prefix_and_suffix():
                 assert got.parent is F.levels[n]
                 assert np.linalg.norm(got.flat - ref.flat) \
                     <= 1e-14 * max(1.0, np.linalg.norm(ref.flat))
-
-
-def test_ideal_and_quotient_checks_build_no_fock_size_operators(monkeypatch):
-    calls = {"creation_matrix": 0, "left_matrix": 0}
-
-    def counted(name):
-        original = getattr(FockSpace, name)
-
-        def wrapper(self, *args):
-            calls[name] += 1
-            return original(self, *args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(FockSpace, name, counted(name))
-    for F in (plane_fock(4), swap_fock(4)):
-        for n in (1, 2):
-            rep = ideal_structure_check(F, n, RNG)
-            rep.merge(quotient_dimension_check(F, n, RNG))
-            assert rep.passed, rep.failures
-    assert calls == {"creation_matrix": 0, "left_matrix": 0}
 
 
 def test_quotient_check_never_evaluates_levels_from_n(monkeypatch):
@@ -335,7 +328,7 @@ def test_filtration_depth_below_one_is_refused_before_drawing(check, n):
 
 def test_injectivity_depth_below_zero_is_refused_before_drawing():
     F = _first_instance_fock()
-    L = F.creation_matrix(F.bimodule.random_vector(RNG))
+    L = F.creation(F.bimodule.random_vector(RNG))
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     with pytest.raises(PreconditionError, match="nonnegative"):
@@ -347,15 +340,15 @@ def test_word_rejects_wrong_counts():
     F = plane_fock()
     coeffs, hs = random_word(F, RNG, 1)
     with pytest.raises(StructureError):
-        word(F, coeffs[:-1], hs)
+        word_blocks(F, coeffs[:-1], hs)
     with pytest.raises(StructureError):
-        word(F, coeffs[:-1], hs[:-1])
+        word_blocks(F, coeffs[:-1], hs[:-1])
 
 
 def test_toeplitz_endomorphism_and_injectivity():
     F = plane_fock(4)
-    L = F.creation_matrix(isometric_vector(F.bimodule, RNG))
-    op, rep = toeplitz_endomorphism(F, F.left_matrix(F.bimodule.base.identity()),
+    L = F.creation(isometric_vector(F.bimodule, RNG))
+    op, rep = toeplitz_endomorphism(F, F.left(F.bimodule.base.identity()),
                                     L, rng=RNG, tol=1e-9)
     assert rep.passed, rep.failures
     inj = endomorphism_injectivity_check(F, L, 2, RNG)
@@ -365,9 +358,9 @@ def test_toeplitz_endomorphism_and_injectivity():
 def test_toeplitz_rejects_offdiagonal_argument():
     F = plane_fock(4)
     x = F.bimodule.random_vector(RNG)
-    L = F.creation_matrix(isometric_vector(F.bimodule, RNG))
+    L = F.creation(isometric_vector(F.bimodule, RNG))
     with pytest.raises(PreconditionError):
-        toeplitz_endomorphism(F, F.creation_matrix(x), L, rng=RNG)
+        toeplitz_endomorphism(F, F.creation(x), L, rng=RNG)
 
 
 def test_dimension_cap_raises_resource_error():
@@ -638,7 +631,6 @@ def test_left_matches_the_conjugated_reference(builder_spaces):
             assert set(got.blocks) == {(k, k) for k in range(F.N + 1)}
             assert np.linalg.norm(got.dense() - ref) \
                 <= 1e-14 * max(1.0, np.linalg.norm(ref))
-            assert np.array_equal(F.left_matrix(b), got.dense())
 
 
 def test_creation_equals_the_dense_reference(builder_spaces):
@@ -651,7 +643,6 @@ def test_creation_equals_the_dense_reference(builder_spaces):
         ref = _reference_creation_matrix(F, h)
         assert np.linalg.norm(got.dense() - ref) \
             <= 1e-14 * max(1.0, np.linalg.norm(ref))
-        assert np.array_equal(F.creation_matrix(h), got.dense())
 
 
 def _place(step, comps):
@@ -719,7 +710,7 @@ def test_level_op_dense_is_right_b_linear():
     rng = np.random.default_rng(43)
     for F in _level_op_spaces():
         b = F.base.random_element(rng)
-        Rb = F.right_matrix(b)
+        Rb = _right_matrix(F, b)
         for pairs in _SHAPES:
             D = _random_level_op(F, rng, pairs).dense()
             assert D.shape == (F.dim, F.dim)
@@ -747,7 +738,7 @@ def test_level_op_arithmetic_matches_dense():
                 assert np.array_equal(R[:, :cut], Ad[:, :cut])
                 assert not R[:, cut:].any()
                 want = np.linalg.norm(Ad[:, :cut])
-                for M in (A, Ad):
+                for M in (A, F.level_blocks(Ad)):
                     assert abs(masked_norm(F, M, m) - want) \
                         <= 1e-14 * max(1.0, want)
             for B in ops:
@@ -783,14 +774,15 @@ def test_expectations_of_level_ops_match_dense():
         want = (Ad @ Bd)[:d0, :d0] @ one
         # a dense matrix is an operator over one component of size 1, so
         # it mixes with a level operator only over B = C
-        mixed = [(A, Bd)] if F.base.block_sizes == (1,) else []
-        for factors in [(A, B), (Ad, Bd)] + mixed:
+        Ap, Bp = F.level_blocks(Ad), F.level_blocks(Bd)
+        mixed = [(A, Bp)] if F.base.block_sizes == (1,) else []
+        for factors in [(A, B), (Ap, Bp)] + mixed:
             got = F.vacuum_expectation(*factors)
             assert np.linalg.norm(got.flat - want) <= 1e-14 * max(
                 1.0, np.linalg.norm(Ad) * np.linalg.norm(Bd))
         diag = block_diag_matrix([Ad[F.level_slice(k), F.level_slice(k)]
                                   for k in range(F.N + 1)], F.dim)
-        for M in (A, Ad):
+        for M in (A, Ap):
             assert np.array_equal(F.gauge_expectation(M).dense(), diag)
         assert set(F.gauge_expectation(A).blocks) == {(1, 1)}
 
@@ -830,22 +822,20 @@ def test_amalg_operators_stay_in_component_form():
                 assert max(T.shape) <= 256
 
 
-def test_injectivity_ranks_match_the_dense_conjugation(monkeypatch):
+def test_injectivity_ranks_match_the_dense_conjugation():
     spaces = [(plane_fock(4), 2), (swap_fock(4), 2)] + [
         (FockSpace(H, 3), 2) for H, _ in creation_instances(25, 5)[:2]]
     for F, n in spaces:
         L = F.creation(F.bimodule.random_vector(RNG))
         rng, rng_ref = np.random.default_rng(59), np.random.default_rng(59)
-        mats = [word(F, *random_word(F, rng_ref, m))
+        mats = [_dense_word(F, *random_word(F, rng_ref, m))
                 for m in range(n + 1) for _ in range(5)]
         Ld = L.dense()
         want = (complex_rank([m.ravel() for m in mats]),
                 complex_rank([(Ld @ m @ Ld.conj().T).ravel()
                               for m in mats]))
-        monkeypatch.setattr(fock, "word", None)     # no Fock-size word
-        for op in (L, Ld):
+        for op in (L, F.level_blocks(Ld)):
             rep = endomorphism_injectivity_check(
                 F, op, n, np.random.default_rng(59))
             details = rep.checks[0].details
             assert (details["rank_in"], details["rank_out"]) == want
-        monkeypatch.undo()

@@ -13,6 +13,7 @@ from fockmod.freeprod import (alpha_beta_conditions,
                               haar_unitary, scalar_creation,
                               semicircular_moments, swap_commutation,
                               toeplitz_state_check, wunitary_vanishing)
+from fockmod.hilbmod import trivial_module
 from fockmod.instances import random_state
 
 RNG = np.random.default_rng(53)
@@ -117,54 +118,45 @@ def test_wunitary_budget_precondition():
         wunitary_vanishing(setup, 5, RNG)
 
 
+def scalar_fock(N):
+    """The N-truncated Fock space of C over itself and its creation
+    operator l, whose dense matrix is `scalar_creation(N)`."""
+    F = FockSpace(trivial_module(CStarAlgebra((1,))), N)
+    l = F.creation(F.bimodule.basis()[0])
+    assert np.array_equal(l.dense(), scalar_creation(N))
+    return F, l
+
+
 def test_freeness_check_flags_dependent_families():
-    B = CStarAlgebra((1,))
-    l = scalar_creation(8)
-    s = l + l.conj().T
+    F, l = scalar_fock(8)
+    s = l + l.adjoint()
 
     def expectation(factors):
-        y = np.eye(9, dtype=complex)[:, :1]
-        for M in reversed(list(factors)):
-            y = M @ y
-        return B.scalar(y[0, 0])
-
-    def embed(b):
-        return complex(b.blocks[0][0, 0]) * np.eye(9, dtype=complex)
+        return F.vacuum_expectation(*factors)
 
     # both families sample the same semicircular element, so alternating
     # centered products have nonvanishing expectation
-    report = freeness_check([lambda r: s, lambda r: s], expectation, embed,
+    report = freeness_check([lambda r: s, lambda r: s], expectation, F.left,
                             budget=2, rng=RNG, samples_per_pattern=2,
                             threshold=1e-6)
     assert not report.passed
 
 
 def test_freeness_check_needs_two_families():
-    B = CStarAlgebra((1,))
+    F, _ = scalar_fock(1)
     with pytest.raises(PreconditionError):
-        freeness_check([lambda r: np.eye(2)], lambda f: B.identity(),
-                       lambda b: np.eye(2), budget=2, rng=RNG)
+        freeness_check([lambda r: F.identity()], lambda f: F.base.identity(),
+                       F.left, budget=2, rng=RNG)
 
 
 def test_freeness_check_needs_budget_two():
     """Budget 1 has no alternating pattern of length 2: the check would
     pass on an empty table."""
-    B = CStarAlgebra((1,))
-    l = scalar_creation(4)
+    F, l = scalar_fock(4)
     with pytest.raises(PreconditionError, match="budget"):
-        freeness_check([lambda r: l, lambda r: l.conj().T],
-                       lambda f: B.identity(), lambda b: np.eye(5),
+        freeness_check([lambda r: l, lambda r: l.adjoint()],
+                       lambda f: F.base.identity(), F.left,
                        budget=1, rng=RNG)
-
-
-def test_amalg_suite_builds_no_dense_fock_operators(monkeypatch):
-    def refuse(self, *args):
-        raise AssertionError("dense Fock-size operator built")
-
-    for name in ("left_matrix", "creation_matrix"):
-        monkeypatch.setattr(FockSpace, name, refuse)
-    reports = run_amalg(None, Settings(truncation=3))
-    assert reports and all(r.passed for r in reports)
 
 
 def test_w_selfadjoint_is_the_frobenius_norm():
