@@ -695,7 +695,7 @@ def toeplitz_endomorphism(F: FockSpace, a: LevelOp, L: LevelOp, rng=None,
     return out, report
 
 
-def endomorphism_injectivity_check(F: FockSpace, L, n,
+def endomorphism_injectivity_check(F: FockSpace, L: LevelOp, n,
                                    rng) -> VerificationReport:
     """Rank preservation of x -> L x L* on spans of balanced words, for a
     level operator L with blocks (k+1, k) only, such as a creation operator.
