@@ -284,6 +284,23 @@ def test_rank_one_vectors_match_dense_prefix_and_suffix():
                     <= 1e-14 * max(1.0, np.linalg.norm(ref.flat))
 
 
+def test_ideal_and_quotient_checks_build_no_fock_size_operators(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense Fock-size operator built")
+
+    def below_fock_size(blocks, total=None):
+        assert total is not None and total < F.dim, "Fock-size matrix built"
+        return block_diag_matrix(blocks, total)
+
+    monkeypatch.setattr(LevelOp, "dense", refuse)
+    monkeypatch.setattr(fock, "block_diag_matrix", below_fock_size)
+    for F in (plane_fock(4), swap_fock(4)):
+        for n in (1, 2):
+            rep = ideal_structure_check(F, n, RNG)
+            rep.merge(quotient_dimension_check(F, n, RNG))
+            assert rep.passed, rep.failures
+
+
 def test_quotient_check_never_evaluates_levels_from_n(monkeypatch):
     F = swap_fock(4)
     n = 2

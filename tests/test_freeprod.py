@@ -7,7 +7,7 @@ import pytest
 from fockmod.cli import Settings, run_amalg
 from fockmod.cstar import (CStarAlgebra, ConditionalExpectation,
                            PreconditionError)
-from fockmod.fock import FockSpace
+from fockmod.fock import FockSpace, LevelOp
 from fockmod.freeprod import (alpha_beta_conditions,
                               amalg_setup, build_W, catalan, freeness_check,
                               haar_unitary, scalar_creation,
@@ -157,6 +157,15 @@ def test_freeness_check_needs_budget_two():
         freeness_check([lambda r: l, lambda r: l.adjoint()],
                        lambda f: F.base.identity(), F.left,
                        budget=1, rng=RNG)
+
+
+def test_amalg_suite_builds_no_dense_fock_operators(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense Fock-size operator built")
+
+    monkeypatch.setattr(LevelOp, "dense", refuse)
+    reports = run_amalg(None, Settings(truncation=3))
+    assert reports and all(r.passed for r in reports)
 
 
 def test_w_selfadjoint_is_the_frobenius_norm():
