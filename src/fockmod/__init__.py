@@ -4,9 +4,9 @@ and free-product operator identities at finite dimension and truncation."""
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, ConditionalExpectation, StateFunctional,
                     StructureError, PreconditionError, UnitalHomomorphism)
-from .hilbmod import (AugmentedModule, HilbertBimodule, Localization,
-                      ModuleVector, SubmoduleSpan, cp_bimodule, direct_sum,
-                      TensorStep, gns_bimodule, gram_schmidt, make_bimodule,
+from .hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
+                      SubmoduleSpan, TensorStep, cp_bimodule, direct_sum,
+                      gns_bimodule, gram_schmidt, make_bimodule,
                       submodule_projection, trivial_module)
 from .fock import (FockSpace, LevelOp, creation_relations_check,
                    fock_factorization_check, ideal_structure_check,
@@ -28,7 +28,7 @@ __all__ = [
     "AlgebraAutomorphism", "AlgebraElement", "CPLinearMap", "CStarAlgebra",
     "ConditionalExpectation", "StateFunctional", "StructureError",
     "PreconditionError", "UnitalHomomorphism", "AugmentedModule",
-    "HilbertBimodule", "Localization", "ModuleVector", "SubmoduleSpan",
+    "HilbertBimodule", "ModuleVector", "SubmoduleSpan",
     "TensorStep", "cp_bimodule", "direct_sum", "gns_bimodule",
     "gram_schmidt", "make_bimodule", "submodule_projection",
     "trivial_module", "FockSpace", "LevelOp",

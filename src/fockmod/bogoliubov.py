@@ -195,10 +195,13 @@ def kp_subspace(bog: BogoliubovMap, K: SubmoduleSpan, p, tol=DEFAULT_TOL):
 
 
 def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
-    """Per-level orthogonal bases of B + K_p + K_p (x) K_p + ... inside the
-    levels of F, for levels 0..n.  Level 0 is all of B."""
+    """The Fock tower of a growth subspace: per-level orthogonal bases of
+    B + K_p + K_p (x) K_p + ... inside the levels of F, for levels 0..n.
+    Level 0 is all of B."""
     if span.parent is not F.bimodule:
         raise StructureError("span lives outside the Fock bimodule")
+    if n > F.N:
+        raise PreconditionError("tower level exceeds the truncation")
     level_bases = [[F.levels[0].from_flat(col)
                     for col in np.eye(F.levels[0].dim)]]
     if n >= 1:
@@ -234,10 +237,10 @@ def _random_flat(basis, rng):
     return sum(c * v.flat for c, v in zip(coeffs, basis))
 
 
-def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
+def compression_channels(F: FockSpace, span: SubmoduleSpan, level_bases, rng,
                          tol=DEFAULT_TOL):
-    """Builds the Fock tower of a growth subspace up to level n and verifies
-    the compression x -> Q x Q onto it:
+    """Verifies the compression x -> Q x Q onto the Fock tower
+    level_bases = `_fock_level_spans(F, n, span)` of a growth subspace:
 
       - the tower projection is an adjointable projection commuting with the
         left algebra action,
@@ -251,11 +254,9 @@ def compression_channels(F: FockSpace, n, span: SubmoduleSpan, rng,
     it meets live on one component of size 1 (`FockSpace.diagonal`,
     `LevelOp.placed`).
     Returns (Q, VerificationReport), Q a LevelOp."""
-    if n > F.N:
-        raise PreconditionError("compression level exceeds the truncation")
+    n = len(level_bases) - 1
     if n < 1:
         raise PreconditionError("compression level must be at least 1")
-    level_bases = _fock_level_spans(F, n, span)
     P = _tower_projection(F, level_bases)
     Q = F.diagonal(P)
     tower_dim = int(round(sum(np.trace(Pk).real for Pk in P)))
@@ -310,24 +311,22 @@ def localized_tensor_dim(module: HilbertBimodule, vectors):
     return total
 
 
-def entropy_bound_report(F: FockSpace, bog: BogoliubovMap, spans, levels,
-                         rng, tol=DEFAULT_TOL):
+def entropy_bound_report(F: FockSpace, bog: BogoliubovMap, spans, towers,
+                         levels, rng, tol=DEFAULT_TOL):
     """One report per tower level n in levels, for the growth chain
-    spans = [K_1, ..., K_{p_max}]: measures the dimension of the Fock tower
+    spans = [K_1, ..., K_{p_max}] and their Fock towers (`_fock_level_spans`,
+    up to every level in levels): measures the dimension of the Fock tower
     of each K_p up to level n tensored with the defining representation,
     and compares it with the coarse bound n p^n dim(V) dim_C(K)^n; checks
     that vectors of conjugated sample words stay inside K_p.  The
     log(dim)/p ratio column must not increase past its peak; whether the
     growth subspace saturates is noted, not asserted."""
-    if any(n > F.N for n in levels):
-        raise PreconditionError("tower level exceeds the truncation")
+    if any(n >= len(tower) for n in levels for tower in towers):
+        raise PreconditionError("tower level exceeds the towers")
     K = spans[0]
     dimV = sum(F.base.block_sizes)
-    # each K_p's tower is built once, up to the highest level
-    local_dims = [[localized_tensor_dim(F.levels[k], basis) for k, basis in
-                   enumerate(_fock_level_spans(F, max(levels, default=0),
-                                               span))]
-                  for span in spans]
+    local_dims = [[localized_tensor_dim(F.levels[k], basis)
+                   for k, basis in enumerate(tower)] for tower in towers]
     reports = []
     for n in levels:
         sample_flats = [_random_flat(K.basis, rng) for _ in range(3)]

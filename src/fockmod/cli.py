@@ -493,14 +493,19 @@ def run_bog(ctx, st):
                                          tol=st.tol)[1])
         span = entry["subspace"]
         if span is None:
-            span = submodule_projection(
-                [bog.module.basis()[0], bog.module.basis()[-1]])
+            basis = bog.module.basis()
+            span = submodule_projection([basis[0], basis[-1]])
         spans, rep = bg.kp_subspace(bog, span, entry["p_max"], tol=st.tol)
         reports.append(rep)
-        reports.append(bg.compression_channels(
-            F, n, spans[min(2, entry["p_max"]) - 1], rng, tol=st.tol)[1])
+        # each K_p's tower is built once, up to level n, the highest level
+        # either check reads
+        towers = [bg._fock_level_spans(F, n, s) for s in spans]
+        i = min(2, entry["p_max"]) - 1
+        reports.append(bg.compression_channels(F, spans[i], towers[i], rng,
+                                               tol=st.tol)[1])
         reports.extend(bg.entropy_bound_report(
-            F, bog, spans, entry.get("levels", [n]), rng, tol=st.tol))
+            F, bog, spans, towers, entry.get("levels", [n]), rng,
+            tol=st.tol))
     return reports
 
 

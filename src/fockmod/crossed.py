@@ -11,7 +11,8 @@ import numpy as np
 
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, PreconditionError, StructureError,
-                    block_diag_matrix, DEFAULT_TOL)
+                    block_diag_matrix, identity_automorphism,
+                    uniform_trace_state, DEFAULT_TOL)
 from .report import VerificationReport
 
 
@@ -19,7 +20,7 @@ class FiniteGroup:
     """Multiplication table with a designated identity; rows and columns are
     indexed by element number, table[g, h] = g*h."""
 
-    def __init__(self, table, identity=0, labels=None):
+    def __init__(self, table, identity=0):
         table = np.asarray(table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n):
@@ -43,7 +44,6 @@ class FiniteGroup:
         self.identity = e
         self.inverse = inv
         self.order = n
-        self.labels = list(labels) if labels else [str(g) for g in range(n)]
 
     def mul(self, g, h):
         return int(self.table[g, h])
@@ -57,7 +57,7 @@ class FiniteGroup:
     @staticmethod
     def cyclic(n):
         table = [[(g + h) % n for h in range(n)] for g in range(n)]
-        return FiniteGroup(table, labels=[f"r{g}" for g in range(n)])
+        return FiniteGroup(table)
 
     @staticmethod
     def symmetric(n):
@@ -65,8 +65,7 @@ class FiniteGroup:
         index = {p: i for i, p in enumerate(perms)}
         table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms]
                  for p in perms]
-        return FiniteGroup(table, identity=index[tuple(range(n))],
-                           labels=["".join(map(str, p)) for p in perms])
+        return FiniteGroup(table, identity=index[tuple(range(n))])
 
 
 class GroupAction:
@@ -80,7 +79,6 @@ class GroupAction:
         self.algebra = algebra
         self.autos = list(autos)
         e = group.identity
-        from .cstar import identity_automorphism
         if self.autos[e].distance_to(identity_automorphism(algebra)) > tol:
             raise StructureError("identity element must act as the identity")
         for g in group.elements():
@@ -141,26 +139,11 @@ class CrossedProduct:
                 = np.eye(self.dimV)
         return M
 
-    def element(self, coeffs):
-        """Sum of pi(a_g) lambda_g over a dict {g: AlgebraElement}."""
-        M = np.zeros((self.dim, self.dim), complex)
-        for g, a in coeffs.items():
-            M += self.pi(a) @ self.lam(g)
-        return M
-
-    def coefficient(self, M, g) -> AlgebraElement:
-        """Read a_g from sum pi(a_g) lambda_g: the (e, g^-1)-block is sigma(a_g)."""
-        e = self.group.identity
-        blk = M[self._slice(e), self._slice(self.group.inv(g))]
-        offs = np.cumsum([0] + list(self.algebra.block_sizes))
-        return self.algebra.element(
-            [blk[offs[j]:offs[j + 1], offs[j]:offs[j + 1]]
-             for j in range(len(self.algebra.block_sizes))])
-
-    def spanning_words(self, rng, per_g=2):
+    def spanning_words(self, rng):
+        """Two (a, g) pairs per group element g, a random."""
         out = []
         for g in self.group.elements():
-            for _ in range(per_g):
+            for _ in range(2):
                 out.append((self.algebra.random_element(rng), g))
         return out
 
@@ -227,7 +210,7 @@ def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism,
     def hat(M):
         return V @ M @ V.conj().T
 
-    words = C.spanning_words(rng, per_g=2)
+    words = C.spanning_words(rng)
     for a, g in words:
         lhs = hat(C.pi(a) @ C.lam(g))
         rhs = C.pi(beta(a)) @ C.lam(g)
@@ -275,7 +258,7 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng=None,
                                 parameters={"F": F, "size": len(F)})
     rng = rng or np.random.default_rng(0)
     if words is None:
-        words = C.spanning_words(rng, per_g=2)
+        words = C.spanning_words(rng)
     set_defect = folner_defect(G, F)
     res_exact = 0.0
     any_exact = any_bounded = False
@@ -313,11 +296,10 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng=None,
     return report
 
 
-def smearing_map(algebra: CStarAlgebra, eps, state=None) -> CPLinearMap:
-    """Unital CP map (1 - eps) id + eps rho(.) 1; defect on a is
-    eps * norm(a - rho(a) 1)."""
-    from .cstar import uniform_trace_state
-    rho = state or uniform_trace_state(algebra)
+def smearing_map(algebra: CStarAlgebra, eps) -> CPLinearMap:
+    """Unital CP map (1 - eps) id + eps rho(.) 1, rho the normalized trace;
+    defect on a is eps * norm(a - rho(a) 1)."""
+    rho = uniform_trace_state(algebra)
 
     def act(a):
         return a * (1 - eps) + algebra.identity() * (eps * rho(a))

@@ -83,13 +83,13 @@ class CStarAlgebra:
             blocks.append(vec[self._offsets[j]:self._offsets[j + 1]].reshape(n, n))
         return AlgebraElement(self, blocks)
 
-    def random_element(self, rng, scale=1.0):
+    def random_element(self, rng):
         return AlgebraElement(self, [
-            scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for n in self.block_sizes])
 
-    def random_hermitian(self, rng, scale=1.0):
-        x = self.random_element(rng, scale)
+    def random_hermitian(self, rng):
+        x = self.random_element(rng)
         return 0.5 * (x + x.adjoint())
 
     # -- structural pieces -------------------------------------------------
@@ -205,11 +205,6 @@ class StateFunctional:
         """Faithful GNS representation: no central summand is annihilated."""
         return all(np.linalg.norm(d) > 0 for d in self.densities)
 
-    @property
-    def is_faithful(self):
-        """Faithful as a state: every density block positive definite."""
-        return all(np.linalg.eigvalsh(d).min() > PSD_CUTOFF for d in self.densities)
-
     def __call__(self, x):
         if x.algebra != self.algebra:
             raise StructureError("element belongs to a different algebra")
@@ -246,11 +241,6 @@ class CPLinearMap:
             raise StructureError("element outside the map's domain")
         return self.codomain.from_flat(self.matrix @ x.flat)
 
-    def compose(self, other: "CPLinearMap"):
-        if other.codomain != self.domain:
-            raise StructureError("composition domains do not match")
-        return CPLinearMap(other.domain, self.codomain, self.matrix @ other.matrix)
-
     def choi_matrix(self):
         """Choi matrix of the map extended to the full matrix algebra
         containing the domain block-diagonally (extension by the block
@@ -286,6 +276,57 @@ def block_diag_matrix(blocks, total=None):
     return out
 
 
+# -- canonical multiplicity form --------------------------------------------
+
+def multiplicity_form(sizes, col_sizes, mults, unitaries=None):
+    """Validates a unital *-homomorphism of M_{col_sizes} into M_{sizes} in
+    multiplicity + unitary form: row i holds nonnegative multiplicities
+    c[i][k], one per column block, with sum_k c[i][k] n_k = sizes[i], and a
+    unitary of size sizes[i] (the identity when unitaries is None) changes
+    its basis.  Returns (rows as tuples, unitaries as complex arrays)."""
+    mults = [tuple(int(c) for c in row) for row in mults]
+    if len(mults) != len(sizes):
+        raise StructureError("one multiplicity row per block required")
+    for i, (m_i, row) in enumerate(zip(sizes, mults)):
+        if len(row) != len(col_sizes):
+            raise StructureError("multiplicity row length mismatch")
+        if any(c < 0 for c in row):
+            raise StructureError("negative multiplicity")
+        if sum(c * n for c, n in zip(row, col_sizes)) != m_i:
+            raise StructureError(
+                f"multiplicity equation sum_k c[{i}][k] n_k = {m_i} fails")
+    if unitaries is None:
+        unitaries = [np.eye(m, dtype=complex) for m in sizes]
+    if len(unitaries) != len(sizes):
+        raise StructureError("one unitary per block required")
+    out = []
+    for m, u in zip(sizes, unitaries):
+        u = np.asarray(u, complex)
+        if u.shape != (m, m):
+            raise StructureError("unitary shape mismatch")
+        if m and np.linalg.norm(u.conj().T @ u - np.eye(m)) > DEFAULT_TOL * m:
+            raise StructureError("basis change is not unitary")
+        out.append(u)
+    return mults, out
+
+
+def place_copies(pieces, row, size):
+    """The size x size block diagonal of row[k] copies of the square
+    pieces[k], k in order: the direct sum of kron(I_{row[k]}, pieces[k]),
+    padded with zeros.  Each kron is written through a (c, q, c, q) view of
+    its diagonal block."""
+    out = np.zeros((size, size), complex)
+    pos = 0
+    for piece, c in zip(pieces, row):
+        if c:
+            q = len(piece)
+            end = pos + c * q
+            np.einsum("iaib->iab", out[pos:end, pos:end].reshape(
+                c, q, c, q))[...] = piece
+            pos = end
+    return out
+
+
 # -- homomorphisms, embeddings, automorphisms ------------------------------
 
 class UnitalHomomorphism:
@@ -298,38 +339,15 @@ class UnitalHomomorphism:
     def __init__(self, domain, codomain, multiplicities, unitaries=None):
         self.domain = domain
         self.codomain = codomain
-        self.multiplicities = [tuple(int(c) for c in row) for row in multiplicities]
-        if len(self.multiplicities) != len(codomain.block_sizes):
-            raise StructureError("one multiplicity row per codomain block required")
-        for i, (m_i, row) in enumerate(zip(codomain.block_sizes, self.multiplicities)):
-            if len(row) != len(domain.block_sizes):
-                raise StructureError("multiplicity row length mismatch")
-            if any(c < 0 for c in row):
-                raise StructureError("negative multiplicity")
-            if sum(c * n for c, n in zip(row, domain.block_sizes)) != m_i:
-                raise StructureError(
-                    f"multiplicity equation fails on codomain block {i}")
-        if unitaries is None:
-            unitaries = [np.eye(m, dtype=complex) for m in codomain.block_sizes]
-        if len(unitaries) != len(codomain.block_sizes):
-            raise StructureError("one unitary per codomain block required")
-        self.unitaries = []
-        for m_i, u in zip(codomain.block_sizes, unitaries):
-            u = np.asarray(u, complex)
-            if u.shape != (m_i, m_i):
-                raise StructureError("unitary shape mismatch")
-            if np.linalg.norm(u.conj().T @ u - np.eye(m_i)) > DEFAULT_TOL * m_i:
-                raise StructureError("basis change is not unitary")
-            self.unitaries.append(u)
+        self.multiplicities, self.unitaries = multiplicity_form(
+            codomain.block_sizes, domain.block_sizes, multiplicities,
+            unitaries)
 
     def block_image(self, i, x):
         """Image of element x in codomain block i, as an m_i x m_i matrix."""
-        row = self.multiplicities[i]
-        diag = block_diag_matrix(
-            [m for k, c in enumerate(row) for m in [x.blocks[k]] * c],
-            self.codomain.block_sizes[i])
         u = self.unitaries[i]
-        return u @ diag @ u.conj().T
+        return u @ place_copies(x.blocks, self.multiplicities[i],
+                                self.codomain.block_sizes[i]) @ u.conj().T
 
     def __call__(self, x):
         if x.algebra != self.domain:
@@ -343,7 +361,8 @@ class AlgebraAutomorphism:
     """Automorphism in permutation + inner canonical form.
 
     beta(x)_j = u_j x_{source[j]} u_j*, where source is a permutation of the
-    block indices preserving block sizes.
+    block indices preserving block sizes: the multiplicity form whose row j
+    is one copy of block source[j].
     """
 
     def __init__(self, algebra, source=None, unitaries=None):
@@ -351,26 +370,12 @@ class AlgebraAutomorphism:
         k = len(algebra.block_sizes)
         if source is None:
             source = tuple(range(k))
-        source = tuple(int(s) for s in source)
-        if sorted(source) != list(range(k)):
+        self.source = tuple(int(s) for s in source)
+        if sorted(self.source) != list(range(k)):
             raise StructureError("block map is not a permutation")
-        for j, s in enumerate(source):
-            if algebra.block_sizes[j] != algebra.block_sizes[s]:
-                raise StructureError(
-                    "permutation maps between blocks of unequal size")
-        self.source = source
-        if unitaries is None:
-            unitaries = [np.eye(n, dtype=complex) for n in algebra.block_sizes]
-        if len(unitaries) != k:
-            raise StructureError("one unitary per block required")
-        self.unitaries = []
-        for n, u in zip(algebra.block_sizes, unitaries):
-            u = np.asarray(u, complex)
-            if u.shape != (n, n):
-                raise StructureError("unitary shape mismatch")
-            if np.linalg.norm(u.conj().T @ u - np.eye(n)) > DEFAULT_TOL * n:
-                raise StructureError("u*u = 1 fails")
-            self.unitaries.append(u)
+        _, self.unitaries = multiplicity_form(
+            algebra.block_sizes, algebra.block_sizes,
+            [[int(i == s) for i in range(k)] for s in self.source], unitaries)
 
     def __call__(self, x):
         if x.algebra != self.algebra:

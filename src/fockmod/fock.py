@@ -16,10 +16,10 @@ from itertools import islice
 import numpy as np
 
 from .cstar import (AlgebraElement, PreconditionError, ResourceCapError,
-                    StructureError,
-                    block_diag_matrix, DEFAULT_TOL)
-from .hilbmod import (HilbertBimodule, ModuleVector, TensorStep, _kron_eye,
-                      complex_rank, element_to_vector, trivial_module,
+                    StructureError, block_diag_matrix, place_copies,
+                    DEFAULT_TOL)
+from .hilbmod import (HilbertBimodule, ModuleVector, TensorStep, complex_rank,
+                      element_to_vector, right_linear_matrix, trivial_module,
                       vector_to_element)
 from .report import VerificationReport
 
@@ -156,16 +156,10 @@ class LevelOp:
     def block(self, i, j):
         """The dense level block (i, j): kron(T_c, I_{n_c}) on the diagonal
         of the components' flat layout."""
-        out = np.zeros((self.dims[i], self.dims[j]), complex)
         X = self.blocks.get((i, j))
-        if X is not None:
-            row = col = 0
-            for x, r, c, n in zip(X, self.rmult[i], self.rmult[j],
-                                  self.sizes):
-                out[row:row + r * n, col:col + c * n] = _kron_eye(x, n)
-                row += r * n
-                col += c * n
-        return out
+        if X is None:
+            return np.zeros((self.dims[i], self.dims[j]), complex)
+        return right_linear_matrix(X, self.sizes)
 
     def placed(self):
         """The same operator over one component of size 1: its dense level
@@ -268,21 +262,8 @@ class FockSpace:
             pieces, rows = b.blocks, self.levels[0].left_mult
         else:
             pieces, rows = reps, self.levels[k - 1].left_mult
-        out = []
-        for row, r in zip(rows, self.level_mult[k]):
-            R = np.zeros((r, r), complex)
-            pos = 0
-            for piece, c in zip(pieces, row):
-                if c:
-                    q = len(piece)
-                    end = pos + c * q
-                    # kron(I_c, piece): its c diagonal copies, written
-                    # through a (c, q, c, q) view of R's block
-                    np.einsum("iaib->iab", R[pos:end, pos:end].reshape(
-                        c, q, c, q))[...] = piece
-                    pos = end
-            out.append(R)
-        return out
+        return [place_copies(pieces, row, r)
+                for row, r in zip(rows, self.level_mult[k])]
 
     # -- operators ---------------------------------------------------------
 
@@ -498,10 +479,9 @@ def ideal_structure_check(F: FockSpace, n, rng,
         u = _vacuum_tensor(F, coeffs[:n + 1], hs[:n])
         v = _vacuum_tensor(F, [c.adjoint() for c in coeffs[:n:-1]] + [one],
                            hs[:n - 1:-1])
-        rank_one = block_diag_matrix(
-            [_kron_eye(uj @ vj.conj().T, nb)
-             for uj, vj, nb in zip(u.comps, v.comps, F.base.block_sizes)],
-            F.level_dims[n])
+        rank_one = right_linear_matrix(
+            [uj @ vj.conj().T for uj, vj in zip(u.comps, v.comps)],
+            F.base.block_sizes)
         res_rank = max(res_rank, np.linalg.norm(x[n] - rank_one, 2) / scale)
         # ideal property: (balanced word) . x still kills levels < n
         a = list(word_blocks(F, *random_word(F, rng, 1)))

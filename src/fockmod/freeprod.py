@@ -176,6 +176,28 @@ def alternating_patterns(n_families, budget):
     return out
 
 
+def _moment_table(n_families, budget, samples, draw, expectation, names):
+    """The worst normalized expectation of each alternating pattern of at
+    least two families, keyed by names[f] joined with '-'.  draw(f) gives
+    the factors of one centered sample of family f and the norm it scales
+    by; a product is scaled by the max(1, norm) of its samples."""
+    table = {}
+    for pat in alternating_patterns(n_families, budget):
+        if len(pat) < 2:
+            continue
+        worst = 0.0
+        for _ in range(samples):
+            factors = []
+            scale = 1.0
+            for f in pat:
+                fs, norm = draw(f)
+                scale *= max(1.0, norm)
+                factors.extend(fs)
+            worst = max(worst, expectation(factors).norm() / scale)
+        table["-".join(names[f] for f in pat)] = worst
+    return table
+
+
 def freeness_check(families, expectation, embed, budget, rng,
                    samples_per_pattern=4, threshold=DEFAULT_TOL, note="",
                    suite="freeness",
@@ -193,21 +215,14 @@ def freeness_check(families, expectation, embed, budget, rng,
     if budget < 2:
         raise PreconditionError(
             "freeness needs a word budget of at least 2")
-    table = {}
-    for pat in alternating_patterns(len(families), budget):
-        if len(pat) < 2:
-            continue
-        worst = 0.0
-        for _ in range(samples_per_pattern):
-            factors = []
-            scale = 1.0
-            for f in pat:
-                x = families[f](rng)
-                x = x - embed(expectation([x]))
-                scale *= max(1.0, x.norm())
-                factors.append(x)
-            worst = max(worst, expectation(factors).norm() / scale)
-        table["-".join(str(f) for f in pat)] = worst
+
+    def draw(f):
+        x = families[f](rng)
+        x = x - embed(expectation([x]))
+        return [x], x.norm()
+
+    table = _moment_table(len(families), budget, samples_per_pattern, draw,
+                          expectation, [str(f) for f in range(len(families))])
     return _moment_report(suite, anchor, budget, table, threshold, note)
 
 
@@ -382,6 +397,17 @@ def swap_commutation(setup: AmalgSetup, tol=DEFAULT_TOL) -> VerificationReport:
     return report
 
 
+def _coefficients(setup: AmalgSetup, rng, count):
+    """count random coefficient operators op(a), a in A, in draw order, and
+    the product of their max(1, ||a||)."""
+    ops, scale = [], 1.0
+    for _ in range(count):
+        a = setup.A.random_element(rng)
+        scale *= max(1.0, a.norm())
+        ops.append(setup.op(a))
+    return ops, scale
+
+
 def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
                        tol=DEFAULT_TOL) -> VerificationReport:
     """The family of vanishing moments that kills 1 - P in the expectation
@@ -403,23 +429,14 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
                 qps = [int(rng.integers(1, 3)) for _ in range(el)]
                 if sum(qs) + sum(qps) > setup.N:
                     continue
-                scale = 1.0
-
-                def coeff():
-                    nonlocal scale
-                    a = setup.A.random_element(rng)
-                    scale *= max(1.0, a.norm())
-                    return setup.op(a)
-
-                factors = [coeff()]
-                for q in qs:
-                    factors.extend([W] * q)
-                    factors.append(coeff())
+                cs, scale = _coefficients(setup, rng, k + el + 2)
+                factors = [cs[0]]
+                for q, c in zip(qs, cs[1:]):
+                    factors += [W] * q + [c]
                 factors.append(complement)
-                for q in reversed(qps):
-                    factors.append(coeff())
-                    factors.extend([W] * q)
-                factors.append(coeff())
+                for q, c in zip(reversed(qps), cs[k + 1:]):
+                    factors += [c] + [W] * q
+                factors.append(cs[-1])
                 pat = max(pat, setup.psi(*factors).norm() / scale)
             table[f"k={k},l={el}"] = pat
             worst = max(worst, pat)
@@ -485,28 +502,18 @@ def corner_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
     if 2 * budget > setup.N:
         raise PreconditionError("word budget exceeds the truncation")
     W = setup.W
-    table = {}
-    for pat in alternating_patterns(2, budget):
-        if len(pat) < 2:
-            continue
-        worst = 0.0
-        for _ in range(samples):
-            factors = []
-            scale = 1.0
-            for f in pat:
-                if f == 0:
-                    a1 = setup.A1.random_element(rng)
-                    a1 = a1 - setup.phi1.embedding(setup.phi1(a1))
-                    scale *= max(1.0, a1.norm())
-                    factors.append(setup.op(setup.pair(a1, setup.A2.zero())))
-                else:
-                    a2 = setup.A2.random_element(rng)
-                    a2 = a2 - setup.phi2.embedding(setup.phi2(a2))
-                    scale *= max(1.0, a2.norm())
-                    factors.extend([W, setup.op(
-                        setup.pair(setup.A1.zero(), a2)), W])
-            worst = max(worst, setup.psi(*factors).norm() / scale)
-        table["-".join("12"[f] for f in pat)] = worst
+
+    def draw(f):
+        if f == 0:
+            a1 = setup.A1.random_element(rng)
+            a1 = a1 - setup.phi1.embedding(setup.phi1(a1))
+            return [setup.op(setup.pair(a1, setup.A2.zero()))], a1.norm()
+        a2 = setup.A2.random_element(rng)
+        a2 = a2 - setup.phi2.embedding(setup.phi2(a2))
+        return [W, setup.op(setup.pair(setup.A1.zero(), a2)), W], a2.norm()
+
+    table = _moment_table(2, budget, samples, draw,
+                          lambda factors: setup.psi(*factors), "12")
     return _moment_report("corner-freeness",
                          "psi of alternating centered corner words vanishes",
                          budget, table, threshold,
@@ -522,17 +529,10 @@ def alpha_beta_conditions(setup: AmalgSetup, rng, samples=5,
     worst = 0.0
     for k in range(1, min(3, setup.N) + 1):
         for _ in range(samples):
-            scale = 1.0
-
-            def coeff():
-                nonlocal scale
-                a = setup.A.random_element(rng)
-                scale *= max(1.0, a.norm())
-                return setup.op(a)
-
-            factors = [coeff()]
-            for _ in range(k):
-                factors.extend([L, coeff()])
+            cs, scale = _coefficients(setup, rng, k + 1)
+            factors = [cs[0]]
+            for c in cs[1:]:
+                factors += [L, c]
             worst = max(worst, setup.psi(*factors).norm() / scale)
     report.add("unmatched-words", "psi(a1 L a2 ... L a_{k+1}) = 0",
                worst, tol)

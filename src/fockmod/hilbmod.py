@@ -14,33 +14,43 @@ import warnings
 
 import numpy as np
 
-from .cstar import (AlgebraElement, CStarAlgebra, PreconditionError,
-                    StateFunctional, StructureError, block_diag_matrix,
+from .cstar import (AlgebraElement, CPLinearMap, CStarAlgebra,
+                    PreconditionError, StateFunctional, StructureError,
+                    block_diag_matrix, multiplicity_form, place_copies,
                     DEFAULT_TOL)
 
 RANK_CUTOFF = 1e-10
 
 
-def _kron_eye(X, n, eye_first=False):
-    """np.kron(X, I_n), or np.kron(I_n, X) with eye_first, entry for entry.
+def _kron_eye(X, n):
+    """np.kron(X, I_n), entry for entry.  kron(I_n, X) is `place_copies`.
 
     X is written once into a zeroed 4-index array through a strided view of
     its diagonal: kron(X, I_n)[(a,i),(b,l)] = X[a,b] delta_il is the
-    (r, n, c, n) array with X on the i = l diagonal, kron(I_n, X) the
-    (n, r, n, c) array with X on the first and third index diagonal."""
+    (r, n, c, n) array with X on the i = l diagonal."""
     X = np.asarray(X)
     r, c = X.shape
     dtype = np.result_type(X.dtype, float)
-    if eye_first:
-        out = np.zeros((n, r, n, c), dtype)
-        s = out.strides
-        np.ndarray((n, r, c), dtype, out, 0, (s[0] + s[2], s[1], s[3]))[...] = X
-    else:
-        out = np.zeros((r, n, c, n), dtype)
-        s = out.strides
-        np.ndarray((r, c, n), dtype, out, 0,
-                   (s[0], s[2], s[1] + s[3]))[...] = X[:, :, None]
+    out = np.zeros((r, n, c, n), dtype)
+    s = out.strides
+    np.ndarray((r, c, n), dtype, out, 0,
+               (s[0], s[2], s[1] + s[3]))[...] = X[:, :, None]
     return out.reshape(r * n, c * n)
+
+
+def right_linear_matrix(Ts, sizes):
+    """The dense matrix of a right B-linear map given by its components:
+    the direct sum of kron(T_j, I_{n_j}), n = sizes, in the components'
+    flat layout.  T_j may be rectangular."""
+    out = np.zeros((sum(T.shape[0] * n for T, n in zip(Ts, sizes)),
+                    sum(T.shape[1] * n for T, n in zip(Ts, sizes))), complex)
+    row = col = 0
+    for T, n in zip(Ts, sizes):
+        r, c = T.shape
+        out[row:row + r * n, col:col + c * n] = _kron_eye(T, n)
+        row += r * n
+        col += c * n
+    return out
 
 
 class HilbertBimodule:
@@ -49,29 +59,10 @@ class HilbertBimodule:
         self.right_mult = tuple(int(r) for r in right_mult)
         if len(self.right_mult) != len(base.block_sizes):
             raise StructureError("one right multiplicity per base block required")
-        if any(r < 0 for r in self.right_mult):
-            raise StructureError("negative right multiplicity")
-        self.left_mult = [tuple(int(c) for c in row) for row in left_mult]
-        if len(self.left_mult) != len(base.block_sizes):
-            raise StructureError("one left-multiplicity row per component required")
-        for j, (r_j, row) in enumerate(zip(self.right_mult, self.left_mult)):
-            if len(row) != len(base.block_sizes):
-                raise StructureError("left-multiplicity row length mismatch")
-            if sum(c * n for c, n in zip(row, base.block_sizes)) != r_j:
-                raise StructureError(
-                    f"multiplicity equation sum_k c[{j}][k] n_k = r_{j} fails")
-        if left_unitaries is None:
-            left_unitaries = [np.eye(r, dtype=complex) for r in self.right_mult]
-        if len(left_unitaries) != len(base.block_sizes):
-            raise StructureError("one left-action unitary per component")
-        self.left_unitaries = []
-        for r, u in zip(self.right_mult, left_unitaries):
-            u = np.asarray(u, complex)
-            if u.shape != (r, r):
-                raise StructureError("left-action basis change has wrong shape")
-            if r and np.linalg.norm(u.conj().T @ u - np.eye(r)) > DEFAULT_TOL * max(1, r):
-                raise StructureError("left-action basis change is not unitary")
-            self.left_unitaries.append(u)
+        # the left action on component j is a unital *-homomorphism of B
+        # into M_{r_j}; a negative r_j fails its multiplicity equation
+        self.left_mult, self.left_unitaries = multiplicity_form(
+            self.right_mult, base.block_sizes, left_mult, left_unitaries)
         self.comp_dims = tuple(r * n for r, n in zip(self.right_mult, base.block_sizes))
         self.offsets = np.cumsum([0] + list(self.comp_dims))
         self.dim = int(self.offsets[-1])
@@ -98,34 +89,27 @@ class HilbertBimodule:
         eye = np.eye(self.dim, dtype=complex)
         return [self.from_flat(eye[:, i]) for i in range(self.dim)]
 
-    def random_vector(self, rng, scale=1.0):
-        return self.from_flat(scale * (rng.standard_normal(self.dim)
-                                       + 1j * rng.standard_normal(self.dim)))
+    def random_vector(self, rng):
+        return self.from_flat(rng.standard_normal(self.dim)
+                              + 1j * rng.standard_normal(self.dim))
 
     # -- actions as flat matrices -----------------------------------------
 
     def right_matrix(self, b: AlgebraElement):
         """Flat matrix of x -> x.b  (vec(X b) = (I x b^T) vec X, row-major)."""
-        blocks = [_kron_eye(bj.T, r, eye_first=True)
-                  for r, bj in zip(self.right_mult, b.blocks)]
-        return block_diag_matrix(blocks, self.dim)
+        return place_copies([bj.T for bj in b.blocks], self.right_mult,
+                            self.dim)
 
     def left_rep_block(self, j, b: AlgebraElement):
         """lambda_j(b): the left action on the row index of component j."""
-        row = self.left_mult[j]
-        pieces = []
-        for k, c in enumerate(row):
-            if c:
-                pieces.append(_kron_eye(b.blocks[k], c, eye_first=True))
-        diag = block_diag_matrix(pieces, self.right_mult[j]) if pieces \
-            else np.zeros((self.right_mult[j],) * 2, complex)
         u = self.left_unitaries[j]
-        return u @ diag @ u.conj().T
+        return u @ place_copies(b.blocks, self.left_mult[j],
+                                self.right_mult[j]) @ u.conj().T
 
     def left_matrix(self, b: AlgebraElement):
-        blocks = [_kron_eye(self.left_rep_block(j, b), n)
-                  for j, n in enumerate(self.base.block_sizes)]
-        return block_diag_matrix(blocks, self.dim)
+        return right_linear_matrix(
+            [self.left_rep_block(j, b) for j in range(len(self.right_mult))],
+            self.base.block_sizes)
 
     def left(self, b, x: "ModuleVector"):
         comps = [self.left_rep_block(j, b) @ xj for j, xj in enumerate(x.comps)]
@@ -142,10 +126,6 @@ class HilbertBimodule:
         k = len(self.base.block_sizes)
         return [kk for kk in range(k)
                 if all(row[kk] == 0 for row in self.left_mult)]
-
-    @property
-    def left_action_injective(self):
-        return not self.annihilated_central_summands()
 
 
 class ModuleVector:
@@ -236,9 +216,10 @@ def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
         gram = module.inner(x, x)
         if not gram.is_positive():
             raise StructureError("<x,x> is not positive")
-    if not module.left_action_injective:
-        warnings.warn("left action annihilates a central summand "
-                      f"{module.annihilated_central_summands()}", stacklevel=2)
+    dead = module.annihilated_central_summands()
+    if dead:
+        warnings.warn(f"left action annihilates a central summand {dead}",
+                      stacklevel=2)
     return module
 
 
@@ -309,11 +290,10 @@ class SubmoduleSpan:
 def projection_from_basis(module, V):
     """P h = sum_v v<v,h> as a flat matrix.  Component j of the sum is
     kron(S_j S_j*, I_{n_j}) with S_j the columns of every v_j side by side."""
-    blocks = []
-    for j, (r, n) in enumerate(zip(module.right_mult, module.base.block_sizes)):
-        S = np.hstack([np.zeros((r, 0), complex)] + [v.comps[j] for v in V])
-        blocks.append(_kron_eye(S @ S.conj().T, n))
-    return block_diag_matrix(blocks, module.dim)
+    Ss = [np.hstack([np.zeros((r, 0), complex)] + [v.comps[j] for v in V])
+          for j, r in enumerate(module.right_mult)]
+    return right_linear_matrix([S @ S.conj().T for S in Ss],
+                               module.base.block_sizes)
 
 
 def submodule_projection(X, drop_tol=None) -> SubmoduleSpan:
@@ -324,7 +304,7 @@ def submodule_projection(X, drop_tol=None) -> SubmoduleSpan:
     return SubmoduleSpan(module, list(X), V, projection_from_basis(module, V))
 
 
-def complex_rank(flat_vectors, cutoff=RANK_CUTOFF):
+def complex_rank(flat_vectors):
     """Rank of the complex span of flat vectors, relative singular cutoff."""
     A = np.asarray(flat_vectors)
     if A.size == 0:
@@ -332,12 +312,12 @@ def complex_rank(flat_vectors, cutoff=RANK_CUTOFF):
     s = np.linalg.svd(A.reshape(len(A), -1), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > cutoff * s[0]))
+    return int(np.sum(s > RANK_CUTOFF * s[0]))
 
 
 # -- canonicalization of abstract quotient modules -------------------------
 
-def canonicalize(base, gram, right_apply, left_apply, rank_cutoff=RANK_CUTOFF):
+def canonicalize(base, gram, right_apply, left_apply):
     """Quotient an abstract semi-inner-product module and recover canonical form.
 
     gram: the trace-localized scalar Gram matrix on an abstract spanning
@@ -358,7 +338,7 @@ def canonicalize(base, gram, right_apply, left_apply, rank_cutoff=RANK_CUTOFF):
     if lam.min() < -1e-8 * top:
         raise PreconditionError(
             f"semi-inner product fails positivity: min eigenvalue {lam.min():.3e}")
-    keep = lam > rank_cutoff * top
+    keep = lam > RANK_CUTOFF * top
     lam_k, E_k = lam[keep], E[:, keep]
     d = int(keep.sum())
     Z = np.sqrt(lam_k)[:, None] * E_k.conj().T          # d x m, G-orthonormal coords
@@ -487,9 +467,7 @@ class TensorStep:
                         for p in range(n_s):
                             sigma[i_can] = rb + offs_H[s] + ts * n_s + p
                             i_can += 1
-            perm = np.zeros((rho[j], rho[j]), complex)
-            perm[sigma, np.arange(rho[j])] = 1.0
-            unitaries.append(Q @ perm)
+            unitaries.append(Q[:, sigma])
         self.module = HilbertBimodule(base, rho, left, unitaries)
         self._UKd = [u.conj().T for u in K.left_unitaries]
 
@@ -602,10 +580,8 @@ def direct_sum(H: HilbertBimodule, K: HilbertBimodule):
                     else:
                         sigma[i_sum] = rH + offs_K[k] + (t - cH) * n_k + q
                     i_sum += 1
-        perm = np.zeros((rH + rK, rH + rK), complex)
-        perm[sigma, np.arange(rH + rK)] = 1.0
         blk = block_diag_matrix([H.left_unitaries[j], K.left_unitaries[j]], rH + rK)
-        unitaries.append(blk @ perm)
+        unitaries.append(blk[:, sigma])
     module = HilbertBimodule(base, right, left, unitaries)
     embed_H = np.zeros((module.dim, H.dim), complex)
     embed_K = np.zeros((module.dim, K.dim), complex)
@@ -641,18 +617,37 @@ class AugmentedModule:
 
 # -- GNS and CP-map bimodules ----------------------------------------------
 
-def _pair_quotient(A: CStarAlgebra, inner_unit_fn):
-    """Quotient of A (x) A by the null space of a semi-inner product given
-    on algebra basis pairs via inner_unit_fn(s_idx, t_idx) -> AlgebraElement."""
+def gns_bimodule(B: CStarAlgebra, rho: StateFunctional):
+    """L^2(B, rho) (x) B: quotient of B (x) B under
+    <a(x)b, a'(x)b'> = b* rho(a* a') b', the bimodule of the completely
+    positive map b -> rho(b) 1.  Returns (module, xi) with xi the class of
+    1 (x) 1, satisfying <xi, b.xi> = rho(b) 1."""
+    if rho.algebra != B:
+        raise StructureError("state on a different algebra")
+    if not rho.has_faithful_gns:
+        warnings.warn("state annihilates a central summand; the quotient "
+                      "bimodule has a non-injective left action", stacklevel=2)
+    return cp_bimodule(B, CPLinearMap.from_callable(
+        B, B, lambda b: B.scalar(rho(b))))
+
+
+def cp_bimodule(A: CStarAlgebra, eta):
+    """Bimodule of a completely positive map: quotient of A (x) A under
+    <a1(x)a2, a1'(x)a2'> = a2* eta(a1* a1') a2'.  Rejects maps for which the
+    localized semi-inner product fails positivity (eta not CP).  Returns
+    (module, xi) with xi the class of 1 (x) 1."""
+    if eta.domain != A or eta.codomain != A:
+        raise StructureError("eta must map the algebra to itself")
     mod_A = trivial_module(A)
     dA = A.dim
+    basis = A.basis()
     units = list(A.unit_index_iter())
     lmat = {u: mod_A.left_matrix(A.matrix_unit(*u)) for u in units}
 
     gram = np.zeros((dA * dA, dA * dA), complex)
     for s in range(dA):
         for t in range(dA):
-            z = inner_unit_fn(s, t)
+            z = eta(basis[s].adjoint() * basis[t])
             gram[s * dA:(s + 1) * dA, t * dA:(t + 1) * dA] = \
                 sum(z.blocks[j][p, q] * lmat[(j, p, q)]
                     for (j, p, q) in units
@@ -669,74 +664,11 @@ def _pair_quotient(A: CStarAlgebra, inner_unit_fn):
         Xr = X.reshape(dA, dA, -1)
         return np.einsum("ax,xbc->abc", L, Xr).reshape(dA * dA, -1)
 
-    module, C = canonicalize(A, gram, right_apply, left_apply)
-    one = A.identity().flat
-    xi = module.from_flat(C @ np.kron(one, one))
-    return module, xi, C
-
-
-def gns_bimodule(B: CStarAlgebra, rho: StateFunctional):
-    """L^2(B, rho) (x) B: quotient of B (x) B under
-    <a(x)b, a'(x)b'> = b* rho(a* a') b'.  Returns (module, xi) with xi the
-    class of 1 (x) 1, satisfying <xi, b.xi> = rho(b) 1."""
-    if rho.algebra != B:
-        raise StructureError("state on a different algebra")
-    if not rho.has_faithful_gns:
-        warnings.warn("state annihilates a central summand; the quotient "
-                      "bimodule has a non-injective left action", stacklevel=2)
-    basis = B.basis()
-
-    def inner_unit(s, t):
-        return B.scalar(rho(basis[s].adjoint() * basis[t]))
-
-    module, xi, _ = _pair_quotient(B, inner_unit)
-    return module, xi
-
-
-def cp_bimodule(A: CStarAlgebra, eta):
-    """Bimodule of a completely positive map: quotient of A (x) A under
-    <a1(x)a2, a1'(x)a2'> = a2* eta(a1* a1') a2'.  Rejects maps for which the
-    localized semi-inner product fails positivity (eta not CP)."""
-    if eta.domain != A or eta.codomain != A:
-        raise StructureError("eta must map the algebra to itself")
-    basis = A.basis()
-
-    def inner_unit(s, t):
-        return eta(basis[s].adjoint() * basis[t])
-
     try:
-        module, xi, C = _pair_quotient(A, inner_unit)
+        module, C = canonicalize(A, gram, right_apply, left_apply)
     except PreconditionError as exc:
         raise PreconditionError(
             "semi-inner product a2* eta(a1* a1') a2' is not positive; "
             "eta is not completely positive") from exc
-    return module, xi
-
-
-# -- localization ----------------------------------------------------------
-
-class Localization:
-    """Hilbert-space data from a faithful state: Gram form, factor, adjoints."""
-
-    def __init__(self, module: HilbertBimodule, tau: StateFunctional):
-        if tau.algebra != module.base:
-            raise StructureError("localizing state on a different algebra")
-        if not tau.is_faithful:
-            raise PreconditionError("localizing state is not faithful")
-        self.module = module
-        self.tau = tau
-        blocks = [_kron_eye(d.T, r, eye_first=True)
-                  for r, d in zip(module.right_mult, tau.densities)]
-        self.gram = block_diag_matrix(blocks, module.dim)
-        self.factor = np.linalg.cholesky(self.gram)
-
-    def inner(self, x: ModuleVector, y: ModuleVector) -> complex:
-        return complex(x.flat.conj() @ (self.gram @ y.flat))
-
-    def norm(self, x: ModuleVector) -> float:
-        return float(np.sqrt(max(0.0, self.inner(x, x).real)))
-
-    def adjoint(self, T):
-        """G^-1 T^dagger G; agrees with the B-valued adjoint for B-linear T."""
-        M = np.asarray(T, complex)
-        return np.linalg.solve(self.gram, M.conj().T @ self.gram)
+    one = A.identity().flat
+    return module, module.from_flat(C @ np.kron(one, one))

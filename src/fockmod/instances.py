@@ -8,7 +8,7 @@ import numpy as np
 
 from .cstar import (AlgebraAutomorphism, CStarAlgebra, ConditionalExpectation,
                     PreconditionError, StateFunctional, StructureError,
-                    block_diag_matrix, flip_automorphism, haar_unitary_matrix,
+                    flip_automorphism, haar_unitary_matrix,
                     identity_automorphism)
 from .hilbmod import HilbertBimodule, make_bimodule, submodule_projection
 from .crossed import FiniteGroup, GroupAction
@@ -42,13 +42,12 @@ def random_bimodule(rng, base: CStarAlgebra, max_copies=2,
     raise PreconditionError("no bimodule found under the dimension cap")
 
 
-def random_state(rng, algebra: CStarAlgebra, faithful=True) -> StateFunctional:
+def random_state(rng, algebra: CStarAlgebra) -> StateFunctional:
+    """A faithful state: each density z z* + 0.2, z random, normalized."""
     densities = []
     for n in algebra.block_sizes:
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        d = z @ z.conj().T
-        if faithful:
-            d = d + 0.2 * np.eye(n)
+        d = z @ z.conj().T + 0.2 * np.eye(n)
         densities.append(d)
     total = sum(np.trace(d).real for d in densities)
     return StateFunctional(algebra, [d / total for d in densities])
@@ -164,26 +163,18 @@ def multiplicity_shift_instance(copies=3, block=2):
     return H, K, U
 
 
-def random_bogoliubov(rng, base_sizes=(2,), copies=2):
-    """A random twisted map on the canonical multiplicity-form bimodule with
-    an inner companion automorphism beta = Ad(v).
+def random_bogoliubov(rng):
+    """A random twisted map on the bimodule of two copies of B = M_2 with an
+    inner companion automorphism beta = Ad(v).
 
-    Component j acts as x -> A_j x v_j* with A_j = (+)_k (w_jk (x) v_k), a
-    choice that makes both defining equations hold for any unitaries w_jk."""
-    B = CStarAlgebra(tuple(base_sizes))
-    left = [tuple(copies for _ in base_sizes) for _ in base_sizes]
-    right = tuple(sum(copies * n for n in base_sizes) for _ in base_sizes)
-    H = make_bimodule(B, right, left, rng=rng)
-    v = [haar_unitary_matrix(rng, n) for n in base_sizes]
-    beta = AlgebraAutomorphism(B, unitaries=v)
-    comp_blocks = []
-    for j in range(len(base_sizes)):
-        A_j = block_diag_matrix(
-            [np.kron(haar_unitary_matrix(rng, copies), v[k])
-             for k in range(len(base_sizes))])
-        comp_blocks.append(np.kron(A_j, v[j].conj()))
-    U = block_diag_matrix(comp_blocks)
-    return BogoliubovMap(H, U, beta)
+    It acts as x -> A x v* with A = w (x) v, a choice that makes both
+    defining equations hold for any unitary w."""
+    B = CStarAlgebra((2,))
+    H = make_bimodule(B, (4,), [(2,)], rng=rng)
+    v = haar_unitary_matrix(rng, 2)
+    beta = AlgebraAutomorphism(B, unitaries=[v])
+    A = np.kron(haar_unitary_matrix(rng, 2), v)
+    return BogoliubovMap(H, np.kron(A, v.conj()), beta)
 
 
 # -- descriptor constructors (shared with the command line) ------------------

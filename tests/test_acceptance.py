@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from fockmod.bogoliubov import entropy_bound_report, kp_subspace
+from fockmod.bogoliubov import (_fock_level_spans, entropy_bound_report,
+                                kp_subspace)
 from fockmod.cstar import CPLinearMap, CStarAlgebra, ConditionalExpectation
 from fockmod.crossed import (CrossedProduct, crossed_product, folner_average,
                              smearing_map)
@@ -212,8 +213,9 @@ def test_criterion_10_rank_growth_bound():
     F = FockSpace(H, 3)
     rng = np.random.default_rng(SEED)
     spans, _ = kp_subspace(U, K, 6, tol=1e-8)
+    towers = [_fock_level_spans(F, 3, span) for span in spans]
     ok = all(rep.passed for rep in entropy_bound_report(
-        F, U, spans, (1, 2, 3), rng, tol=1e-8))
+        F, U, spans, towers, (1, 2, 3), rng, tol=1e-8))
     elapsed = time.time() - t0
     conclude(10, "rank-growth-bound", ok and elapsed < 300.0,
              f"n in 1..3, p in 1..6, {elapsed:.1f}s")

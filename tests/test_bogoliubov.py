@@ -12,7 +12,8 @@ from fockmod.bogoliubov import (BogoliubovMap, _fock_level_spans,
                                 entropy_bound_report, fock_extension,
                                 identity_bogoliubov, kp_subspace,
                                 localized_tensor_dim, validate_bogoliubov)
-from fockmod.cstar import (CStarAlgebra, PreconditionError,
+from fockmod.cstar import (AlgebraAutomorphism, CStarAlgebra,
+                           PreconditionError, block_diag_matrix,
                            haar_unitary_matrix)
 from fockmod.fock import FockSpace
 from fockmod.hilbmod import (AugmentedModule, TensorStep, make_bimodule,
@@ -105,7 +106,9 @@ def test_compression_channel_properties():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
     spans, _ = kp_subspace(U, K, 2)
-    Q, rep = compression_channels(F, 2, spans[-1], RNG, tol=1e-8)
+    Q, rep = compression_channels(F, spans[-1],
+                                  _fock_level_spans(F, 2, spans[-1]), RNG,
+                                  tol=1e-8)
     assert rep.passed, rep.failures
     Q = Q.dense()
     assert np.linalg.norm(Q @ Q - Q) < 1e-9
@@ -116,7 +119,8 @@ def test_entropy_dimension_bound_on_shift_grid():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
     spans, _ = kp_subspace(U, K, 4)
-    reports = entropy_bound_report(F, U, spans, (1, 2, 3), RNG)
+    reports = entropy_bound_report(F, U, spans, _towers(F, 3, spans),
+                                   (1, 2, 3), RNG)
     assert [rep.parameters["n"] for rep in reports] == [1, 2, 3]
     for rep in reports:
         checks = {c.name: c for c in rep.checks}
@@ -125,11 +129,15 @@ def test_entropy_dimension_bound_on_shift_grid():
         assert checks["ratio-trend"].passed
 
 
+def _towers(F, n, spans):
+    return [_fock_level_spans(F, n, span) for span in spans]
+
+
 def test_entropy_measured_dims_for_shift():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
     spans, _ = kp_subspace(U, K, 5)
-    rep, = entropy_bound_report(F, U, spans, [1], RNG)
+    rep, = entropy_bound_report(F, U, spans, _towers(F, 1, spans), [1], RNG)
     table = {c.name: c for c in rep.checks}["dimension-bound"].details["table"]
     measured = [row["measured"] for row in table.values()]
     assert measured == [4, 6, 8, 8, 8]
@@ -173,10 +181,26 @@ def test_extension_matches_per_vector_construction(augmented):
     _assert_matches_per_vector_construction(bog, augmented)
 
 
+def _mixed_block_bogoliubov(rng):
+    """A random twisted map over the base blocks (1, 2), on the bimodule
+    with one copy of every base block in every component, twisted by
+    beta = Ad(v): component j acts as x -> A_j x v_j* with
+    A_j = (+)_k (w_jk (x) v_k)."""
+    sizes = (1, 2)
+    B = CStarAlgebra(sizes)
+    H = make_bimodule(B, (sum(sizes),) * len(sizes),
+                      [(1,) * len(sizes)] * len(sizes), rng=rng)
+    v = [haar_unitary_matrix(rng, n) for n in sizes]
+    U = block_diag_matrix(
+        [np.kron(block_diag_matrix([np.kron(haar_unitary_matrix(rng, 1), vk)
+                                    for vk in v]), vj.conj()) for vj in v])
+    return BogoliubovMap(H, U, AlgebraAutomorphism(B, unitaries=v))
+
+
 @pytest.mark.parametrize("augmented", [False, True])
 def test_extension_on_mixed_blocks_matches_per_vector_construction(augmented):
     """Base blocks (1, 2): tensor-step rows of squared norms 1 and 2."""
-    bog = random_bogoliubov(np.random.default_rng(5), (1, 2), copies=1)
+    bog = _mixed_block_bogoliubov(np.random.default_rng(5))
     _assert_matches_per_vector_construction(bog, augmented)
 
 
@@ -372,7 +396,8 @@ def test_entropy_reports_match_per_level_reference(case):
     F = FockSpace(bog.module, max(levels))
     rng, rng_ref = np.random.default_rng(19), np.random.default_rng(19)
     spans, _ = kp_subspace(bog, K, p_max)
-    got = entropy_bound_report(F, bog, spans, levels, rng)
+    towers = _towers(F, max(levels), spans)
+    got = entropy_bound_report(F, bog, spans, towers, levels, rng)
     want = [_reference_entropy_bound_report(F, bog, K, n, p_max, rng_ref)
             for n in levels]
     assert len(got) == len(want)
@@ -383,7 +408,7 @@ def test_entropy_reports_match_per_level_reference(case):
             == [(c.name, c.anchor, c.residual, c.threshold, c.passed,
                  c.details) for c in b.checks]
     assert rng.bit_generator.state == rng_ref.bit_generator.state
-    assert entropy_bound_report(F, bog, spans, [], rng) == []
+    assert entropy_bound_report(F, bog, spans, towers, [], rng) == []
 
 
 def test_bog_suite_builds_each_growth_chain_once(monkeypatch):
@@ -403,6 +428,24 @@ def test_bog_suite_builds_each_growth_chain_once(monkeypatch):
     assert reports and all(rep.passed for rep in reports)
     assert counts["kp_subspace"] == 3
     assert counts["_fock_level_spans"] <= 14
+
+
+def test_bog_suite_builds_each_fock_tower_once(monkeypatch):
+    """Each (Fock space, level, growth subspace) tower is built once per
+    entry of the bog suite: compression_channels and entropy_bound_report
+    share the towers of the growth chain."""
+    built = []      # holds F and span, so no id is reused
+    fn = bg._fock_level_spans
+
+    def recorded(F, n, span):
+        built.append((F, n, span))
+        return fn(F, n, span)
+
+    monkeypatch.setattr(bg, "_fock_level_spans", recorded)
+    reports = cli.run_suites(None, ("bog",), cli.Settings(seed=0))
+    assert reports and all(rep.passed for rep in reports)
+    keys = [(id(F), n, id(span)) for F, n, span in built]
+    assert keys and len(keys) == len(set(keys))
 
 
 _RECORDED = [("bog_crossed_checks.json", ("crossed", "free", "bog"), ""),

@@ -74,15 +74,6 @@ def test_lambda_is_unitary_representation():
                 < 1e-12
 
 
-def test_coefficient_recovery():
-    G, A, action = z2_example()
-    C = CrossedProduct(action)
-    coeffs = {g: A.random_element(RNG) for g in G.elements()}
-    M = C.element(coeffs)
-    for g, a in coeffs.items():
-        assert (C.coefficient(M, g) - a).norm() < 1e-12
-
-
 def test_crossed_product_reports_pass_on_seeded_instances():
     for G, A, action in crossed_instances(3):
         C, rep = crossed_product(A, action, rng=RNG, tol=1e-9)

@@ -615,7 +615,7 @@ def _reference_left_matrix(F: FockSpace, b):
             pieces = []
             for k, c in enumerate(lv.left_mult[j]):
                 if c:
-                    pieces.append(_kron_eye(b.blocks[k], c, eye_first=True))
+                    pieces.append(np.kron(np.eye(c), b.blocks[k]))
             diag = block_diag_matrix(pieces, lv.right_mult[j]) if pieces \
                 else np.zeros((lv.right_mult[j],) * 2, complex)
             u = lv.left_unitaries[j]

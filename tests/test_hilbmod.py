@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from fockmod.cstar import (CStarAlgebra, StructureError, block_diag_matrix,
+from fockmod.cstar import (CStarAlgebra, StructureError, UnitalHomomorphism,
+                          block_diag_matrix, place_copies,
                           uniform_trace_state)
-from fockmod.hilbmod import (AugmentedModule, HilbertBimodule, Localization,
-                             TensorStep, _kron_eye, direct_sum,
-                             element_to_vector, gns_bimodule, gram_schmidt,
-                             make_bimodule, projection_from_basis,
+from fockmod.fock import FockSpace
+from fockmod.hilbmod import (AugmentedModule, HilbertBimodule, TensorStep,
+                             _kron_eye, direct_sum, element_to_vector,
+                             gns_bimodule, gram_schmidt, make_bimodule,
+                             projection_from_basis, right_linear_matrix,
                              submodule_projection, trivial_module,
                              vector_to_element)
 from fockmod.instances import (multiplicity_shift_instance, random_algebra,
@@ -24,6 +26,63 @@ def test_bimodule_rejects_short_unitary_list():
     B = CStarAlgebra((1, 1))
     with pytest.raises(StructureError):
         HilbertBimodule(B, (1, 1), [(0, 1), (1, 0)], [np.eye(1)])
+
+
+def test_bimodule_rejects_negative_multiplicities():
+    """A negative left multiplicity can still balance the multiplicity
+    equation; it is rejected when the bimodule is built, not later by the
+    Fock space."""
+    B = CStarAlgebra((1, 1))
+    with pytest.raises(StructureError, match="negative"):
+        HilbertBimodule(B, (1, 1), [(2, -1), (0, 1)])
+    with pytest.raises(StructureError):
+        HilbertBimodule(B, (-1, 1), [(0, 0), (0, 1)])
+
+
+def _placement_module():
+    """Rows with zero multiplicities, and an empty component (r_2 = 0)."""
+    B = CStarAlgebra((1, 2, 2))
+    left = [(0, 1, 0), (2, 0, 1), (0, 0, 0)]
+    right = (2, 4, 0)
+    return HilbertBimodule(B, right, left,
+                           [_unitary(2), _unitary(4), np.zeros((0, 0))])
+
+
+def test_placement_matches_block_diagonal_of_krons():
+    """place_copies, behind left_rep_block, UnitalHomomorphism.block_image
+    and the Fock left action, against u blkdiag(kron(I_c, b_k)) u* with
+    np.kron."""
+    H = _placement_module()
+    b = H.base.random_element(RNG)
+    for j, (row, r) in enumerate(zip(H.left_mult, H.right_mult)):
+        pieces = [np.kron(np.eye(c), b.blocks[k])
+                  for k, c in enumerate(row) if c]
+        diag = block_diag_matrix(pieces, r) if pieces \
+            else np.zeros((r, r), complex)
+        assert np.array_equal(place_copies(b.blocks, row, r), diag)
+        u = H.left_unitaries[j]
+        assert np.array_equal(H.left_rep_block(j, b), u @ diag @ u.conj().T)
+    iota = UnitalHomomorphism(H.base, CStarAlgebra((2, 4)), H.left_mult[:2],
+                              H.left_unitaries[:2])
+    for i in range(2):
+        assert np.array_equal(iota.block_image(i, b),
+                              H.left_rep_block(i, b))
+    F = FockSpace(H, 2)
+    assert np.allclose(F.left(b).dense(),
+                       block_diag_matrix([lv.left_matrix(b)
+                                          for lv in F.levels]), atol=1e-12)
+
+
+def test_right_linear_matrix_places_rectangular_krons():
+    sizes = (1, 2, 3)
+    Ts = [RNG.standard_normal(s) + 1j * RNG.standard_normal(s)
+          for s in ((2, 1), (0, 2), (1, 3))]
+    M = right_linear_matrix(Ts, sizes)
+    assert M.shape == (2 * 1 + 0 + 1 * 3, 1 * 1 + 2 * 2 + 3 * 3)
+    want = np.zeros(M.shape, complex)
+    want[0:2, 0:1] = Ts[0]
+    want[2:5, 5:14] = np.kron(Ts[2], np.eye(3))
+    assert np.array_equal(M, want)
 
 
 def test_inner_product_sesquilinear_and_positive():
@@ -275,15 +334,6 @@ def test_gns_bimodule_inner_matches_state():
     assert g.norm() < 1e-10
 
 
-def test_localization_adjoint_is_conjugate_transpose():
-    H = small_module()
-    tau = uniform_trace_state(H.base)
-    loc = Localization(H, tau)
-    M = RNG.standard_normal((H.dim, H.dim)) \
-        + 1j * RNG.standard_normal((H.dim, H.dim))
-    assert np.linalg.norm(loc.adjoint(M) - M.conj().T) < 1e-12
-
-
 def test_random_bimodule_respects_row_constraint():
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -371,8 +421,6 @@ def test_tensor_matches_apply_row_by_row(h_spec, k_spec):
 def test_kron_eye_equals_np_kron(shape, n):
     X = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
     assert np.array_equal(_kron_eye(X, n), np.kron(X, np.eye(n)))
-    assert np.array_equal(_kron_eye(X, n, eye_first=True),
-                          np.kron(np.eye(n), X))
     Xr = X.real
     assert np.array_equal(_kron_eye(Xr, n), np.kron(Xr, np.eye(n)))
     assert _kron_eye(Xr, n).dtype == np.kron(Xr, np.eye(n)).dtype

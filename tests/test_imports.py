@@ -44,3 +44,27 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in _imports(tree) if name not in used]
     assert unused == []
+
+
+def test_every_definition_is_referenced():
+    """Every module-level function and class of the package is named
+    somewhere in src/, tests/ or bench/ outside its own definition: as a
+    name, an attribute or an imported name."""
+    root = SRC.parent.parent
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    referenced = set()
+    for part in ("src", "tests", "bench"):
+        for path in (root / part).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name)
+    assert [f"{module}: {name}" for module, name in defined
+            if name not in referenced] == []
