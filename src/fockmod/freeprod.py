@@ -397,15 +397,19 @@ def swap_commutation(setup: AmalgSetup, tol=DEFAULT_TOL) -> VerificationReport:
     return report
 
 
-def _coefficients(setup: AmalgSetup, rng, count):
-    """count random coefficient operators op(a), a in A, in draw order, and
-    the product of their max(1, ||a||)."""
-    ops, scale = [], 1.0
-    for _ in range(count):
+def _coefficient_moment(setup: AmalgSetup, rng, between):
+    """||psi(a_0 X_1 a_1 ... X_m a_m)|| / prod_i max(1, ||a_i||) for the
+    factor lists between = [X_1, ..., X_m] and random coefficients a_i in
+    A, drawn in order.  The word lives only in this call, so consecutive
+    samples do not hold two words at once."""
+    a = setup.A.random_element(rng)
+    scale = max(1.0, a.norm())
+    factors = [setup.op(a)]
+    for X in between:
         a = setup.A.random_element(rng)
         scale *= max(1.0, a.norm())
-        ops.append(setup.op(a))
-    return ops, scale
+        factors += X + [setup.op(a)]
+    return setup.psi(*factors).norm() / scale
 
 
 def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
@@ -429,15 +433,9 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
                 qps = [int(rng.integers(1, 3)) for _ in range(el)]
                 if sum(qs) + sum(qps) > setup.N:
                     continue
-                cs, scale = _coefficients(setup, rng, k + el + 2)
-                factors = [cs[0]]
-                for q, c in zip(qs, cs[1:]):
-                    factors += [W] * q + [c]
-                factors.append(complement)
-                for q, c in zip(reversed(qps), cs[k + 1:]):
-                    factors += [c] + [W] * q
-                factors.append(cs[-1])
-                pat = max(pat, setup.psi(*factors).norm() / scale)
+                between = [[W] * q for q in qs] + [[complement]] \
+                    + [[W] * q for q in reversed(qps)]
+                pat = max(pat, _coefficient_moment(setup, rng, between))
             table[f"k={k},l={el}"] = pat
             worst = max(worst, pat)
     report.add("complement-moments",
@@ -529,11 +527,7 @@ def alpha_beta_conditions(setup: AmalgSetup, rng, samples=5,
     worst = 0.0
     for k in range(1, min(3, setup.N) + 1):
         for _ in range(samples):
-            cs, scale = _coefficients(setup, rng, k + 1)
-            factors = [cs[0]]
-            for c in cs[1:]:
-                factors += [L, c]
-            worst = max(worst, setup.psi(*factors).norm() / scale)
+            worst = max(worst, _coefficient_moment(setup, rng, [[L]] * k))
     report.add("unmatched-words", "psi(a1 L a2 ... L a_{k+1}) = 0",
                worst, tol)
     res = 0.0
