@@ -11,8 +11,8 @@ import numpy as np
 
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, PreconditionError, StructureError,
-                    block_diag_matrix, identity_automorphism,
-                    uniform_trace_state, DEFAULT_TOL)
+                    identity_automorphism, uniform_trace_state, DEFAULT_TOL)
+from .fock import LevelOp
 from .report import VerificationReport
 
 
@@ -54,6 +54,14 @@ class FiniteGroup:
     def elements(self):
         return range(self.order)
 
+    def members(self, labels):
+        """The distinct elements among labels, sorted; PreconditionError on
+        no label or on one outside range(order)."""
+        if not len(labels) or any(t not in range(self.order) for t in labels):
+            raise PreconditionError(f"{list(labels)} is not a nonempty set of "
+                                    f"elements of a group of order {self.order}")
+        return sorted({int(t) for t in labels})
+
     @staticmethod
     def cyclic(n):
         table = [[(g + h) % n for h in range(n)] for g in range(n)]
@@ -88,15 +96,23 @@ class GroupAction:
                     raise StructureError(
                         "action is not a homomorphism: "
                         f"alpha_{g} . alpha_{h} != alpha_{group.mul(g, h)}")
+        blocks = range(len(algebra.block_sizes))
+        self._sources = [[b.source[j] for b in self.autos] for j in blocks]
+        self._unitaries = [np.stack([b.unitaries[j] for b in self.autos])
+                           for j in blocks]
+        self._adjoints = [u.conj().transpose(0, 2, 1) for u in self._unitaries]
 
     def apply(self, g, a: AlgebraElement) -> AlgebraElement:
         return self.autos[g](a)
 
-
-def defining_rep(algebra: CStarAlgebra, a: AlgebraElement):
-    """sigma(a): block-diagonal matrix on V = sum of the block column spaces."""
-    dimV = sum(algebra.block_sizes)
-    return block_diag_matrix(list(a.blocks), dimV)
+    def orbit(self, a: AlgebraElement):
+        """alpha_g(a) for every g, one batched product per stacked block:
+        entry j holds over g the u a_s u* of `AlgebraAutomorphism.__call__`."""
+        if a.algebra != self.algebra:
+            raise StructureError("element belongs to a different algebra")
+        return [u @ np.stack([a.blocks[s] for s in src]) @ uh
+                for u, uh, src in zip(self._unitaries, self._adjoints,
+                                      self._sources)]
 
 
 def rep_unitary(beta: AlgebraAutomorphism):
@@ -111,33 +127,37 @@ def rep_unitary(beta: AlgebraAutomorphism):
 
 
 class CrossedProduct:
-    """pi and lambda on l2(G) tensor V; (pi(a) xi)(h) = sigma(alpha_{h^-1}(a)) xi(h),
-    (lambda_g xi)(h) = xi(g^-1 h)."""
+    """pi and lambda on l2(G) tensor V as level operators labelled by the
+    group elements, over one component of size 1:
+    (pi(a) xi)(h) = sigma(alpha_{h^-1}(a)) xi(h), the diagonal blocks (h, h),
+    and (lambda_g xi)(h) = xi(g^-1 h), the identity blocks (h, g^-1 h)."""
 
     def __init__(self, action: GroupAction):
         self.action = action
         self.group = action.group
         self.algebra = action.algebra
         self.dimV = sum(self.algebra.block_sizes)
-        self.dim = self.group.order * self.dimV
+        offs = np.cumsum((0,) + self.algebra.block_sizes)
+        self._slices = [slice(o, p) for o, p in zip(offs, offs[1:])]
+        self._zero = LevelOp([(self.dimV,)] * self.group.order, (1,), {})
+        self._eye = np.eye(self.dimV, dtype=complex)
 
-    def _slice(self, h):
-        return slice(h * self.dimV, (h + 1) * self.dimV)
+    def diagonal(self, blocks):
+        """The operator with blocks[h] on the copy of V at h."""
+        return self._zero._new({(h, h): [X] for h, X in enumerate(blocks)})
 
     def pi(self, a: AlgebraElement):
-        M = np.zeros((self.dim, self.dim), complex)
-        for h in self.group.elements():
-            s = self._slice(h)
-            M[s, s] = defining_rep(self.algebra,
-                                   self.action.apply(self.group.inv(h), a))
-        return M
+        """sigma(alpha_{h^-1}(a)) at h, from one batched orbit of a."""
+        sigma = np.zeros((self.group.order, self.dimV, self.dimV), complex)
+        for s, X in zip(self._slices, self.action.orbit(a)):
+            sigma[:, s, s] = X[self.group.inverse]
+        return self.diagonal(sigma)
 
     def lam(self, g):
-        M = np.zeros((self.dim, self.dim), complex)
-        for h in self.group.elements():
-            M[self._slice(h), self._slice(self.group.mul(self.group.inv(g), h))] \
-                = np.eye(self.dimV)
-        return M
+        G = self.group
+        G.members([g])
+        return self._zero._new({(h, G.mul(G.inv(g), h)): [self._eye]
+                                for h in G.elements()})
 
     def spanning_words(self, rng):
         """Two (a, g) pairs per group element g, a random."""
@@ -163,10 +183,10 @@ def crossed_product(algebra: CStarAlgebra, action: GroupAction,
     for g in G.elements():
         L = C.lam(g)
         res_unit = max(res_unit,
-                       np.linalg.norm(L @ L.conj().T - np.eye(C.dim)))
+                       (L @ L.adjoint() - C.lam(G.identity)).norm())
         for h in G.elements():
-            res_rep = max(res_rep, np.linalg.norm(
-                L @ C.lam(h) - C.lam(G.mul(g, h))))
+            res_rep = max(res_rep,
+                          (L @ C.lam(h) - C.lam(G.mul(g, h))).norm())
     report.add("lambda-unitary", "lambda_g lambda_g* = 1", res_unit, tol)
     report.add("lambda-representation", "lambda_g lambda_h = lambda_{gh}",
                res_rep, tol)
@@ -175,13 +195,13 @@ def crossed_product(algebra: CStarAlgebra, action: GroupAction,
         L = C.lam(g)
         for _ in range(3):
             a = algebra.random_element(rng)
-            res_cov = max(res_cov, np.linalg.norm(
-                L @ C.pi(a) @ L.conj().T - C.pi(action.apply(g, a)), 2)
-                / max(1.0, a.norm()))
+            pa, na = C.pi(a), a.norm()
+            res_cov = max(res_cov, (
+                L @ pa @ L.adjoint() - C.pi(action.apply(g, a)))
+                .spectral_norm() / max(1.0, na))
             b = algebra.random_element(rng)
-            res_hom = max(res_hom, np.linalg.norm(
-                C.pi(a) @ C.pi(b) - C.pi(a * b), 2)
-                / max(1.0, a.norm() * b.norm()))
+            res_hom = max(res_hom, (pa @ C.pi(b) - C.pi(a * b))
+                          .spectral_norm() / max(1.0, na * b.norm()))
     report.add("covariance", "lambda_g pi(a) lambda_g* = pi(alpha_g(a))",
                res_cov, tol)
     report.add("pi-homomorphism", "pi(a) pi(b) = pi(ab)", res_hom, tol)
@@ -191,9 +211,9 @@ def crossed_product(algebra: CStarAlgebra, action: GroupAction,
 def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism,
                       rng=None, tol=DEFAULT_TOL):
     """Lifts a beta commuting with the action to the crossed product via
-    conjugation by 1 tensor V_beta.
+    conjugation by 1 tensor V_beta, the blocks (h, h) = V_beta.
 
-    Returns (matrix V implementing the lift by conjugation, report)."""
+    Returns (the level operator V implementing the lift, report)."""
     G = C.group
     for g in G.elements():
         d = beta.compose(C.action.autos[g]).distance_to(
@@ -201,28 +221,25 @@ def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism,
         if d > tol:
             raise PreconditionError(
                 f"beta does not commute with the action at group element {g}")
-    Vb = rep_unitary(beta)
-    V = np.kron(np.eye(G.order), Vb)
+    V = C.diagonal([rep_unitary(beta)] * G.order)
     report = VerificationReport(suite="lifted-automorphism")
     rng = rng or np.random.default_rng(0)
     res_word = res_mult = res_adj = 0.0
 
     def hat(M):
-        return V @ M @ V.conj().T
+        return V @ M @ V.adjoint()
 
     words = C.spanning_words(rng)
-    for a, g in words:
-        lhs = hat(C.pi(a) @ C.lam(g))
+    xs = [C.pi(a) @ C.lam(g) for a, g in words]
+    norms = [a.norm() for a, _ in words]
+    for (a, g), x, na in zip(words, xs, norms):
         rhs = C.pi(beta(a)) @ C.lam(g)
-        res_word = max(res_word,
-                       np.linalg.norm(lhs - rhs, 2) / max(1.0, a.norm()))
-    for (a, g), (b, h) in zip(words[::2], words[1::2]):
-        x = C.pi(a) @ C.lam(g)
-        y = C.pi(b) @ C.lam(h)
-        res_mult = max(res_mult, np.linalg.norm(hat(x @ y) - hat(x) @ hat(y), 2)
-                       / max(1.0, a.norm() * b.norm()))
-        res_adj = max(res_adj, np.linalg.norm(hat(x.conj().T) - hat(x).conj().T, 2)
-                      / max(1.0, a.norm()))
+        res_word = max(res_word, (hat(x) - rhs).spectral_norm() / max(1.0, na))
+    for x, y, na, nb in zip(xs[::2], xs[1::2], norms[::2], norms[1::2]):
+        res_mult = max(res_mult, (hat(x @ y) - hat(x) @ hat(y)).spectral_norm()
+                       / max(1.0, na * nb))
+        res_adj = max(res_adj, (hat(x.adjoint()) - hat(x).adjoint())
+                      .spectral_norm() / max(1.0, na))
     report.add("lift-on-words", "betahat(pi(a) lambda_g) = pi(beta(a)) lambda_g",
                res_word, tol)
     report.add("lift-multiplicative", "betahat(xy) = betahat(x) betahat(y)",
@@ -232,28 +249,24 @@ def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism,
 
 
 def folner_defect(G: FiniteGroup, F):
-    """max_g (|F| - |F meet gF|) / |F|."""
-    F = sorted(set(F))
-    worst = 0.0
-    for g in G.elements():
-        gF = {G.mul(g, t) for t in F}
-        worst = max(worst, (len(F) - len(gF.intersection(F))) / len(F))
-    return worst
+    """max_g (|F| - |F meet gF|) / |F|, F a nonempty set of elements."""
+    F = G.members(F)
+    return max((len(F) - len({G.mul(g, t) for t in F}.intersection(F)))
+               / len(F) for g in G.elements())
 
 
 def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng=None,
                    tol=1e-12, words=None) -> VerificationReport:
     """Averaging channel pi(a) lambda_g -> (1/|F|) sum over t in F meet gF of
-    pi(alpha_t(m(alpha_{t^-1}(a)))) lambda_g.
+    pi(alpha_t(m(alpha_{t^-1}(a)))) lambda_g, formed as pi of the averaged
+    algebra element, since pi is linear.
 
     With m the identity and F the whole group the channel is the identity on
     spanning words; in general the deviation is bounded by eta (norm(a) + 1)
     where eta dominates both the averaging-set defect and the defect of m on
     the orbit of a."""
-    if not F:
-        raise PreconditionError("averaging set must be nonempty")
-    F = sorted(set(int(t) for t in F))
     G = C.group
+    F = G.members(F)
     report = VerificationReport(suite="folner-channel",
                                 parameters={"F": F, "size": len(F)})
     rng = rng or np.random.default_rng(0)
@@ -266,15 +279,16 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng=None,
     worst_ratio = 0.0
     for a, g in words:
         gF = {G.mul(g, t) for t in F}
-        terms = np.zeros((C.dim, C.dim), complex)
+        total = C.algebra.zero()
         m_defect = 0.0
         for t in sorted(gF.intersection(F)):
             at = C.action.apply(G.inv(t), a)
             mat = m(at)
             m_defect = max(m_defect, (mat - at).norm())
-            terms += C.pi(C.action.apply(t, mat))
-        out = (terms / len(F)) @ C.lam(g)
-        dev = np.linalg.norm(out - C.pi(a) @ C.lam(g), 2)
+            total = total + C.action.apply(t, mat)
+        L = C.lam(g)
+        out = C.pi(total * (1.0 / len(F))) @ L
+        dev = (out - C.pi(a) @ L).spectral_norm()
         eta = max(set_defect, m_defect)
         if eta == 0.0:
             any_exact = True

@@ -50,12 +50,13 @@ def _check_cap(dims, dim_cap):
 
 
 class LevelOp:
-    """A right B-linear operator on a truncated Fock space, by level blocks
-    and base components.
+    """A right B-linear operator by blocks and base components.  The labels
+    0, 1, ... of the blocks are the levels of a truncated Fock space, or the
+    group elements of l2(G) tensor V (`crossed.CrossedProduct`).
 
-    blocks[i, m] maps level m into level i: the list of the matrices T_j,
+    blocks[i, m] maps label m into label i: the list of the matrices T_j,
     one per base block j, of shape (rmult[i][j], rmult[m][j]), rmult[k] the
-    right multiplicities of level k.  The dense block is the direct sum of
+    right multiplicities of label k.  The dense block is the direct sum of
     kron(T_j, I_{n_j}), n = sizes, in the components' flat layout, and a
     missing pair is a zero block.  Every operator of the Toeplitz algebra
     is adjointable, hence right B-linear, so creation, the left action and
@@ -79,7 +80,7 @@ class LevelOp:
         self.blocks = blocks
 
     def _new(self, blocks):
-        """An operator on the same levels and components."""
+        """An operator on the same labels and components."""
         out = object.__new__(LevelOp)
         out.rmult, out.sizes, out.dims = self.rmult, self.sizes, self.dims
         out.blocks = blocks
@@ -143,15 +144,20 @@ class LevelOp:
                                  for x, n in zip(X, self.sizes))))
 
     def spectral_norm(self):
-        """Exact spectral norm of an operator whose blocks all shift the
-        level by the same amount: each input and each output level then
-        meets one block, so the operator is the direct sum of its blocks and
-        of their components, and its norm is the largest of the T_j's."""
-        if len({i - j for i, j in self.blocks}) > 1:
-            raise StructureError("blocks on more than one level shift")
-        return max((float(np.linalg.norm(x, 2))
-                    for X in self.blocks.values() for x in X if x.size),
-                   default=0.0)
+        """Exact spectral norm of an operator in which each input label and
+        each output label meets at most one block (a level shift, or a
+        permutation of group elements): up to an order of the labels it is
+        the direct sum of its blocks and of their components, so its norm is
+        the largest of the T_j's.  One batched SVD per shape of T_j."""
+        if any(len({key[e] for key in self.blocks}) < len(self.blocks)
+               for e in (0, 1)):
+            raise StructureError("a label meets more than one block")
+        stacks = {}
+        for x in (x for X in self.blocks.values() for x in X if x.size):
+            stacks.setdefault(x.shape, []).append(x)
+        return max((float(np.linalg.svd(np.stack(xs) if len(xs) > 1 else
+                                         xs[0][None], compute_uv=False).max())
+                    for xs in stacks.values()), default=0.0)
 
     def block(self, i, j):
         """The dense level block (i, j): kron(T_c, I_{n_c}) on the diagonal

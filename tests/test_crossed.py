@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from fockmod import crossed
+from fockmod import cstar
+from fockmod.cli import Settings, run_suites
 from fockmod.cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
-                           PreconditionError, identity_automorphism)
+                           PreconditionError, StructureError,
+                           block_diag_matrix, identity_automorphism)
 from fockmod.crossed import (CrossedProduct, FiniteGroup, GroupAction,
                              crossed_product, folner_average, folner_defect,
-                             lift_automorphism, smearing_map)
+                             lift_automorphism, rep_unitary, smearing_map)
+from fockmod.fock import LevelOp
 from fockmod.instances import crossed_instances, permutation_action
 
 RNG = np.random.default_rng(41)
@@ -17,6 +22,129 @@ def z2_example():
     action = permutation_action(G, A, lambda g: [(i + g) % 2
                                                 for i in range(2)])
     return G, A, action
+
+
+def inner_example():
+    """Z/2 on M_2 by Ad(diag(1, -1)): an action with unitaries that are
+    not the identity."""
+    G = FiniteGroup.cyclic(2)
+    A = CStarAlgebra((2,))
+    flip = AlgebraAutomorphism(A, unitaries=[np.diag([1.0, -1.0])])
+    return G, A, GroupAction(G, A, [identity_automorphism(A), flip])
+
+
+def twisted_swap_example():
+    """Z/2 on M_2 + M_2 swapping the blocks through u and u*, u a fixed
+    non-diagonal unitary: permutation and unitaries at once."""
+    G = FiniteGroup.cyclic(2)
+    A = CStarAlgebra((2, 2))
+    u = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2)
+    swap = AlgebraAutomorphism(A, source=(1, 0),
+                               unitaries=[u, u.conj().T])
+    return G, A, GroupAction(G, A, [identity_automorphism(A), swap])
+
+
+def examples():
+    return (list(crossed_instances(0)) + list(crossed_instances(1))
+            + list(crossed_instances(2))
+            + [z2_example(), inner_example(), twisted_swap_example()])
+
+
+# The dense crossed product on l2(G) tensor V, the reference the level
+# operators are compared with.
+
+def dense_pi(C, a):
+    dimV = C.dimV
+    M = np.zeros((C.group.order * dimV,) * 2, complex)
+    for h in C.group.elements():
+        s = slice(h * dimV, (h + 1) * dimV)
+        M[s, s] = block_diag_matrix(
+            list(C.action.apply(C.group.inv(h), a).blocks), dimV)
+    return M
+
+
+def dense_lam(C, g):
+    dimV = C.dimV
+    M = np.zeros((C.group.order * dimV,) * 2, complex)
+    for h in C.group.elements():
+        k = C.group.mul(C.group.inv(g), h)
+        M[h * dimV:(h + 1) * dimV, k * dimV:(k + 1) * dimV] = np.eye(dimV)
+    return M
+
+
+def dense_lift(C, beta):
+    return np.kron(np.eye(C.group.order), rep_unitary(beta))
+
+
+def test_level_operators_match_the_dense_crossed_product():
+    rng = np.random.default_rng(43)
+    for G, A, action in examples():
+        C = CrossedProduct(action)
+        for _ in range(3):
+            a = A.random_element(rng)
+            assert np.array_equal(C.pi(a).dense(), dense_pi(C, a))
+        for g in G.elements():
+            assert np.array_equal(C.lam(g).dense(), dense_lam(C, g))
+        beta = identity_automorphism(A)
+        V, rep = lift_automorphism(C, beta, rng=rng, tol=1e-9)
+        assert rep.passed, rep.failures
+        assert isinstance(V, LevelOp)
+        assert np.array_equal(V.dense(), dense_lift(C, beta))
+
+
+def test_orbit_is_the_action_of_every_element():
+    rng = np.random.default_rng(47)
+    for G, A, action in examples():
+        for _ in range(3):
+            a = A.random_element(rng)
+            orbit = action.orbit(a)
+            for g in G.elements():
+                want = action.apply(g, a)
+                got = A.element([X[g] for X in orbit])
+                assert (got - want).norm() <= 1e-15 * max(1.0, a.norm())
+
+
+def test_actions_with_unitaries_pass_every_crossed_check():
+    rng = np.random.default_rng(53)
+    for G, A, action in (inner_example(), twisted_swap_example()):
+        C, rep = crossed_product(A, action, rng=rng, tol=1e-9)
+        assert rep.passed, rep.failures
+        for beta in (identity_automorphism(A), action.autos[1]):
+            V, rep = lift_automorphism(C, beta, rng=rng, tol=1e-9)
+            assert rep.passed, rep.failures
+            assert np.array_equal(V.dense(), dense_lift(C, beta))
+        ident = CPLinearMap.from_callable(A, A, lambda a: a)
+        exact = folner_average(C, list(G.elements()), ident, rng=rng)
+        assert [c.name for c in exact.checks] == ["exact-recovery"]
+        assert exact.passed, exact.failures
+        smeared = folner_average(C, [0], smearing_map(A, 0.25), rng=rng)
+        assert smeared.passed, smeared.failures
+
+
+def test_orbit_and_pi_refuse_an_element_of_another_algebra():
+    _, _, action = inner_example()
+    C = CrossedProduct(action)
+    other = CStarAlgebra((1, 1)).random_element(RNG)
+    with pytest.raises(StructureError, match="different algebra"):
+        action.orbit(other)
+    with pytest.raises(StructureError, match="different algebra"):
+        C.pi(other)
+
+
+def test_crossed_suite_builds_no_dense_operator(monkeypatch):
+    """pi, lambda and the lift stay level operators: the crossed suite runs
+    with the dense bridges it used to take refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense crossed-product operator built")
+
+    monkeypatch.setattr(LevelOp, "dense", refuse)
+    monkeypatch.setattr(crossed.np, "kron", refuse)
+    monkeypatch.setattr(cstar, "block_diag_matrix", refuse)
+    monkeypatch.setattr(crossed, "block_diag_matrix", refuse, raising=False)
+    for truncation in (3, None):
+        reports = run_suites(None, ("crossed",),
+                             Settings(truncation=truncation))
+        assert reports and all(r.passed for r in reports)
 
 
 def test_cyclic_group_table():
@@ -58,9 +186,9 @@ def test_covariance_relation():
     a = A.random_element(RNG)
     for g in G.elements():
         lam = C.lam(g)
-        lhs = lam @ C.pi(a) @ lam.conj().T
+        lhs = lam @ C.pi(a) @ lam.adjoint()
         rhs = C.pi(action.apply(g, a))
-        assert np.linalg.norm(lhs - rhs) < 1e-12
+        assert (lhs - rhs).norm() < 1e-12
 
 
 def test_lambda_is_unitary_representation():
@@ -68,10 +196,9 @@ def test_lambda_is_unitary_representation():
     C = CrossedProduct(action)
     for g in G.elements():
         lam = C.lam(g)
-        assert np.linalg.norm(lam.conj().T @ lam - np.eye(C.dim)) < 1e-12
+        assert (lam.adjoint() @ lam - C.lam(G.identity)).norm() < 1e-12
         for h in G.elements():
-            assert np.linalg.norm(C.lam(G.mul(g, h)) - C.lam(g) @ C.lam(h)) \
-                < 1e-12
+            assert (C.lam(G.mul(g, h)) - C.lam(g) @ C.lam(h)).norm() < 1e-12
 
 
 def test_crossed_product_reports_pass_on_seeded_instances():
@@ -128,3 +255,23 @@ def test_folner_average_rejects_empty_set():
     ident = CPLinearMap.from_callable(A, A, lambda a: a)
     with pytest.raises(PreconditionError):
         folner_average(C, [], ident)
+    with pytest.raises(PreconditionError, match="nonempty"):
+        folner_defect(G, [])
+
+
+@pytest.mark.parametrize("labels", [[-1], [5], [0, 2], [0.5]])
+def test_labels_outside_the_group_are_refused(labels):
+    G, A, action = z2_example()
+    C = CrossedProduct(action)
+    ident = CPLinearMap.from_callable(A, A, lambda a: a)
+    with pytest.raises(PreconditionError, match="elements of a group"):
+        folner_average(C, labels, ident)
+    with pytest.raises(PreconditionError, match="elements of a group"):
+        folner_defect(G, labels)
+
+
+@pytest.mark.parametrize("g", [-1, 2, 7])
+def test_lambda_refuses_a_label_outside_the_group(g):
+    _, _, action = z2_example()
+    with pytest.raises(PreconditionError, match="elements of a group"):
+        CrossedProduct(action).lam(g)

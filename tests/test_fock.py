@@ -770,13 +770,16 @@ def test_level_op_arithmetic_matches_dense():
 def test_level_op_spectral_norm_is_the_block_maximum():
     rng = np.random.default_rng(31)
     for F in _level_op_spaces():
+        # a block permutation such as [(1, 0), (0, 1)] is admitted: each
+        # label meets one block
         for pairs in ([(k, k) for k in range(4)], [(1, 0), (2, 1), (3, 2)],
-                      [(0, 2), (1, 3)], []):
+                      [(0, 2), (1, 3)], [(1, 0), (0, 1)], []):
             A = _random_level_op(F, rng, pairs)
             want = np.linalg.norm(A.dense(), 2)
             assert abs(A.spectral_norm() - want) <= 1e-14 * max(1.0, want)
-        with pytest.raises(StructureError, match="level shift"):
-            _random_level_op(F, rng, [(1, 0), (0, 1)]).spectral_norm()
+        for pairs in ([(0, 0), (1, 0)], [(0, 0), (0, 1)]):
+            with pytest.raises(StructureError, match="more than one block"):
+                _random_level_op(F, rng, pairs).spectral_norm()
 
 
 def test_expectations_of_level_ops_match_dense():
