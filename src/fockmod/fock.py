@@ -148,7 +148,7 @@ class LevelOp:
         each output label meets at most one block (a level shift, or a
         permutation of group elements): up to an order of the labels it is
         the direct sum of its blocks and of their components, so its norm is
-        the largest of the T_j's.  One batched SVD per shape of T_j."""
+        the largest of the T_j's: one SVD per shape, a lone T_j not copied."""
         if any(len({key[e] for key in self.blocks}) < len(self.blocks)
                for e in (0, 1)):
             raise StructureError("a label meets more than one block")

@@ -45,8 +45,7 @@ def twisted_swap_example():
 
 
 def examples():
-    return (list(crossed_instances(0)) + list(crossed_instances(1))
-            + list(crossed_instances(2))
+    return ([t for seed in range(3) for t in crossed_instances(seed)]
             + [z2_example(), inner_example(), twisted_swap_example()])
 
 
