@@ -346,18 +346,27 @@ def run_ideal(ctx, st):
 
 
 def run_factorization(ctx, st):
+    """Every shape (n, k, j) with 1 <= k(n+1) + j <= L = max_word_length.
+    Per module, the tower of M is built once, to level L, which the shape
+    (L - 1, 0, 1) reads and no shape passes, and the tower of its level
+    n + 1 once per n, to the largest k of that n."""
     rng = st.rng()
+    L = st.max_word_length
+    shapes = [(n, k, j) for n in range(L) for k in range(L)
+              for j in range(n + 1) if 0 < k * (n + 1) + j <= L]
+    if not shapes:
+        return []
     reports = []
     for H, _ in _fock_bimodules(ctx, st)[:2]:
-        for n in range(0, st.max_word_length):
-            for k in range(0, st.max_word_length):
-                for j in range(0, n + 1):
-                    if k * (n + 1) + j > st.max_word_length:
-                        continue
-                    if k * (n + 1) + j == 0:
-                        continue
-                    reports.append(fk.fock_factorization_check(
-                        H, n, k, j, rng, tol=st.tol, dim_cap=st.dim_cap))
+        tower = fk.FockSpace(H, L, dim_cap=st.dim_cap)
+        powers = {}
+        for n, k, j in shapes:
+            if n not in powers:
+                k_top = max(kk for nn, kk, _ in shapes if nn == n)
+                powers[n] = fk.FockSpace(tower.levels[n + 1], k_top,
+                                         dim_cap=st.dim_cap)
+            reports.append(fk._factorization(tower, powers[n], n, k, j, rng,
+                                             samples=None, tol=st.tol))
     return reports
 
 

@@ -103,6 +103,7 @@ class GroupAction:
         self._adjoints = [u.conj().transpose(0, 2, 1) for u in self._unitaries]
 
     def apply(self, g, a: AlgebraElement) -> AlgebraElement:
+        self.group.members([g])
         return self.autos[g](a)
 
     def orbit(self, a: AlgebraElement):

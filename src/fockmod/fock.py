@@ -489,8 +489,9 @@ def ideal_structure_check(F: FockSpace, n, rng,
             [uj @ vj.conj().T for uj, vj in zip(u.comps, v.comps)],
             F.base.block_sizes)
         res_rank = max(res_rank, np.linalg.norm(x[n] - rank_one, 2) / scale)
-        # ideal property: (balanced word) . x still kills levels < n
-        a = list(word_blocks(F, *random_word(F, rng, 1)))
+        # ideal property: (balanced word) . x still kills levels < n, where
+        # only the word's blocks a_k, k < n, act; they give its scale too
+        a = list(islice(word_blocks(F, *random_word(F, rng, 1)), n))
         a_norm = max(np.linalg.norm(ak, 2) for ak in a)
         res_prod = max(res_prod,
                        np.linalg.norm([np.linalg.norm(a[k] @ x[k])
@@ -555,10 +556,22 @@ def fock_factorization_check(M: HilbertBimodule, n, k, j, rng, samples=None,
         raise PreconditionError("empty regrouping")
     if samples is not None and samples < 1:
         raise PreconditionError("need at least one sample")
+    tower = FockSpace(M, max(m, n + 1), dim_cap)
+    return _factorization(tower, FockSpace(tower.levels[n + 1], k, dim_cap),
+                          n, k, j, rng, samples, tol)
+
+
+def _factorization(tower: FockSpace, powers: FockSpace, n, k, j, rng,
+                   samples, tol) -> VerificationReport:
+    """`fock_factorization_check` of the shape (n, k, j) on the tower of M,
+    up to a level of at least max(k(n+1)+j, n+1), and the tower of its level
+    n+1, up to a level of at least k.  Tensor steps are deterministic, so
+    one tower of each serves every shape that fits in it."""
+    m = k * (n + 1) + j
+    M = tower.bimodule
     report = VerificationReport(suite="fock-factorization",
                                 parameters={"n": n, "k": k, "j": j})
-    chain = FockSpace(M, max(m, n + 1), dim_cap)
-    levels, maps = chain.levels, chain.maps
+    levels, maps = tower.levels, tower.maps
 
     def fold(X):
         """Rows h_1 (x) ... (x) h_p of the stacked vectors X[:, i]."""
@@ -569,14 +582,12 @@ def fock_factorization_check(M: HilbertBimodule, n, k, j, rng, samples=None,
 
     left_mod = levels[m]
     # right side: levels[j] (x) ( levels[n+1] )^{(x) k}
-    pow_chain = FockSpace(levels[n + 1], k, dim_cap)
-    pow_maps = pow_chain.maps
     if k == 0:
         right_mod = levels[j]
     elif j == 0:
-        right_mod = pow_chain.levels[k]
+        right_mod = powers.levels[k]
     else:
-        cross_step = TensorStep(levels[j], pow_chain.levels[k])
+        cross_step = TensorStep(levels[j], powers.levels[k])
         right_mod = cross_step.module
 
     def embed_right(X):
@@ -586,7 +597,7 @@ def fock_factorization_check(M: HilbertBimodule, n, k, j, rng, samples=None,
               for i in range(k)]
         y = ys[-1]
         for i in range(k - 2, -1, -1):
-            y = pow_maps[k - 1 - i].tensor(ys[i], y)
+            y = powers.maps[k - 1 - i].tensor(ys[i], y)
         if j == 0:
             return y
         return cross_step.tensor(fold(X[:, :j]), y)

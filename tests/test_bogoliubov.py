@@ -450,7 +450,9 @@ def test_bog_suite_builds_each_fock_tower_once(monkeypatch):
 
 _RECORDED = [("bog_crossed_checks.json", ("crossed", "free", "bog"), ""),
              ("fock_toeplitz_checks.json", ("fock", "toeplitz"),
-              "fock_toeplitz-")]
+              "fock_toeplitz-"),
+             ("ideal_factorization_checks.json", ("ideal", "factorization"),
+              "ideal_factorization-")]
 
 
 @pytest.mark.parametrize("data, suites, truncation", [
@@ -462,7 +464,9 @@ def test_bog_crossed_checks_match_the_recorded_residuals(data, suites,
     """The suites against their checks as recorded in tests/data: crossed,
     free and bog with least-squares level solves, per-matrix-unit
     automorphism distances and per-vector Gram-Schmidt norms; fock and
-    toeplitz with the dense Fock builders."""
+    toeplitz with the dense Fock builders; ideal and factorization with a
+    fresh pair of tensor-power towers for every factorization shape and the
+    absorbing word of `ideal-absorbs-products` evaluated on every level."""
     path = Path(__file__).parent / "data" / data
     want = json.loads(path.read_text())["truncations"][truncation]
     st = cli.Settings(truncation=None if truncation == "default"

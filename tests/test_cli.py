@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,9 @@ from fockmod.cli import (EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION,
                          build_instance, emit, main, parse_instance,
                          run_suites)
 from fockmod.cstar import PreconditionError
-from fockmod.fock import LevelOp
+from fockmod.fock import FockSpace, LevelOp, fock_factorization_check
+from fockmod.hilbmod import TensorStep
+from fockmod.instances import creation_instances
 from fockmod.report import VerificationReport
 
 EXAMPLE = "instances/example.json"
@@ -287,6 +290,72 @@ def test_factorization_cap_counts_the_vacuum_level(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_RESOURCE
     assert "15 exceeds the cap 14" in err
+
+
+def test_factorization_cap_is_checked_before_any_tensor_step(tmp_path, capsys,
+                                                            monkeypatch):
+    # levels 0..5 of the plane have dimensions 1 + 2 + ... + 32 = 63: the
+    # shapes below level 5 fit in the cap, the tower to level 5 does not
+    path = write_instance(tmp_path, {
+        "name": "one-below",
+        "parameters": {"dim_cap": 62, "max_word_length": 5},
+        "algebras": {"c": {"blocks": [1]}},
+        "bimodules": {"plane": {"base": "c",
+                                "right_multiplicities": [2],
+                                "left_multiplicities": [[2]]}},
+    })
+    steps = []
+    init = TensorStep.__init__
+
+    def counted(self, *args, **kwargs):
+        steps.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorStep, "__init__", counted)
+    code = main(["--suite", "factorization", "--instance", path])
+    assert code == EXIT_RESOURCE
+    assert "63 exceeds the cap 62" in capsys.readouterr().err
+    assert steps == []
+
+
+def _factorization_shapes(L):
+    return [(n, k, j) for n in range(L) for k in range(L)
+            for j in range(n + 1) if 0 < k * (n + 1) + j <= L]
+
+
+def test_factorization_builds_each_tower_once(monkeypatch):
+    """Per module, one tower of M and one tower of each level n + 1: at most
+    2 (1 + max_word_length) Fock spaces for the suite's two modules."""
+    built = []
+    init = FockSpace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FockSpace, "__init__", counted)
+    st = Settings(seed=25)
+    reports = run_suites(None, ("factorization",), st)
+    assert len(reports) == 2 * len(_factorization_shapes(st.max_word_length))
+    assert all(r.passed for r in reports)
+    assert len(built) <= 2 * (1 + st.max_word_length)
+
+
+def test_shared_towers_give_the_per_shape_residuals():
+    """The suite's reports are those of `fock_factorization_check` called
+    shape by shape, with its own towers, on the same rng stream."""
+    st = Settings(seed=25)
+    got = run_suites(None, ("factorization",), st)
+    rng = np.random.default_rng(st.seed)
+    want = [fock_factorization_check(H, n, k, j, rng, tol=st.tol)
+            for H, _ in creation_instances(st.seed, count=5)[:2]
+            for n, k, j in _factorization_shapes(st.max_word_length)]
+
+    def rows(reports):
+        return [(r.parameters, [(c.name, c.passed, c.residual)
+                                for c in r.checks]) for r in reports]
+
+    assert rows(got) == rows(want)
 
 
 @pytest.mark.parametrize("truncation", ["0", "1"])

@@ -273,3 +273,15 @@ def test_lambda_refuses_a_label_outside_the_group(g):
     _, _, action = z2_example()
     with pytest.raises(PreconditionError, match="elements of a group"):
         CrossedProduct(action).lam(g)
+
+
+@pytest.mark.parametrize("g", [-1, 3, 1.5])
+def test_action_refuses_a_label_outside_the_group(g):
+    """On Z/3, -1 would index alpha_2 and 3 would fall off the list."""
+    group, algebra, action = crossed_instances(0)[1]
+    a = algebra.random_element(np.random.default_rng(3))
+    with pytest.raises(PreconditionError, match="elements of a group"):
+        action.apply(g, a)
+    for h in group.elements():
+        for x, y in zip(action.apply(h, a).blocks, action.autos[h](a).blocks):
+            assert np.array_equal(x, y)

@@ -324,6 +324,29 @@ def test_quotient_check_never_evaluates_levels_from_n(monkeypatch):
     assert rep.passed, rep.failures
 
 
+def test_ideal_check_never_evaluates_levels_above_n(monkeypatch):
+    """Levels above n are never read: the ideal's generators are checked on
+    levels <= n, and the absorbing word acts only on levels < n."""
+    for n in (1, 2):
+        F = swap_fock(4)
+
+        def refuse(self, b):
+            raise AssertionError("level block above n evaluated")
+
+        left_level = F._left_level
+
+        def up_to_n(k, b, reps):
+            if k > n:
+                raise AssertionError("level block above n evaluated")
+            return left_level(k, b, reps)
+
+        monkeypatch.setattr(F, "_left_level", up_to_n)
+        for step in F.maps[n:]:     # the steps into levels n + 1 and above
+            monkeypatch.setattr(step, "components", refuse.__get__(step))
+        rep = ideal_structure_check(F, n, RNG)
+        assert rep.passed, rep.failures
+
+
 def _first_instance_fock():
     H, _ = creation_instances(25, 5)[0]
     return FockSpace(H, 3)
