@@ -11,7 +11,7 @@ from .hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
 from .fock import (FockSpace, LevelOp, creation_relations_check,
                    fock_factorization_check, ideal_structure_check,
                    isometric_vector, masked_norm, quotient_dimension_check,
-                   toeplitz_endomorphism, word_blocks)
+                   toeplitz_endomorphism, word)
 from .crossed import (CrossedProduct, FiniteGroup, GroupAction,
                       crossed_product, folner_average, folner_defect,
                       lift_automorphism, smearing_map)
@@ -34,7 +34,7 @@ __all__ = [
     "trivial_module", "FockSpace", "LevelOp",
     "creation_relations_check", "fock_factorization_check",
     "ideal_structure_check", "isometric_vector", "masked_norm",
-    "quotient_dimension_check", "toeplitz_endomorphism", "word_blocks",
+    "quotient_dimension_check", "toeplitz_endomorphism", "word",
     "CrossedProduct", "FiniteGroup", "GroupAction", "crossed_product",
     "folner_average", "folner_defect", "lift_automorphism", "smearing_map",
     "AmalgSetup", "amalg_setup", "build_W",

@@ -2,7 +2,6 @@
 extensions on the truncated Fock space, growth subspaces K_p, the
 compression Q x Q onto their Fock towers, and the rank-growth report."""
 
-from itertools import islice
 from math import prod
 
 import numpy as np
@@ -10,9 +9,9 @@ import numpy as np
 from .cstar import (AlgebraAutomorphism, PreconditionError, StructureError,
                     identity_automorphism, DEFAULT_TOL)
 from .hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
-                      SubmoduleSpan, complex_rank, projection_from_basis,
+                      SubmoduleSpan, complex_rank, projection_components,
                       submodule_projection)
-from .fock import FockSpace, word_blocks
+from .fock import FockSpace, LevelOp, word
 from .report import VerificationReport
 
 
@@ -222,12 +221,13 @@ def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
 
 
 def _tower_projection(F: FockSpace, level_bases):
-    # the tower always contains the whole vacuum copy of B
-    blocks = [np.eye(F.level_dims[0])]
+    """The projection Q onto the tower, over the base's components: the
+    identity on level 0, which the tower always contains whole, and the
+    components of the projection onto each basis above it."""
+    blocks = {(0, 0): [np.eye(r, dtype=complex) for r in F.level_mult[0]]}
     for k, basis in enumerate(level_bases[1:], start=1):
-        blocks.append(projection_from_basis(F.levels[k], basis) if basis
-                      else np.zeros((F.level_dims[k],) * 2))
-    return blocks
+        blocks[k, k] = projection_components(F.levels[k], basis)
+    return LevelOp(F.level_mult, F.base.block_sizes, blocks)
 
 
 def _random_flat(basis, rng):
@@ -250,16 +250,17 @@ def compression_channels(F: FockSpace, span: SubmoduleSpan, level_bases, rng,
         the subspace and vectors v in the tower up to level n-1.
 
     Q lies under P_n, so Q x Q cuts x down both to the levels <= n and to
-    the tower.  Q is formed from dense level projections, so it and what
-    it meets live on one component of size 1 (`FockSpace.diagonal`,
-    `LevelOp.placed`).
+    the tower.  Q is right B-linear, so it and every operator it meets are
+    level operators over the base's components.
     Returns (Q, VerificationReport), Q a LevelOp."""
     n = len(level_bases) - 1
     if n < 1:
         raise PreconditionError("compression level must be at least 1")
-    P = _tower_projection(F, level_bases)
-    Q = F.diagonal(P)
-    tower_dim = int(round(sum(np.trace(Pk).real for Pk in P)))
+    Q = _tower_projection(F, level_bases)
+    # kron(T_j, I_{n_j}) has trace n_j tr(T_j)
+    tower_dim = int(round(sum(n_j * np.trace(t).real
+                              for X in Q.blocks.values()
+                              for t, n_j in zip(X, Q.sizes))))
     report = VerificationReport(suite="compression-channels",
                                 parameters={"n": n, "tower_dim": tower_dim})
     report.add("projection-idempotent", "Q^2 = Q", (Q @ Q - Q).norm(), tol)
@@ -267,14 +268,14 @@ def compression_channels(F: FockSpace, span: SubmoduleSpan, level_bases, rng,
                (Q - Q.adjoint()).norm(), tol)
     res_comm = 0.0
     for b in F.base.basis():
-        lb = F.left(b).placed()
+        lb = F.left(b)
         res_comm = max(res_comm, (Q @ lb - lb @ Q).norm())
     report.add("left-action-commutes", "Q (b . ) = (b . ) Q", res_comm, tol)
     res_leak = 0.0
     # (1 - Q) P_n = P_n - Q: the complement on inputs from levels <= n
-    complement = (F.identity().placed() - Q).restrict(n)
+    complement = (F.identity() - Q).restrict(n)
     for h in span.basis:
-        ann = F.creation(h).placed().adjoint()
+        ann = F.creation(h).adjoint()
         res_leak = max(res_leak, (Q @ ann @ complement).norm())
     report.add("no-annihilation-leak", "Q l(h)* (1 - Q) = 0 for h in K_p",
                res_leak, tol)
@@ -287,12 +288,13 @@ def compression_channels(F: FockSpace, span: SubmoduleSpan, level_bases, rng,
         hs = [span.parent.from_flat(_random_flat(span.basis, rng))
               for _ in range(2 * m)]
         scale = prod(max(1.0, h.norm()) for h in hs)
-        xs = word_blocks(F, [one] * (2 * m + 1), hs)
-        for Pk, xk, basis in zip(P, islice(xs, n), level_bases):
-            d = Pk @ xk @ Pk - xk
-            for v in basis:
-                res_rec = max(res_rec,
-                              float(np.linalg.norm(d @ v.flat)) / scale)
+        x = word(F, [one] * (2 * m + 1), hs, n - 1)
+        d = Q @ x @ Q - x
+        for (k, _), D in d.blocks.items():
+            for v in level_bases[k]:
+                res_rec = max(res_rec, float(np.linalg.norm(
+                    [np.linalg.norm(Dj @ vj) for Dj, vj in zip(D, v.comps)]))
+                    / scale)
     report.add("vector-reconstruction",
                "Q P_n x P_n Q v = x v on the tower below level n",
                res_rec, tol)

@@ -382,7 +382,7 @@ def run_toeplitz(ctx, st):
     for H in candidates[:2]:
         F = fk.FockSpace(H, st.N(3), dim_cap=st.dim_cap)
         L = F.creation(fk.isometric_vector(H, rng))
-        a = F.diagonal(fk.word_blocks(F, *fk.random_word(F, rng, 1)))
+        a = fk.word(F, *fk.random_word(F, rng, 1), F.N)
         _, rep = fk.toeplitz_endomorphism(F, a, L, rng=rng, tol=st.tol)
         rep.merge(fk.endomorphism_injectivity_check(F, L, F.N - 1, rng))
         rep.parameters.update({"N": F.N, "dim": F.dim})

@@ -11,13 +11,10 @@ below level N, determined by degree bookkeeping.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from .cstar import (AlgebraElement, PreconditionError, ResourceCapError,
-                    StructureError, block_diag_matrix, place_copies,
-                    DEFAULT_TOL)
+                    StructureError, place_copies, DEFAULT_TOL)
 from .hilbmod import (HilbertBimodule, ModuleVector, TensorStep, complex_rank,
                       element_to_vector, right_linear_matrix, trivial_module,
                       vector_to_element)
@@ -301,17 +298,18 @@ class FockSpace:
 
 # -- words ------------------------------------------------------------------
 
-def word_blocks(F: FockSpace, coeffs, hs):
-    """The diagonal level blocks x_0, ..., x_N of the balanced word
-    b_0 l(h_1) b_1 ... l(h_m) b_m l(h_{m+1})* ... l(h_{2m})* b_{2m} with
-    m = len(hs) / 2, one level at a time and only when asked for.
+def word(F: FockSpace, coeffs, hs, top):
+    """The balanced word b_0 l(h_1) b_1 ... l(h_m) b_m l(h_{m+1})* ...
+    l(h_{2m})* b_{2m}, m = len(hs) / 2, on the levels <= top <= N: a LevelOp
+    over the base's components with the diagonal blocks (k, k),
+    m <= k <= top, and no block elsewhere.
 
-    A balanced word has degree 0, so it maps each level into itself: x_k is
-    zero for k < m, and otherwise the product, from the left, of the level
-    blocks of the factors on the path k -> k - m -> k, which never reaches
-    the top level's compressed creation.  The product is taken component by
-    component (`FockSpace._left_level`, `TensorStep.components`) and placed
-    as one dense level block by `LevelOp.block`."""
+    A balanced word has degree 0, so it maps each level into itself: its
+    block on level k is zero for k < m, and otherwise the product, from the
+    left, of the level blocks of the factors on the path k -> k - m -> k,
+    which never reaches the top level's compressed creation.  The product is
+    taken component by component (`FockSpace._left_level`,
+    `TensorStep.components`), on the levels m..top only."""
     if len(hs) % 2 or len(coeffs) != len(hs) + 1:
         raise StructureError("need 2m vectors and 2m + 1 coefficients")
     if any(h.parent is not F.bimodule for h in hs):
@@ -326,24 +324,20 @@ def word_blocks(F: FockSpace, coeffs, hs):
             reps[i] = F._left_reps(coeffs[i])
         return F._left_level(j, coeffs[i], reps[i])
 
-    def blocks():
-        for k, d in enumerate(F.level_dims):
-            if k < m:
-                yield np.zeros((d, d), complex)
-                continue
-            M = left(0, k)
-            for i, h in enumerate(hs):
-                if i < m:       # l(h): level k-i-1 -> level k-i
-                    j = k - i - 1
-                    M = [x @ c @ y for x, c, y in zip(
-                        M, F.maps[j].components(h.flat), left(i + 1, j))]
-                else:           # l(h)*: level j+1 -> level j
-                    j = k - 2 * m + i
-                    M = [x @ c.conj().T @ y for x, c, y in zip(
-                        M, F.maps[j].components(h.flat), left(i + 1, j + 1))]
-            yield F._level_op({(k, k): M}).block(k, k)
-
-    return blocks()
+    blocks = {}
+    for k in range(m, top + 1):
+        M = left(0, k)
+        for i, h in enumerate(hs):
+            if i < m:       # l(h): level k-i-1 -> level k-i
+                j = k - i - 1
+                M = [x @ c @ y for x, c, y in zip(
+                    M, F.maps[j].components(h.flat), left(i + 1, j))]
+            else:           # l(h)*: level j+1 -> level j
+                j = k - 2 * m + i
+                M = [x @ c.conj().T @ y for x, c, y in zip(
+                    M, F.maps[j].components(h.flat), left(i + 1, j + 1))]
+        blocks[k, k] = M
+    return F._level_op(blocks)
 
 
 def _vacuum_tensor(F: FockSpace, coeffs, hs):
@@ -466,37 +460,31 @@ def ideal_structure_check(F: FockSpace, n, rng,
     """Generators of the n-th ideal of the balanced-word filtration:
     they kill levels below n, restrict to explicit finite-rank operators on
     level n, and absorb products of balanced words.  Everything is read off
-    level blocks; residuals on levels below n are Frobenius norms, and the
-    spectral norm of a block-diagonal operator is the largest of its
-    blocks'."""
+    the words' level operators; residuals on levels below n are Frobenius
+    norms, and the spectral norm of a block-diagonal operator is the largest
+    of its blocks'."""
     _check_depth(F, n)
     report = VerificationReport(suite="ideal-structure")
     one = F.base.identity()
     res_kill = res_rank = res_prod = 0.0
     for _ in range(4):
         coeffs, hs = random_word(F, rng, n)
-        x = list(islice(word_blocks(F, coeffs, hs), n + 1))
+        x = word(F, coeffs, hs, n)
         scale = _word_scale(coeffs, hs)
-        res_kill = max(res_kill,
-                       np.linalg.norm([np.linalg.norm(xk) for xk in x[:n]])
-                       / scale)
+        res_kill = max(res_kill, x.restrict(n - 1).norm() / scale)
         # explicit finite-rank form on level n: x w = u <v, w> with
         # u = b_0 l(h_1) ... l(h_n) b_n 1 and v = b_2n* l(h_2n) ... l(h_n+1) 1
         u = _vacuum_tensor(F, coeffs[:n + 1], hs[:n])
         v = _vacuum_tensor(F, [c.adjoint() for c in coeffs[:n:-1]] + [one],
                            hs[:n - 1:-1])
-        rank_one = right_linear_matrix(
-            [uj @ vj.conj().T for uj, vj in zip(u.comps, v.comps)],
-            F.base.block_sizes)
-        res_rank = max(res_rank, np.linalg.norm(x[n] - rank_one, 2) / scale)
+        rank_one = F._level_op(
+            {(n, n): [uj @ vj.conj().T for uj, vj in zip(u.comps, v.comps)]})
+        res_rank = max(res_rank, (x - rank_one).spectral_norm() / scale)
         # ideal property: (balanced word) . x still kills levels < n, where
-        # only the word's blocks a_k, k < n, act; they give its scale too
-        a = list(islice(word_blocks(F, *random_word(F, rng, 1)), n))
-        a_norm = max(np.linalg.norm(ak, 2) for ak in a)
-        res_prod = max(res_prod,
-                       np.linalg.norm([np.linalg.norm(a[k] @ x[k])
-                                       for k in range(n)])
-                       / (scale * max(1.0, a_norm)))
+        # only the word's blocks on levels k < n act; they give its scale too
+        a = word(F, *random_word(F, rng, 1), n - 1)
+        res_prod = max(res_prod, (a @ x.restrict(n - 1)).norm()
+                       / (scale * max(1.0, a.spectral_norm())))
     report.add("ideal-kills-lower-levels",
                "x in I_n  =>  x|_{F_{n-1}} = 0", res_kill, tol, n=n)
     report.add("ideal-finite-rank-form",
@@ -510,24 +498,22 @@ def quotient_dimension_check(F: FockSpace, n, rng,
                              tol=DEFAULT_TOL) -> VerificationReport:
     """The quotient of the depth-n word span by the n-th ideal is realized by
     compression to levels below n, and agrees there with the depth-(n-1)
-    span.  The compression of a word is its first n level blocks; levels
-    n and above are never evaluated."""
+    span.  The compression of a word is the word on levels < n; levels n
+    and above are never evaluated.  A compressed word is read as the
+    entries of its dense level blocks: the off-diagonal level blocks are
+    zero, so the ranks are those of the dense corners."""
     _check_depth(F, n)
     report = VerificationReport(suite="filtration-quotient")
-    cut = int(F.offsets[n])     # levels <= n - 1
-
-    def corner(coeffs, hs):
-        return block_diag_matrix(list(islice(word_blocks(F, coeffs, hs), n)),
-                                 cut)
 
     def compressed_span(depth):
-        return [corner(*random_word(F, rng, m)).ravel()
-                for m in range(depth + 1) for _ in range(6)]
+        return [np.concatenate([x.block(k, k).ravel() for k in range(n)])
+                for x in (word(F, *random_word(F, rng, m), n - 1)
+                          for m in range(depth + 1) for _ in range(6))]
 
     res = 0.0
     for _ in range(6):
         coeffs, hs = random_word(F, rng, n)
-        res = max(res, np.linalg.norm(corner(coeffs, hs), 2)
+        res = max(res, word(F, coeffs, hs, n - 1).spectral_norm()
                   / _word_scale(coeffs, hs))
     report.add("ideal-in-quotient-kernel",
                "I_n compresses to 0 on F_{n-1}", res, tol, n=n)
@@ -706,8 +692,9 @@ def endomorphism_injectivity_check(F: FockSpace, L: LevelOp, n,
         raise PreconditionError("word depth must be nonnegative")
     if n > F.N - 1:
         raise PreconditionError("need n <= N - 1 for overflow-free words")
-    words = [list(word_blocks(F, *random_word(F, rng, m)))
-             for m in range(n + 1) for _ in range(5)]
+    words = [[x.block(k, k) for k in range(F.N + 1)]
+             for x in (word(F, *random_word(F, rng, m), F.N)
+                       for m in range(n + 1) for _ in range(5))]
     C = [L.block(k + 1, k) for k in range(F.N)]
     r_in = complex_rank([np.concatenate([xk.ravel() for xk in x])
                          for x in words])

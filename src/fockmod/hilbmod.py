@@ -287,12 +287,18 @@ class SubmoduleSpan:
         return f"SubmoduleSpan(dim_C={self.complex_dim}, of {self.parent!r})"
 
 
-def projection_from_basis(module, V):
-    """P h = sum_v v<v,h> as a flat matrix.  Component j of the sum is
-    kron(S_j S_j*, I_{n_j}) with S_j the columns of every v_j side by side."""
+def projection_components(module, V):
+    """The components of P h = sum_v v<v,h>: S_j S_j* with S_j the columns
+    of every v_j side by side, so P is right B-linear."""
     Ss = [np.hstack([np.zeros((r, 0), complex)] + [v.comps[j] for v in V])
           for j, r in enumerate(module.right_mult)]
-    return right_linear_matrix([S @ S.conj().T for S in Ss],
+    return [S @ S.conj().T for S in Ss]
+
+
+def projection_from_basis(module, V):
+    """P h = sum_v v<v,h> as a flat matrix: the direct sum of
+    kron(S_j S_j*, I_{n_j}) (`projection_components`)."""
+    return right_linear_matrix(projection_components(module, V),
                                module.base.block_sizes)
 
 

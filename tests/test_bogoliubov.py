@@ -15,7 +15,7 @@ from fockmod.bogoliubov import (BogoliubovMap, _fock_level_spans,
 from fockmod.cstar import (AlgebraAutomorphism, CStarAlgebra,
                            PreconditionError, block_diag_matrix,
                            haar_unitary_matrix)
-from fockmod.fock import FockSpace
+from fockmod.fock import FockSpace, LevelOp
 from fockmod.hilbmod import (AugmentedModule, TensorStep, make_bimodule,
                              submodule_projection)
 from fockmod.instances import (creation_instances, flip_twisted_module,
@@ -113,6 +113,32 @@ def test_compression_channel_properties():
     Q = Q.dense()
     assert np.linalg.norm(Q @ Q - Q) < 1e-9
     assert np.linalg.norm(Q - Q.conj().T) < 1e-9
+
+
+def test_compression_channels_stay_in_component_form(monkeypatch):
+    """Q and every operator it meets are level operators over the base's
+    components: nothing is placed on one component or built from dense
+    level blocks.  tower_dim is the trace of the dense Q."""
+    def refuse(*args):
+        raise AssertionError("placed Fock operator built")
+
+    H, K, U = multiplicity_shift_instance()
+    bog = random_bogoliubov(np.random.default_rng(3))
+    Kr = submodule_projection([bog.module.random_vector(RNG)])
+    cases = [(FockSpace(H, 3), U, K, n) for n in (1, 2, 3)] + [
+        (FockSpace(bog.module, 2), bog, Kr, 2)]
+    for F, bog_map, span, n in cases:
+        spans, _ = kp_subspace(bog_map, span, 2)
+        towers = _fock_level_spans(F, n, spans[-1])
+        with monkeypatch.context() as m:
+            m.setattr(LevelOp, "placed", refuse)
+            m.setattr(FockSpace, "diagonal", refuse)
+            Q, rep = compression_channels(F, spans[-1], towers, RNG,
+                                          tol=1e-8)
+        assert rep.passed, rep.failures
+        assert (Q.rmult, Q.sizes) == (F.level_mult, F.base.block_sizes)
+        assert rep.parameters["tower_dim"] == round(
+            np.trace(Q.dense()).real)
 
 
 def test_entropy_dimension_bound_on_shift_grid():

@@ -10,7 +10,7 @@ from fockmod.fock import (FockSpace, LevelOp, creation_relations_check,
                           fock_factorization_check, ideal_structure_check,
                           isometric_vector, masked_norm, power_dims,
                           quotient_dimension_check, random_word,
-                          toeplitz_endomorphism, word_blocks)
+                          toeplitz_endomorphism, word)
 from fockmod.freeprod import AmalgSetup
 from fockmod.hilbmod import (HilbertBimodule, TensorStep, _kron_eye,
                              complex_rank, element_to_vector, make_bimodule,
@@ -33,9 +33,16 @@ def swap_fock(N=4):
     return FockSpace(H, N)
 
 
+def _level_slice(F: FockSpace, k):
+    """The rows of level k in the flat layout of the Fock space."""
+    start = sum(F.level_dims[:k])
+    return slice(start, start + F.level_dims[k])
+
+
 def _dense_word(F: FockSpace, coeffs, hs):
-    """The balanced word of `word_blocks` as a dense Fock-size matrix."""
-    return block_diag_matrix(list(word_blocks(F, coeffs, hs)), F.dim)
+    """The balanced word of `word` on every level as a dense Fock-size
+    matrix."""
+    return word(F, coeffs, hs, F.N).dense()
 
 
 def _right_matrix(F: FockSpace, b):
@@ -123,7 +130,7 @@ def test_balanced_words_keep_every_level():
 
 
 # The general alternating word of the parent implementation, kept verbatim
-# as the reference for word_blocks and random_word on balanced words.
+# as the reference for word and random_word on balanced words.
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -200,45 +207,50 @@ def _word_spaces():
         FockSpace(H, N) for H, N in creation_instances(25, 5)[:2]]
 
 
-def test_word_blocks_are_the_reference_diagonal():
+def test_word_is_the_reference_diagonal():
     for F in _word_spaces():
         for m in range(4):
-            rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-            blocks = list(word_blocks(F, *random_word(F, rng, m)))
             R = _reference_word(F, _reference_random_word_spec(
-                F, rng_ref, 2 * m, balanced=True))
-            assert len(blocks) == F.N + 1
-            for k, xk in enumerate(blocks):
-                s = F.level_slice(k)
-                assert xk.shape == (F.level_dims[k],) * 2
-                if k < m:
-                    assert not xk.any()
-                assert np.linalg.norm(xk - R[s, s]) \
-                    <= 1e-14 * max(1.0, np.linalg.norm(R))
+                F, np.random.default_rng(5), 2 * m, balanced=True))
+            for top in range(F.N + 1):
+                x = word(F, *random_word(F, np.random.default_rng(5), m),
+                         top)
+                assert (x.rmult, x.sizes) == (F.level_mult,
+                                              F.base.block_sizes)
+                # no block below m, and none above top
+                assert set(x.blocks) == {(k, k) for k in range(m, top + 1)}
+                for k in range(F.N + 1):
+                    s = _level_slice(F, k)
+                    want = R[s, s] if k <= top else 0
+                    assert np.linalg.norm(x.block(k, k) - want) \
+                        <= 1e-14 * max(1.0, np.linalg.norm(R))
 
 
 def test_quotient_corner_is_the_word_corner(monkeypatch):
+    """The check's compressed words are the dense words' level blocks below
+    n, drawn in the order of the check's rng stream."""
     F = swap_fock(4)
     corners = []
-    block_diag = fock.block_diag_matrix
 
-    def recorded(blocks, total=None):
-        out = block_diag(blocks, total)
-        corners.append(out)
+    def recorded(F, coeffs, hs, top):
+        out = word(F, coeffs, hs, top)
+        corners.append((top, out))
         return out
 
-    monkeypatch.setattr(fock, "block_diag_matrix", recorded)
-    n, cut = 2, int(F.offsets[2])
+    monkeypatch.setattr(fock, "word", recorded)
+    n = 2
     rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
     rep = quotient_dimension_check(F, n, rng)
     assert rep.passed, rep.failures
-    monkeypatch.setattr(fock, "block_diag_matrix", block_diag)
     ms = [n] * 6 + [m for depth in (n, n - 1)
                     for m in range(depth + 1) for _ in range(6)]
     assert len(corners) == len(ms)
-    for m, C in zip(ms, corners):
-        assert np.array_equal(
-            C, _dense_word(F, *random_word(F, rng_ref, m))[:cut, :cut])
+    for m, (top, x) in zip(ms, corners):
+        assert top == n - 1
+        W = _dense_word(F, *random_word(F, rng_ref, m))
+        for k in range(n):
+            s = _level_slice(F, k)
+            assert np.array_equal(x.block(k, k), W[s, s])
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -285,15 +297,15 @@ def test_rank_one_vectors_match_dense_prefix_and_suffix():
 
 
 def test_ideal_and_quotient_checks_build_no_fock_size_operators(monkeypatch):
-    def refuse(self):
-        raise AssertionError("dense Fock-size operator built")
-
-    def below_fock_size(blocks, total=None):
-        assert total is not None and total < F.dim, "Fock-size matrix built"
-        return block_diag_matrix(blocks, total)
+    """The words stay level operators over the base's components: nothing
+    is multiplied out, placed on one component or built from dense level
+    blocks."""
+    def refuse(*args):
+        raise AssertionError("dense or placed Fock operator built")
 
     monkeypatch.setattr(LevelOp, "dense", refuse)
-    monkeypatch.setattr(fock, "block_diag_matrix", below_fock_size)
+    monkeypatch.setattr(LevelOp, "placed", refuse)
+    monkeypatch.setattr(FockSpace, "diagonal", refuse)
     for F in (plane_fock(4), swap_fock(4)):
         for n in (1, 2):
             rep = ideal_structure_check(F, n, RNG)
@@ -380,9 +392,9 @@ def test_word_rejects_wrong_counts():
     F = plane_fock()
     coeffs, hs = random_word(F, RNG, 1)
     with pytest.raises(StructureError):
-        word_blocks(F, coeffs[:-1], hs)
+        word(F, coeffs[:-1], hs, F.N)
     with pytest.raises(StructureError):
-        word_blocks(F, coeffs[:-1], hs[:-1])
+        word(F, coeffs[:-1], hs[:-1], F.N)
 
 
 def test_toeplitz_endomorphism_and_injectivity():
