@@ -203,25 +203,22 @@ class FockSpace:
         # components of one of them, so they are checked once, here
         self._zero = LevelOp(self.level_mult, self.base.block_sizes, {})
         self._placed_zero = LevelOp([(d,) for d in self.level_dims], (1,), {})
-        self.offsets = np.cumsum([0] + list(self.level_dims))
-        self.dim = int(self.offsets[-1])
+        self.dim = sum(self.level_dims)
 
     def __repr__(self):
         return f"FockSpace(N={self.N}, level_dims={self.level_dims})"
 
-    # -- slicing helpers ---------------------------------------------------
+    # -- operators over one component of size 1 -----------------------------
 
-    def level_slice(self, k):
-        return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
-
-    def level_blocks(self, M):
-        """A dense Fock-size matrix as a LevelOp: views of its level slices
-        (no copy), over one component of size 1 (every matrix is right
-        linear over C)."""
-        s = [self.level_slice(k) for k in range(self.N + 1)]
-        return self._placed_zero._new({(i, j): [M[si, sj]]
-                                       for i, si in enumerate(s)
-                                       for j, sj in enumerate(s)})
+    def random_placed(self, rng, pairs):
+        """A random operator that is not right B-linear: independent complex
+        Gaussian dense level blocks (i, j), drawn one at a time in the order
+        of pairs, over one component of size 1."""
+        d = self.level_dims
+        return self._placed_zero._new({
+            (i, j): [rng.standard_normal((d[i], d[j]))
+                     + 1j * rng.standard_normal((d[i], d[j]))]
+            for i, j in pairs})
 
     def diagonal(self, blocks):
         """The degree-0 operator with the dense level blocks blocks[k] on
@@ -423,14 +420,15 @@ def expectation_properties_check(F: FockSpace, rng,
                (lhs - rhs).norm() / max(1.0, h.norm() * g.norm()), tol)
     res_idem = res_ephi = 0.0
     for _ in range(4):
-        X = rng.standard_normal((F.dim, F.dim)) + 1j * rng.standard_normal((F.dim, F.dim))
-        T = F.level_blocks(X)
+        # every level block, off the diagonal too, so that Phi moves T
+        T = F.random_placed(rng, [(i, j) for i in range(F.N + 1)
+                                  for j in range(F.N + 1)])
         PT = F.gauge_expectation(T)
         res_idem = max(res_idem, (F.gauge_expectation(PT) - PT).norm()
-                       / max(1.0, np.linalg.norm(X)))
+                       / max(1.0, T.norm()))
         res_ephi = max(res_ephi,
                        (F.vacuum_expectation(T) - F.vacuum_expectation(PT)).norm()
-                       / max(1.0, np.linalg.norm(X)))
+                       / max(1.0, T.norm()))
     report.add("gauge-idempotent", "Phi . Phi = Phi", res_idem, 1e-12)
     report.add("vacuum-gauge-compatible", "E = E . Phi", res_ephi, 1e-12)
     if F.N >= 1:
@@ -660,13 +658,10 @@ def toeplitz_endomorphism(F: FockSpace, a: LevelOp, L: LevelOp, rng=None,
         res_iso = (L.adjoint() @ L - one_below).spectral_norm()
         report.add("truncated-isometry", "L* L = 1 - E_N", res_iso, tol)
         res = 0.0
+        diagonal = [(k, k) for k in range(F.N + 1)]
         for _ in range(3):
-            x = F.gauge_expectation(F.level_blocks(
-                rng.standard_normal((F.dim, F.dim))
-                + 1j * rng.standard_normal((F.dim, F.dim))))
-            y = F.gauge_expectation(F.level_blocks(
-                rng.standard_normal((F.dim, F.dim))
-                + 1j * rng.standard_normal((F.dim, F.dim))))
+            x = F.random_placed(rng, diagonal)
+            y = F.random_placed(rng, diagonal)
             lhs = Lp @ x @ y @ Lps
             rhs = (Lp @ x @ Lps) @ (Lp @ y @ Lps)
             # difference is L x E_N y L*: vanishes below the truncation rim

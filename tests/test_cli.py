@@ -380,6 +380,46 @@ def test_no_suite_builds_a_dense_fock_operator(monkeypatch):
         assert reports and all(r.passed for r in reports), suite
 
 
+class _NoFockSizeDraws:
+    """An rng that refuses a Gaussian draw of shape (d, d) for the
+    dimension d of any Fock space with N >= 1 in `dims`, and otherwise
+    draws as the generator it wraps."""
+
+    def __init__(self, rng, dims):
+        self._rng, self._dims = rng, dims
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        shape = tuple(np.atleast_1d(size)) if size is not None else ()
+        if len(shape) == 2 and shape[0] == shape[1] \
+                and shape[0] in self._dims:
+            raise AssertionError(f"Fock-size draw of shape {shape}")
+        return self._rng.standard_normal(size, *args, **kwargs)
+
+
+def test_no_suite_draws_a_fock_size_matrix(monkeypatch):
+    """Every random operator on a Fock space is drawn level block by level
+    block: no suite draws a (dim, dim) Gaussian matrix for a Fock space it
+    built."""
+    dims = set()
+    init = FockSpace.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.N >= 1:
+            dims.add(self.dim)
+
+    monkeypatch.setattr(FockSpace, "__init__", recorded)
+    monkeypatch.setattr(Settings, "rng", lambda self: _NoFockSizeDraws(
+        np.random.default_rng(self.seed), dims))
+    for suite in SUITES:
+        dims.clear()
+        reports = run_suites(None, (suite,), Settings(truncation=3))
+        assert reports and all(r.passed for r in reports), suite
+
+
 def test_dimension_cap_reaches_toeplitz_state(tmp_path, capsys):
     path = write_instance(tmp_path, {
         "name": "capped-state",

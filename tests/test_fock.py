@@ -39,6 +39,15 @@ def _level_slice(F: FockSpace, k):
     return slice(start, start + F.level_dims[k])
 
 
+def _level_blocks(F: FockSpace, M):
+    """A dense Fock-size matrix as a LevelOp over one component of size 1:
+    views of its level blocks."""
+    s = [_level_slice(F, k) for k in range(F.N + 1)]
+    return LevelOp([(d,) for d in F.level_dims], (1,),
+                   {(i, j): [M[si, sj]] for i, si in enumerate(s)
+                    for j, sj in enumerate(s)})
+
+
 def _dense_word(F: FockSpace, coeffs, hs):
     """The balanced word of `word` on every level as a dense Fock-size
     matrix."""
@@ -57,7 +66,7 @@ def test_creation_commutation_relation():
     Lx, Ly = F.creation(x).dense(), F.creation(y).dense()
     rhs = F.left(H.inner(x, y)).dense()
     diff = Lx.conj().T @ Ly - rhs
-    assert masked_norm(F, F.level_blocks(diff), F.N - 1) < 1e-10
+    assert masked_norm(F, _level_blocks(F, diff), F.N - 1) < 1e-10
 
 
 def test_creation_intertwines_right_action():
@@ -66,7 +75,7 @@ def test_creation_intertwines_right_action():
     x = H.random_vector(RNG)
     b = H.base.random_element(RNG)
     Lx, Rb = F.creation(x).dense(), _right_matrix(F, b)
-    assert masked_norm(F, F.level_blocks(Lx @ Rb - Rb @ Lx), F.N - 1) < 1e-10
+    assert masked_norm(F, _level_blocks(F, Lx @ Rb - Rb @ Lx), F.N - 1) < 1e-10
 
 
 def test_creation_left_module_map():
@@ -76,17 +85,17 @@ def test_creation_left_module_map():
     b = H.base.random_element(RNG)
     lhs = F.creation(H.left(b, x)).dense()
     rhs = F.left(b).dense() @ F.creation(x).dense()
-    assert masked_norm(F, F.level_blocks(lhs - rhs), F.N - 1) < 1e-10
+    assert masked_norm(F, _level_blocks(F, lhs - rhs), F.N - 1) < 1e-10
 
 
 def test_vacuum_expectation_is_conditional():
     F = plane_fock()
     x = F.bimodule.random_vector(RNG)
     L = F.creation(x).dense()
-    val = F.vacuum_expectation(F.level_blocks(L.conj().T @ L))
+    val = F.vacuum_expectation(_level_blocks(F, L.conj().T @ L))
     want = F.bimodule.inner(x, x)
     assert (val - want).norm() < 1e-10
-    assert F.vacuum_expectation(F.level_blocks(L)).norm() < 1e-12
+    assert F.vacuum_expectation(_level_blocks(F, L)).norm() < 1e-12
 
 
 def test_relation_and_expectation_reports_on_seeded_instances():
@@ -125,7 +134,7 @@ def test_balanced_words_keep_every_level():
     for _ in range(5):
         W = _dense_word(F, *random_word(F, RNG, 2))
         assert W.shape == (F.dim, F.dim)
-        assert np.array_equal(F.gauge_expectation(F.level_blocks(W)).dense(),
+        assert np.array_equal(F.gauge_expectation(_level_blocks(F, W)).dense(),
                               W)
 
 
@@ -257,7 +266,7 @@ def test_quotient_corner_is_the_word_corner(monkeypatch):
 def _reference_vacuum(F: FockSpace):
     one = element_to_vector(F.levels[0], F.base.identity())
     out = np.zeros(F.dim, complex)
-    out[F.level_slice(0)] = one.flat
+    out[_level_slice(F, 0)] = one.flat
     return out
 
 
@@ -275,8 +284,8 @@ def _reference_u_v(F: FockSpace, coeffs, hs, n):
             @ F.creation(hs[n + i]).dense() @ suffix_adj
     v_flat = suffix_adj @ _reference_vacuum(F)
     lev = F.levels[n]
-    u = lev.from_flat(u_flat[F.level_slice(n)])
-    v = lev.from_flat(v_flat[F.level_slice(n)])
+    u = lev.from_flat(u_flat[_level_slice(F, n)])
+    v = lev.from_flat(v_flat[_level_slice(F, n)])
     return u, v
 
 
@@ -662,7 +671,7 @@ def _reference_left_matrix(F: FockSpace, b):
 def _reference_creation_matrix(F: FockSpace, h):
     T = np.zeros((F.dim, F.dim), complex)
     for k in range(F.N):
-        T[F.level_slice(k + 1), F.level_slice(k)] = F.maps[k].apply(h.flat)
+        T[_level_slice(F, k + 1), _level_slice(F, k)] = F.maps[k].apply(h.flat)
     return T
 
 
@@ -782,15 +791,15 @@ def test_level_op_arithmetic_matches_dense():
             for i in range(F.N + 1):
                 for j in range(F.N + 1):
                     assert np.array_equal(A.block(i, j),
-                                          Ad[F.level_slice(i),
-                                             F.level_slice(j)])
+                                          Ad[_level_slice(F, i),
+                                             _level_slice(F, j)])
             for m in range(F.N + 1):
-                cut = int(F.offsets[m + 1])
+                cut = _level_slice(F, m).stop
                 R = A.restrict(m).dense()
                 assert np.array_equal(R[:, :cut], Ad[:, :cut])
                 assert not R[:, cut:].any()
                 want = np.linalg.norm(Ad[:, :cut])
-                for M in (A, F.level_blocks(Ad)):
+                for M in (A, _level_blocks(F, Ad)):
                     assert abs(masked_norm(F, M, m) - want) \
                         <= 1e-14 * max(1.0, want)
             for B in ops:
@@ -829,13 +838,13 @@ def test_expectations_of_level_ops_match_dense():
         want = (Ad @ Bd)[:d0, :d0] @ one
         # a dense matrix is an operator over one component of size 1, so
         # it mixes with a level operator only over B = C
-        Ap, Bp = F.level_blocks(Ad), F.level_blocks(Bd)
+        Ap, Bp = _level_blocks(F, Ad), _level_blocks(F, Bd)
         mixed = [(A, Bp)] if F.base.block_sizes == (1,) else []
         for factors in [(A, B), (Ap, Bp)] + mixed:
             got = F.vacuum_expectation(*factors)
             assert np.linalg.norm(got.flat - want) <= 1e-14 * max(
                 1.0, np.linalg.norm(Ad) * np.linalg.norm(Bd))
-        diag = block_diag_matrix([Ad[F.level_slice(k), F.level_slice(k)]
+        diag = block_diag_matrix([Ad[_level_slice(F, k), _level_slice(F, k)]
                                   for k in range(F.N + 1)], F.dim)
         for M in (A, Ap):
             assert np.array_equal(F.gauge_expectation(M).dense(), diag)
@@ -848,7 +857,7 @@ def test_level_ops_on_different_components_are_refused():
     A = _random_level_op(mixed, rng, [(1, 1)])
     others = [_random_level_op(empty, rng, [(1, 1)]),      # other rmult
               _random_level_op(plane_fock(3), rng, [(1, 1)]),  # other sizes
-              mixed.level_blocks(A.dense())]            # one component
+              _level_blocks(mixed, A.dense())]            # one component
     for B in others:
         for op in (lambda: A + B, lambda: A - B, lambda: A @ B,
                    lambda: B @ A, lambda: mixed.vacuum_expectation(A, B)):
@@ -889,7 +898,7 @@ def test_injectivity_ranks_match_the_dense_conjugation():
         want = (complex_rank([m.ravel() for m in mats]),
                 complex_rank([(Ld @ m @ Ld.conj().T).ravel()
                               for m in mats]))
-        for op in (L, F.level_blocks(Ld)):
+        for op in (L, _level_blocks(F, Ld)):
             rep = endomorphism_injectivity_check(
                 F, op, n, np.random.default_rng(59))
             details = rep.checks[0].details
