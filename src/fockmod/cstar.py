@@ -88,10 +88,6 @@ class CStarAlgebra:
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for n in self.block_sizes])
 
-    def random_hermitian(self, rng):
-        x = self.random_element(rng)
-        return 0.5 * (x + x.adjoint())
-
     # -- structural pieces -------------------------------------------------
 
     def minimal_projection_indices(self):
@@ -161,10 +157,6 @@ class AlgebraElement:
         scale = max(1.0, self.norm())
         h = 0.5 * (self + self.adjoint())
         return all(np.linalg.eigvalsh(b).min() >= -tol * scale for b in h.blocks)
-
-    def min_eigenvalue(self):
-        h = 0.5 * (self + self.adjoint())
-        return min(np.linalg.eigvalsh(b).min() for b in h.blocks)
 
     def __repr__(self):
         return f"AlgebraElement({self.algebra.block_sizes}, norm={self.norm():.4g})"

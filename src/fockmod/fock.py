@@ -358,7 +358,7 @@ def random_word(F: FockSpace, rng, m):
 
 # -- verification operations ------------------------------------
 
-def masked_norm(F: FockSpace, M: LevelOp, max_level):
+def masked_norm(M: LevelOp, max_level):
     """Norm of an operator restricted to inputs from levels <= max_level:
     the Frobenius norm of its blocks whose input level is <= max_level.
 
@@ -665,7 +665,7 @@ def toeplitz_endomorphism(F: FockSpace, a: LevelOp, L: LevelOp, rng=None,
             lhs = Lp @ x @ y @ Lps
             rhs = (Lp @ x @ Lps) @ (Lp @ y @ Lps)
             # difference is L x E_N y L*: vanishes below the truncation rim
-            res = max(res, masked_norm(F, lhs - rhs, F.N - 1)
+            res = max(res, masked_norm(lhs - rhs, F.N - 1)
                       / max(1.0, x.norm() * y.norm()))
         report.add("multiplicative-on-degree-zero",
                    "Psi(xy) = Psi(x)Psi(y) on the overflow-free domain",

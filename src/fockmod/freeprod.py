@@ -44,7 +44,7 @@ def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,
     for _ in range(samples):
         b = B.random_element(rng)
         diff = Ls @ F.left(b) @ L - one * rho(b)
-        res = max(res, masked_norm(F, diff, N - 1) / max(1.0, b.norm()))
+        res = max(res, masked_norm(diff, N - 1) / max(1.0, b.norm()))
     report.add("compressed-state", "l(xi)* b l(xi) = rho(b) 1", res, tol)
 
     def random_toeplitz_word(max_len):
@@ -333,7 +333,7 @@ def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,
                         / max(1.0, a.norm()))
         diff = S.L.adjoint() @ (S.op(a) @ S.L.restrict(N - 1)) \
             - S.op(S.eta(a)).restrict(N - 1)
-        res_comp = max(res_comp, masked_norm(S.F, diff, N - 1)
+        res_comp = max(res_comp, masked_norm(diff, N - 1)
                        / max(1.0, a.norm()))
     report.add("cyclic-vector", "<xi, a xi> = eta(a)", res_inner, tol)
     report.add("eta-compression", "L* a L = eta(a)", res_comp, tol)
@@ -358,16 +358,16 @@ def build_W(setup: AmalgSetup, tol=DEFAULT_TOL):
     report = VerificationReport(suite="swap-operator",
                                 parameters={"N": setup.N, "domain_level": dom})
     report.add("P-idempotent", "P^2 = P",
-               masked_norm(F, P @ Pc - Pc, dom), tol)
+               masked_norm(P @ Pc - Pc, dom), tol)
     report.add("P-selfadjoint", "P = P*", (P - P.adjoint()).norm(), tol)
     expansion = Lc + Lsc - L @ (Ls @ Lsc) - L @ (L @ Lsc)
     report.add("W-expansion", "W = L + L* - L(L*)^2 - L^2 L*",
-               masked_norm(F, Wc - expansion, dom), tol)
+               masked_norm(Wc - expansion, dom), tol)
     report.add("W-selfadjoint", "W = W*", (W - W.adjoint()).norm(), tol)
     report.add("W-squared", "W^2 = P",
-               masked_norm(F, W @ Wc - Pc, dom), tol)
+               masked_norm(W @ Wc - Pc, dom), tol)
     report.add("W-kills-complement", "W (1 - P) = 0",
-               masked_norm(F, W @ (F.identity().restrict(dom) - Pc), dom),
+               masked_norm(W @ (F.identity().restrict(dom) - Pc), dom),
                tol)
     report.add("W-expectation", "psi(W) = 0", setup.psi(W).norm(), tol)
     return P, W, report
@@ -375,7 +375,7 @@ def build_W(setup: AmalgSetup, tol=DEFAULT_TOL):
 
 def swap_commutation(setup: AmalgSetup, tol=DEFAULT_TOL) -> VerificationReport:
     """L d = alpha(d) L and its consequences, for d over a basis of D."""
-    F, L = setup.F, setup.L
+    L = setup.L
     Ls = L.adjoint()
     P, W = setup.P, setup.W
     dom = setup.N - 2
@@ -385,10 +385,10 @@ def swap_commutation(setup: AmalgSetup, tol=DEFAULT_TOL) -> VerificationReport:
         dm = setup.op_d(d)
         dmc = dm.restrict(dom)
         am = setup.op_d(setup.alpha(d))
-        res_l = max(res_l, masked_norm(F, L @ dmc - am @ Lc, dom))
-        res_ls = max(res_ls, masked_norm(F, Ls @ dmc - am @ Lsc, dom))
-        res_p = max(res_p, masked_norm(F, P @ dmc - dm @ Pc, dom))
-        res_w = max(res_w, masked_norm(F, W @ dmc - am @ Wc, dom))
+        res_l = max(res_l, masked_norm(L @ dmc - am @ Lc, dom))
+        res_ls = max(res_ls, masked_norm(Ls @ dmc - am @ Lsc, dom))
+        res_p = max(res_p, masked_norm(P @ dmc - dm @ Pc, dom))
+        res_w = max(res_w, masked_norm(W @ dmc - am @ Wc, dom))
     report = VerificationReport(suite="swap-commutation")
     report.add("L-twist", "L d = alpha(d) L", res_l, tol)
     report.add("Lstar-twist", "L* d = alpha(d) L*", res_ls, tol)
@@ -460,7 +460,7 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
                res_corner, tol)
     q = setup.op_d(setup.dpair(setup.B.identity(), setup.B.zero()))
     report.add("corner-swap", "W q W = alpha(q) P",
-               masked_norm(F, W @ (q @ W.restrict(setup.N - 2))
+               masked_norm(W @ (q @ W.restrict(setup.N - 2))
                            - (one - q) @ P.restrict(setup.N - 2),
                            setup.N - 2), tol)
     return report
@@ -522,7 +522,7 @@ def alpha_beta_conditions(setup: AmalgSetup, rng, samples=5,
                           tol=DEFAULT_TOL) -> VerificationReport:
     """The two distributional conditions characterizing L over psi: vanishing
     of unmatched words and the compressed-expectation formula."""
-    F, L = setup.F, setup.L
+    L = setup.L
     report = VerificationReport(suite="creation-distribution")
     worst = 0.0
     for k in range(1, min(3, setup.N) + 1):
@@ -537,6 +537,6 @@ def alpha_beta_conditions(setup: AmalgSetup, rng, samples=5,
         diff = L.adjoint() @ (oa @ L.restrict(setup.N - 1)) \
             - setup.op_d(setup.eta_D(setup.embed_D(setup.psi(oa)))) \
             .restrict(setup.N - 1)
-        res = max(res, masked_norm(F, diff, setup.N - 1) / max(1.0, a.norm()))
+        res = max(res, masked_norm(diff, setup.N - 1) / max(1.0, a.norm()))
     report.add("compressed-expectation", "L* a L = eta(psi(a))", res, tol)
     return report

@@ -70,7 +70,7 @@ def test_extension_intertwines_creation():
     lhs = FU @ F.creation(x).placed()
     rhs = F.creation(U(x)).placed() @ FU
     from fockmod.fock import masked_norm
-    assert masked_norm(F, lhs - rhs, F.N - 1) < 1e-8
+    assert masked_norm(lhs - rhs, F.N - 1) < 1e-8
 
 
 def test_augmented_extension_fixes_unit_vector():

@@ -66,7 +66,7 @@ def test_creation_commutation_relation():
     Lx, Ly = F.creation(x).dense(), F.creation(y).dense()
     rhs = F.left(H.inner(x, y)).dense()
     diff = Lx.conj().T @ Ly - rhs
-    assert masked_norm(F, _level_blocks(F, diff), F.N - 1) < 1e-10
+    assert masked_norm(_level_blocks(F, diff), F.N - 1) < 1e-10
 
 
 def test_creation_intertwines_right_action():
@@ -75,7 +75,7 @@ def test_creation_intertwines_right_action():
     x = H.random_vector(RNG)
     b = H.base.random_element(RNG)
     Lx, Rb = F.creation(x).dense(), _right_matrix(F, b)
-    assert masked_norm(F, _level_blocks(F, Lx @ Rb - Rb @ Lx), F.N - 1) < 1e-10
+    assert masked_norm(_level_blocks(F, Lx @ Rb - Rb @ Lx), F.N - 1) < 1e-10
 
 
 def test_creation_left_module_map():
@@ -85,7 +85,7 @@ def test_creation_left_module_map():
     b = H.base.random_element(RNG)
     lhs = F.creation(H.left(b, x)).dense()
     rhs = F.left(b).dense() @ F.creation(x).dense()
-    assert masked_norm(F, _level_blocks(F, lhs - rhs), F.N - 1) < 1e-10
+    assert masked_norm(_level_blocks(F, lhs - rhs), F.N - 1) < 1e-10
 
 
 def test_vacuum_expectation_is_conditional():
@@ -800,7 +800,7 @@ def test_level_op_arithmetic_matches_dense():
                 assert not R[:, cut:].any()
                 want = np.linalg.norm(Ad[:, :cut])
                 for M in (A, _level_blocks(F, Ad)):
-                    assert abs(masked_norm(F, M, m) - want) \
+                    assert abs(masked_norm(M, m) - want) \
                         <= 1e-14 * max(1.0, want)
             for B in ops:
                 Bd = B.dense()
@@ -809,6 +809,13 @@ def test_level_op_arithmetic_matches_dense():
                 assert np.linalg.norm((A @ B).dense() - Ad @ Bd) \
                     <= 1e-14 * max(1.0,
                                    np.linalg.norm(Ad) * np.linalg.norm(Bd))
+
+
+def test_masked_norm_refuses_a_negative_level():
+    A = _random_level_op(plane_fock(3), np.random.default_rng(3), [(1, 0)])
+    assert masked_norm(A, 0) == A.norm()
+    with pytest.raises(PreconditionError, match="overflow-free room"):
+        masked_norm(A, -1)
 
 
 def test_level_op_spectral_norm_is_the_block_maximum():
