@@ -56,12 +56,12 @@ class LevelOp:
     right multiplicities of label k.  The dense block is the direct sum of
     kron(T_j, I_{n_j}), n = sizes, in the components' flat layout, and a
     missing pair is a zero block.  Every operator of the Toeplitz algebra
-    is adjointable, hence right B-linear, so creation, the left action and
-    their words have this form.  Any other operator (a random matrix, a map
-    twisted by an automorphism of B, a projection formed from dense level
-    projections) lives on one component of size 1, where its blocks are
-    dense level blocks (`FockSpace.level_blocks`, `FockSpace.diagonal`);
-    `placed` brings a right B-linear operator there.  A product sums only over
+    is adjointable, hence right B-linear, so creation, the left action,
+    their words and the projections onto submodule towers have this form.
+    Any other operator (a random matrix, a map twisted by an automorphism of
+    B) lives on one component of size 1, where its blocks are dense level
+    blocks (`FockSpace.random_placed`, `FockSpace.diagonal`); `placed`
+    brings a right B-linear operator there.  A product sums only over
     matching middle levels and components, so it never meets a zero block.
     """
 
