@@ -9,8 +9,8 @@ import numpy as np
 from .cstar import (AlgebraAutomorphism, PreconditionError, StructureError,
                     identity_automorphism, DEFAULT_TOL)
 from .hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
-                      SubmoduleSpan, complex_rank, projection_components,
-                      submodule_projection)
+                      SubmoduleSpan, complex_rank, gram_schmidt,
+                      projection_components, submodule_projection)
 from .fock import FockSpace, LevelOp, word
 from .report import VerificationReport
 
@@ -91,6 +91,22 @@ def augmented_bogoliubov(aug: AugmentedModule, bog: BogoliubovMap):
     return BogoliubovMap(aug.module, Ut, bog.beta)
 
 
+def _slots(key, size, *values):
+    """Entries grouped by their key 0..size-1: for each of the values, an
+    array of shape (size, w), w the most entries of one key, whose row q
+    holds the entries of key q in their order, then zeros."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    counts = np.bincount(key, minlength=size)
+    slot = np.arange(key.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = []
+    for x in values:
+        y = np.zeros((size, counts.max(initial=0)), x.dtype)
+        y[key, slot] = x[order]
+        out.append(y)
+    return out
+
+
 def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
                    tol=DEFAULT_TOL):
     """Levelwise second quantization beta + U + (U x U) + ... on the
@@ -99,16 +115,28 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
         F_{k+1}(h (x) y) = (U h) (x) F_k(y).
 
     With S_k the tensor-step matrix of level k and F_1 = U, each level
-    k >= 1 is the least-squares solution of F_{k+1} S_k = S_k (U (x) F_k).
-    The rows of S_k are orthogonal (`TensorStep.matrix`): S_k S_k* = E_k is
-    diagonal, each row's entry the size of the base block of its H
-    component.  So the solution is F_{k+1} = S_k (U (x) F_k) S_k* E_k^-1,
-    one product and no least-squares solve.  Verifies the level solves by
-    the defects D_k = F_{k+1} S_k - S_k (U (x) F_k), k >= 1, and the
-    intertwining F(U) l(h) = l(U h) F(U) on basis vectors e_i, whose only
-    nonzero blocks are the D_k[:, i, :].  If the distinguished unit vector
-    xi of an augmented bimodule is supplied, additionally verifies U xi = xi
-    and that F(U) commutes with l(xi).
+    k >= 1 is the least-squares solution of F_{k+1} S_k = Sp_k, with
+    Sp_k = S_k (U (x) F_k).  The rows of S_k are orthogonal: S_k S_k* = E_k
+    is diagonal (`TensorStep.nonzeros`).  So the solution is
+    F_{k+1} = Sp_k S_k* E_k^-1, and no least-squares solve is made.
+    Verifies the level solves by the defects D_k = F_{k+1} S_k - Sp_k,
+    k >= 1, and the intertwining F(U) l(h) = l(U h) F(U) on basis vectors
+    e_i, whose only nonzero blocks are the D_k[:, i, :].
+
+    S_k is never formed, only its nonzero entries (m, i, l, v), a few per
+    row:
+
+        Sp_k[m, i, :] = sum_{e in row m} v_e U[i_e, i] F_k[l_e, :]
+        F_{k+1}[:, m] = sum_{e in row m} conj(v_e) Sp_k[:, i_e, l_e] / E_m
+        D_k[:, i, :]  = F_{k+1} S_k[:, i, :] - Sp_k[:, i, :],
+
+    E_m = sum_{e in row m} |v_e|^2.  F_{k+1} gathers the columns of Sp_k it
+    reads straight from U and F_k.  Sp_k[:, i, :] and D_k[:, i, :] are
+    formed one basis index i of H at a time and never held whole: the
+    norms of D_k and Sp_k, and each i's sum over k of ||D_k[:, i, :]||^2,
+    are sums of squares accumulated along the way.  If the distinguished
+    unit vector xi of an augmented bimodule is supplied, additionally
+    verifies U xi = xi and that F(U) commutes with l(xi).
 
     F(U) is twisted by beta, so it is not right B-linear: it is returned as
     the level maps on one component of size 1 (`FockSpace.diagonal`).
@@ -116,35 +144,57 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
     Returns (LevelOp, VerificationReport)."""
     if bog.module is not F.bimodule:
         raise StructureError("map lives on a different bimodule")
-    H = F.bimodule
+    H, U = F.bimodule, bog.matrix
     report = VerificationReport(suite="second-quantization",
                                 parameters={"N": F.N})
     level_maps = [bog.beta.as_linear_map().matrix]
     res_solve = 0.0
-    defects = [np.zeros((H.dim, 0))]    # row i: the blocks D_k[:, i, :]
+    defect_sq = np.zeros(H.dim)     # entry i: sum_k ||D_k[:, i, :]||^2
     for k, step in enumerate(F.maps):
-        S = step.matrix
-        # apply is linear in h, so the blocks apply(U e_i) F_k side by side
-        # are S kron(U, F_k): mix the dim H blocks of S by U, then apply F_k
-        Sp = ((bog.matrix.T @ S.reshape(S.shape[0], H.dim, -1))
-              @ level_maps[k]).reshape(S.shape)
+        dT, dK = step.module.dim, step.K.dim
+        m, i, l, v = step.nonzeros()
+        # the entries of each row m side by side, and of each column (i, l)
+        row_i, row_l, row_v = _slots(m, dT, i, l, v)
+        col_m, col_v = (x.reshape(H.dim, dK, -1)
+                        for x in _slots(i * dK + l, H.dim * dK, m, v))
+        Fl = [level_maps[k][row_l[:, a]] for a in range(row_l.shape[1])]
         if k == 0:
-            Fk1 = bog.matrix
+            Fk1 = U
         else:
-            Fk1 = (Sp @ S.conj().T) / np.einsum("ij,ij->i", S, S.conj()).real
-        D = Fk1 @ S - Sp
+            Fk1 = np.zeros((dT, dT), complex)
+            for b in range(row_i.shape[1]):
+                # conj(v_e) Sp_k[:, i_e, l_e] for the entry e in slot b of
+                # every row, term by term of Sp_k's sum over rows; in place,
+                # so one dT x dT term is held beside F_{k+1}
+                for a, Fa in enumerate(Fl):
+                    X = U[np.ix_(row_i[:, a], row_i[:, b])]
+                    X *= Fa[:, row_l[:, b]]
+                    X *= row_v[:, a, None]
+                    X *= row_v[:, b].conj()
+                    Fk1 += X
+            Fk1 /= np.einsum("ma,ma->m", row_v, row_v.conj()).real
+        d_sq = sp_sq = 0.0
+        for s in range(H.dim):
+            W = row_v * U[row_i, s]
+            Sp = np.zeros((dT, dK), complex)
+            for a, Fa in enumerate(Fl):
+                Sp += W[:, a, None] * Fa
+            D = -Sp
+            for b in range(col_m.shape[2]):
+                D += Fk1[:, col_m[s, :, b]] * col_v[s, :, b]
+            d_i = np.vdot(D, D).real
+            defect_sq[s] += d_i
+            d_sq += d_i
+            sp_sq += np.vdot(Sp, Sp).real
         if k >= 1:
-            res_solve = max(res_solve, float(np.linalg.norm(D))
-                            / max(1.0, float(np.linalg.norm(Sp))))
-        defects.append(D.reshape(S.shape[0], H.dim, -1).transpose(1, 0, 2)
-                       .reshape(H.dim, -1))
+            res_solve = max(res_solve, float(np.sqrt(d_sq))
+                            / max(1.0, float(np.sqrt(sp_sq))))
         level_maps.append(Fk1)
     report.add("tensor-consistency",
                "F_{k+1}(h (x) y) = (U h) (x) F_k(y)", res_solve, tol)
     M = F.diagonal(level_maps)
     report.add("creation-intertwining", "F(U) l(h) = l(U h) F(U)",
-               max((float(np.linalg.norm(row)) for row in np.hstack(defects)),
-                   default=0.0), tol)
+               float(np.sqrt(defect_sq.max(initial=0.0))), tol)
     if xi is not None:
         report.add("fixed-unit-vector", "U xi = xi",
                    (bog(xi) - xi).norm(), tol)
@@ -205,7 +255,7 @@ def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
                     for col in np.eye(F.levels[0].dim)]]
     if n >= 1:
         vs = [F.levels[1].from_flat(v.flat) for v in span.basis]
-        level_bases.append(submodule_projection(vs).basis if vs else [])
+        level_bases.append(gram_schmidt(vs))
     for k in range(1, n):
         prev = level_bases[k]
         if not prev or not span.basis:
@@ -216,7 +266,7 @@ def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
         P = np.array([v.flat for v in prev])
         T = F.maps[k].tensor(G[:, None], P[None])
         vs = [F.levels[k + 1].from_flat(t) for t in T.reshape(-1, T.shape[-1])]
-        level_bases.append(submodule_projection(vs).basis)
+        level_bases.append(gram_schmidt(vs))
     return level_bases
 
 

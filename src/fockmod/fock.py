@@ -223,7 +223,16 @@ class FockSpace:
     def diagonal(self, blocks):
         """The degree-0 operator with the dense level blocks blocks[k] on
         levels k = 0, 1, ..., len(blocks) - 1 and zero above, over one
-        component of size 1."""
+        component of size 1.  At most N + 1 blocks, block k of shape
+        (d_k, d_k), d_k the dimension of level k."""
+        blocks = [np.asarray(X) for X in blocks]
+        if len(blocks) > self.N + 1:
+            raise StructureError(f"{len(blocks)} level blocks, at most "
+                                 f"{self.N + 1} levels")
+        for d, X in zip(self.level_dims, blocks):
+            if X.shape != (d, d):
+                raise StructureError(f"level block shape {X.shape}, "
+                                     f"expected ({d}, {d})")
         return self._placed_zero._new({(k, k): [X]
                                        for k, X in enumerate(blocks)})
 

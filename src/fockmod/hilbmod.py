@@ -132,6 +132,10 @@ class ModuleVector:
     def __init__(self, parent: HilbertBimodule, comps):
         self.parent = parent
         self.comps = []
+        comps = list(comps)
+        if len(comps) != len(parent.right_mult):
+            raise StructureError(f"{len(comps)} components, expected "
+                                 f"{len(parent.right_mult)}")
         for (r, n), c in zip(zip(parent.right_mult, parent.base.block_sizes), comps):
             c = np.asarray(c, complex)
             if c.shape != (r, n):
@@ -438,6 +442,11 @@ class TensorStep:
     a of component k of H.  A simple tensor lands there as
     T_j[(k,t,a), q] = sum_p h_k[a, p] (U_j^K^* k_j)[(k,t,p), q], which
     preserves the balanced inner product and both actions.
+
+    Simple tensors are formed in batches (`tensor`), and k -> h (x) k by
+    its components (`components`).  The matrix S of the step, column
+    (i, l) the flat e_i (x) e_l, is never formed: `nonzeros` lists its
+    entries, a few per row.
     """
 
     def __init__(self, H: HilbertBimodule, K: HilbertBimodule):
@@ -518,9 +527,9 @@ class TensorStep:
     def components(self, h_flat):
         """k -> h (x) k by components: the matrices C_j of shape
         (rho_j, r^K_j), rho and r^K the right multiplicities of T and K,
-        with T_j = C_j (K_j) for each component j, so `apply(h)` is the
-        direct sum of kron(C_j, I_{n_j}).  Row block (k, t) of C_j is
-        h_k @ U_j^K^* [rows of (k, t)]."""
+        with T_j = C_j (K_j) for each component j, so the matrix of
+        k -> h (x) k is the direct sum of kron(C_j, I_{n_j}).  Row block
+        (k, t) of C_j is h_k @ U_j^K^* [rows of (k, t)]."""
         H, K, T = self.H, self.K, self.module
         sizes = H.base.block_sizes
         h = [np.asarray(h_flat, complex)[H.offsets[k]:H.offsets[k + 1]]
@@ -541,20 +550,43 @@ class TensorStep:
             out.append(C)
         return out
 
-    def apply(self, h_flat):
-        """Matrix of k -> class(h (x) k), shape (dim T, dim K)."""
-        return self.tensor(np.asarray(h_flat)[None],
-                           np.eye(self.K.dim, dtype=complex)).T
+    def nonzeros(self):
+        """The nonzero entries of the map S: kron(flat H, flat K) -> flat T,
+        whose column (i, l) is e_i (x) e_l, as arrays (m, i, l, v) with
+        S[m, (i, l)] = v, m a row of T.  No dense S is formed.
 
-    @property
-    def matrix(self):
-        """Dense map kron(flat H, flat K) -> flat T: column (i, l) is
-        e_i (x) e_l.  Its rows are orthogonal: S S* = diag(n_k), n_k the
-        size of the base block k of the row's H component, since the rows
-        of each left unitary of K are orthonormal."""
-        pairs = self.tensor(np.eye(self.H.dim, dtype=complex)[:, None],
-                            np.eye(self.K.dim, dtype=complex)[None])
-        return pairs.reshape(-1, self.module.dim).T
+        A nonzero y of row (k, t, p) of U_j^K^* = `_UKd[j]` gives one entry
+        for every row a of component k of H and column q of component j:
+        m the row (k, t, a), column q of component j of T, i the entry
+        (a, p) of H's component k, l the entry (y, q) of K's component j,
+        and v = U_j^K^*[(k, t, p), y].  So row m holds v once for each of
+        the n_k positions p, and the rows of S are orthogonal:
+        S S* = diag(n_k), n_k the size of the base block k of the row's H
+        component, since the rows of each left unitary of K are
+        orthonormal."""
+        H, K, T = self.H, self.K, self.module
+        sizes = H.base.block_sizes
+        parts = [(np.zeros(0, int),) * 3 + (np.zeros(0, complex),)]
+        for j, n_j in enumerate(sizes):
+            q = np.arange(n_j)
+            row = col = 0
+            for k, (r_k, n_k) in enumerate(zip(H.right_mult, sizes)):
+                c = K.left_mult[j][k]
+                if c == 0:
+                    continue
+                x, y = np.nonzero(self._UKd[j][col:col + c * n_k])
+                v = self._UKd[j][col + x, y]
+                t, p = np.divmod(x, n_k)
+                a = np.arange(r_k)[:, None, None]
+                # axes (a, nonzero, q)
+                m = T.offsets[j] + (row + t[:, None] * r_k + a) * n_j + q
+                i = H.offsets[k] + a * n_k + p[:, None]
+                l = K.offsets[j] + y[:, None] * n_j + q
+                parts.append([np.broadcast_to(z, m.shape).ravel()
+                              for z in (m, i, l, v[:, None])])
+                row += c * r_k
+                col += c * n_k
+        return tuple(np.concatenate(z) for z in zip(*parts))
 
 
 # -- direct sums and augmentation ------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,14 @@ from fockmod.cstar import (AlgebraAutomorphism, CStarAlgebra,
                            PreconditionError, block_diag_matrix,
                            haar_unitary_matrix)
 from fockmod.fock import FockSpace, LevelOp
+from fockmod.freeprod import AmalgSetup
 from fockmod.hilbmod import (AugmentedModule, TensorStep, make_bimodule,
                              submodule_projection)
-from fockmod.instances import (creation_instances, flip_twisted_module,
+from fockmod.instances import (amalg_instances, creation_instances,
+                               flip_twisted_module,
                                multiplicity_shift_instance, random_bogoliubov)
 from fockmod.report import VerificationReport
+from tensor_reference import tensor_apply, tensor_matrix
 
 RNG = np.random.default_rng(61)
 
@@ -175,8 +179,9 @@ def _reference_level_maps(F, bog):
     eyeH = np.eye(F.bimodule.dim)
     for k in range(1, F.N):
         step = F.maps[k]
-        S = step.matrix
-        Sp = np.hstack([step.apply(bog.matrix @ eyeH[:, i]) @ level_maps[k]
+        S = tensor_matrix(step)
+        Sp = np.hstack([tensor_apply(step, bog.matrix @ eyeH[:, i])
+                        @ level_maps[k]
                         for i in range(F.bimodule.dim)])
         X, *_ = np.linalg.lstsq(S.conj().T, Sp.conj().T, rcond=None)
         level_maps.append(X.conj().T)
@@ -230,20 +235,27 @@ def test_extension_on_mixed_blocks_matches_per_vector_construction(augmented):
 
 
 def test_extension_builds_each_level_from_one_tensor_matrix(monkeypatch):
+    """Each level reads the nonzeros of its tensor step once, and nothing
+    else of the step."""
     H, K, U = multiplicity_shift_instance()
     N = 3
     F = FockSpace(H, N)
     calls = []
-    apply = TensorStep.apply
+    nonzeros = TensorStep.nonzeros
 
-    def counted(self, h_flat):
-        calls.append(1)
-        return apply(self, h_flat)
+    def counted(self):
+        calls.append(self)
+        return nonzeros(self)
 
-    monkeypatch.setattr(TensorStep, "apply", counted)
+    def refuse(*args):
+        raise AssertionError("tensor step read other than by its nonzeros")
+
+    monkeypatch.setattr(TensorStep, "nonzeros", counted)
+    monkeypatch.setattr(TensorStep, "tensor", refuse)
+    monkeypatch.setattr(TensorStep, "components", refuse)
     _, rep = fock_extension(F, U, tol=1e-9)
     assert rep.passed, rep.failures
-    assert len(calls) <= 3 * (N - 1) * H.dim
+    assert calls == F.maps
 
 
 def _row_block_sizes(step):
@@ -258,18 +270,86 @@ def _row_block_sizes(step):
                            for k, n_k in enumerate(sizes)])
 
 
-def test_tensor_step_rows_are_orthogonal():
-    """S S* = diag(n_k): the closed-form level solve of fock_extension."""
+def _tensor_step_modules():
+    """The creation_instances(25, 5) modules, the three bog modules and
+    their augmentations."""
     modules = [H for H, _ in creation_instances(25, 5)]
     for bog in _intertwining_cases():
         modules += [bog.module, AugmentedModule(bog.module).module]
+    return modules
+
+
+def test_tensor_step_rows_are_orthogonal():
+    """S S* = diag(n_k): the closed-form level solve of fock_extension."""
+    modules = _tensor_step_modules()
     assert {n for H in modules for n in H.base.block_sizes} == {1, 2, 3}
     for H in modules:
         for step in FockSpace(H, 3).maps:
-            S = step.matrix
+            S = tensor_matrix(step)
             want = _row_block_sizes(step)
             assert want.shape == (S.shape[0],)
             assert np.abs(S @ S.conj().T - np.diag(want)).max() <= 1e-13
+
+
+def test_tensor_step_nonzeros_scatter_to_the_dense_step():
+    """The entries (m, i, l, v) of `nonzeros`, scattered into a dense array,
+    are S = tensor(eye, eye) entry for entry: each (m, i, l) once, every v
+    nonzero."""
+    modules = _tensor_step_modules() + [AmalgSetup(*amalg_instances(0)[0],
+                                                   3).H]
+    for H in modules:
+        for step in FockSpace(H, 3).maps:
+            m, i, l, v = step.nonzeros()
+            dK = step.K.dim
+            S = np.zeros((step.module.dim, H.dim * dK), complex)
+            S[m, i * dK + l] = v
+            assert np.array_equal(S, tensor_matrix(step))
+            assert np.count_nonzero(S) == len(v) == np.count_nonzero(v)
+
+
+def test_extension_stays_below_one_dense_tensor_step():
+    """The second quantization at N = 5 on the multiplicity shift: the
+    dense S of level 4 alone takes 57.7 MB, and building S, S kron(U, F_k)
+    and F_{k+1} S whole peaked at 319 MB."""
+    H, K, U = multiplicity_shift_instance()
+    F = FockSpace(H, 5)
+    tracemalloc.start()
+    try:
+        _, rep = fock_extension(F, U, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.failures
+    assert peak < 128 * 2 ** 20, peak
+
+
+def _reference_fock_level_spans(F, n, span):
+    """_fock_level_spans as it was with each level's basis read off
+    `submodule_projection`, which also built the dense level projection."""
+    level_bases = [[F.levels[0].from_flat(col)
+                    for col in np.eye(F.levels[0].dim)]]
+    vs = [F.levels[1].from_flat(v.flat) for v in span.basis]
+    level_bases.append(submodule_projection(vs).basis if vs else [])
+    for k in range(1, n):
+        prev = level_bases[k]
+        G = np.array([g.flat for g in span.basis])
+        P = np.array([v.flat for v in prev])
+        T = F.maps[k].tensor(G[:, None], P[None])
+        vs = [F.levels[k + 1].from_flat(t) for t in T.reshape(-1, T.shape[-1])]
+        level_bases.append(submodule_projection(vs).basis)
+    return level_bases
+
+
+def test_fock_level_spans_are_the_submodule_bases():
+    H, K, U = multiplicity_shift_instance()
+    F = FockSpace(H, 3)
+    spans, _ = kp_subspace(U, K, 3)
+    for span in spans:
+        got = _fock_level_spans(F, 3, span)
+        want = _reference_fock_level_spans(F, 3, span)
+        assert [len(b) for b in got] == [len(b) for b in want]
+        assert all(np.array_equal(x.flat, y.flat)
+                   for a, b in zip(got, want) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("case", ["random", "shift"])

@@ -17,6 +17,7 @@ from fockmod.hilbmod import (HilbertBimodule, TensorStep, _kron_eye,
                              trivial_module, vector_to_element)
 from fockmod.instances import amalg_instances, creation_instances
 from fockmod.report import VerificationReport
+from tensor_reference import tensor_apply
 
 RNG = np.random.default_rng(37)
 
@@ -214,6 +215,23 @@ def test_word_matches_alternating_reference():
 def _word_spaces():
     return [plane_fock(), swap_fock()] + [
         FockSpace(H, N) for H, N in creation_instances(25, 5)[:2]]
+
+
+def test_diagonal_rejects_bad_block_lists():
+    F = plane_fock(N=1)
+    assert F.level_dims == (1, 2)
+    blocks = [np.eye(d) for d in F.level_dims]
+    assert F.diagonal(blocks).norm() == pytest.approx(np.sqrt(3))
+    assert set(F.diagonal(blocks[:1]).blocks) == {(0, 0)}
+    with pytest.raises(StructureError, match="3 level blocks, at most 2"):
+        F.diagonal(blocks + [np.eye(4)])
+    F = plane_fock(N=2)
+    assert F.level_dims[2] == 4
+    with pytest.raises(StructureError,
+                       match=r"shape \(3, 3\), expected \(4, 4\)"):
+        F.diagonal([np.eye(1), np.eye(2), np.eye(3)])
+    with pytest.raises(StructureError, match="expected"):
+        F.diagonal([np.eye(1), np.ones((2, 3))])
 
 
 def test_word_is_the_reference_diagonal():
@@ -502,7 +520,7 @@ def test_vacuum_step_is_the_right_action():
             rng = np.random.default_rng(seed)
             for _ in range(3):
                 h = H.random_vector(rng).flat
-                assert np.array_equal(F.maps[0].apply(h), ref.apply(h))
+                assert np.array_equal(tensor_apply(F.maps[0], h), ref.apply(h))
                 compared += 1
     assert compared == 75
 
@@ -534,7 +552,7 @@ def _per_sample_factorization_check(M, n, k, j, rng, samples=None, tol=1e-9,
     def fold(h_list):
         v = h_list[-1].flat
         for i, h in enumerate(reversed(h_list[:-1])):
-            v = maps[i + 1].apply(h.flat) @ v
+            v = tensor_apply(maps[i + 1], h.flat) @ v
         return v
 
     left_mod = levels[m]
@@ -556,12 +574,12 @@ def _per_sample_factorization_check(M, n, k, j, rng, samples=None, tol=1e-9,
         if k >= 1:
             y = ys[-1]
             for i in range(k - 2, -1, -1):
-                y = pow_maps[k - 1 - i].apply(ys[i]) @ y
+                y = tensor_apply(pow_maps[k - 1 - i], ys[i]) @ y
         if k == 0:
             return fold(h_list[:j])
         if j == 0:
             return y
-        return cross_step.apply(fold(h_list[:j])) @ y
+        return tensor_apply(cross_step, fold(h_list[:j])) @ y
 
     report.add_bool("dimension-equality",
                     "dim of the regrouped power equals dim of the plain power",
@@ -617,25 +635,27 @@ def test_batched_factorization_matches_per_sample_reference():
 
 def test_factorization_uses_no_pairwise_inner_products_or_dense_steps(
         monkeypatch):
-    calls = {"inner": 0, "apply": 0}
-    inner, apply = HilbertBimodule.inner, TensorStep.apply
+    """No B-valued inner product per pair, and no tensor-step matrix: the
+    step is read only through the broadcast `tensor`."""
+    calls = {"inner": 0, "nonzeros": 0}
+    inner, nonzeros = HilbertBimodule.inner, TensorStep.nonzeros
 
     def counted_inner(self, x, y):
         calls["inner"] += 1
         return inner(self, x, y)
 
-    def counted_apply(self, h_flat):
-        calls["apply"] += 1
-        return apply(self, h_flat)
+    def counted_nonzeros(self):
+        calls["nonzeros"] += 1
+        return nonzeros(self)
 
     monkeypatch.setattr(HilbertBimodule, "inner", counted_inner)
-    monkeypatch.setattr(TensorStep, "apply", counted_apply)
+    monkeypatch.setattr(TensorStep, "nonzeros", counted_nonzeros)
     B = CStarAlgebra((1, 1))
     H = make_bimodule(B, (1, 1), [(0, 1), (1, 0)])
     calls["inner"] = 0      # make_bimodule's own law checks do not count
     rep = fock_factorization_check(H, 1, 2, 1, RNG, tol=1e-9)
     assert rep.passed, rep.failures
-    assert calls == {"inner": 0, "apply": 0}
+    assert calls == {"inner": 0, "nonzeros": 0}
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -671,7 +691,8 @@ def _reference_left_matrix(F: FockSpace, b):
 def _reference_creation_matrix(F: FockSpace, h):
     T = np.zeros((F.dim, F.dim), complex)
     for k in range(F.N):
-        T[_level_slice(F, k + 1), _level_slice(F, k)] = F.maps[k].apply(h.flat)
+        T[_level_slice(F, k + 1), _level_slice(F, k)] = \
+            tensor_apply(F.maps[k], h.flat)
     return T
 
 
@@ -725,7 +746,7 @@ def test_tensor_step_components_are_the_applied_step(builder_spaces):
     for F in spaces:
         h = F.bimodule.random_vector(rng)
         for step in F.maps:
-            ref = step.apply(h.flat)
+            ref = tensor_apply(step, h.flat)
             assert np.linalg.norm(_place(step, step.components(h.flat))
                                   - ref) \
                 <= 1e-14 * max(1.0, np.linalg.norm(ref))

@@ -5,14 +5,15 @@ from fockmod.cstar import (CStarAlgebra, StructureError, UnitalHomomorphism,
                           block_diag_matrix, place_copies,
                           uniform_trace_state)
 from fockmod.fock import FockSpace
-from fockmod.hilbmod import (AugmentedModule, HilbertBimodule, TensorStep,
-                             _kron_eye, direct_sum, element_to_vector,
-                             gns_bimodule, gram_schmidt, make_bimodule,
-                             projection_from_basis, right_linear_matrix,
-                             submodule_projection, trivial_module,
-                             vector_to_element)
+from fockmod.hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
+                             TensorStep, _kron_eye, direct_sum,
+                             element_to_vector, gns_bimodule, gram_schmidt,
+                             make_bimodule, projection_from_basis,
+                             right_linear_matrix, submodule_projection,
+                             trivial_module, vector_to_element)
 from fockmod.instances import (multiplicity_shift_instance, random_algebra,
                                random_bimodule)
+from tensor_reference import tensor_apply, tensor_matrix
 
 RNG = np.random.default_rng(23)
 
@@ -124,6 +125,17 @@ def test_trivial_module_round_trip():
     assert (vector_to_element(element_to_vector(T, b)) - b).norm() < 1e-13
     x = element_to_vector(T, b)
     assert (T.inner(x, x) - b.adjoint() * b).norm() < 1e-12
+
+
+def test_module_vector_rejects_a_component_list_of_the_wrong_length():
+    B = CStarAlgebra((1, 2))
+    T = trivial_module(B)
+    with pytest.raises(StructureError, match="1 components, expected 2"):
+        ModuleVector(T, [np.ones((1, 1))])
+    with pytest.raises(StructureError, match="3 components, expected 2"):
+        ModuleVector(T, [np.ones((1, 1)), np.ones((2, 2)), np.ones((2, 2))])
+    x = T.vector(iter([np.ones((1, 1)), np.ones((2, 2))]))
+    assert x.flat.size == T.dim == 5
 
 
 def test_gram_schmidt_orthonormal_minimal_projections():
@@ -405,15 +417,17 @@ def test_tensor_matches_apply_row_by_row(h_spec, k_spec):
     assert rows.shape == (6, step.module.dim)
     for h, k, row in zip(Hs, Ks, rows):
         ref = _kron_apply(step, h)
-        assert np.allclose(step.apply(h), ref, atol=1e-13)
+        assert np.allclose(tensor_apply(step, h), ref, atol=1e-13)
         want = ref @ k
         assert np.linalg.norm(row - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
     # one h against many k broadcasts
     many = step.tensor(Hs[:1], Ks)
-    assert np.allclose(many, [step.apply(Hs[0]) @ k for k in Ks], atol=1e-13)
+    assert np.allclose(many, [tensor_apply(step, Hs[0]) @ k for k in Ks],
+                       atol=1e-13)
     # the dense map, column (i, l) = e_i (x) e_l
-    assert np.allclose(step.matrix,
-                       np.hstack([step.apply(e) for e in np.eye(H.dim)]),
+    assert np.allclose(tensor_matrix(step),
+                       np.hstack([tensor_apply(step, e)
+                                  for e in np.eye(H.dim)]),
                        atol=1e-13)
 
 
