@@ -584,6 +584,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        if args.out:
+            try:
+                open(args.out, "a").close()
+            except OSError as exc:
+                raise PreconditionError(
+                    f"cannot write --out {args.out}: {exc.strerror}")
         ctx = None
         if args.instance:
             ctx = build_instance(parse_instance(args.instance))

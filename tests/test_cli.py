@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fockmod import cli
 from fockmod.cli import (EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION,
                          EXIT_RESOURCE, SUITES, InstanceError, Settings,
                          build_instance, emit, main, parse_instance,
@@ -231,18 +232,107 @@ def test_schema_violation_names_the_field(tmp_path, capsys):
     assert "blocks" in err
 
 
-def test_unresolved_reference_is_reported(tmp_path, capsys):
-    path = write_instance(tmp_path, {
-        "name": "dangling",
-        "algebras": {"a": {"blocks": [1]}},
-        "bimodules": {"h": {"base": "missing",
-                            "right_multiplicities": [1],
-                            "left_multiplicities": [[1]]}},
-    })
+# an instance with one object of every kind; each reference resolves
+_ALL_KINDS = {
+    "name": "all-kinds",
+    "algebras": {"c": {"blocks": [1]}, "pair": {"blocks": [1, 1]}},
+    "bimodules": {"h": {"base": "pair", "right_multiplicities": [1, 1],
+                        "left_multiplicities": [[0, 1], [1, 0]]}},
+    "states": {"s": {"algebra": "c", "densities": [[[[1.0, 0.0]]]]}},
+    "groups": {"g": {"table": [[0]]}},
+    "actions": {"act": {"group": "g", "algebra": "c",
+                        "automorphisms": [{}]}},
+    "amalgamated": {"p": {"state1": "s", "state2": "s"}},
+    "bogoliubov": {"u": {"bimodule": "h",
+                         "matrix": [[[0.0, 0.0], [1.0, 0.0]],
+                                    [[1.0, 0.0], [0.0, 0.0]]],
+                         "beta": {"source": [1, 0]}}},
+}
+
+
+def test_every_kind_builds(tmp_path):
+    ctx = build_instance(parse_instance(write_instance(tmp_path,
+                                                       _ALL_KINDS)))
+    assert all(ctx[kind] for kind in _ALL_KINDS if kind != "name")
+
+
+@pytest.mark.parametrize("kind, name, field, target", [
+    ("bimodules", "h", "base", "algebra"),
+    ("states", "s", "algebra", "algebra"),
+    ("actions", "act", "group", "group"),
+    ("actions", "act", "algebra", "algebra"),
+    ("amalgamated", "p", "state1", "state"),
+    ("amalgamated", "p", "state2", "state"),
+    ("bogoliubov", "u", "bimodule", "bimodule"),
+])
+def test_unresolved_reference_is_reported(tmp_path, capsys, kind, name,
+                                          field, target):
+    data = json.loads(json.dumps(_ALL_KINDS))
+    data[kind][name][field] = "missing"
+    path = write_instance(tmp_path, data)
     code = main(["--suite", "fock", "--instance", path])
     err = capsys.readouterr().err
     assert code == EXIT_PRECONDITION
-    assert "missing" in err
+    assert (f"instance error: {kind}/{name}/{field}: unresolved {target} "
+            f"'missing'") in err.splitlines()
+    assert "Traceback" not in err
+
+
+def _integral_floats(data):
+    """The example instance with every integer field written as a float."""
+    data = json.loads(json.dumps(data))
+    data["parameters"]["truncation"] = float(data["parameters"]["truncation"])
+    for alg in data["algebras"].values():
+        alg["blocks"] = [float(n) for n in alg["blocks"]]
+    for mod in data["bimodules"].values():
+        mod["right_multiplicities"] = [float(r)
+                                       for r in mod["right_multiplicities"]]
+        mod["left_multiplicities"] = [[float(c) for c in row] for row in
+                                      mod["left_multiplicities"]]
+    for group in data["groups"].values():
+        group["table"] = [[float(g) for g in row] for row in group["table"]]
+    for action in data["actions"].values():
+        for auto in action["automorphisms"]:
+            if "source" in auto:
+                auto["source"] = [float(s) for s in auto["source"]]
+    for bog in data["bogoliubov"].values():
+        bog["beta"]["source"] = [float(s) for s in bog["beta"]["source"]]
+        bog["n"], bog["p_max"] = float(bog["n"]), float(bog["p_max"])
+    return data
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    """Integer fields written as 1.0, 2.0, ... are valid integers and give
+    the example's checks, residuals and exit codes."""
+    with open(EXAMPLE) as fh:
+        data = json.load(fh)
+    floats = write_instance(tmp_path, _integral_floats(data), "floats.json")
+    assert '2.0' in open(floats).read()
+
+    def run(path, suite):
+        out = tmp_path / "report.json"
+        code = main(["--suite", suite, "--instance", path, "--format",
+                     "json", "--out", str(out)])
+        return code, [[(c["name"], c["passed"], c["residual"])
+                       for c in r["checks"]]
+                      for r in json.loads(out.read_text())["reports"]]
+
+    for suite in ("fock", "toeplitz", "crossed", "bog"):
+        assert run(floats, suite) == run(EXAMPLE, suite), suite
+
+
+def test_unwritable_out_is_refused_before_any_suite(tmp_path, capsys,
+                                                    monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suites", refuse)
+    out = str(tmp_path / "missing" / "x.json")
+    code = main(["--suite", "free", "--out", out])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECONDITION
+    assert len(err.splitlines()) == 1 and out in err
+    assert "Traceback" not in err
 
 
 def test_dimension_cap_exit_code(tmp_path):
