@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import time
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -15,10 +16,11 @@ from . import crossed as cr
 from . import fock as fk
 from . import freeprod as fp
 from . import instances as ins
-from .cstar import (CPLinearMap, CStarAlgebra, ConditionalExpectation,
-                    PreconditionError, ResourceCapError, StructureError,
+from .cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
+                    ConditionalExpectation, PreconditionError,
+                    ResourceCapError, StateFunctional, StructureError,
                     identity_automorphism)
-from .hilbmod import AugmentedModule, submodule_projection
+from .hilbmod import AugmentedModule, make_bimodule, submodule_projection
 from .report import VerificationReport, _jsonable
 
 SUITES = ("fock", "ideal", "factorization", "toeplitz", "crossed", "free",
@@ -34,14 +36,107 @@ _COMPLEX = {"type": "array", "minItems": 2, "maxItems": 2,
 _CVECTOR = {"type": "array", "items": _COMPLEX}
 _CMATRIX = {"type": "array", "items": _CVECTOR}
 _NAME = {"type": "string", "minLength": 1}
+_INDEX = {"type": "integer", "minimum": 0}
 _AUTOMORPHISM = {
     "type": "object",
     "properties": {
-        "source": {"type": "array", "items": {"type": "integer",
-                                              "minimum": 0}},
+        "source": {"type": "array", "items": _INDEX},
         "unitaries": {"type": "array", "items": _CMATRIX},
     },
     "additionalProperties": False,
+}
+
+
+def _regular_array(data, dtype):
+    """Nested lists into an ndarray; ragged nesting is a StructureError."""
+    try:
+        return np.asarray(data, dtype)
+    except ValueError as exc:
+        raise StructureError(f"ragged or non-numeric array: {exc}") from None
+
+
+def _complex_array(data):
+    """Nested lists with [re, im] leaves into a complex ndarray."""
+    arr = _regular_array(data, float)
+    if arr.shape and arr.shape[-1] == 2:
+        return arr[..., 0] + 1j * arr[..., 1]
+    return arr.astype(complex)
+
+
+def _complex_arrays(d, key):
+    return [_complex_array(m) for m in d[key]] if key in d else None
+
+
+def _automorphism(d, algebra):
+    source = [int(s) for s in d["source"]] if "source" in d else None
+    return AlgebraAutomorphism(algebra, source=source,
+                               unitaries=_complex_arrays(d, "unitaries"))
+
+
+def _bogoliubov(d, module):
+    beta = (_automorphism(d["beta"], module.base) if "beta" in d
+            else identity_automorphism(module.base))
+    bog = bg.BogoliubovMap(module, _complex_array(d["matrix"]), beta)
+    span = None
+    if "subspace" in d:
+        span = submodule_projection([module.from_flat(_complex_array(v))
+                                     for v in d["subspace"]])
+    return {"map": bog, "subspace": span, "n": int(d.get("n", 2)),
+            "p_max": int(d.get("p_max", 4))}
+
+
+class _Kind(NamedTuple):
+    """One kind of object in an instance file: `refs` maps each field that
+    names an object of an earlier kind to that kind; those fields and
+    `required` must be present, `optional` may be.  `build` takes the
+    descriptor and the named objects, in the order of `refs`."""
+    refs: dict
+    required: dict
+    optional: dict
+    build: object
+
+
+KINDS = {
+    "algebras": _Kind(
+        {}, {"blocks": {"type": "array", "minItems": 1,
+                        "items": {"type": "integer", "minimum": 1}}}, {},
+        lambda d: CStarAlgebra(tuple(int(n) for n in d["blocks"]))),
+    "bimodules": _Kind(
+        {"base": "algebras"},
+        {"right_multiplicities": {"type": "array", "items": _INDEX},
+         "left_multiplicities": {"type": "array", "items": {
+             "type": "array", "items": _INDEX}}},
+        {"unitaries": {"type": "array", "items": _CMATRIX}},
+        lambda d, base: make_bimodule(
+            base, tuple(int(r) for r in d["right_multiplicities"]),
+            [tuple(int(c) for c in row) for row in d["left_multiplicities"]],
+            _complex_arrays(d, "unitaries"))),
+    "states": _Kind(
+        {"algebra": "algebras"},
+        {"densities": {"type": "array", "items": _CMATRIX}}, {},
+        lambda d, algebra: StateFunctional(
+            algebra, _complex_arrays(d, "densities"))),
+    "groups": _Kind(
+        {}, {"table": {"type": "array", "items": {"type": "array",
+                                                  "items": _INDEX}}}, {},
+        lambda d: cr.FiniteGroup(_regular_array(d["table"], int))),
+    "actions": _Kind(
+        {"group": "groups", "algebra": "algebras"},
+        {"automorphisms": {"type": "array", "items": _AUTOMORPHISM}}, {},
+        lambda d, group, algebra: cr.GroupAction(
+            group, algebra, [_automorphism(m, algebra)
+                             for m in d["automorphisms"]])),
+    "amalgamated": _Kind(
+        {"state1": "states", "state2": "states"}, {}, {},
+        lambda d, rho1, rho2: (ConditionalExpectation.from_state(rho1),
+                               ConditionalExpectation.from_state(rho2))),
+    "bogoliubov": _Kind(
+        {"bimodule": "bimodules"}, {"matrix": _CMATRIX},
+        {"beta": _AUTOMORPHISM, "subspace": {"type": "array",
+                                             "items": _CVECTOR},
+         "n": {"type": "integer", "minimum": 1},
+         "p_max": {"type": "integer", "minimum": 1}},
+        _bogoliubov),
 }
 
 INSTANCE_SCHEMA = {
@@ -59,107 +154,13 @@ INSTANCE_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "algebras": {
+        **{kind: {"type": "object", "additionalProperties": {
             "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["blocks"],
-                "properties": {
-                    "blocks": {"type": "array", "minItems": 1,
-                               "items": {"type": "integer", "minimum": 1}},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "bimodules": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["base", "right_multiplicities",
-                             "left_multiplicities"],
-                "properties": {
-                    "base": _NAME,
-                    "right_multiplicities": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0}},
-                    "left_multiplicities": {
-                        "type": "array",
-                        "items": {"type": "array",
-                                  "items": {"type": "integer",
-                                            "minimum": 0}}},
-                    "unitaries": {"type": "array", "items": _CMATRIX},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "states": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["algebra", "densities"],
-                "properties": {
-                    "algebra": _NAME,
-                    "densities": {"type": "array", "items": _CMATRIX},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "groups": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["table"],
-                "properties": {
-                    "table": {"type": "array",
-                              "items": {"type": "array",
-                                        "items": {"type": "integer",
-                                                  "minimum": 0}}},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "actions": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["group", "algebra", "automorphisms"],
-                "properties": {
-                    "group": _NAME,
-                    "algebra": _NAME,
-                    "automorphisms": {"type": "array",
-                                      "items": _AUTOMORPHISM},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "amalgamated": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["state1", "state2"],
-                "properties": {
-                    "state1": _NAME,
-                    "state2": _NAME,
-                },
-                "additionalProperties": False,
-            },
-        },
-        "bogoliubov": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["bimodule", "matrix"],
-                "properties": {
-                    "bimodule": _NAME,
-                    "matrix": _CMATRIX,
-                    "beta": _AUTOMORPHISM,
-                    "subspace": {"type": "array", "items": _CVECTOR},
-                    "n": {"type": "integer", "minimum": 1},
-                    "p_max": {"type": "integer", "minimum": 1},
-                },
-                "additionalProperties": False,
-            },
-        },
+            "required": [*k.refs, *k.required],
+            "properties": {**dict.fromkeys(k.refs, _NAME), **k.required,
+                           **k.optional},
+            "additionalProperties": False}}
+           for kind, k in KINDS.items()},
     },
     "additionalProperties": False,
 }
@@ -201,78 +202,26 @@ def parse_instance(path):
 
 
 def build_instance(data):
-    """Construct the declared objects; unresolved names or invalid structures
-    become InstanceError."""
+    """Construct the declared objects, kind by kind in the order of KINDS;
+    unresolved names or invalid structures become InstanceError."""
     ctx = {"parameters": dict(data.get("parameters", {})),
-           "name": data.get("name", "instance"),
-           "algebras": {}, "bimodules": {}, "states": {}, "groups": {},
-           "actions": {}, "amalgamated": {}, "bogoliubov": {}}
+           "name": data.get("name", "instance")}
     errors = []
-
-    def resolve(kind, name, path):
-        if name not in ctx[kind]:
-            errors.append(f"{path}: unresolved {kind[:-1]} '{name}'")
-            return None
-        return ctx[kind][name]
-
-    for name, d in data.get("algebras", {}).items():
-        ctx["algebras"][name] = ins.algebra_from_descriptor(d)
-    for name, d in data.get("bimodules", {}).items():
-        base = resolve("algebras", d["base"], f"bimodules/{name}/base")
-        if base is None:
-            continue
-        try:
-            ctx["bimodules"][name] = ins.bimodule_from_descriptor(d, base)
-        except (StructureError, PreconditionError) as exc:
-            errors.append(f"bimodules/{name}: {exc}")
-    for name, d in data.get("states", {}).items():
-        alg = resolve("algebras", d["algebra"], f"states/{name}/algebra")
-        if alg is None:
-            continue
-        try:
-            ctx["states"][name] = ins.state_from_descriptor(d, alg)
-        except (StructureError, PreconditionError) as exc:
-            errors.append(f"states/{name}: {exc}")
-    for name, d in data.get("groups", {}).items():
-        try:
-            ctx["groups"][name] = ins.group_from_descriptor(d)
-        except StructureError as exc:
-            errors.append(f"groups/{name}: {exc}")
-    for name, d in data.get("actions", {}).items():
-        group = resolve("groups", d["group"], f"actions/{name}/group")
-        alg = resolve("algebras", d["algebra"], f"actions/{name}/algebra")
-        if group is None or alg is None:
-            continue
-        try:
-            ctx["actions"][name] = ins.action_from_descriptor(d, group, alg)
-        except (StructureError, PreconditionError) as exc:
-            errors.append(f"actions/{name}: {exc}")
-    for name, d in data.get("amalgamated", {}).items():
-        rho1 = resolve("states", d["state1"], f"amalgamated/{name}/state1")
-        rho2 = resolve("states", d["state2"], f"amalgamated/{name}/state2")
-        if rho1 is None or rho2 is None:
-            continue
-        ctx["amalgamated"][name] = (ConditionalExpectation.from_state(rho1),
-                                    ConditionalExpectation.from_state(rho2))
-    for name, d in data.get("bogoliubov", {}).items():
-        module = resolve("bimodules", d["bimodule"],
-                         f"bogoliubov/{name}/bimodule")
-        if module is None:
-            continue
-        try:
-            beta = (ins.automorphism_from_descriptor(d["beta"], module.base)
-                    if "beta" in d else identity_automorphism(module.base))
-            bog = ins.bogoliubov_from_descriptor(d, module, beta)
-            span = None
-            if "subspace" in d:
-                vs = [module.from_flat(ins.complex_array(v))
-                      for v in d["subspace"]]
-                span = submodule_projection(vs)
-            ctx["bogoliubov"][name] = {
-                "map": bog, "subspace": span,
-                "n": int(d.get("n", 2)), "p_max": int(d.get("p_max", 4))}
-        except (StructureError, PreconditionError) as exc:
-            errors.append(f"bogoliubov/{name}: {exc}")
+    for kind, k in KINDS.items():
+        ctx[kind] = {}
+        for name, d in data.get(kind, {}).items():
+            missing = [f"{kind}/{name}/{field}: unresolved {target[:-1]} "
+                       f"'{d[field]}'" for field, target in k.refs.items()
+                       if d[field] not in ctx[target]]
+            if missing:
+                errors += missing
+                continue
+            try:
+                ctx[kind][name] = k.build(d, *(ctx[target][d[field]]
+                                               for field, target
+                                               in k.refs.items()))
+            except (StructureError, PreconditionError) as exc:
+                errors.append(f"{kind}/{name}: {exc}")
     if errors:
         raise InstanceError(errors)
     return ctx

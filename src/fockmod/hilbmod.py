@@ -458,31 +458,12 @@ class TensorStep:
         nb = len(sizes)
         rho = tuple(sum(K.left_mult[j][k] * H.right_mult[k]
                         for k in range(nb)) for j in range(nb))
-        left = [tuple(sum(K.left_mult[j][k] * H.left_mult[k][s]
-                          for k in range(nb)) for s in range(nb))
-                for j in range(nb)]
-        unitaries = []
-        for j in range(nb):
-            Q = np.zeros((rho[j], rho[j]), complex)
-            row_base = []
-            off = 0
-            for k in range(nb):
-                for t in range(K.left_mult[j][k]):
-                    rk = H.right_mult[k]
-                    Q[off:off + rk, off:off + rk] = H.left_unitaries[k]
-                    row_base.append((k, t, off))
-                    off += rk
-            sigma = np.zeros(rho[j], dtype=int)
-            i_can = 0
-            for s in range(nb):
-                n_s = sizes[s]
-                for k, t, rb in row_base:
-                    offs_H = _canon_offsets(H.left_mult[k], sizes)
-                    for ts in range(H.left_mult[k][s]):
-                        for p in range(n_s):
-                            sigma[i_can] = rb + offs_H[s] + ts * n_s + p
-                            i_can += 1
-            unitaries.append(Q[:, sigma])
+        # component j of T is the sum of K.left_mult[j][k] copies of
+        # component k of H, k in order
+        left, unitaries = zip(*(_merged_left(
+            [(H.left_mult[k], H.left_unitaries[k])
+             for k in range(nb) for _ in range(K.left_mult[j][k])], sizes)
+            for j in range(nb)))
         self.module = HilbertBimodule(base, rho, left, unitaries)
         self._UKd = [u.conj().T for u in K.left_unitaries]
 
@@ -597,29 +578,11 @@ def direct_sum(H: HilbertBimodule, K: HilbertBimodule):
     base = H.base
     if K.base != base:
         raise StructureError("direct sum over different base algebras")
-    nblocks = len(base.block_sizes)
     right = tuple(rh + rk for rh, rk in zip(H.right_mult, K.right_mult))
-    left = [tuple(ch + ck for ch, ck in zip(H.left_mult[j], K.left_mult[j]))
-            for j in range(nblocks)]
-    unitaries = []
-    for j in range(nblocks):
-        rH, rK = H.right_mult[j], K.right_mult[j]
-        # permutation aligning blkdiag(D_H, D_K) with the merged canonical order
-        sigma = np.zeros(rH + rK, dtype=int)
-        offs_H, offs_K = _canon_offsets(H.left_mult[j], base.block_sizes), \
-            _canon_offsets(K.left_mult[j], base.block_sizes)
-        i_sum = 0
-        for k, n_k in enumerate(base.block_sizes):
-            cH, cK = H.left_mult[j][k], K.left_mult[j][k]
-            for t in range(cH + cK):
-                for q in range(n_k):
-                    if t < cH:
-                        sigma[i_sum] = offs_H[k] + t * n_k + q
-                    else:
-                        sigma[i_sum] = rH + offs_K[k] + (t - cH) * n_k + q
-                    i_sum += 1
-        blk = block_diag_matrix([H.left_unitaries[j], K.left_unitaries[j]], rH + rK)
-        unitaries.append(blk[:, sigma])
+    left, unitaries = zip(*(_merged_left(
+        [(H.left_mult[j], H.left_unitaries[j]),
+         (K.left_mult[j], K.left_unitaries[j])], base.block_sizes)
+        for j in range(len(base.block_sizes))))
     module = HilbertBimodule(base, right, left, unitaries)
     embed_H = np.zeros((module.dim, H.dim), complex)
     embed_K = np.zeros((module.dim, K.dim), complex)
@@ -633,13 +596,19 @@ def direct_sum(H: HilbertBimodule, K: HilbertBimodule):
     return module, embed_H, embed_K
 
 
-def _canon_offsets(mult_row, block_sizes):
-    offs = []
-    acc = 0
-    for c, n in zip(mult_row, block_sizes):
-        offs.append(acc)
-        acc += c * n
-    return offs
+def _merged_left(pieces, sizes):
+    """The canonical left action on a direct sum of pieces, each a pair
+    (left multiplicity row, left unitary): the rows summed, and the block
+    diagonal of the unitaries with its columns ordered base block by base
+    block, piece by piece within a block."""
+    row = tuple(sum(c[s] for c, _ in pieces) for s in range(len(sizes)))
+    starts = np.cumsum([0] + [len(u) for _, u in pieces])
+    sigma = [start + sum(c[t] * sizes[t] for t in range(s)) + i
+             for s, n_s in enumerate(sizes)
+             for (c, _), start in zip(pieces, starts)
+             for i in range(c[s] * n_s)]
+    blk = block_diag_matrix([u for _, u in pieces], int(starts[-1]))
+    return row, blk[:, np.array(sigma, dtype=int)]
 
 
 class AugmentedModule:

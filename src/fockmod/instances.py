@@ -1,15 +1,13 @@
 """Seeded generators of algebras, bimodules, states, automorphisms, group
-actions, and twisted linear maps, plus constructors from plain-dict
-descriptors shared with the command line interface."""
+actions, and twisted linear maps."""
 
 import itertools
 
 import numpy as np
 
 from .cstar import (AlgebraAutomorphism, CStarAlgebra, ConditionalExpectation,
-                    PreconditionError, StateFunctional, StructureError,
-                    flip_automorphism, haar_unitary_matrix,
-                    identity_automorphism)
+                    PreconditionError, StateFunctional, flip_automorphism,
+                    haar_unitary_matrix, identity_automorphism)
 from .hilbmod import HilbertBimodule, make_bimodule, submodule_projection
 from .crossed import FiniteGroup, GroupAction
 from .bogoliubov import BogoliubovMap
@@ -175,61 +173,3 @@ def random_bogoliubov(rng):
     beta = AlgebraAutomorphism(B, unitaries=[v])
     A = np.kron(haar_unitary_matrix(rng, 2), v)
     return BogoliubovMap(H, np.kron(A, v.conj()), beta)
-
-
-# -- descriptor constructors (shared with the command line) ------------------
-
-def _regular_array(data, dtype):
-    """Nested lists into an ndarray; ragged nesting is a StructureError."""
-    try:
-        return np.asarray(data, dtype)
-    except ValueError as exc:
-        raise StructureError(f"ragged or non-numeric array: {exc}") from None
-
-
-def complex_array(data):
-    """Nested lists with [re, im] leaves into a complex ndarray."""
-    arr = _regular_array(data, float)
-    if arr.shape and arr.shape[-1] == 2:
-        return arr[..., 0] + 1j * arr[..., 1]
-    return arr.astype(complex)
-
-
-def algebra_from_descriptor(d) -> CStarAlgebra:
-    return CStarAlgebra(tuple(int(n) for n in d["blocks"]))
-
-
-def bimodule_from_descriptor(d, base: CStarAlgebra) -> HilbertBimodule:
-    right = tuple(int(r) for r in d["right_multiplicities"])
-    left = [tuple(int(c) for c in row) for row in d["left_multiplicities"]]
-    unitaries = None
-    if "unitaries" in d:
-        unitaries = [complex_array(u) for u in d["unitaries"]]
-    return make_bimodule(base, right, left, unitaries)
-
-
-def state_from_descriptor(d, algebra: CStarAlgebra) -> StateFunctional:
-    return StateFunctional(algebra,
-                           [complex_array(blk) for blk in d["densities"]])
-
-
-def automorphism_from_descriptor(d, algebra) -> AlgebraAutomorphism:
-    source = [int(s) for s in d["source"]] if "source" in d else None
-    unitaries = None
-    if "unitaries" in d:
-        unitaries = [complex_array(u) for u in d["unitaries"]]
-    return AlgebraAutomorphism(algebra, source=source, unitaries=unitaries)
-
-
-def group_from_descriptor(d) -> FiniteGroup:
-    return FiniteGroup(_regular_array(d["table"], int))
-
-
-def action_from_descriptor(d, group, algebra) -> GroupAction:
-    maps = [automorphism_from_descriptor(m, algebra)
-            for m in d["automorphisms"]]
-    return GroupAction(group, algebra, maps)
-
-
-def bogoliubov_from_descriptor(d, module, beta) -> BogoliubovMap:
-    return BogoliubovMap(module, complex_array(d["matrix"]), beta)
