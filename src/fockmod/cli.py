@@ -6,7 +6,7 @@ import json
 import math
 import sys
 import time
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -64,6 +64,7 @@ def _complex_array(data):
 
 
 def _complex_arrays(d, key):
+    """Field `key` of `d`, a list of complex arrays; None when absent."""
     return [_complex_array(m) for m in d[key]] if key in d else None
 
 
@@ -93,7 +94,7 @@ class _Kind(NamedTuple):
     refs: dict
     required: dict
     optional: dict
-    build: object
+    build: Callable
 
 
 KINDS = {
