@@ -9,8 +9,8 @@ import numpy as np
 from .cstar import (AlgebraAutomorphism, PreconditionError, StructureError,
                     identity_automorphism, DEFAULT_TOL)
 from .hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
-                      SubmoduleSpan, complex_rank, gram_schmidt,
-                      projection_components, submodule_projection)
+                      SubmoduleSpan, _orthonormal_pieces, complex_rank,
+                      projection_components)
 from .fock import FockSpace, LevelOp, word
 from .report import VerificationReport
 
@@ -223,7 +223,13 @@ def kp_subspace(bog: BogoliubovMap, K: SubmoduleSpan, p, tol=DEFAULT_TOL):
         Ui = bog.power(i)
         gens.extend(H.from_flat(Ui @ g.flat) for g in K.generators)
     r = len(K.generators)
-    spans = [submodule_projection(gens[:q * r]) for q in range(1, p + 1)]
+    # each K_q is spanned by a prefix of gens, so one orthogonalization of
+    # all of them serves the chain: K_q's basis comes from inputs below q r
+    V, inputs = _orthonormal_pieces(H, [g.flat for g in gens])
+    basis = [H.from_flat(v) for v in V]
+    spans = [SubmoduleSpan(H, gens[:q * r],
+                           basis[:np.searchsorted(inputs, q * r)])
+             for q in range(1, p + 1)]
     span = spans[-1]
     report = VerificationReport(suite="growth-subspace",
                                 parameters={"p": p})
@@ -253,20 +259,14 @@ def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
         raise PreconditionError("tower level exceeds the truncation")
     level_bases = [[F.levels[0].from_flat(col)
                     for col in np.eye(F.levels[0].dim)]]
-    if n >= 1:
-        vs = [F.levels[1].from_flat(v.flat) for v in span.basis]
-        level_bases.append(gram_schmidt(vs))
-    for k in range(1, n):
-        prev = level_bases[k]
-        if not prev or not span.basis:
-            level_bases.append([])
-            continue
-        # every g (x) v, g outer and v inner, in one broadcast call
-        G = np.array([g.flat for g in span.basis])
-        P = np.array([v.flat for v in prev])
-        T = F.maps[k].tensor(G[:, None], P[None])
-        vs = [F.levels[k + 1].from_flat(t) for t in T.reshape(-1, T.shape[-1])]
-        level_bases.append(gram_schmidt(vs))
+    G = V = np.array([v.flat for v in span.basis]).reshape(
+        -1, F.bimodule.dim)
+    for k, level in enumerate(F.levels[1:n + 1]):
+        if k:
+            # every g (x) v, g outer and v inner, in one broadcast call
+            V = F.maps[k].tensor(G[:, None], V[None]).reshape(-1, level.dim)
+        V, _ = _orthonormal_pieces(level, V)
+        level_bases.append([level.from_flat(v) for v in V])
     return level_bases
 
 
@@ -379,19 +379,20 @@ def entropy_bound_report(F: FockSpace, bog: BogoliubovMap, spans, towers,
     dimV = sum(F.base.block_sizes)
     local_dims = [[localized_tensor_dim(F.levels[k], basis)
                    for k, basis in enumerate(tower)] for tower in towers]
+    outsides = [np.eye(F.bimodule.dim) - span.projection for span in spans]
+    powers = [bog.power(j) for j in range(len(spans))]
     reports = []
     for n in levels:
         sample_flats = [_random_flat(K.basis, rng) for _ in range(3)]
         rows = []       # (p, dim K_p, measured, bound, ratio)
         containment = 0.0
-        for p, (span, dims) in enumerate(zip(spans, local_dims), start=1):
+        for p, (span, dims, outside) in enumerate(
+                zip(spans, local_dims, outsides), start=1):
             measured = sum(dims[:n + 1])
             bound = n * p ** n * dimV * K.complex_dim ** n
             ratio = np.log(measured) / p if measured > 0 else 0.0
             rows.append((p, span.complex_dim, measured, bound, ratio))
-            outside = np.eye(F.bimodule.dim) - span.projection
-            for j in range(p):
-                Uj = bog.power(j)
+            for Uj in powers[:p]:
                 for flat in sample_flats:
                     v = Uj @ flat
                     containment = max(containment,

@@ -204,9 +204,16 @@ def parse_instance(path):
 
 def build_instance(data):
     """Construct the declared objects, kind by kind in the order of KINDS;
-    unresolved names or invalid structures become InstanceError."""
+    unresolved names or invalid structures become InstanceError.  Levels 0
+    and 1 of each bimodule meet the instance's dim_cap before any build."""
     ctx = {"parameters": dict(data.get("parameters", {})),
            "name": data.get("name", "instance")}
+    cap = int(ctx["parameters"].get("dim_cap", fk.DEFAULT_DIM_CAP))
+    for d in data.get("bimodules", {}).values():
+        blocks = data.get("algebras", {}).get(d["base"], {}).get("blocks")
+        if blocks:
+            left = [[int(c) for c in row] for row in d["left_multiplicities"]]
+            fk._check_cap(fk.power_dims([int(n) for n in blocks], left, 1), cap)
     errors = []
     for kind, k in KINDS.items():
         ctx[kind] = {}

@@ -88,11 +88,6 @@ class CStarAlgebra:
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for n in self.block_sizes])
 
-    # -- structural pieces -------------------------------------------------
-
-    def minimal_projection_indices(self):
-        return [(j, q) for j, n in enumerate(self.block_sizes) for q in range(n)]
-
 
 class AlgebraElement:
     def __init__(self, algebra, blocks):

@@ -23,16 +23,15 @@ from .report import VerificationReport
 DEFAULT_DIM_CAP = 20000
 
 
-def power_dims(module: HilbertBimodule, m: int):
-    """Yields the dimensions of the tensor powers 0..m of a bimodule, from
-    multiplicity arithmetic alone: r_{k+1} = C r_k with C the left
-    multiplicities and r_0 the block sizes n, and dim_k = r_k . n.  Nothing
-    is built."""
-    sizes = module.base.block_sizes
+def power_dims(sizes, left_mult, m: int):
+    """Yields the dimensions of the tensor powers 0..m of a bimodule over the
+    blocks of the given sizes, from multiplicity arithmetic alone:
+    r_{k+1} = C r_k with C the left multiplicities and r_0 the block sizes
+    n, and dim_k = r_k . n.  Nothing is built."""
     r = list(sizes)
     for _ in range(m + 1):
         yield sum(rj * n for rj, n in zip(r, sizes))
-        r = [sum(c * rk for c, rk in zip(row, r)) for row in module.left_mult]
+        r = [sum(c * rk for c, rk in zip(row, r)) for row in left_mult]
 
 
 def _check_cap(dims, dim_cap):
@@ -187,7 +186,7 @@ class FockSpace:
     def __init__(self, H: HilbertBimodule, N: int, dim_cap=DEFAULT_DIM_CAP):
         if N < 0:
             raise PreconditionError("truncation level must be nonnegative")
-        _check_cap(power_dims(H, N), dim_cap)
+        _check_cap(power_dims(H.base.block_sizes, H.left_mult, N), dim_cap)
         self.bimodule = H
         self.base = H.base
         self.N = N

@@ -229,59 +229,74 @@ def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
 
 # -- Gram-Schmidt and complemented projections -----------------------------
 
+def _orthonormal_pieces(module, flats, drop_tol=None):
+    """`gram_schmidt` on the rows of an (m, dim) array of flat vectors.
+    Returns the basis as the rows of an array, and the input of each row.
+
+    Each input x splits into the pieces x.e_qq along the minimal
+    projections of the base.  The piece of block j is column q of component
+    j, zero elsewhere: pieces of different blocks are orthogonal, and
+    between pieces v, w of block j the correction v<v,w> is column v_j times
+    the scalar v_j* w_j.  So each block keeps an orthonormal column matrix
+    U_j, and a piece's column t becomes t - U_j (U_j* t), twice (classical
+    Gram-Schmidt with one re-orthogonalization); v = t/|t| in column q of
+    component j has <v,v> = e_qq.  One norm over component j's (m, r_j, n_j)
+    array first drops each piece with |t| <= drop_tol (projecting never
+    lengthens t), and the block stops once U_j has r_j columns.  Pieces are
+    visited input by input, then by block and column, each read as a strided
+    column, as a module vector holds it (a contiguous copy rounds apart)."""
+    flats = np.asarray(flats, complex).reshape(-1, module.dim)
+    sizes, m = module.base.block_sizes, len(flats)
+    comps = [(j, flats[:, module.offsets[j]:module.offsets[j + 1]]
+              .reshape(m, r, n))
+             for j, (r, n) in enumerate(zip(module.right_mult, sizes))
+             if r and m]
+    if drop_tol is None:
+        # ||x|| = max_j ||x_j||_2: one batched SVD per block over all inputs
+        drop_tol = 1e-8 * max([float(np.linalg.svd(
+            X, compute_uv=False)[:, 0].max()) for _, X in comps] + [1.0])
+    found = []      # (input, block, column, unit vector)
+    for j, X in comps:
+        U, k = np.empty((X.shape[1],) * 2, complex), 0
+        for i, q in zip(*np.nonzero(np.linalg.norm(X, axis=1) > drop_tol)):
+            t = X[i, :, q]
+            for _ in range(2):
+                t = t - U[:, :k] @ (U[:, :k].conj().T @ t)
+            length = float(np.linalg.norm(t))
+            if length > drop_tol:
+                U[:, k] = t / length
+                found.append((i, j, q, U[:, k]))
+                k += 1
+                if k == len(U):
+                    break
+    found.sort(key=lambda e: e[:3])
+    V = np.zeros((len(found), module.dim), complex)
+    for v, (_, j, q, t) in zip(V, found):
+        v[module.offsets[j] + q:module.offsets[j + 1]:sizes[j]] = t
+    return V, np.array([e[0] for e in found], int)
+
+
 def gram_schmidt(X, drop_tol=None):
     """Orthogonalize a finite family of module vectors.
 
     Returns V with the same generated submodule, pairwise <v,w> = 0 and each
-    <v,v> a minimal projection of B.  Each input x splits into the pieces
-    x.e_qq along the minimal projections of the base.  The piece of block j
-    is column q of component j, zero elsewhere: pieces of different blocks
-    are orthogonal, and between pieces v, w of block j the correction
-    v<v,w> is column v_j times the scalar v_j* w_j.  So each block keeps an
-    orthonormal column matrix U_j, and a piece's column t becomes
-    t - U_j (U_j* t), twice (classical Gram-Schmidt with one
-    re-orthogonalization).  A piece with |t| <= drop_tol is dropped;
-    otherwise v holds t/|t| in column q of component j, and <v,v> = e_qq.
-    Pieces are visited input by input, then by block and column.
-    """
+    <v,v> a minimal projection of B (`_orthonormal_pieces`)."""
     X = [x for x in X]
     if not X:
         return []
     module = X[0].parent
-    base = module.base
-    # ||x|| = max_j ||x_j||_2: one batched SVD per block over all inputs
-    scale = max([float(np.linalg.svd(np.stack([x.comps[j] for x in X]),
-                                     compute_uv=False)[:, 0].max())
-                 for j, r in enumerate(module.right_mult) if r] + [1.0])
-    if drop_tol is None:
-        drop_tol = 1e-8 * scale
-    U = [np.zeros((r, 0), complex) for r in module.right_mult]
-    V = []
-    for x in X:
-        for (j, q) in base.minimal_projection_indices():
-            t = x.comps[j][:, q]
-            for _ in range(2):
-                t = t - U[j] @ (U[j].conj().T @ t)
-            length = float(np.linalg.norm(t))
-            if length <= drop_tol:
-                continue
-            t = t / length
-            U[j] = np.column_stack([U[j], t])
-            comps = [np.zeros((r, n), complex) for r, n in
-                     zip(module.right_mult, base.block_sizes)]
-            comps[j][:, q] = t
-            V.append(ModuleVector(module, comps))
-    return V
+    V, _ = _orthonormal_pieces(module, [x.flat for x in X], drop_tol)
+    return [module.from_flat(v) for v in V]
 
 
 class SubmoduleSpan:
     """Finitely generated submodule with its orthogonal basis and projection."""
 
-    def __init__(self, parent, generators, basis, projection):
+    def __init__(self, parent, generators, basis):
         self.parent = parent
         self.generators = generators
         self.basis = basis
-        self.projection = projection
+        self.projection = projection_from_basis(parent, basis)
 
     @property
     def complex_dim(self):
@@ -309,9 +324,7 @@ def projection_from_basis(module, V):
 def submodule_projection(X, drop_tol=None) -> SubmoduleSpan:
     if not X:
         raise StructureError("submodule_projection of an empty family")
-    module = X[0].parent
-    V = gram_schmidt(X, drop_tol=drop_tol)
-    return SubmoduleSpan(module, list(X), V, projection_from_basis(module, V))
+    return SubmoduleSpan(X[0].parent, list(X), gram_schmidt(X, drop_tol))
 
 
 def complex_rank(flat_vectors):

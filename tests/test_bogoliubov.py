@@ -19,11 +19,12 @@ from fockmod.cstar import (AlgebraAutomorphism, CStarAlgebra,
 from fockmod.fock import FockSpace, LevelOp
 from fockmod.freeprod import AmalgSetup
 from fockmod.hilbmod import (AugmentedModule, TensorStep, make_bimodule,
-                             submodule_projection)
+                             projection_from_basis, submodule_projection)
 from fockmod.instances import (amalg_instances, creation_instances,
                                flip_twisted_module,
                                multiplicity_shift_instance, random_bogoliubov)
 from fockmod.report import VerificationReport
+from gram_schmidt_reference import reference_gram_schmidt, support
 from tensor_reference import tensor_apply, tensor_matrix
 
 RNG = np.random.default_rng(61)
@@ -323,33 +324,52 @@ def test_extension_stays_below_one_dense_tensor_step():
     assert peak < 128 * 2 ** 20, peak
 
 
-def _reference_fock_level_spans(F, n, span):
-    """_fock_level_spans as it was with each level's basis read off
-    `submodule_projection`, which also built the dense level projection."""
-    level_bases = [[F.levels[0].from_flat(col)
-                    for col in np.eye(F.levels[0].dim)]]
-    vs = [F.levels[1].from_flat(v.flat) for v in span.basis]
-    level_bases.append(submodule_projection(vs).basis if vs else [])
-    for k in range(1, n):
-        prev = level_bases[k]
-        G = np.array([g.flat for g in span.basis])
-        P = np.array([v.flat for v in prev])
-        T = F.maps[k].tensor(G[:, None], P[None])
-        vs = [F.levels[k + 1].from_flat(t) for t in T.reshape(-1, T.shape[-1])]
-        level_bases.append(submodule_projection(vs).basis)
-    return level_bases
-
-
 def test_fock_level_spans_are_the_submodule_bases():
+    """Each level of the tower against the module-arithmetic reference,
+    fed the same inputs: the span basis on level 1, and every g (x) v, g in
+    the span basis and v in the level below, above it."""
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 3)
     spans, _ = kp_subspace(U, K, 3)
     for span in spans:
         got = _fock_level_spans(F, 3, span)
-        want = _reference_fock_level_spans(F, 3, span)
-        assert [len(b) for b in got] == [len(b) for b in want]
+        assert len(got) == 4 and len(got[0]) == F.levels[0].dim
+        G = np.array([g.flat for g in span.basis])
+        for k, level in enumerate(F.levels[1:], start=1):
+            inputs = G if k == 1 else F.maps[k - 1].tensor(
+                G[:, None], np.array([v.flat for v in got[k - 1]])[None])
+            want = reference_gram_schmidt(
+                [level.from_flat(t) for t in inputs.reshape(-1, level.dim)])
+            assert len(got[k]) == len(want) > 0
+            assert [support(v) for v in got[k]] == [support(v) for v in want]
+            assert np.linalg.norm(projection_from_basis(level, got[k])
+                                  - projection_from_basis(level, want)) \
+                < 1e-12
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_growth_chain_spans_are_the_prefix_spans(case):
+    """One orthogonalization serves the chain: K_q is the span of the first
+    q r generators U^i g, i < q, with the same dimension and the same basis
+    bit for bit as submodule_projection builds from that prefix."""
+    bog, K, _, p_max = _entropy_cases()[case]
+    spans, rep = kp_subspace(bog, K, p_max)
+    assert rep.passed, rep.failures
+    gens = [bog.module.from_flat(bog.power(i) @ g.flat)
+            for i in range(p_max) for g in K.generators]
+    r = len(K.generators)
+    assert len(spans) == p_max
+    for q, span in enumerate(spans, start=1):
+        want = submodule_projection(gens[:q * r])
+        assert span.complex_dim == want.complex_dim
+        assert len(span.basis) == len(want.basis)
         assert all(np.array_equal(x.flat, y.flat)
-                   for a, b in zip(got, want) for x, y in zip(a, b))
+                   for x, y in zip(span.basis, want.basis))
+        assert np.array_equal(span.projection, want.projection)
+    zero = submodule_projection([bog.module.from_flat(np.zeros(
+        bog.module.dim))])
+    with pytest.raises(PreconditionError, match="growth subspace K is zero"):
+        kp_subspace(bog, zero, p_max)
 
 
 @pytest.mark.parametrize("case", ["random", "shift"])

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -345,6 +346,31 @@ def test_dimension_cap_exit_code(tmp_path):
                                 "left_multiplicities": [[2]]}},
     })
     assert main(["--suite", "fock", "--instance", path]) == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("copies", [2000, 2000.0])
+def test_dimension_cap_is_checked_before_a_bimodule_is_built(tmp_path,
+                                                            capsys, copies):
+    """Levels 0 and 1 of a declared bimodule are held to the cap from its
+    multiplicities, integral floats read as integers: right multiplicity
+    2,000 over C is refused at once, not after building and validating
+    the 2,000-dimensional module."""
+    path = write_instance(tmp_path, {
+        "name": "huge",
+        "parameters": {"dim_cap": 10},
+        "algebras": {"c": {"blocks": [1]}},
+        "bimodules": {"wide": {"base": "c",
+                               "right_multiplicities": [2000],
+                               "left_multiplicities": [[copies]]}},
+    })
+    t0 = time.perf_counter()
+    code = main(["--suite", "crossed", "--instance", path])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE
+    assert err == "resource cap: localized dimension 2001 exceeds the cap " \
+        "10\n"
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("suite", ["free", "factorization"])

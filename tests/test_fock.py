@@ -487,8 +487,9 @@ def test_factorization_cap_counts_the_vacuum_level():
 def test_predicted_dims_match_built_levels():
     for H, N in creation_instances(11, count=6):
         F = FockSpace(H, N)
-        assert tuple(power_dims(H, N))[1:] == F.level_dims[1:]
-        assert tuple(power_dims(H, N)) == F.level_dims
+        dims = tuple(power_dims(H.base.block_sizes, H.left_mult, N))
+        assert dims[1:] == F.level_dims[1:]
+        assert dims == F.level_dims
 
 
 class _BaseStep:

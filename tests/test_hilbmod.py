@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockmod.cstar import (CStarAlgebra, StructureError, UnitalHomomorphism,
                           block_diag_matrix, place_copies,
@@ -13,6 +15,7 @@ from fockmod.hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
                              trivial_module, vector_to_element)
 from fockmod.instances import (multiplicity_shift_instance, random_algebra,
                                random_bimodule)
+from gram_schmidt_reference import reference_gram_schmidt, support
 from tensor_reference import tensor_apply, tensor_matrix
 
 RNG = np.random.default_rng(23)
@@ -150,35 +153,6 @@ def test_gram_schmidt_orthonormal_minimal_projections():
             assert H.inner(v, w).norm() < 1e-9
 
 
-def reference_gram_schmidt(X, drop_tol=None):
-    """Modified Gram-Schmidt in module-vector arithmetic: the pieces
-    x.e_qq orthogonalized against every vector found so far, twice."""
-    X = [x for x in X]
-    if not X:
-        return []
-    module = X[0].parent
-    base = module.base
-    scale = max([x.norm() for x in X] + [1.0])
-    if drop_tol is None:
-        drop_tol = 1e-8 * scale
-    pieces = []
-    for x in X:
-        for (j, q) in base.minimal_projection_indices():
-            pieces.append((x.rmul(base.matrix_unit(j, q, q)), j, q))
-    V = []
-    for w, j, q in pieces:
-        for _ in range(2):
-            for v in V:
-                w = w - v.rmul(module.inner(v, w))
-        t = w.comps[j][:, q]
-        length = float(np.linalg.norm(t))
-        # w = w.e_{qq}, so <w,w> = |col|^2 e_qq and the module norm is |col|
-        if length <= drop_tol:
-            continue
-        V.append(w * (1.0 / length))
-    return V
-
-
 def reference_projection(module, V):
     """sum_v v<v, .> built one vector at a time."""
     P = np.zeros((module.dim, module.dim), complex)
@@ -187,12 +161,6 @@ def reference_projection(module, V):
                   for vj, n in zip(v.comps, module.base.block_sizes)]
         P += block_diag_matrix(blocks, module.dim)
     return P
-
-
-def support(v):
-    """The (component, column) pairs where v is nonzero."""
-    return [(j, q) for j, c in enumerate(v.comps)
-            for q in range(c.shape[1]) if np.any(c[:, q] != 0)]
 
 
 def gram_schmidt_families():
@@ -213,18 +181,25 @@ def gram_schmidt_families():
         yield H, [x.rmul(H.base.matrix_unit(0, 0, 0)), x, z] + H.basis(), True
 
 
+def assert_matches_reference(H, X):
+    """gram_schmidt(X) against the module-arithmetic reference: the same
+    supports, in order, one (component, column) each, and projections
+    within 1e-12.  Returns the basis."""
+    want = reference_gram_schmidt(X)
+    got = gram_schmidt(X)
+    assert [support(v) for v in got] == [support(v) for v in want]
+    assert all(len(support(v)) == 1 for v in got)
+    assert np.linalg.norm(projection_from_basis(H, got)
+                          - projection_from_basis(H, want)) < 1e-12
+    return got
+
+
 def test_gram_schmidt_matches_module_arithmetic_reference():
     cases = 0
     for H, X, drops in gram_schmidt_families():
-        want = reference_gram_schmidt(X)
-        got = gram_schmidt(X)
-        assert len(got) == len(want)
+        got = assert_matches_reference(H, X)
         if drops:
             assert len(got) < len(X) * sum(H.base.block_sizes)
-        assert [support(v) for v in got] == [support(v) for v in want]
-        assert all(len(support(v)) == 1 for v in got)
-        assert np.linalg.norm(projection_from_basis(H, got)
-                              - projection_from_basis(H, want)) < 1e-12
         cases += 1
     assert cases == 12
 
@@ -247,6 +222,74 @@ def test_gram_schmidt_drop_scale_with_an_empty_component():
     for t, kept in ((5e-8, 1), (1e-7, 2)):
         y = H.vector([np.zeros((0, 2)), [[0.0], [t]]])
         assert len(gram_schmidt([x, y])) == kept
+
+
+def test_gram_schmidt_skips_exactly_zero_pieces():
+    """Pieces that are exactly zero (a vector cut down by a matrix unit, the
+    zero vector) are dropped before any projection and leave the basis as
+    the reference builds it."""
+    rng = np.random.default_rng(31)
+    H = HilbertBimodule(CStarAlgebra((2, 3)), (5, 2), [(1, 1), (1, 0)])
+    x, y = H.random_vector(rng), H.random_vector(rng)
+    zero = H.from_flat(np.zeros(H.dim))
+    cut = [x.rmul(H.base.matrix_unit(j, q, q)) for j, q in ((0, 1), (1, 2))]
+    got = assert_matches_reference(H, [zero] + cut + [zero, y, cut[0]])
+    assert [support(v) for v in got[:2]] == [[(0, 1)], [(1, 2)]]
+    assert gram_schmidt([zero, zero]) == []
+
+
+def test_gram_schmidt_stops_a_block_at_full_rank():
+    """Once U_j has r_j columns, the later pieces of block j are not
+    orthogonalized: even with no drop tolerance, no rounding remainder of a
+    full block becomes a basis vector."""
+    rng = np.random.default_rng(37)
+    H = small_module()
+    X = [H.random_vector(rng) for _ in range(2)] + H.basis() \
+        + [H.random_vector(rng) for _ in range(3)]
+    got = assert_matches_reference(H, X)
+    assert len(got) == sum(H.right_mult)
+    assert len(gram_schmidt(X, drop_tol=0.0)) == sum(H.right_mult)
+    assert abs(submodule_projection(X).complex_dim - H.dim) < 1e-9
+
+
+def test_gram_schmidt_with_an_empty_component_matches_reference():
+    """Component 0 has right multiplicity 0: every input is empty there,
+    and the other block fills up, with duplicates and a zero in between."""
+    rng = np.random.default_rng(41)
+    H = HilbertBimodule(CStarAlgebra((2, 1)), (0, 2), [(0, 0), (1, 0)])
+    x, y, z = (H.random_vector(rng) for _ in range(3))
+    got = assert_matches_reference(
+        H, [x, x, H.from_flat(np.zeros(H.dim)), y * 2.0, z])
+    assert [support(v) for v in got] == [[(1, 0)], [(1, 0)]]
+
+
+def test_gram_schmidt_property_with_duplicates_and_zeros():
+    """Random families on the fixed modules of gram_schmidt_families, with
+    duplicates, zero vectors and pieces cut down by a matrix unit inserted
+    anywhere."""
+    modules = [H for H, _, _ in gram_schmidt_families()][::3]
+    inserts = st.lists(st.tuples(st.sampled_from(("dup", "zero", "cut")),
+                                 st.integers(min_value=0, max_value=20)),
+                       max_size=5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=len(modules) - 1),
+           st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=1, max_value=5), inserts)
+    def check(index, seed, count, extra):
+        H = modules[index]
+        rng = np.random.default_rng(seed)
+        X = [H.random_vector(rng) for _ in range(count)]
+        for kind, at in extra:
+            x = X[at % len(X)]
+            if kind == "zero":
+                x = H.from_flat(np.zeros(H.dim))
+            elif kind == "cut":
+                x = x.rmul(H.base.matrix_unit(0, 0, 0))
+            X.insert(at % (len(X) + 1), x)
+        assert_matches_reference(H, X)
+
+    check()
 
 
 def test_gram_schmidt_makes_no_inner_call(monkeypatch):
