@@ -234,17 +234,14 @@ class CPLinearMap:
         compression, which is completely positive both ways)."""
         dA = sum(self.domain.block_sizes)
         dC = sum(self.codomain.block_sizes)
-        choi = np.zeros((dA * dC, dA * dC), complex)
+        # kron ordering: (codomain) x (domain index pair)
+        choi = np.zeros((dC, dA, dC, dA), complex)
         row_off = np.cumsum([0] + list(self.domain.block_sizes))
         for (j, p, q) in self.domain.unit_index_iter():
             out = self(self.domain.matrix_unit(j, p, q))
-            sigma = block_diag_matrix(out.blocks, dC)
-            P, Q = row_off[j] + p, row_off[j] + q
-            # kron ordering: (codomain) x (domain index pair)
-            for r in range(dC):
-                for s in range(dC):
-                    choi[r * dA + P, s * dA + Q] += sigma[r, s]
-        return choi
+            choi[:, row_off[j] + p, :, row_off[j] + q] = block_diag_matrix(
+                out.blocks, dC)
+        return choi.reshape(dC * dA, dC * dA)
 
     def min_choi_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.choi_matrix()).min())

@@ -338,112 +338,6 @@ def complex_rank(flat_vectors):
     return int(np.sum(s > RANK_CUTOFF * s[0]))
 
 
-# -- canonicalization of abstract quotient modules -------------------------
-
-def canonicalize(base, gram, right_apply, left_apply):
-    """Quotient an abstract semi-inner-product module and recover canonical form.
-
-    gram: the trace-localized scalar Gram matrix on an abstract spanning
-    family (size m); the unnormalized block trace is faithful, so its kernel
-    is exactly the B-valued null space.
-    right_apply(unit_index, X): raw right action of a matrix unit applied to
-    columns of X (m x cols); left_apply likewise for the left action.
-
-    Returns (module, C) where C maps raw coordinates to canonical flat
-    coordinates, preserving inner products.
-    """
-    m = gram.shape[0]
-    gram = 0.5 * (gram + gram.conj().T)
-    lam, E = np.linalg.eigh(gram)
-    top = max(lam.max(initial=0.0), 0.0)
-    if top == 0.0:
-        raise StructureError("zero inner product: nothing to canonicalize")
-    if lam.min() < -1e-8 * top:
-        raise PreconditionError(
-            f"semi-inner product fails positivity: min eigenvalue {lam.min():.3e}")
-    keep = lam > RANK_CUTOFF * top
-    lam_k, E_k = lam[keep], E[:, keep]
-    d = int(keep.sum())
-    Z = np.sqrt(lam_k)[:, None] * E_k.conj().T          # d x m, G-orthonormal coords
-    Zp = E_k * (1.0 / np.sqrt(lam_k))[None, :]          # m x d, right inverse of Z
-
-    def rq(unit):
-        return Z @ right_apply(unit, Zp)
-
-    def lq(unit):
-        return Z @ left_apply(unit, Zp)
-
-    k = len(base.block_sizes)
-    range_bases = []
-    right_r = []
-    for j in range(k):
-        P = rq((j, 0, 0))
-        P = 0.5 * (P + P.conj().T)
-        vals, vecs = np.linalg.eigh(P)
-        sel = vals > 0.5
-        range_bases.append(vecs[:, sel])
-        right_r.append(int(sel.sum()))
-    if sum(r * n for r, n in zip(right_r, base.block_sizes)) != d:
-        raise StructureError(
-            "component dimensions do not sum to the quotient dimension "
-            f"({right_r} vs {d}); the right action is inconsistent")
-
-    # unitary change of coordinates: quotient -> canonical flat
-    rows = []
-    for j, n in enumerate(base.block_sizes):
-        W = range_bases[j]
-        shift = {0: np.eye(d, dtype=complex)}
-        for q in range(1, n):
-            shift[q] = rq((j, q, 0))
-        for p in range(right_r[j]):
-            for q in range(n):
-                rows.append(W[:, p].conj() @ shift[q])
-    M = np.array(rows)
-    C = M @ Z
-
-    # left action restricted to each component, decomposed into canonical form
-    left_mult = []
-    left_unitaries = []
-    lq_cache = {}
-
-    def lq_c(unit):
-        if unit not in lq_cache:
-            lq_cache[unit] = lq(unit)
-        return lq_cache[unit]
-
-    for j in range(k):
-        W = range_bases[j]
-        r_j = right_r[j]
-        row = []
-        cols = []
-        for kk, n_k in enumerate(base.block_sizes):
-            A11 = W.conj().T @ lq_c((kk, 0, 0)) @ W
-            c = int(round(np.trace(A11).real))
-            row.append(c)
-            if c == 0:
-                continue
-            vals, vecs = np.linalg.eigh(0.5 * (A11 + A11.conj().T))
-            anchors = vecs[:, np.argsort(vals)[::-1][:c]]
-            for t in range(c):
-                for q in range(n_k):
-                    Aq1 = A11 if q == 0 else W.conj().T @ lq_c((kk, q, 0)) @ W
-                    cols.append(Aq1 @ anchors[:, t])
-        if sum(c * n for c, n in zip(row, base.block_sizes)) != r_j:
-            raise StructureError(
-                f"left action on component {j} is not a unital homomorphism")
-        U = np.array(cols).T if cols else np.zeros((r_j, 0), complex)
-        # exact arithmetic gives orthonormal columns; polish numerically
-        if U.size:
-            Uq, _ = np.linalg.qr(U)
-            ip = np.einsum("ij,ij->j", Uq.conj(), U)
-            U = Uq * (ip / np.abs(ip))[None, :]
-        left_mult.append(row)
-        left_unitaries.append(U if U.size else np.eye(r_j, dtype=complex))
-
-    module = HilbertBimodule(base, right_r, left_mult, left_unitaries)
-    return module, C
-
-
 # -- interior tensor products ----------------------------------------------
 
 class TensorStep:
@@ -652,43 +546,47 @@ def gns_bimodule(B: CStarAlgebra, rho: StateFunctional):
 
 
 def cp_bimodule(A: CStarAlgebra, eta):
-    """Bimodule of a completely positive map: quotient of A (x) A under
-    <a1(x)a2, a1'(x)a2'> = a2* eta(a1* a1') a2'.  Rejects maps for which the
-    localized semi-inner product fails positivity (eta not CP).  Returns
-    (module, xi) with xi the class of 1 (x) 1."""
+    """Bimodule of a completely positive map: the quotient of A (x) A under
+    <a1(x)a2, a1'(x)a2'> = a2* eta(a1* a1') a2', read off the Choi matrix of
+    eta.  Returns (module, xi) with xi the class of 1 (x) 1.
+
+    The Choi block C_jk of codomain block j and domain block k has entry
+    ((a,p),(b,q)) = eta(E^k_pq)_j[a,b].  Each of its eigenpairs (lam, w)
+    with lam > 0 gives a Kraus operator W = sqrt(lam) w of shape (n_j, n_k),
+    and eta(x)_j = sum_k sum_W W x_k W*.  So a1 (x) a2 maps into component
+    j as the row blocks (a1)_k W* (a2)_j, block k by block k and W by W: the
+    inner product is kept, and the map is onto, since the W of one block
+    pair are linearly independent.  The left action places copies of the
+    blocks (identity unitaries), and xi stacks the W*.  A negative Choi
+    eigenvalue below -1e-8 times the largest rejects eta as not CP."""
     if eta.domain != A or eta.codomain != A:
         raise StructureError("eta must map the algebra to itself")
-    mod_A = trivial_module(A)
-    dA = A.dim
-    basis = A.basis()
-    units = list(A.unit_index_iter())
-    lmat = {u: mod_A.left_matrix(A.matrix_unit(*u)) for u in units}
-
-    gram = np.zeros((dA * dA, dA * dA), complex)
-    for s in range(dA):
-        for t in range(dA):
-            z = eta(basis[s].adjoint() * basis[t])
-            gram[s * dA:(s + 1) * dA, t * dA:(t + 1) * dA] = \
-                sum(z.blocks[j][p, q] * lmat[(j, p, q)]
-                    for (j, p, q) in units
-                    if z.blocks[j][p, q] != 0) \
-                if z.norm() > 0 else 0.0
-
-    def right_apply(unit, X):
-        R = mod_A.right_matrix(A.matrix_unit(*unit))
-        Xr = X.reshape(dA, dA, -1)
-        return np.einsum("ab,xbc->xac", R, Xr).reshape(dA * dA, -1)
-
-    def left_apply(unit, X):
-        L = lmat[unit]
-        Xr = X.reshape(dA, dA, -1)
-        return np.einsum("ax,xbc->abc", L, Xr).reshape(dA * dA, -1)
-
-    try:
-        module, C = canonicalize(A, gram, right_apply, left_apply)
-    except PreconditionError as exc:
+    sizes = A.block_sizes
+    off = np.cumsum((0,) + sizes)
+    blk = [slice(a, b) for a, b in zip(off[:-1], off[1:])]
+    choi = eta.choi_matrix().reshape((off[-1],) * 4)
+    eig = [[np.linalg.eigh(0.5 * (C + C.conj().T)) for C in
+            (choi[blk[j], blk[k], blk[j], blk[k]].reshape(n_j * n_k, -1)
+             for k, n_k in enumerate(sizes))]
+           for j, n_j in enumerate(sizes)]
+    spectrum = np.concatenate([lam for row in eig for lam, _ in row])
+    top = max(spectrum.max(), 0.0)
+    if top == 0.0:
+        raise StructureError("Choi matrix of eta has no positive eigenvalue: "
+                             "the bimodule is zero")
+    if spectrum.min() < -1e-8 * top:
         raise PreconditionError(
             "semi-inner product a2* eta(a1* a1') a2' is not positive; "
-            "eta is not completely positive") from exc
-    one = A.identity().flat
-    return module, module.from_flat(C @ np.kron(one, one))
+            "eta is not completely positive")
+    left, comps = [], []
+    for n_j, row in zip(sizes, eig):
+        counts, V = [], []
+        for n_k, (lam, w) in zip(sizes, row):
+            keep = lam > RANK_CUTOFF * top
+            W = (np.sqrt(lam[keep]) * w[:, keep]).T.reshape(-1, n_j, n_k)
+            counts.append(int(keep.sum()))
+            V.append(W.conj().transpose(0, 2, 1).reshape(-1, n_j))
+        left.append(counts)
+        comps.append(np.concatenate(V))
+    module = HilbertBimodule(A, [len(c) for c in comps], left)
+    return module, module.vector(comps)

@@ -348,6 +348,29 @@ def test_dimension_cap_exit_code(tmp_path):
     assert main(["--suite", "fock", "--instance", path]) == EXIT_RESOURCE
 
 
+def test_large_amalgamated_instance_hits_the_cap_fast(tmp_path, capsys):
+    """Two normalized traces on M_5: the bimodule of eta is read off a
+    10 x 10 Choi matrix, so the cap on the Fock space of A = M_5 + M_5 is
+    reached at once."""
+    trace = [[[0.2 if a == b else 0.0, 0.0] for b in range(5)]
+             for a in range(5)]
+    path = write_instance(tmp_path, {
+        "name": "m5-traces",
+        "algebras": {"m5": {"blocks": [5]}},
+        "states": {"tr1": {"algebra": "m5", "densities": [trace]},
+                   "tr2": {"algebra": "m5", "densities": [trace]}},
+        "amalgamated": {"m5-m5": {"state1": "tr1", "state2": "tr2"}},
+    })
+    t0 = time.perf_counter()
+    code = main(["--suite", "amalg", "--instance", path])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE
+    assert err == "resource cap: localized dimension 32550 exceeds the cap " \
+        "20000\n"
+    assert elapsed < 10.0
+
+
 @pytest.mark.parametrize("copies", [2000, 2000.0])
 def test_dimension_cap_is_checked_before_a_bimodule_is_built(tmp_path,
                                                             capsys, copies):

@@ -184,6 +184,35 @@ def test_choi_detects_complete_positivity():
     assert transpose.min_choi_eigenvalue() < -0.5
 
 
+@pytest.mark.parametrize("domain, codomain", [((1, 2), (2, 1)),
+                                              ((2,), (1, 1, 1))])
+def test_choi_matrix_entry_by_entry(domain, codomain):
+    """Choi[(r, P), (s, Q)] = eta(E_PQ)[r, s], r and s indices of the
+    codomain's identity and P, Q of the domain's, both in one block of the
+    domain; every other entry is zero."""
+    A, C = CStarAlgebra(domain), CStarAlgebra(codomain)
+    rng = np.random.default_rng(4)
+    eta = CPLinearMap(A, C, rng.standard_normal((C.dim, A.dim))
+                      + 1j * rng.standard_normal((C.dim, A.dim)))
+    dA, dC = sum(domain), sum(codomain)
+    want = np.zeros((dC * dA, dC * dA), complex)
+    start = 0
+    for k, n_k in enumerate(domain):
+        for p in range(n_k):
+            for q in range(n_k):
+                image = eta(A.matrix_unit(k, p, q))
+                row = 0
+                for i, n_i in enumerate(codomain):
+                    for a in range(n_i):
+                        for b in range(n_i):
+                            want[(row + a) * dA + start + p,
+                                 (row + b) * dA + start + q] = \
+                                image.blocks[i][a, b]
+                    row += n_i
+        start += n_k
+    assert np.array_equal(eta.choi_matrix(), want)
+
+
 def test_conditional_expectation_validates():
     B = CStarAlgebra((1, 1))
     A = CStarAlgebra((2,))

@@ -46,16 +46,28 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _definitions(tree):
+    """Module-level functions and classes, and the methods and properties
+    of those classes, dunders apart."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__"))
+
+
 def test_every_definition_is_referenced():
-    """Every module-level function and class of the package is named
-    somewhere in src/, tests/ or bench/ outside its own definition: as a
-    name, an attribute or an imported name."""
+    """Every module-level function and class of the package, and every
+    method and property of such a class, is named somewhere in src/, tests/
+    or bench/ outside its own definition: as a name, an attribute or an
+    imported name."""
     root = SRC.parent.parent
     defined = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        defined += [(path.name, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defined += [(path.name, name) for name in _definitions(tree)]
     referenced = set()
     for part in ("src", "tests", "bench"):
         for path in (root / part).rglob("*.py"):
@@ -67,4 +79,4 @@ def test_every_definition_is_referenced():
                 elif isinstance(node, ast.alias):
                     referenced.add(node.name)
     assert [f"{module}: {name}" for module, name in defined
-            if name not in referenced] == []
+            if name.rsplit(".", 1)[-1] not in referenced] == []
