@@ -293,8 +293,6 @@ def run_ideal(ctx, st):
         N = st.N(4)
         F = fk.FockSpace(H, max(N, 3), dim_cap=st.dim_cap)
         for n in (1, 2):
-            if n + 1 > F.N:
-                continue
             rep = fk.ideal_structure_check(F, n, rng, tol=st.tol)
             rep.merge(fk.quotient_dimension_check(F, n, rng, tol=st.tol))
             rep.parameters.update({"N": F.N, "n": n})

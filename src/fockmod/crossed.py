@@ -79,20 +79,21 @@ class FiniteGroup:
 class GroupAction:
     """Action of a finite group on a block algebra by automorphisms."""
 
-    def __init__(self, group: FiniteGroup, algebra: CStarAlgebra, autos,
-                 tol=DEFAULT_TOL):
+    def __init__(self, group: FiniteGroup, algebra: CStarAlgebra, autos):
         if len(autos) != group.order:
             raise StructureError("need one automorphism per group element")
         self.group = group
         self.algebra = algebra
         self.autos = list(autos)
         e = group.identity
-        if self.autos[e].distance_to(identity_automorphism(algebra)) > tol:
+        if self.autos[e].distance_to(
+                identity_automorphism(algebra)) > DEFAULT_TOL:
             raise StructureError("identity element must act as the identity")
         for g in group.elements():
             for h in group.elements():
                 comp = self.autos[g].compose(self.autos[h])
-                if comp.distance_to(self.autos[group.mul(g, h)]) > tol:
+                if comp.distance_to(
+                        self.autos[group.mul(g, h)]) > DEFAULT_TOL:
                     raise StructureError(
                         "action is not a homomorphism: "
                         f"alpha_{g} . alpha_{h} != alpha_{group.mul(g, h)}")
@@ -169,8 +170,8 @@ class CrossedProduct:
         return out
 
 
-def crossed_product(algebra: CStarAlgebra, action: GroupAction,
-                    rng=None, tol=DEFAULT_TOL):
+def crossed_product(algebra: CStarAlgebra, action: GroupAction, rng,
+                    tol=DEFAULT_TOL):
     """Builds the crossed product and verifies covariance and unitarity.
 
     Returns (CrossedProduct, VerificationReport)."""
@@ -179,7 +180,6 @@ def crossed_product(algebra: CStarAlgebra, action: GroupAction,
     C = CrossedProduct(action)
     report = VerificationReport(suite="crossed-product")
     G = action.group
-    rng = rng or np.random.default_rng(0)
     res_unit = res_rep = 0.0
     for g in G.elements():
         L = C.lam(g)
@@ -209,8 +209,8 @@ def crossed_product(algebra: CStarAlgebra, action: GroupAction,
     return C, report
 
 
-def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism,
-                      rng=None, tol=DEFAULT_TOL):
+def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism, rng,
+                      tol=DEFAULT_TOL):
     """Lifts a beta commuting with the action to the crossed product via
     conjugation by 1 tensor V_beta, the blocks (h, h) = V_beta.
 
@@ -224,7 +224,6 @@ def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism,
                 f"beta does not commute with the action at group element {g}")
     V = C.diagonal([rep_unitary(beta)] * G.order)
     report = VerificationReport(suite="lifted-automorphism")
-    rng = rng or np.random.default_rng(0)
     res_word = res_mult = res_adj = 0.0
 
     def hat(M):
@@ -256,7 +255,7 @@ def folner_defect(G: FiniteGroup, F):
                / len(F) for g in G.elements())
 
 
-def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng=None,
+def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng,
                    tol=1e-12, words=None) -> VerificationReport:
     """Averaging channel pi(a) lambda_g -> (1/|F|) sum over t in F meet gF of
     pi(alpha_t(m(alpha_{t^-1}(a)))) lambda_g, formed as pi of the averaged
@@ -270,7 +269,6 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng=None,
     F = G.members(F)
     report = VerificationReport(suite="folner-channel",
                                 parameters={"F": F, "size": len(F)})
-    rng = rng or np.random.default_rng(0)
     if words is None:
         words = C.spanning_words(rng)
     set_defect = folner_defect(G, F)

@@ -143,15 +143,17 @@ class AlgebraElement:
         (the first of the descending singular values)."""
         return max(np.linalg.svd(b, compute_uv=False)[0] for b in self.blocks)
 
-    def is_hermitian(self, tol=DEFAULT_TOL):
-        return (self - self.adjoint()).norm() <= tol * max(1.0, self.norm())
+    def is_hermitian(self):
+        return ((self - self.adjoint()).norm()
+                <= DEFAULT_TOL * max(1.0, self.norm()))
 
-    def is_positive(self, tol=PSD_CUTOFF):
-        if not self.is_hermitian(max(tol, DEFAULT_TOL)):
+    def is_positive(self):
+        if not self.is_hermitian():
             return False
         scale = max(1.0, self.norm())
         h = 0.5 * (self + self.adjoint())
-        return all(np.linalg.eigvalsh(b).min() >= -tol * scale for b in h.blocks)
+        return all(np.linalg.eigvalsh(b).min() >= -PSD_CUTOFF * scale
+                   for b in h.blocks)
 
     def __repr__(self):
         return f"AlgebraElement({self.algebra.block_sizes}, norm={self.norm():.4g})"
@@ -168,7 +170,7 @@ def haar_unitary_matrix(rng, n):
 class StateFunctional:
     """Positive unital functional rho(x) = sum_j tr(density_j x_j)."""
 
-    def __init__(self, algebra, density_blocks, tol=DEFAULT_TOL):
+    def __init__(self, algebra, density_blocks):
         if len(density_blocks) != len(algebra.block_sizes):
             raise StructureError("one density per block required")
         self.algebra = algebra
@@ -178,13 +180,14 @@ class StateFunctional:
             d = np.asarray(d, complex)
             if d.shape != (n, n):
                 raise StructureError(f"density shape {d.shape}, expected ({n},{n})")
-            if np.linalg.norm(d - d.conj().T) > tol * max(1.0, np.linalg.norm(d)):
+            if np.linalg.norm(d - d.conj().T) > DEFAULT_TOL * max(
+                    1.0, np.linalg.norm(d)):
                 raise PreconditionError("density block is not Hermitian")
             if np.linalg.eigvalsh(d).min() < -PSD_CUTOFF * max(1.0, np.linalg.norm(d, 2)):
                 raise PreconditionError("density block is not positive semidefinite")
             total += np.trace(d).real
             self.densities.append(d)
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > DEFAULT_TOL:
             raise PreconditionError(f"total trace {total}, expected 1")
 
     @property
@@ -422,24 +425,13 @@ def flip_automorphism(algebra):
 
 class ConditionalExpectation:
     """Conditional expectation phi: A -> B, presented by a unital embedding
-    iota of B into A together with the B-valued coordinate map.
+    iota of B into A together with the B-valued coordinate map to_base.
+    `validate` checks the laws that make the pair an expectation."""
 
-    The default coordinate map is the trace-preserving expectation: the
-    orthogonal projection onto iota(B) with respect to the unnormalized block
-    trace of A, read back in B coordinates.  It is unital, bimodular,
-    completely positive, and faithful because the trace is.
-    """
-
-    def __init__(self, embedding: UnitalHomomorphism, to_base=None):
+    def __init__(self, embedding: UnitalHomomorphism, to_base):
         self.embedding = embedding
         self.algebra = embedding.codomain
         self.base = embedding.domain
-        if to_base is None:
-            M = np.array([embedding(e).flat for e in self.base.basis()]).T
-            solve = np.linalg.solve(M.conj().T @ M, M.conj().T)
-
-            def to_base(a):
-                return self.base.from_flat(solve @ a.flat)
         self._to_base = to_base
 
     def __call__(self, a):
@@ -469,13 +461,15 @@ class ConditionalExpectation:
         lam = np.linalg.eigvalsh((K + K.conj().T) / 2)
         return lam.min() > PSD_CUTOFF * max(1.0, lam.max())
 
-    def validate(self, rng, samples=5, tol=DEFAULT_TOL) -> VerificationReport:
+    def validate(self, rng, tol=DEFAULT_TOL) -> VerificationReport:
+        """The expectation laws; bimodularity and idempotence on five
+        random samples."""
         report = VerificationReport(suite="conditional-expectation")
         report.add("unitality", "phi(1) = 1",
                    (self(self.algebra.identity())
                     - self.base.identity()).norm(), tol)
         res_bi = res_idem = 0.0
-        for _ in range(samples):
+        for _ in range(5):
             b1 = self.base.random_element(rng)
             b2 = self.base.random_element(rng)
             a = self.algebra.random_element(rng)

@@ -645,7 +645,7 @@ def isometric_vector(H: HilbertBimodule, rng) -> ModuleVector:
     return H.vector(comps)
 
 
-def toeplitz_endomorphism(F: FockSpace, a: LevelOp, L: LevelOp, rng=None,
+def toeplitz_endomorphism(F: FockSpace, a: LevelOp, L: LevelOp, rng,
                           tol=DEFAULT_TOL):
     """Psi(a) = L a L* for a degree-0 level operator a and a creation
     operator L = `F.creation(h)`; returns (operator, report).  The random
@@ -661,23 +661,22 @@ def toeplitz_endomorphism(F: FockSpace, a: LevelOp, L: LevelOp, rng=None,
     report.add("shifted-vacuum", "E(L a L*) = 0",
                F.vacuum_expectation(out).norm()
                / max(1.0, F.gauge_expectation(a).spectral_norm()), tol)
-    if rng is not None:
-        one_below = F.identity().restrict(F.N - 1)     # 1 - E_N
-        res_iso = (L.adjoint() @ L - one_below).spectral_norm()
-        report.add("truncated-isometry", "L* L = 1 - E_N", res_iso, tol)
-        res = 0.0
-        diagonal = [(k, k) for k in range(F.N + 1)]
-        for _ in range(3):
-            x = F.random_placed(rng, diagonal)
-            y = F.random_placed(rng, diagonal)
-            lhs = Lp @ x @ y @ Lps
-            rhs = (Lp @ x @ Lps) @ (Lp @ y @ Lps)
-            # difference is L x E_N y L*: vanishes below the truncation rim
-            res = max(res, masked_norm(lhs - rhs, F.N - 1)
-                      / max(1.0, x.norm() * y.norm()))
-        report.add("multiplicative-on-degree-zero",
-                   "Psi(xy) = Psi(x)Psi(y) on the overflow-free domain",
-                   res, 1e-7)
+    one_below = F.identity().restrict(F.N - 1)     # 1 - E_N
+    res_iso = (L.adjoint() @ L - one_below).spectral_norm()
+    report.add("truncated-isometry", "L* L = 1 - E_N", res_iso, tol)
+    res = 0.0
+    diagonal = [(k, k) for k in range(F.N + 1)]
+    for _ in range(3):
+        x = F.random_placed(rng, diagonal)
+        y = F.random_placed(rng, diagonal)
+        lhs = Lp @ x @ y @ Lps
+        rhs = (Lp @ x @ Lps) @ (Lp @ y @ Lps)
+        # difference is L x E_N y L*: vanishes below the truncation rim
+        res = max(res, masked_norm(lhs - rhs, F.N - 1)
+                  / max(1.0, x.norm() * y.norm()))
+    report.add("multiplicative-on-degree-zero",
+               "Psi(xy) = Psi(x)Psi(y) on the overflow-free domain",
+               res, 1e-7)
     return out, report
 
 

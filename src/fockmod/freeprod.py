@@ -26,11 +26,13 @@ def scalar_fit(b: AlgebraElement):
 
 
 def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,
-                         samples=6, tol=DEFAULT_TOL,
+                         tol=DEFAULT_TOL,
                          dim_cap=DEFAULT_DIM_CAP) -> VerificationReport:
     """The creation operator of the cyclic vector of the bimodule of a state:
-    l(xi)* b l(xi) = rho(b) 1, the vacuum expectation is scalar on words in
-    l(xi), and the scalar state is supported on 1 - l(xi) l(xi)*."""
+    l(xi)* b l(xi) = rho(b) 1 on 6 random b, the vacuum expectation is
+    scalar on 12 random words in l(xi) of at most N letters, and the scalar
+    state is supported on 1 - l(xi) l(xi)*.  A word of at most N letters
+    climbs at most N levels, so the truncation never cuts it."""
     if not rho.has_faithful_gns:
         raise PreconditionError("state annihilates a central summand")
     module, xi = gns_bimodule(B, rho)
@@ -41,33 +43,23 @@ def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,
     report = VerificationReport(suite="toeplitz-state",
                                 parameters={"N": N, "blocks": list(B.block_sizes)})
     res = 0.0
-    for _ in range(samples):
+    for _ in range(6):
         b = B.random_element(rng)
         diff = Ls @ F.left(b) @ L - one * rho(b)
         res = max(res, masked_norm(diff, N - 1) / max(1.0, b.norm()))
     report.add("compressed-state", "l(xi)* b l(xi) = rho(b) 1", res, tol)
 
-    def random_toeplitz_word(max_len):
-        m = int(rng.integers(1, max_len + 1))
+    def random_toeplitz_word():
         word = one
-        climb = level = 0
-        for _ in range(m):
-            if rng.random() < 0.5:
-                word = L @ word
-                level += 1
-                climb = max(climb, level)
-            else:
-                word = Ls @ word
-                level -= 1
-        return word, climb
+        for _ in range(int(rng.integers(1, N + 1))):
+            word = (L if rng.random() < 0.5 else Ls) @ word
+        return word
 
     res_scalar = 0.0
     support = one - L @ Ls
     res_support = 0.0
-    for _ in range(2 * samples):
-        w, climb = random_toeplitz_word(N)
-        if climb > N:
-            continue
+    for _ in range(12):
+        w = random_toeplitz_word()
         e = F.vacuum_expectation(w)
         _, fit = scalar_fit(e)
         res_scalar = max(res_scalar, fit)
@@ -92,10 +84,9 @@ def scalar_creation(N):
     return np.diag(np.ones(N), -1).astype(complex)
 
 
-def semicircular_moments(N, orders=None):
-    """Vacuum moments of s = l + l*; even moments are Catalan numbers."""
-    if orders is None:
-        orders = range(N + 1)
+def semicircular_moments(N, orders):
+    """Vacuum moments of s = l + l* of the given orders, in increasing
+    order; even moments are Catalan numbers."""
     orders = list(orders)
     if any(m > N for m in orders):
         raise PreconditionError(
@@ -305,16 +296,17 @@ class AmalgSetup:
 
 
 def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,
-                N, rng, samples=5, tol=DEFAULT_TOL, dim_cap=DEFAULT_DIM_CAP):
+                N, rng, tol=DEFAULT_TOL, dim_cap=DEFAULT_DIM_CAP):
     """Builds the amalgamated gadget stack and verifies its defining
-    identities.  Returns (AmalgSetup, VerificationReport)."""
+    identities, each on five random samples.  Returns (AmalgSetup,
+    VerificationReport)."""
     S = AmalgSetup(phi1, phi2, N, dim_cap=dim_cap)
     report = VerificationReport(suite="amalgamated-setup",
                                 parameters={"N": N})
     report.merge(phi1.validate(rng, tol=tol))
     report.merge(phi2.validate(rng, tol=tol))
     res_ep = res_d = 0.0
-    for _ in range(samples):
+    for _ in range(5):
         a = S.A.random_element(rng)
         res_ep = max(res_ep,
                      (S.eta(S.embed_D(S.phi(a))) - S.eta(a)).norm()
@@ -326,7 +318,7 @@ def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,
     report.add("eta-on-subalgebra", "eta(d) = alpha(d) for d in D",
                res_d, tol)
     res_inner = res_comp = 0.0
-    for _ in range(samples):
+    for _ in range(5):
         a = S.A.random_element(rng)
         res_inner = max(res_inner,
                         (S.H.inner(S.xi, S.xi.lmul(a)) - S.eta(a)).norm()
@@ -412,10 +404,11 @@ def _coefficient_moment(setup: AmalgSetup, rng, between):
     return setup.psi(*factors).norm() / scale
 
 
-def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
+def wunitary_vanishing(setup: AmalgSetup, budget, rng,
                        tol=DEFAULT_TOL) -> VerificationReport:
     """The family of vanishing moments that kills 1 - P in the expectation
-    representation, plus the swapped-corner expectation identities."""
+    representation, plus the swapped-corner expectation identities; six
+    random samples per pattern and per identity."""
     if budget > setup.N:
         raise PreconditionError("word budget exceeds the truncation")
     F, W, P = setup.F, setup.W, setup.P
@@ -428,7 +421,7 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
     for k in range(budget + 1):
         for el in range(budget + 1 - k):
             pat = 0.0
-            for _ in range(samples):
+            for _ in range(6):
                 qs = [int(rng.integers(1, 3)) for _ in range(k)]
                 qps = [int(rng.integers(1, 3)) for _ in range(el)]
                 if sum(qs) + sum(qps) > setup.N:
@@ -442,7 +435,7 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
                "psi(a1 W^q1 ... a_{k+1} (1-P) a'_{l+1} W^q'_l ... a'_1) = 0",
                worst, tol, table=table)
     res_centered = res_corner = 0.0
-    for _ in range(samples):
+    for _ in range(6):
         a2 = setup.A2.random_element(rng)
         centered = a2 - setup.phi2.embedding(setup.phi2(a2))
         res_centered = max(res_centered, setup.psi(
@@ -466,9 +459,10 @@ def wunitary_vanishing(setup: AmalgSetup, budget, rng, samples=6,
     return report
 
 
-def la_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
+def la_freeness_check(setup: AmalgSetup, budget, rng,
                       threshold=DEFAULT_TOL) -> VerificationReport:
-    """Moment freeness of {L, L*} and the coefficient algebra over D."""
+    """Moment freeness of {L, L*} and the coefficient algebra over D, four
+    samples per pattern."""
     L = setup.L
     Ls = L.adjoint()
     words = [L, Ls, L @ Ls, Ls @ L, L + Ls]
@@ -485,7 +479,7 @@ def la_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
 
     return freeness_check([family_toeplitz, family_coeff],
                           lambda factors: setup.psi(*factors), embed,
-                          budget, rng, samples_per_pattern=samples,
+                          budget, rng, samples_per_pattern=4,
                           threshold=threshold,
                           note="families: words in {L, L*}; coefficients",
                           suite="toeplitz-coefficient-freeness",
@@ -493,10 +487,11 @@ def la_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
                                  "{L, L*} and A vanishes")
 
 
-def corner_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
+def corner_freeness_check(setup: AmalgSetup, budget, rng,
                           threshold=DEFAULT_TOL) -> VerificationReport:
     """Moment freeness of the two corner copies: products of centered
-    (a1, 0) and W (0, a2) W factors alternate to zero expectation."""
+    (a1, 0) and W (0, a2) W factors alternate to zero expectation, four
+    samples per pattern."""
     if 2 * budget > setup.N:
         raise PreconditionError("word budget exceeds the truncation")
     W = setup.W
@@ -510,7 +505,7 @@ def corner_freeness_check(setup: AmalgSetup, budget, rng, samples=4,
         a2 = a2 - setup.phi2.embedding(setup.phi2(a2))
         return [W, setup.op(setup.pair(setup.A1.zero(), a2)), W], a2.norm()
 
-    table = _moment_table(2, budget, samples, draw,
+    table = _moment_table(2, budget, 4, draw,
                           lambda factors: setup.psi(*factors), "12")
     return _moment_report("corner-freeness",
                          "psi of alternating centered corner words vanishes",

@@ -144,8 +144,6 @@ class ModuleVector:
 
     @property
     def flat(self):
-        if not self.comps:
-            return np.zeros(0, complex)
         return np.concatenate([c.ravel() for c in self.comps])
 
     def __add__(self, other):
@@ -200,7 +198,7 @@ def vector_to_element(x: ModuleVector) -> AlgebraElement:
 
 
 def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
-                  rng=None, tol=DEFAULT_TOL) -> HilbertBimodule:
+                  rng=None) -> HilbertBimodule:
     """Validated construction; checks the bimodule laws on a seeded sample."""
     module = HilbertBimodule(base, right_mult, left_mult, left_unitaries)
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -212,10 +210,10 @@ def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
         scale = max(1.0, b.norm() * x.norm() * y.norm())
         res = (module.inner(x.lmul(b), y)
                - module.inner(x, y.lmul(b.adjoint()))).norm()
-        if res > tol * scale:
+        if res > DEFAULT_TOL * scale:
             raise StructureError(f"<b.x, y> = <x, b*.y> fails: residual {res:.2e}")
         res = (module.left(b * c, x) - module.left(b, module.left(c, x))).flat_norm()
-        if res > tol * max(1.0, b.norm() * c.norm() * x.flat_norm()):
+        if res > DEFAULT_TOL * max(1.0, b.norm() * c.norm() * x.flat_norm()):
             raise StructureError("left action is not multiplicative")
         gram = module.inner(x, x)
         if not gram.is_positive():
@@ -321,10 +319,10 @@ def projection_from_basis(module, V):
                                module.base.block_sizes)
 
 
-def submodule_projection(X, drop_tol=None) -> SubmoduleSpan:
+def submodule_projection(X) -> SubmoduleSpan:
     if not X:
         raise StructureError("submodule_projection of an empty family")
-    return SubmoduleSpan(X[0].parent, list(X), gram_schmidt(X, drop_tol))
+    return SubmoduleSpan(X[0].parent, list(X), gram_schmidt(X))
 
 
 def complex_rank(flat_vectors):
@@ -362,15 +360,24 @@ class TensorStep:
             raise StructureError("tensor factors over different base algebras")
         self.H, self.K = H, K
         sizes = base.block_sizes
-        nb = len(sizes)
-        rho = tuple(sum(K.left_mult[j][k] * H.right_mult[k]
-                        for k in range(nb)) for j in range(nb))
-        # component j of T is the sum of K.left_mult[j][k] copies of
-        # component k of H, k in order
+        # component j of T is the sum of c = K.left_mult[j][k] copies of
+        # component k of H, k in order: the pieces (k, c, row, col) with
+        # c > 0, whose rows of T_j start at row and rows of U_j^K^* at col;
+        # T_j has rho_j rows in all
+        self._pieces, rho = [], []
+        for row_j in K.left_mult:
+            pieces, row, col = [], 0, 0
+            for k, c in enumerate(row_j):
+                if c:
+                    pieces.append((k, c, row, col))
+                    row += c * H.right_mult[k]
+                    col += c * sizes[k]
+            self._pieces.append(pieces)
+            rho.append(row)
         left, unitaries = zip(*(_merged_left(
             [(H.left_mult[k], H.left_unitaries[k])
-             for k in range(nb) for _ in range(K.left_mult[j][k])], sizes)
-            for j in range(nb)))
+             for k, c, _, _ in pieces for _ in range(c)], sizes)
+            for pieces in self._pieces))
         self.module = HilbertBimodule(base, rho, left, unitaries)
         self._UKd = [u.conj().T for u in K.left_unitaries]
 
@@ -399,17 +406,12 @@ class TensorStep:
             # a view: writing Tj fills component j of out
             Tj = out[..., T.offsets[j]:T.offsets[j + 1]].reshape(
                 lead + (rho_j, n_j))
-            row = col = 0
-            for k, (r_k, n_k) in enumerate(zip(H.right_mult, sizes)):
-                c = K.left_mult[j][k]
-                if c == 0:
-                    continue
+            for k, c, row, col in self._pieces[j]:
+                r_k, n_k = H.right_mult[k], sizes[k]
                 Kt_k = Kt[..., col:col + c * n_k, :].reshape(
                     Kt.shape[:-2] + (c, n_k, n_j))
                 Tj[..., row:row + c * r_k, :] = (h_blocks[k] @ Kt_k).reshape(
                     lead + (c * r_k, n_j))
-                row += c * r_k
-                col += c * n_k
         return out
 
     def components(self, h_flat):
@@ -426,15 +428,10 @@ class TensorStep:
         out = []
         for j, rK_j in enumerate(K.right_mult):
             C = np.empty((T.right_mult[j], rK_j), complex)
-            row = col = 0
-            for k, (r_k, n_k) in enumerate(zip(H.right_mult, sizes)):
-                c = K.left_mult[j][k]
-                if c == 0:
-                    continue
+            for k, c, row, col in self._pieces[j]:
+                r_k, n_k = H.right_mult[k], sizes[k]
                 U = self._UKd[j][col:col + c * n_k].reshape(c, n_k, rK_j)
                 C[row:row + c * r_k] = (h[k] @ U).reshape(c * r_k, rK_j)
-                row += c * r_k
-                col += c * n_k
             out.append(C)
         return out
 
@@ -457,11 +454,8 @@ class TensorStep:
         parts = [(np.zeros(0, int),) * 3 + (np.zeros(0, complex),)]
         for j, n_j in enumerate(sizes):
             q = np.arange(n_j)
-            row = col = 0
-            for k, (r_k, n_k) in enumerate(zip(H.right_mult, sizes)):
-                c = K.left_mult[j][k]
-                if c == 0:
-                    continue
+            for k, c, row, col in self._pieces[j]:
+                r_k, n_k = H.right_mult[k], sizes[k]
                 x, y = np.nonzero(self._UKd[j][col:col + c * n_k])
                 v = self._UKd[j][col + x, y]
                 t, p = np.divmod(x, n_k)
@@ -472,8 +466,6 @@ class TensorStep:
                 l = K.offsets[j] + y[:, None] * n_j + q
                 parts.append([np.broadcast_to(z, m.shape).ravel()
                               for z in (m, i, l, v[:, None])])
-                row += c * r_k
-                col += c * n_k
         return tuple(np.concatenate(z) for z in zip(*parts))
 
 

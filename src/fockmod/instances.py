@@ -15,9 +15,10 @@ from .bogoliubov import BogoliubovMap
 
 # -- seeded random generators ------------------------------------------------
 
-def random_algebra(rng, max_blocks=2, max_size=3) -> CStarAlgebra:
-    k = int(rng.integers(1, max_blocks + 1))
-    sizes = tuple(int(rng.integers(1, max_size + 1)) for _ in range(k))
+def random_algebra(rng) -> CStarAlgebra:
+    """One or two blocks, each of size 1 to 3."""
+    k = int(rng.integers(1, 3))
+    sizes = tuple(int(rng.integers(1, 4)) for _ in range(k))
     return CStarAlgebra(sizes)
 
 
@@ -59,7 +60,7 @@ def creation_instances(seed, count=20):
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
-        base = random_algebra(rng, max_blocks=2, max_size=3)
+        base = random_algebra(rng)
         try:
             H = random_bimodule(rng, base, max_copies=2, dim_cap=12)
         except PreconditionError:
@@ -69,17 +70,18 @@ def creation_instances(seed, count=20):
     return out
 
 
-def vector_families(seed, count=50, max_vectors=4):
-    """(module, vectors) pairs for orthogonalization and projection laws."""
+def vector_families(seed, count=50):
+    """(module, vectors) pairs, one to four vectors each, for
+    orthogonalization and projection laws."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
-        base = random_algebra(rng, max_blocks=2, max_size=3)
+        base = random_algebra(rng)
         try:
             H = random_bimodule(rng, base, max_copies=2, dim_cap=24)
         except PreconditionError:
             continue
-        m = int(rng.integers(1, max_vectors + 1))
+        m = int(rng.integers(1, 5))
         out.append((H, [H.random_vector(rng) for _ in range(m)]))
     return out
 
@@ -144,12 +146,13 @@ def flip_twisted_module():
     return H, U
 
 
-def multiplicity_shift_instance(copies=3, block=2):
-    """A matrix-block base with a bimodule of several copies of it, a growth
-    subspace spanning one copy, and the map cyclically shifting the copies.
+def multiplicity_shift_instance():
+    """The base M_2 with a bimodule of three copies of it, a growth subspace
+    spanning one copy, and the map cyclically shifting the copies.
 
     Returns (H, K span, U); the tower dimensions grow linearly in p until
-    saturation at p = copies."""
+    saturation at p = 3, the number of copies."""
+    copies, block = 3, 2
     B = CStarAlgebra((block,))
     H = make_bimodule(B, (copies * block,), [(copies,)])
     shift = np.kron(np.roll(np.eye(copies), 1, axis=0),

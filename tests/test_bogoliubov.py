@@ -88,7 +88,7 @@ def test_augmented_extension_fixes_unit_vector():
 
 
 def test_kp_dimensions_grow_until_saturation():
-    H, K, U = multiplicity_shift_instance(copies=3, block=2)
+    H, K, U = multiplicity_shift_instance()
     dims = []
     for p in range(1, 6):
         spans, rep = kp_subspace(U, K, p)

@@ -103,6 +103,7 @@ def test_empty_report_does_not_pass():
 
 
 MAT2 = {"m2": {"blocks": [2]}}
+TWICE_I2 = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
 
 # (instance, text in the error output); each must exit 2 without a traceback
 MALFORMED = [
@@ -135,6 +136,24 @@ MALFORMED = [
      ["malformed JSON", "Infinity"]),
     ('{"name": "overflowing-tol", "parameters": {"tol": 1e400}}',
      ["malformed JSON", "1e400"]),
+    ({"name": "non-unitary-bimodule", "algebras": MAT2,
+      "bimodules": {"h": {"base": "m2", "right_multiplicities": [2],
+                          "left_multiplicities": [[1]],
+                          "unitaries": [TWICE_I2]}}},
+     ["instance error: bimodules/h: basis change is not unitary"]),
+    ({"name": "non-unitary-action", "algebras": MAT2,
+      "groups": {"g": {"table": [[0]]}},
+      "actions": {"act": {"group": "g", "algebra": "m2",
+                          "automorphisms": [{"unitaries": [TWICE_I2]}]}}},
+     ["instance error: actions/act: basis change is not unitary"]),
+    ({"name": "non-unitary-beta", "algebras": MAT2,
+      "bimodules": {"h": {"base": "m2", "right_multiplicities": [2],
+                          "left_multiplicities": [[1]]}},
+      "bogoliubov": {"u": {"bimodule": "h",
+                           "matrix": [[[float(r == c), 0.0] for c in range(4)]
+                                      for r in range(4)],
+                           "beta": {"unitaries": [TWICE_I2]}}}},
+     ["instance error: bogoliubov/u: basis change is not unitary"]),
 ]
 
 

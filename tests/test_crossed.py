@@ -242,7 +242,7 @@ def test_folner_average_reports_bound_when_every_deviation_is_zero():
     C = CrossedProduct(action)
     ident = CPLinearMap.from_callable(A, A, lambda a: a)
     words = [(A.random_element(RNG), G.identity) for _ in range(2)]
-    rep = folner_average(C, [G.identity], ident, words=words)
+    rep = folner_average(C, [G.identity], ident, RNG, words=words)
     assert [c.name for c in rep.checks] == ["deviation-bound"]
     assert rep.passed and rep.checks[0].details["worst_ratio"] == 0.0
 
@@ -252,7 +252,7 @@ def test_folner_average_rejects_empty_set():
     C = CrossedProduct(action)
     ident = CPLinearMap.from_callable(A, A, lambda a: a)
     with pytest.raises(PreconditionError):
-        folner_average(C, [], ident)
+        folner_average(C, [], ident, RNG)
     with pytest.raises(PreconditionError, match="nonempty"):
         folner_defect(G, [])
 
@@ -263,7 +263,7 @@ def test_labels_outside_the_group_are_refused(labels):
     C = CrossedProduct(action)
     ident = CPLinearMap.from_callable(A, A, lambda a: a)
     with pytest.raises(PreconditionError, match="elements of a group"):
-        folner_average(C, labels, ident)
+        folner_average(C, labels, ident, RNG)
     with pytest.raises(PreconditionError, match="elements of a group"):
         folner_defect(G, labels)
 

@@ -3,7 +3,7 @@ import pytest
 
 from fockmod import cstar
 from fockmod.cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
-                           ConditionalExpectation, PreconditionError,
+                           PreconditionError,
                            StateFunctional, StructureError,
                            UnitalHomomorphism, flip_automorphism,
                            haar_unitary_matrix, identity_automorphism,
@@ -211,14 +211,6 @@ def test_choi_matrix_entry_by_entry(domain, codomain):
                     row += n_i
         start += n_k
     assert np.array_equal(eta.choi_matrix(), want)
-
-
-def test_conditional_expectation_validates():
-    B = CStarAlgebra((1, 1))
-    A = CStarAlgebra((2,))
-    emb = UnitalHomomorphism(B, A, [(1, 1)])
-    ce = ConditionalExpectation(emb)
-    assert ce.validate(RNG).passed
 
 
 def test_haar_unitary_matrix_is_unitary():

@@ -80,3 +80,79 @@ def test_every_definition_is_referenced():
                     referenced.add(node.name)
     assert [f"{module}: {name}" for module, name in defined
             if name.rsplit(".", 1)[-1] not in referenced] == []
+
+
+def _defaulted_parameters(tree):
+    """(callable name, owning class or None, parameter, positional index or
+    None) for every defaulted parameter of a module-level function or of a
+    method of a module-level class; the index leaves self and cls out."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _defaulted(node, None, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield from _defaulted(item, node.name, 0 if static else 1)
+
+
+def _defaulted(fn, owner, bound):
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield fn.name, owner, arg.arg, index - bound
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield fn.name, owner, arg.arg, None
+
+
+def _calls():
+    """(called name, enclosing class or None, call) for every call in src/,
+    tests/ and bench/; the name is the bare name or the attribute."""
+    root = SRC.parent.parent
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                yield name, owner, child
+            yield from visit(child, child.name
+                             if isinstance(child, ast.ClassDef) else owner)
+
+    for part in ("src", "tests", "bench"):
+        for path in (root / part).rglob("*.py"):
+            yield from visit(ast.parse(path.read_text()), None)
+
+
+def _sets(call, param, index):
+    """Whether a call passes the parameter: by keyword, by position, or
+    through * or **."""
+    return (any(k.arg in (param, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (index is not None and len(call.args) > index))
+
+
+def test_every_default_is_overridden_somewhere():
+    """Every defaulted parameter of a function or method in src/ is passed by
+    some call in src/, tests/ or bench/, matched by name; a call of the class,
+    or of cls inside it, is a call of its __init__.  A default that no call
+    overrides is a configuration no test or benchmark covers."""
+    calls = {}
+    for name, owner, call in _calls():
+        key = (owner, "__init__") if name == "cls" else name
+        calls.setdefault(key, []).append(call)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, owner, param, index in _defaulted_parameters(tree):
+            found = (calls.get(owner, []) + calls.get((owner, "__init__"), [])
+                     if fn == "__init__" else calls.get(fn, []))
+            if not any(_sets(c, param, index) for c in found):
+                unset.append(f"{path.name}: "
+                             f"{owner + '.' if owner else ''}{fn}({param})")
+    assert unset == []
