@@ -37,7 +37,9 @@ class BogoliubovMap:
     def __call__(self, x: ModuleVector) -> ModuleVector:
         if x.parent is not self.module:
             raise StructureError("vector outside the map's bimodule")
-        return self.module.from_flat(self.matrix @ x.flat)
+        # a matrix-vector product per sample, the same arithmetic as for one
+        # vector (a single product with all samples would round apart)
+        return self.module.from_flat((self.matrix @ x.flat[..., None])[..., 0])
 
     def power(self, k):
         return np.linalg.matrix_power(self.matrix, k)
@@ -51,28 +53,26 @@ def identity_bogoliubov(module: HilbertBimodule) -> BogoliubovMap:
 def validate_bogoliubov(bog: BogoliubovMap, rng,
                         tol=DEFAULT_TOL) -> VerificationReport:
     """Both defining equations, on a vector basis and on random algebra
-    coefficients.  A violation is an error in the map, not a warning."""
+    coefficients, each over the stacked basis vectors at once: the inner
+    products of all pairs i <= j in one Gram product per block.  A
+    violation is an error in the map, not a warning."""
     H, beta = bog.module, bog.beta
     report = VerificationReport(suite="twisted-linear-map")
-    basis = H.basis()
-    images = [bog(e) for e in basis]
-    res_inner = 0.0
-    for i, ei in enumerate(basis):
-        for j in range(i, len(basis)):
-            lhs = H.inner(images[i], images[j])
-            rhs = beta(H.inner(ei, basis[j]))
-            res_inner = max(res_inner, (lhs - rhs).norm())
+    basis = H.from_flat(np.eye(H.dim))
+    images = bog(basis)
+    i, j = np.triu_indices(H.dim)
+    lhs = H.inner(images[i], images[j])
+    rhs = beta(H.inner(basis[i], basis[j]))
     report.add("inner-twist", "<U h1, U h2> = beta(<h1, h2>)",
-               res_inner, tol)
+               float(np.max((lhs - rhs).norm())), tol)
     res_act = 0.0
     for _ in range(4):
         b1 = H.base.random_element(rng)
         b2 = H.base.random_element(rng)
         scale = max(1.0, b1.norm()) * max(1.0, b2.norm())
-        for e, ue in zip(basis, images):
-            lhs = bog(e.lmul(b1).rmul(b2))
-            rhs = ue.lmul(beta(b1)).rmul(beta(b2))
-            res_act = max(res_act, (lhs - rhs).norm() / scale)
+        lhs = bog(basis.lmul(b1).rmul(b2))
+        rhs = images.lmul(beta(b1)).rmul(beta(b2))
+        res_act = max(res_act, float(np.max((lhs - rhs).norm())) / scale)
     report.add("bimodule-twist", "U(b1 h b2) = beta(b1) U(h) beta(b2)",
                res_act, tol)
     return report

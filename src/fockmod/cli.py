@@ -321,7 +321,7 @@ def run_factorization(ctx, st):
                 powers[n] = fk.FockSpace(tower.levels[n + 1], k_top,
                                          dim_cap=st.dim_cap)
             reports.append(fk._factorization(tower, powers[n], n, k, j, rng,
-                                             samples=None, tol=st.tol))
+                                             tol=st.tol))
     return reports
 
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, PreconditionError, StructureError,
-                    identity_automorphism, uniform_trace_state, DEFAULT_TOL)
+                    automorphism_distances, identity_automorphism,
+                    uniform_trace_state, DEFAULT_TOL)
 from .fock import LevelOp
 from .report import VerificationReport
 
@@ -85,23 +86,31 @@ class GroupAction:
         self.group = group
         self.algebra = algebra
         self.autos = list(autos)
+        if any(a.algebra != algebra for a in self.autos):
+            raise StructureError("automorphisms of different algebras")
         e = group.identity
         if self.autos[e].distance_to(
                 identity_automorphism(algebra)) > DEFAULT_TOL:
             raise StructureError("identity element must act as the identity")
-        for g in group.elements():
-            for h in group.elements():
-                comp = self.autos[g].compose(self.autos[h])
-                if comp.distance_to(
-                        self.autos[group.mul(g, h)]) > DEFAULT_TOL:
-                    raise StructureError(
-                        "action is not a homomorphism: "
-                        f"alpha_{g} . alpha_{h} != alpha_{group.mul(g, h)}")
-        blocks = range(len(algebra.block_sizes))
-        self._sources = [[b.source[j] for b in self.autos] for j in blocks]
-        self._unitaries = [np.stack([b.unitaries[j] for b in self.autos])
-                           for j in blocks]
+        # _sources[j, g] and _unitaries[j][g]: block j of alpha_g
+        self._sources = np.array([a.source for a in self.autos]).T
+        self._unitaries = [np.stack([a.unitaries[j] for a in self.autos])
+                           for j in range(len(algebra.block_sizes))]
         self._adjoints = [u.conj().transpose(0, 2, 1) for u in self._unitaries]
+        # alpha_g . alpha_h against alpha_{gh} for every pair (g, h) at once:
+        # block j of the composite comes from block src_h(src_g(j)) through
+        # u^g_j u^h_{src_g(j)}, as in `AlgebraAutomorphism.compose`
+        S, gh = self._sources, group.table
+        comp = [u[:, None] @ np.stack([self._unitaries[s] for s in src])
+                for u, src in zip(self._unitaries, S)]
+        dist = automorphism_distances(S[S], comp, S[:, gh],
+                                      [u[gh] for u in self._unitaries])
+        bad = np.argwhere(dist > DEFAULT_TOL)
+        if bad.size:
+            g, h = bad[0]
+            raise StructureError(
+                "action is not a homomorphism: "
+                f"alpha_{g} . alpha_{h} != alpha_{group.mul(g, h)}")
 
     def apply(self, g, a: AlgebraElement) -> AlgebraElement:
         self.group.members([g])
@@ -109,12 +118,39 @@ class GroupAction:
 
     def orbit(self, a: AlgebraElement):
         """alpha_g(a) for every g, one batched product per stacked block:
-        entry j holds over g the u a_s u* of `AlgebraAutomorphism.__call__`."""
+        entry j holds over g the u a_s u* of `AlgebraAutomorphism.__call__`,
+        behind the sample axes of a stacked a."""
         if a.algebra != self.algebra:
             raise StructureError("element belongs to a different algebra")
-        return [u @ np.stack([a.blocks[s] for s in src]) @ uh
+        return [u @ np.stack([a.blocks[s] for s in src], axis=-3) @ uh
                 for u, uh, src in zip(self._unitaries, self._adjoints,
                                       self._sources)]
+
+    def apply_each(self, labels, a: AlgebraElement) -> AlgebraElement:
+        """alpha_g(a) sample by sample, g = labels[s] for sample s of a
+        stacked a, with one batched product per block."""
+        if a.algebra != self.algebra:
+            raise StructureError("element belongs to a different algebra")
+        labels = np.asarray(labels, dtype=int)
+        if labels.size:
+            self.group.members(labels)
+        rows = np.arange(len(labels)), labels
+        return self.algebra.element([
+            u[labels] @ np.stack([a.blocks[s] for s in src], axis=-3)[rows]
+            @ uh[labels]
+            for u, uh, src in zip(self._unitaries, self._adjoints,
+                                  self._sources)])
+
+    def commutation_defects(self, beta: AlgebraAutomorphism):
+        """distance(beta . alpha_g, alpha_g . beta) for every g at once."""
+        if beta.algebra != self.algebra:
+            raise StructureError("automorphisms of different algebras")
+        S, bs = self._sources, np.array(beta.source)
+        return automorphism_distances(
+            S[bs], [u @ self._unitaries[s]
+                    for u, s in zip(beta.unitaries, bs)],
+            bs[S], [u @ np.stack([beta.unitaries[s] for s in src])
+                    for u, src in zip(self._unitaries, S)])
 
 
 def rep_unitary(beta: AlgebraAutomorphism):
@@ -149,10 +185,13 @@ class CrossedProduct:
         return self._zero._new({(h, h): [X] for h, X in enumerate(blocks)})
 
     def pi(self, a: AlgebraElement):
-        """sigma(alpha_{h^-1}(a)) at h, from one batched orbit of a."""
-        sigma = np.zeros((self.group.order, self.dimV, self.dimV), complex)
+        """sigma(alpha_{h^-1}(a)) at h, from one batched orbit of a; for a
+        stacked a, blocks with its sample axes."""
+        lead = a.blocks[0].shape[:-2]
+        sigma = np.zeros((self.group.order,) + lead + (self.dimV,) * 2,
+                         complex)
         for s, X in zip(self._slices, self.action.orbit(a)):
-            sigma[:, s, s] = X[self.group.inverse]
+            sigma[..., s, s] = X.swapaxes(0, -3)[self.group.inverse]
         return self.diagonal(sigma)
 
     def lam(self, g):
@@ -170,9 +209,26 @@ class CrossedProduct:
         return out
 
 
+def _stack(algebra, elements):
+    """The elements as one element stacked over them, in order."""
+    return algebra.element([np.stack(bs)
+                            for bs in zip(*(x.blocks for x in elements))])
+
+
+def _by_element(labels):
+    """(g, the positions of g in labels) for each g, in order of first
+    appearance."""
+    labels = list(labels)
+    return [(g, np.flatnonzero(np.equal(labels, g)))
+            for g in dict.fromkeys(labels)]
+
+
 def crossed_product(algebra: CStarAlgebra, action: GroupAction, rng,
                     tol=DEFAULT_TOL):
     """Builds the crossed product and verifies covariance and unitarity.
+    The samples are drawn first, a then b, three per group element; each
+    identity is then evaluated over all of them at once, the covariance of
+    each g over its own.
 
     Returns (CrossedProduct, VerificationReport)."""
     if algebra is not action.algebra:
@@ -191,18 +247,22 @@ def crossed_product(algebra: CStarAlgebra, action: GroupAction, rng,
     report.add("lambda-unitary", "lambda_g lambda_g* = 1", res_unit, tol)
     report.add("lambda-representation", "lambda_g lambda_h = lambda_{gh}",
                res_rep, tol)
-    res_cov = res_hom = 0.0
+    gs, draws = [], []
     for g in G.elements():
-        L = C.lam(g)
         for _ in range(3):
-            a = algebra.random_element(rng)
-            pa, na = C.pi(a), a.norm()
-            res_cov = max(res_cov, (
-                L @ pa @ L.adjoint() - C.pi(action.apply(g, a)))
-                .spectral_norm() / max(1.0, na))
-            b = algebra.random_element(rng)
-            res_hom = max(res_hom, (pa @ C.pi(b) - C.pi(a * b))
-                          .spectral_norm() / max(1.0, na * b.norm()))
+            gs.append(g)
+            draws += [algebra.random_element(rng), algebra.random_element(rng)]
+    a, b = _stack(algebra, draws[::2]), _stack(algebra, draws[1::2])
+    pa, na = C.pi(a), a.norm()
+    pga = C.pi(action.apply_each(gs, a))
+    res_cov = 0.0
+    for g, i in _by_element(gs):
+        L = C.lam(g)
+        res_cov = max(res_cov, float(np.max(
+            (L @ pa[i] @ L.adjoint() - pga[i]).spectral_norm()
+            / np.maximum(1.0, na[i]))))
+    res_hom = float(np.max((pa @ C.pi(b) - C.pi(a * b)).spectral_norm()
+                           / np.maximum(1.0, na * b.norm())))
     report.add("covariance", "lambda_g pi(a) lambda_g* = pi(alpha_g(a))",
                res_cov, tol)
     report.add("pi-homomorphism", "pi(a) pi(b) = pi(ab)", res_hom, tol)
@@ -212,16 +272,16 @@ def crossed_product(algebra: CStarAlgebra, action: GroupAction, rng,
 def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism, rng,
                       tol=DEFAULT_TOL):
     """Lifts a beta commuting with the action to the crossed product via
-    conjugation by 1 tensor V_beta, the blocks (h, h) = V_beta.
+    conjugation by 1 tensor V_beta, the blocks (h, h) = V_beta.  The words
+    pi(a) lambda_g of each g are evaluated at once, and a product xy is
+    taken over the two words of one g.
 
     Returns (the level operator V implementing the lift, report)."""
     G = C.group
-    for g in G.elements():
-        d = beta.compose(C.action.autos[g]).distance_to(
-            C.action.autos[g].compose(beta))
-        if d > tol:
-            raise PreconditionError(
-                f"beta does not commute with the action at group element {g}")
+    bad = np.flatnonzero(C.action.commutation_defects(beta) > tol)
+    if bad.size:
+        raise PreconditionError(
+            f"beta does not commute with the action at group element {bad[0]}")
     V = C.diagonal([rep_unitary(beta)] * G.order)
     report = VerificationReport(suite="lifted-automorphism")
     res_word = res_mult = res_adj = 0.0
@@ -230,16 +290,24 @@ def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism, rng,
         return V @ M @ V.adjoint()
 
     words = C.spanning_words(rng)
-    xs = [C.pi(a) @ C.lam(g) for a, g in words]
-    norms = [a.norm() for a, _ in words]
-    for (a, g), x, na in zip(words, xs, norms):
-        rhs = C.pi(beta(a)) @ C.lam(g)
-        res_word = max(res_word, (hat(x) - rhs).spectral_norm() / max(1.0, na))
-    for x, y, na, nb in zip(xs[::2], xs[1::2], norms[::2], norms[1::2]):
-        res_mult = max(res_mult, (hat(x @ y) - hat(x) @ hat(y)).spectral_norm()
-                       / max(1.0, na * nb))
-        res_adj = max(res_adj, (hat(x.adjoint()) - hat(x).adjoint())
-                      .spectral_norm() / max(1.0, na))
+    a = _stack(C.algebra, [w for w, _ in words])
+    pa, pb, norms = C.pi(a), C.pi(beta(a)), a.norm()
+    even, odd = slice(0, None, 2), slice(1, None, 2)
+    for g, i in _by_element([g for _, g in words]):
+        L = C.lam(g)
+        xs = pa[i] @ L
+        hxs = hat(xs)
+        res_word = max(res_word, float(np.max(
+            (hxs - pb[i] @ L).spectral_norm() / np.maximum(1.0, norms[i]))))
+        # the words in pairs (x, y): even and odd positions among g's words
+        x, y, hx, hy = xs[even], xs[odd], hxs[even], hxs[odd]
+        na, nb = norms[i[even]], norms[i[odd]]
+        res_mult = max(res_mult, float(np.max(
+            (hat(x @ y) - hx @ hy).spectral_norm()
+            / np.maximum(1.0, na * nb))))
+        res_adj = max(res_adj, float(np.max(
+            (hat(x.adjoint()) - hx.adjoint()).spectral_norm()
+            / np.maximum(1.0, na))))
     report.add("lift-on-words", "betahat(pi(a) lambda_g) = pi(beta(a)) lambda_g",
                res_word, tol)
     report.add("lift-multiplicative", "betahat(xy) = betahat(x) betahat(y)",
@@ -259,7 +327,9 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng,
                    tol=1e-12, words=None) -> VerificationReport:
     """Averaging channel pi(a) lambda_g -> (1/|F|) sum over t in F meet gF of
     pi(alpha_t(m(alpha_{t^-1}(a)))) lambda_g, formed as pi of the averaged
-    algebra element, since pi is linear.
+    algebra element, since pi is linear.  The terms of all words are
+    evaluated at once, stacked word by word in increasing t, and the
+    channel of the words of each g at once.
 
     With m the identity and F the whole group the channel is the identity on
     spanning words; in general the deviation is bounded by eta (norm(a) + 1)
@@ -272,40 +342,39 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng,
     if words is None:
         words = C.spanning_words(rng)
     set_defect = folner_defect(G, F)
-    res_exact = 0.0
-    any_exact = any_bounded = False
-    bound_ok = True
-    worst_ratio = 0.0
-    for a, g in words:
-        gF = {G.mul(g, t) for t in F}
-        total = C.algebra.zero()
-        m_defect = 0.0
-        for t in sorted(gF.intersection(F)):
-            at = C.action.apply(G.inv(t), a)
-            mat = m(at)
-            m_defect = max(m_defect, (mat - at).norm())
-            total = total + C.action.apply(t, mat)
+    a = _stack(C.algebra, [w for w, _ in words])
+    # the terms (word, t), t in F meet gF
+    w, t = np.array([(k, t) for k, (_, g) in enumerate(words)
+                     for t in sorted({G.mul(g, f) for f in F}.intersection(F))],
+                    dtype=int).reshape(-1, 2).T
+    at = C.action.apply_each(G.inverse[t], a[w])
+    mat = m(at)
+    m_defect = np.zeros(len(words))
+    np.maximum.at(m_defect, w, (mat - at).norm())
+    # each word's terms alpha_t(mat) summed in order, from zero
+    total = C.algebra.element([np.zeros_like(X) for X in a.blocks])
+    for X, Y in zip(total.blocks, C.action.apply_each(t, mat).blocks):
+        np.add.at(X, w, Y)
+    dev = np.zeros(len(words))
+    channel, pa = C.pi(total * (1.0 / len(F))), C.pi(a)
+    for g, i in _by_element([g for _, g in words]):
         L = C.lam(g)
-        out = C.pi(total * (1.0 / len(F))) @ L
-        dev = (out - C.pi(a) @ L).spectral_norm()
-        eta = max(set_defect, m_defect)
-        if eta == 0.0:
-            any_exact = True
-            res_exact = max(res_exact, dev / max(1.0, a.norm()))
-        else:
-            any_bounded = True
-            bound = eta * (a.norm() + 1.0)
-            worst_ratio = max(worst_ratio, dev / bound)
-            bound_ok = bound_ok and dev <= bound * (1 + 1e-9)
-    if any_exact:
+        dev[i] = (channel[i] @ L - pa[i] @ L).spectral_norm()
+    na = a.norm()
+    eta = np.maximum(set_defect, m_defect)
+    exact = eta == 0.0
+    if exact.any():
         report.add("exact-recovery",
                    "m = id and F = G recover pi(a) lambda_g exactly",
-                   res_exact, tol)
-    if any_bounded:
+                   float(np.max(dev[exact] / np.maximum(1.0, na[exact]))),
+                   tol)
+    if not exact.all():
+        bound = eta[~exact] * (na[~exact] + 1.0)
         report.add_bool("deviation-bound",
                         "norm(channel(pi(a) lambda_g) - pi(a) lambda_g) "
                         "<= eta (norm(a) + 1)",
-                        bound_ok, worst_ratio=worst_ratio)
+                        bool(np.all(dev[~exact] <= bound * (1 + 1e-9))),
+                        worst_ratio=float(np.max(dev[~exact] / bound)))
     return report
 
 

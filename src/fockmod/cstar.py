@@ -8,6 +8,8 @@ trace this identification is isometric, which the module layer relies on.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .report import VerificationReport
@@ -75,13 +77,17 @@ class CStarAlgebra:
         return [self.matrix_unit(j, p, q) for (j, p, q) in self.unit_index_iter()]
 
     def from_flat(self, vec):
-        vec = np.asarray(vec, complex).ravel()
-        if vec.size != self.dim:
-            raise StructureError(f"flat vector of length {vec.size}, expected {self.dim}")
-        blocks = []
-        for j, n in enumerate(self.block_sizes):
-            blocks.append(vec[self._offsets[j]:self._offsets[j + 1]].reshape(n, n))
-        return AlgebraElement(self, blocks)
+        """The element of a flat vector, or the stacked element of the flat
+        vectors on the last axis of an array."""
+        vec = np.asarray(vec, complex)
+        if vec.shape[-1:] != (self.dim,):
+            raise StructureError(
+                f"flat vector of length {vec.shape[-1] if vec.ndim else 1}, "
+                f"expected {self.dim}")
+        return AlgebraElement(self, [
+            vec[..., self._offsets[j]:self._offsets[j + 1]]
+            .reshape(vec.shape[:-1] + (n, n))
+            for j, n in enumerate(self.block_sizes)])
 
     def random_element(self, rng):
         return AlgebraElement(self, [
@@ -90,20 +96,33 @@ class CStarAlgebra:
 
 
 class AlgebraElement:
+    """An element, or a stack of samples: blocks that share leading sample
+    axes.  Arithmetic broadcasts over the samples, and `norm` gives one value
+    per sample."""
+
     def __init__(self, algebra, blocks):
         if len(blocks) != len(algebra.block_sizes):
             raise StructureError("block count does not match the algebra")
         self.algebra = algebra
         self.blocks = []
+        lead = None
         for n, b in zip(algebra.block_sizes, blocks):
             b = np.asarray(b, complex)
-            if b.shape != (n, n):
+            if lead is None:
+                lead = b.shape[:-2]
+            if b.shape != lead + (n, n):
                 raise StructureError(f"block shape {b.shape}, expected ({n},{n})")
             self.blocks.append(b)
 
+    def __getitem__(self, samples):
+        """The samples of a stacked element."""
+        return AlgebraElement(self.algebra, [b[samples] for b in self.blocks])
+
     @property
     def flat(self):
-        return np.concatenate([b.ravel() for b in self.blocks])
+        return np.concatenate([b.reshape(b.shape[:-2] + (n * n,)) for n, b
+                               in zip(self.algebra.block_sizes, self.blocks)],
+                              axis=-1)
 
     def _same(self, other):
         if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
@@ -133,15 +152,16 @@ class AlgebraElement:
         return NotImplemented
 
     def adjoint(self):
-        return AlgebraElement(self.algebra, [a.conj().T for a in self.blocks])
+        return AlgebraElement(self.algebra,
+                              [a.conj().swapaxes(-1, -2) for a in self.blocks])
 
     def trace(self):
         return sum(np.trace(b) for b in self.blocks)
 
     def norm(self):
-        """Operator norm: max over blocks of the largest singular value
-        (the first of the descending singular values)."""
-        return max(np.linalg.svd(b, compute_uv=False)[0] for b in self.blocks)
+        """Operator norm: max over blocks of the largest singular value, one
+        value per sample."""
+        return top_singular_value(self.blocks, self.blocks[0].ndim - 2)
 
     def is_hermitian(self):
         return ((self - self.adjoint()).norm()
@@ -156,7 +176,33 @@ class AlgebraElement:
                    for b in h.blocks)
 
     def __repr__(self):
-        return f"AlgebraElement({self.algebra.block_sizes}, norm={self.norm():.4g})"
+        lead = self.blocks[0].shape[:-2]
+        norm = f"samples={lead}" if lead else f"norm={self.norm():.4g}"
+        return f"AlgebraElement({self.algebra.block_sizes}, {norm})"
+
+
+def top_singular_value(mats, samples):
+    """The largest singular value over a stack of blocks.  Each array in mats
+    holds matrices on its last two axes; its first `samples` axes are sample
+    axes, shared by all the arrays and kept in the result, and every other
+    axis, like the list, is maximized over.  One batched SVD per matrix
+    shape; an empty matrix has no singular value, and no matrix gives 0.0."""
+    stacks = {}
+    for x in mats:
+        if x.shape[-1] and x.shape[-2]:
+            stacks.setdefault(x.shape[-2:], []).append(x)
+    top = 0.0
+    for xs in stacks.values():
+        x = xs[0] if len(xs) == 1 else np.concatenate(
+            [y.reshape(y.shape[:samples] + (prod(y.shape[samples:-2]),)
+                       + y.shape[-2:]) for y in xs], samples)
+        # each matrix's singular values descend: the first is the largest
+        s = np.linalg.svd(x, compute_uv=False)[..., 0]
+        if s.ndim > samples:
+            s = s.reshape(s.shape[:samples] + (prod(s.shape[samples:]),)) \
+                .max(-1)
+        top = np.maximum(top, s)
+    return top
 
 
 def haar_unitary_matrix(rng, n):
@@ -229,7 +275,9 @@ class CPLinearMap:
     def __call__(self, x):
         if x.algebra != self.domain:
             raise StructureError("element outside the map's domain")
-        return self.codomain.from_flat(self.matrix @ x.flat)
+        # a matrix-vector product per sample, the same arithmetic as for one
+        # vector (a single product with all samples would round apart)
+        return self.codomain.from_flat((self.matrix @ x.flat[..., None])[..., 0])
 
     def choi_matrix(self):
         """Choi matrix of the map extended to the full matrix algebra
@@ -243,17 +291,15 @@ class CPLinearMap:
         for (j, p, q) in self.domain.unit_index_iter():
             out = self(self.domain.matrix_unit(j, p, q))
             choi[:, row_off[j] + p, :, row_off[j] + q] = block_diag_matrix(
-                out.blocks, dC)
+                out.blocks)
         return choi.reshape(dC * dA, dC * dA)
 
     def min_choi_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.choi_matrix()).min())
 
 
-def block_diag_matrix(blocks, total=None):
-    sizes = [b.shape[0] for b in blocks]
-    if total is None:
-        total = sum(sizes)
+def block_diag_matrix(blocks):
+    total = sum(b.shape[0] for b in blocks)
     out = np.zeros((total, total), complex)
     off = 0
     for b in blocks:
@@ -383,30 +429,42 @@ class AlgebraAutomorphism:
     def as_linear_map(self):
         return CPLinearMap.from_callable(self.algebra, self.algebra, self)
 
-    def _unit_images(self, j, i):
-        """Block i of the images of the matrix units e^j_pq, as an
-        (n_j^2, n_j, n_j) stack: the outer products u_i[:, p] u_i[:, q]*
-        if block i is taken from block j, else zero."""
-        if self.source[i] != j:
-            return 0.0
-        u = self.unitaries[i]
-        n = u.shape[0]
-        return (u.T[:, None, :, None] * u.conj().T[None, :, None, :]) \
-            .reshape(n * n, n, n)
-
     def distance_to(self, other: "AlgebraAutomorphism"):
-        """Max norm difference on the matrix-unit basis.  The image of e^j_pq
-        is nonzero only in the blocks i taken from block j, so for each such
-        pair (j, i) of either automorphism the differences of the stacked
-        outer products (`_unit_images`) get one batched SVD."""
+        """Max norm difference on the matrix-unit basis
+        (`automorphism_distances`)."""
         if other.algebra != self.algebra:
             raise StructureError("automorphisms of different algebras")
-        pairs = {(a.source[i], i) for a in (self, other)
-                 for i in range(len(self.algebra.block_sizes))}
-        return max(float(np.linalg.svd(self._unit_images(j, i)
-                                       - other._unit_images(j, i),
-                                       compute_uv=False)[:, 0].max())
-                   for j, i in pairs)
+        return float(automorphism_distances(self.source, self.unitaries,
+                                            other.source, other.unitaries))
+
+
+def _unit_images(u):
+    """The images u e_pq u* = u[:, p] u[:, q]* of the matrix units of one
+    block, as an (n^2, n, n) stack behind the leading axes of u."""
+    ut = u.swapaxes(-1, -2)
+    n = ut.shape[-1]
+    return (ut[..., :, None, :, None] * ut.conj()[..., None, :, None, :]) \
+        .reshape(u.shape[:-2] + (n * n, n, n))
+
+
+def automorphism_distances(source_a, unitaries_a, source_b, unitaries_b):
+    """`AlgebraAutomorphism.distance_to` over stacks of pairs: source_a[i]
+    and unitaries_a[i] give block i of every automorphism a of the stack (a
+    block index, and a unitary behind the same leading axes), likewise for
+    b; returns one distance per pair.  The image of e^j_pq is nonzero only
+    in the blocks i taken from block j, as the outer products of
+    `_unit_images`.  A block i that a and b take from the same block gives
+    the differences of their outer products; one they take from different
+    blocks gives each stack against zero.  One batched SVD per block size."""
+    stacks = []
+    samples = np.ndim(source_a[0])
+    for sa, ua, sb, ub in zip(source_a, unitaries_a, source_b, unitaries_b):
+        same = np.equal(sa, sb)[..., None, None, None]
+        images_b = _unit_images(ub)
+        stacks.append(_unit_images(ua) - np.where(same, images_b, 0.0))
+        if not same.all():
+            stacks.append(np.where(same, 0.0, images_b))
+    return top_singular_value(stacks, samples)
 
 
 def identity_automorphism(algebra):

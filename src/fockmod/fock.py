@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cstar import (AlgebraElement, PreconditionError, ResourceCapError,
-                    StructureError, place_copies, DEFAULT_TOL)
+                    StructureError, place_copies, top_singular_value,
+                    DEFAULT_TOL)
 from .hilbmod import (HilbertBimodule, ModuleVector, TensorStep, complex_rank,
                       element_to_vector, right_linear_matrix, trivial_module,
                       vector_to_element)
@@ -62,6 +63,8 @@ class LevelOp:
     blocks (`FockSpace.random_placed`, `FockSpace.diagonal`); `placed`
     brings a right B-linear operator there.  A product sums only over
     matching middle levels and components, so it never meets a zero block.
+    The matrices may carry a leading sample axis, one operator per sample:
+    `@`, `+` and `-` broadcast over it.
     """
 
     def __init__(self, rmult, sizes, blocks):
@@ -81,6 +84,11 @@ class LevelOp:
         out.rmult, out.sizes, out.dims = self.rmult, self.sizes, self.dims
         out.blocks = blocks
         return out
+
+    def __getitem__(self, samples):
+        """The samples of an operator whose matrices carry a sample axis."""
+        return self._new({key: [x[samples] for x in X]
+                          for key, X in self.blocks.items()})
 
     def _check(self, other):
         if other.sizes != self.sizes or other.rmult != self.rmult:
@@ -122,7 +130,7 @@ class LevelOp:
         return self._new(out)
 
     def adjoint(self):
-        return self._new({(j, i): [x.conj().T for x in X]
+        return self._new({(j, i): [x.conj().swapaxes(-1, -2) for x in X]
                           for (i, j), X in self.blocks.items()})
 
     def restrict(self, max_level):
@@ -144,16 +152,13 @@ class LevelOp:
         each output label meets at most one block (a level shift, or a
         permutation of group elements): up to an order of the labels it is
         the direct sum of its blocks and of their components, so its norm is
-        the largest of the T_j's: one SVD per shape, a lone T_j not copied."""
+        the largest of the T_j's (`top_singular_value`).  Blocks that carry
+        a leading sample axis give one norm per sample."""
         if any(len({key[e] for key in self.blocks}) < len(self.blocks)
                for e in (0, 1)):
             raise StructureError("a label meets more than one block")
-        stacks = {}
-        for x in (x for X in self.blocks.values() for x in X if x.size):
-            stacks.setdefault(x.shape, []).append(x)
-        return max((float(np.linalg.svd(np.stack(xs) if len(xs) > 1 else
-                                         xs[0][None], compute_uv=False).max())
-                    for xs in stacks.values()), default=0.0)
+        mats = [x for X in self.blocks.values() for x in X]
+        return top_singular_value(mats, mats[0].ndim - 2 if mats else 0)
 
     def block(self, i, j):
         """The dense level block (i, j): kron(T_c, I_{n_c}) on the diagonal
@@ -531,30 +536,29 @@ def quotient_dimension_check(F: FockSpace, n, rng,
     return report
 
 
-def fock_factorization_check(M: HilbertBimodule, n, k, j, rng, samples=None,
+def fock_factorization_check(M: HilbertBimodule, n, k, j, rng,
                              tol=DEFAULT_TOL,
                              dim_cap=DEFAULT_DIM_CAP) -> VerificationReport:
     """Tensor-regrouping factorization: the (k(n+1)+j)-fold power of a
     bimodule is isometrically the j-fold power tensored with the k-fold power
     of the (n+1)-fold power.
 
-    All samples go through each tensor step at once, as stacked flat rows;
-    the B-valued Gram tables of the first 25 samples are compared with one
-    batched product per base block."""
+    dim + 8 samples, dim the dimension of the power, go through each tensor
+    step at once, as stacked flat rows; the B-valued Gram tables of the
+    first 25 samples are compared with one batched product per base
+    block."""
     if not (0 <= j <= n):
         raise PreconditionError("need 0 <= j <= n")
     m = k * (n + 1) + j
     if m < 1:
         raise PreconditionError("empty regrouping")
-    if samples is not None and samples < 1:
-        raise PreconditionError("need at least one sample")
     tower = FockSpace(M, max(m, n + 1), dim_cap)
     return _factorization(tower, FockSpace(tower.levels[n + 1], k, dim_cap),
-                          n, k, j, rng, samples, tol)
+                          n, k, j, rng, tol)
 
 
 def _factorization(tower: FockSpace, powers: FockSpace, n, k, j, rng,
-                   samples, tol) -> VerificationReport:
+                   tol) -> VerificationReport:
     """`fock_factorization_check` of the shape (n, k, j) on the tower of M,
     up to a level of at least max(k(n+1)+j, n+1), and the tower of its level
     n+1, up to a level of at least k.  Tensor steps are deterministic, so
@@ -598,8 +602,7 @@ def _factorization(tower: FockSpace, powers: FockSpace, n, k, j, rng,
                     "dim of the regrouped power equals dim of the plain power",
                     left_mod.dim == right_mod.dim,
                     left=left_mod.dim, right=right_mod.dim)
-    if samples is None:
-        samples = left_mod.dim + 8
+    samples = left_mod.dim + 8
     # the draws of M.random_vector, sample by sample and factor by factor
     Z = rng.standard_normal((samples, m, 2, M.dim))
     X = Z[:, :, 0] + 1j * Z[:, :, 1]

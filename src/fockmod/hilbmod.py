@@ -17,7 +17,7 @@ import numpy as np
 from .cstar import (AlgebraElement, CPLinearMap, CStarAlgebra,
                     PreconditionError, StateFunctional, StructureError,
                     block_diag_matrix, multiplicity_form, place_copies,
-                    DEFAULT_TOL)
+                    top_singular_value, DEFAULT_TOL)
 
 RANK_CUTOFF = 1e-10
 
@@ -77,13 +77,18 @@ class HilbertBimodule:
         return ModuleVector(self, comps)
 
     def from_flat(self, vec):
-        vec = np.asarray(vec, complex).ravel()
-        if vec.size != self.dim:
-            raise StructureError(f"flat length {vec.size}, expected {self.dim}")
-        comps = []
-        for j, (r, n) in enumerate(zip(self.right_mult, self.base.block_sizes)):
-            comps.append(vec[self.offsets[j]:self.offsets[j + 1]].reshape(r, n))
-        return ModuleVector(self, comps)
+        """The vector of a flat vector, or the stacked vector of the flat
+        vectors on the last axis of an array."""
+        vec = np.asarray(vec, complex)
+        if vec.shape[-1:] != (self.dim,):
+            raise StructureError(
+                f"flat length {vec.shape[-1] if vec.ndim else 1}, "
+                f"expected {self.dim}")
+        return ModuleVector(self, [
+            vec[..., self.offsets[j]:self.offsets[j + 1]]
+            .reshape(vec.shape[:-1] + (r, n))
+            for j, (r, n) in enumerate(zip(self.right_mult,
+                                           self.base.block_sizes))])
 
     def basis(self):
         eye = np.eye(self.dim, dtype=complex)
@@ -119,7 +124,7 @@ class HilbertBimodule:
         """B-valued inner product, conjugate-linear in the first slot."""
         if x.parent is not self or y.parent is not self:
             raise StructureError("vectors belong to a different bimodule")
-        return AlgebraElement(self.base, [xj.conj().T @ yj
+        return AlgebraElement(self.base, [xj.conj().swapaxes(-1, -2) @ yj
                                           for xj, yj in zip(x.comps, y.comps)])
 
     def annihilated_central_summands(self):
@@ -129,6 +134,9 @@ class HilbertBimodule:
 
 
 class ModuleVector:
+    """A vector, or a stack of samples: components that share leading
+    sample axes, like a stacked `AlgebraElement`."""
+
     def __init__(self, parent: HilbertBimodule, comps):
         self.parent = parent
         self.comps = []
@@ -136,15 +144,24 @@ class ModuleVector:
         if len(comps) != len(parent.right_mult):
             raise StructureError(f"{len(comps)} components, expected "
                                  f"{len(parent.right_mult)}")
+        lead = None
         for (r, n), c in zip(zip(parent.right_mult, parent.base.block_sizes), comps):
             c = np.asarray(c, complex)
-            if c.shape != (r, n):
+            if lead is None:
+                lead = c.shape[:-2]
+            if c.shape != lead + (r, n):
                 raise StructureError(f"component shape {c.shape}, expected ({r},{n})")
             self.comps.append(c)
 
+    def __getitem__(self, samples):
+        """The samples of a stacked vector."""
+        return ModuleVector(self.parent, [c[samples] for c in self.comps])
+
     @property
     def flat(self):
-        return np.concatenate([c.ravel() for c in self.comps])
+        return np.concatenate([c.reshape(c.shape[:-2] + (d,)) for d, c
+                               in zip(self.parent.comp_dims, self.comps)],
+                              axis=-1)
 
     def __add__(self, other):
         return ModuleVector(self.parent, [a + b for a, b in zip(self.comps, other.comps)])
@@ -167,14 +184,16 @@ class ModuleVector:
         return self.parent.left(b, self)
 
     def norm(self):
-        """Module norm ||<x,x>||^(1/2)."""
-        return float(np.sqrt(max(0.0, self.parent.inner(self, self).norm())))
+        """Module norm ||<x,x>||^(1/2), one value per sample."""
+        return np.sqrt(np.fmax(0.0, self.parent.inner(self, self).norm()))
 
     def flat_norm(self):
         return float(np.linalg.norm(self.flat))
 
     def __repr__(self):
-        return f"ModuleVector(dim={self.parent.dim}, norm={self.norm():.4g})"
+        lead = self.comps[0].shape[:-2]
+        norm = f"samples={lead}" if lead else f"norm={self.norm():.4g}"
+        return f"ModuleVector(dim={self.parent.dim}, {norm})"
 
 
 # -- building blocks -------------------------------------------------------
@@ -250,9 +269,9 @@ def _orthonormal_pieces(module, flats, drop_tol=None):
              for j, (r, n) in enumerate(zip(module.right_mult, sizes))
              if r and m]
     if drop_tol is None:
-        # ||x|| = max_j ||x_j||_2: one batched SVD per block over all inputs
-        drop_tol = 1e-8 * max([float(np.linalg.svd(
-            X, compute_uv=False)[:, 0].max()) for _, X in comps] + [1.0])
+        # ||x|| = max_j ||x_j||_2, the largest over all inputs
+        drop_tol = 1e-8 * max(
+            float(top_singular_value([X for _, X in comps], 0)), 1.0)
     found = []      # (input, block, column, unit vector)
     for j, X in comps:
         U, k = np.empty((X.shape[1],) * 2, complex), 0
@@ -506,7 +525,7 @@ def _merged_left(pieces, sizes):
              for s, n_s in enumerate(sizes)
              for (c, _), start in zip(pieces, starts)
              for i in range(c[s] * n_s)]
-    blk = block_diag_matrix([u for _, u in pieces], int(starts[-1]))
+    blk = block_diag_matrix([u for _, u in pieces])
     return row, blk[:, np.array(sigma, dtype=int)]
 
 

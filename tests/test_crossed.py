@@ -3,7 +3,7 @@ import pytest
 
 from fockmod import crossed
 from fockmod import cstar
-from fockmod.cli import Settings, run_suites
+from fockmod.cli import Settings, run_crossed, run_suites
 from fockmod.cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
                            PreconditionError, StructureError,
                            block_diag_matrix, identity_automorphism)
@@ -11,7 +11,12 @@ from fockmod.crossed import (CrossedProduct, FiniteGroup, GroupAction,
                              crossed_product, folner_average, folner_defect,
                              lift_automorphism, rep_unitary, smearing_map)
 from fockmod.fock import LevelOp
-from fockmod.instances import crossed_instances, permutation_action
+from fockmod.bogoliubov import BogoliubovMap, validate_bogoliubov
+from fockmod.instances import (crossed_instances, flip_twisted_module,
+                               multiplicity_shift_instance,
+                               permutation_action, random_bogoliubov)
+
+import crossed_reference as ref
 
 RNG = np.random.default_rng(41)
 
@@ -44,6 +49,16 @@ def twisted_swap_example():
     return G, A, GroupAction(G, A, [identity_automorphism(A), swap])
 
 
+def inner_z3_example():
+    """Z/3 on M_3 by Ad(diag(1, w, w^2)), w a primitive cube root of 1."""
+    G = FiniteGroup.cyclic(3)
+    A = CStarAlgebra((3,))
+    w = np.exp(2j * np.pi / 3)
+    return G, A, GroupAction(G, A, [
+        AlgebraAutomorphism(A, unitaries=[np.diag(w ** (g * np.arange(3)))])
+        for g in G.elements()])
+
+
 def examples():
     return ([t for seed in range(3) for t in crossed_instances(seed)]
             + [z2_example(), inner_example(), twisted_swap_example()])
@@ -58,7 +73,7 @@ def dense_pi(C, a):
     for h in C.group.elements():
         s = slice(h * dimV, (h + 1) * dimV)
         M[s, s] = block_diag_matrix(
-            list(C.action.apply(C.group.inv(h), a).blocks), dimV)
+            list(C.action.apply(C.group.inv(h), a).blocks))
     return M
 
 
@@ -285,3 +300,158 @@ def test_action_refuses_a_label_outside_the_group(g):
     for h in group.elements():
         for x, y in zip(action.apply(h, a).blocks, action.autos[h](a).blocks):
             assert np.array_equal(x, y)
+
+
+# The stacked checks against the per-sample loops of crossed_reference.py,
+# on the same inputs and the same rng stream.
+
+def _close(new, old):
+    return abs(new - old) <= 1e-13 * abs(old)
+
+
+def _same_report(new, old):
+    assert [(c.name, c.passed) for c in new.checks] \
+        == [(c.name, c.passed) for c in old.checks]
+    assert new.parameters == old.parameters
+    for a, b in zip(new.checks, old.checks):
+        assert _close(a.residual, b.residual), (a.name, a.residual, b.residual)
+        assert a.details.keys() == b.details.keys()
+        for key, value in b.details.items():
+            assert _close(a.details[key], value), (a.name, key)
+
+
+def _twice(seed, new, old):
+    """new and old each called with a fresh rng of the seed; asserts that
+    both leave the rng in the same state and returns both results."""
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    out = new(rngs[0]), old(rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    return out
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_stacked_crossed_checks_match_the_per_sample_loops(case):
+    G, A, action = (crossed_instances(0)
+                    + [inner_example(), inner_z3_example()])[case]
+    C = CrossedProduct(action)
+    (_, new), (_, old) = _twice(
+        case, lambda rng: crossed_product(A, action, rng),
+        lambda rng: ref.crossed_product(A, action, rng))
+    _same_report(new, old)
+    betas = [identity_automorphism(A)]
+    if np.array_equal(G.table, G.table.T):
+        # on an abelian group every alpha_g commutes with the action
+        betas += action.autos[1:]
+    for beta in betas:
+        (V, new), (W, old) = _twice(
+            case, lambda rng: lift_automorphism(C, beta, rng),
+            lambda rng: ref.lift_automorphism(C, beta, rng))
+        _same_report(new, old)
+        assert np.array_equal(V.dense(), W.dense())
+    ident = CPLinearMap.from_callable(A, A, lambda a: a)
+    for F, m in [(list(G.elements()), ident),
+                 (list(G.elements())[:-1], smearing_map(A, 0.25)),
+                 ([G.identity], ident)]:
+        new, old = _twice(case, lambda rng: folner_average(C, F, m, rng),
+                          lambda rng: ref.folner_average(C, F, m, rng))
+        _same_report(new, old)
+    exact = folner_average(C, list(G.elements()), ident,
+                           np.random.default_rng(case))
+    assert [c.name for c in exact.checks] == ["exact-recovery"]
+
+
+def test_folner_average_with_no_terms_matches_the_per_sample_loop():
+    """F = {e} and words over g != e only: no word has a term t in F meet
+    gF, so every average is zero."""
+    G, A, action = crossed_instances(0)[1]
+    C = CrossedProduct(action)
+    rng = np.random.default_rng(13)
+    words = [(A.random_element(rng), g) for g in (1, 2, 2)]
+    m = smearing_map(A, 0.25)
+    new = folner_average(C, [G.identity], m, None, words=words)
+    _same_report(new, ref.folner_average(C, [G.identity], m, None,
+                                         words=words))
+    assert [c.name for c in new.checks] == ["deviation-bound"]
+
+
+def _raised(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_non_homomorphic_actions_fail_at_the_same_pair():
+    """alpha_1 = alpha_2 on Z/3, and the S3 action with two of its
+    automorphisms exchanged."""
+    G, A, action = inner_z3_example()
+    autos = [action.autos[0], action.autos[1], action.autos[1]]
+    group, algebra, s3 = crossed_instances(0)[2]
+    swapped = list(s3.autos)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    for group, algebra, autos in [(G, A, autos), (group, algebra, swapped)]:
+        new = _raised(lambda: GroupAction(group, algebra, autos))
+        assert new == (StructureError, _raised(
+            lambda: ref.check_action(group, autos))[1])
+        assert "not a homomorphism" in new[1]
+
+
+def test_non_commuting_beta_fails_at_the_same_element():
+    rng = np.random.default_rng(7)
+    _, A, inner = inner_example()
+    _, _, s3 = crossed_instances(0)[2]
+    for action, beta in [
+            (inner, AlgebraAutomorphism(
+                A, unitaries=[cstar.haar_unitary_matrix(rng, 2)])),
+            (s3, s3.autos[1])]:
+        C = CrossedProduct(action)
+        new = _raised(lambda: lift_automorphism(C, beta, rng))
+        old = _raised(lambda: ref.lift_automorphism(C, beta, rng))
+        assert new == old and new[0] is PreconditionError
+        assert "does not commute" in new[1]
+
+
+def test_automorphisms_of_another_algebra_are_refused():
+    G, A, action = z2_example()
+    other = identity_automorphism(CStarAlgebra((2,)))
+    with pytest.raises(StructureError, match="different algebras"):
+        GroupAction(G, A, [identity_automorphism(A), other])
+    with pytest.raises(StructureError, match="different algebras"):
+        lift_automorphism(CrossedProduct(action), other, RNG)
+
+
+def _bogoliubov_maps():
+    rng = np.random.default_rng(11)
+    _, _, shift = multiplicity_shift_instance()
+    _, flip = flip_twisted_module()
+    maps = [shift, random_bogoliubov(rng), flip]
+    perturbed = [BogoliubovMap(b.module, b.matrix + 1e-3 * rng.standard_normal(
+        b.matrix.shape), b.beta) for b in maps]
+    return maps, perturbed
+
+
+def test_stacked_bogoliubov_validation_matches_the_per_sample_loops():
+    maps, perturbed = _bogoliubov_maps()
+    for seed, bog in enumerate(maps + perturbed):
+        new, old = _twice(seed, lambda rng: validate_bogoliubov(bog, rng),
+                          lambda rng: ref.validate_bogoliubov(bog, rng))
+        _same_report(new, old)
+        assert new.passed == (bog in maps)
+    for bog in perturbed:
+        rep = validate_bogoliubov(bog, np.random.default_rng(0))
+        assert "inner-twist" in [c.name for c in rep.checks if not c.passed]
+
+
+def test_crossed_suite_makes_few_svd_calls(monkeypatch):
+    """The crossed suite's SVDs are batched over the samples of each check:
+    at most 300 calls, against 1,172 when every sample had its own."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    reports = run_crossed(None, Settings(seed=0))
+    assert reports and all(r.passed for r in reports)
+    assert 0 < len(calls) <= 300

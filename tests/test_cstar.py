@@ -216,3 +216,41 @@ def test_choi_matrix_entry_by_entry(domain, codomain):
 def test_haar_unitary_matrix_is_unitary():
     u = haar_unitary_matrix(RNG, 4)
     assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-12
+
+
+def test_stacked_elements_are_their_samples():
+    """A stacked element's arithmetic, norms and maps act sample by
+    sample, bit-equal to the same operations on each sample."""
+    A = CStarAlgebra((1, 2, 2, 3))
+    rng = np.random.default_rng(17)
+    xs = [A.random_element(rng) for _ in range(4)]
+    ys = [A.random_element(rng) for _ in range(4)]
+    x = A.from_flat(np.array([e.flat for e in xs]))
+    y = A.from_flat(np.array([e.flat for e in ys]))
+    beta = AlgebraAutomorphism(A, (0, 2, 1, 3), [haar_unitary_matrix(rng, n)
+                                                 for n in A.block_sizes])
+    smear = CPLinearMap(A, A, rng.standard_normal((A.dim, A.dim)))
+    for s, (a, b) in enumerate(zip(xs, ys)):
+        assert x.norm()[s] == a.norm()
+        for got, want in [(x[s], a), ((x * y)[s], a * b),
+                          ((x - y.adjoint())[s], a - b.adjoint()),
+                          (beta(x)[s], beta(a)), (smear(x)[s], smear(a))]:
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(got.blocks, want.blocks))
+    assert np.array_equal(x.flat[2], xs[2].flat)
+    assert repr(x) == "AlgebraElement((1, 2, 2, 3), samples=(4,))"
+    with pytest.raises(StructureError, match="block shape"):
+        A.element([x.blocks[0]] + [b[0] for b in x.blocks[1:]])
+
+
+def test_top_singular_value_over_stacks_of_blocks():
+    rng = np.random.default_rng(19)
+    mats = [rng.standard_normal((3, 5, 2, 2)), rng.standard_normal((3, 2, 4)),
+            rng.standard_normal((3, 0, 4)), rng.standard_normal((3, 1, 2, 2))]
+    want = [max(np.linalg.norm(m, 2) for x in mats if x.size
+                for m in x[s].reshape((-1,) + x.shape[-2:]))
+            for s in range(3)]
+    assert np.array_equal(cstar.top_singular_value(mats, 1), want)
+    assert cstar.top_singular_value(mats, 0) == max(want)
+    assert cstar.top_singular_value([], 0) == 0.0
+    assert cstar.top_singular_value([np.zeros((0, 2, 2))], 1).shape == (0,)

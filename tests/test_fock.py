@@ -57,7 +57,7 @@ def _dense_word(F: FockSpace, coeffs, hs):
 
 def _right_matrix(F: FockSpace, b):
     """The dense right action of b on the Fock space, level by level."""
-    return block_diag_matrix([lv.right_matrix(b) for lv in F.levels], F.dim)
+    return block_diag_matrix([lv.right_matrix(b) for lv in F.levels])
 
 
 def test_creation_commutation_relation():
@@ -659,14 +659,6 @@ def test_factorization_uses_no_pairwise_inner_products_or_dense_steps(
     assert calls == {"inner": 0, "nonzeros": 0}
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_factorization_rejects_no_samples(samples):
-    B = CStarAlgebra((1, 1))
-    H = make_bimodule(B, (1, 1), [(0, 1), (1, 0)])
-    with pytest.raises(PreconditionError):
-        fock_factorization_check(H, 1, 1, 0, RNG, samples=samples)
-
-
 # The dense level left action and creation matrix of the implementation
 # before level operators, kept verbatim as the references for
 # FockSpace.left and FockSpace.creation.
@@ -681,12 +673,12 @@ def _reference_left_matrix(F: FockSpace, b):
             for k, c in enumerate(lv.left_mult[j]):
                 if c:
                     pieces.append(np.kron(np.eye(c), b.blocks[k]))
-            diag = block_diag_matrix(pieces, lv.right_mult[j]) if pieces \
+            diag = block_diag_matrix(pieces) if pieces \
                 else np.zeros((lv.right_mult[j],) * 2, complex)
             u = lv.left_unitaries[j]
             comps.append(_kron_eye(u @ diag @ u.conj().T, n))
-        levels.append(block_diag_matrix(comps, lv.dim))
-    return block_diag_matrix(levels, F.dim)
+        levels.append(block_diag_matrix(comps))
+    return block_diag_matrix(levels)
 
 
 def _reference_creation_matrix(F: FockSpace, h):
@@ -874,7 +866,7 @@ def test_expectations_of_level_ops_match_dense():
             assert np.linalg.norm(got.flat - want) <= 1e-14 * max(
                 1.0, np.linalg.norm(Ad) * np.linalg.norm(Bd))
         diag = block_diag_matrix([Ad[_level_slice(F, k), _level_slice(F, k)]
-                                  for k in range(F.N + 1)], F.dim)
+                                  for k in range(F.N + 1)])
         for M in (A, Ap):
             assert np.array_equal(F.gauge_expectation(M).dense(), diag)
         assert set(F.gauge_expectation(A).blocks) == {(1, 1)}

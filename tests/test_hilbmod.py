@@ -61,7 +61,7 @@ def test_placement_matches_block_diagonal_of_krons():
     for j, (row, r) in enumerate(zip(H.left_mult, H.right_mult)):
         pieces = [np.kron(np.eye(c), b.blocks[k])
                   for k, c in enumerate(row) if c]
-        diag = block_diag_matrix(pieces, r) if pieces \
+        diag = block_diag_matrix(pieces) if pieces \
             else np.zeros((r, r), complex)
         assert np.array_equal(place_copies(b.blocks, row, r), diag)
         u = H.left_unitaries[j]
@@ -159,7 +159,7 @@ def reference_projection(module, V):
     for v in V:
         blocks = [np.kron(vj @ vj.conj().T, np.eye(n))
                   for vj, n in zip(v.comps, module.base.block_sizes)]
-        P += block_diag_matrix(blocks, module.dim)
+        P += block_diag_matrix(blocks)
     return P
 
 
@@ -482,3 +482,25 @@ def test_kron_eye_equals_np_kron(shape, n):
     Xr = X.real
     assert np.array_equal(_kron_eye(Xr, n), np.kron(Xr, np.eye(n)))
     assert _kron_eye(Xr, n).dtype == np.kron(Xr, np.eye(n)).dtype
+
+
+def test_stacked_vectors_are_their_samples():
+    """A stacked module vector, as `validate_bogoliubov` forms the basis:
+    actions, inner products and norms sample by sample, bit-equal."""
+    _, K, _ = multiplicity_shift_instance()
+    H = K.parent
+    rng = np.random.default_rng(23)
+    vs = [H.random_vector(rng) for _ in range(3)]
+    b, c = H.base.random_element(rng), H.base.random_element(rng)
+    x = H.from_flat(np.array([v.flat for v in vs]))
+    y = x.lmul(b).rmul(c)
+    gram = H.inner(x, y)
+    for s, v in enumerate(vs):
+        w = v.lmul(b).rmul(c)
+        assert np.array_equal(y[s].flat, w.flat)
+        assert all(np.array_equal(g, h) for g, h in
+                   zip(gram[s].blocks, H.inner(v, w).blocks))
+        assert x.norm()[s] == v.norm()
+    assert repr(x) == f"ModuleVector(dim={H.dim}, samples=(3,))"
+    with pytest.raises(StructureError, match="flat length 2"):
+        H.from_flat(np.zeros((3, 2)))
