@@ -209,12 +209,6 @@ class CrossedProduct:
         return out
 
 
-def _stack(algebra, elements):
-    """The elements as one element stacked over them, in order."""
-    return algebra.element([np.stack(bs)
-                            for bs in zip(*(x.blocks for x in elements))])
-
-
 def _by_element(labels):
     """(g, the positions of g in labels) for each g, in order of first
     appearance."""
@@ -252,7 +246,7 @@ def crossed_product(algebra: CStarAlgebra, action: GroupAction, rng,
         for _ in range(3):
             gs.append(g)
             draws += [algebra.random_element(rng), algebra.random_element(rng)]
-    a, b = _stack(algebra, draws[::2]), _stack(algebra, draws[1::2])
+    a, b = algebra.stack(draws[::2]), algebra.stack(draws[1::2])
     pa, na = C.pi(a), a.norm()
     pga = C.pi(action.apply_each(gs, a))
     res_cov = 0.0
@@ -290,7 +284,7 @@ def lift_automorphism(C: CrossedProduct, beta: AlgebraAutomorphism, rng,
         return V @ M @ V.adjoint()
 
     words = C.spanning_words(rng)
-    a = _stack(C.algebra, [w for w, _ in words])
+    a = C.algebra.stack([w for w, _ in words])
     pa, pb, norms = C.pi(a), C.pi(beta(a)), a.norm()
     even, odd = slice(0, None, 2), slice(1, None, 2)
     for g, i in _by_element([g for _, g in words]):
@@ -342,7 +336,7 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng,
     if words is None:
         words = C.spanning_words(rng)
     set_defect = folner_defect(G, F)
-    a = _stack(C.algebra, [w for w, _ in words])
+    a = C.algebra.stack([w for w, _ in words])
     # the terms (word, t), t in F meet gF
     w, t = np.array([(k, t) for k, (_, g) in enumerate(words)
                      for t in sorted({G.mul(g, f) for f in F}.intersection(F))],

@@ -94,11 +94,16 @@ class CStarAlgebra:
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for n in self.block_sizes])
 
+    def stack(self, elements):
+        """The elements as one element stacked over them, in order."""
+        return AlgebraElement(self, [np.stack(bs) for bs in
+                                     zip(*(x.blocks for x in elements))])
+
 
 class AlgebraElement:
     """An element, or a stack of samples: blocks that share leading sample
-    axes.  Arithmetic broadcasts over the samples, and `norm` gives one value
-    per sample."""
+    axes.  Arithmetic broadcasts over the samples; `norm`, `trace`,
+    `is_hermitian` and `is_positive` give one value per sample."""
 
     def __init__(self, algebra, blocks):
         if len(blocks) != len(algebra.block_sizes):
@@ -156,7 +161,7 @@ class AlgebraElement:
                               [a.conj().swapaxes(-1, -2) for a in self.blocks])
 
     def trace(self):
-        return sum(np.trace(b) for b in self.blocks)
+        return sum(np.trace(b, axis1=-2, axis2=-1) for b in self.blocks)
 
     def norm(self):
         """Operator norm: max over blocks of the largest singular value, one
@@ -165,15 +170,14 @@ class AlgebraElement:
 
     def is_hermitian(self):
         return ((self - self.adjoint()).norm()
-                <= DEFAULT_TOL * max(1.0, self.norm()))
+                <= DEFAULT_TOL * np.maximum(1.0, self.norm()))
 
     def is_positive(self):
-        if not self.is_hermitian():
-            return False
-        scale = max(1.0, self.norm())
+        scale = np.maximum(1.0, self.norm())
         h = 0.5 * (self + self.adjoint())
-        return all(np.linalg.eigvalsh(b).min() >= -PSD_CUTOFF * scale
-                   for b in h.blocks)
+        return self.is_hermitian() & np.all(
+            [np.linalg.eigvalsh(b).min(-1) >= -PSD_CUTOFF * scale
+             for b in h.blocks], axis=0)
 
     def __repr__(self):
         lead = self.blocks[0].shape[:-2]
@@ -242,9 +246,12 @@ class StateFunctional:
         return all(np.linalg.norm(d) > 0 for d in self.densities)
 
     def __call__(self, x):
+        """rho(x), one value per sample."""
         if x.algebra != self.algebra:
             raise StructureError("element belongs to a different algebra")
-        return complex(sum(np.trace(d @ b) for d, b in zip(self.densities, x.blocks)))
+        val = sum(np.trace(d @ b, axis1=-2, axis2=-1)
+                  for d, b in zip(self.densities, x.blocks))
+        return complex(val) if np.ndim(val) == 0 else val
 
 
 def uniform_trace_state(algebra):
@@ -346,17 +353,20 @@ def multiplicity_form(sizes, col_sizes, mults, unitaries=None):
 def place_copies(pieces, row, size):
     """The size x size block diagonal of row[k] copies of the square
     pieces[k], k in order: the direct sum of kron(I_{row[k]}, pieces[k]),
-    padded with zeros.  Each kron is written through a (c, q, c, q) view of
-    its diagonal block."""
-    out = np.zeros((size, size), complex)
+    padded with zeros, per sample of pieces that share leading axes.  The
+    c copies of a q x q piece are written through one strided (c, q, q)
+    view, copy t starting t q rows and columns after the first."""
+    lead = pieces[0].shape[:-2]
+    out = np.zeros(lead + (size, size), complex)
+    rows, cols = out.strides[-2:]
     pos = 0
     for piece, c in zip(pieces, row):
-        if c:
-            q = len(piece)
-            end = pos + c * q
-            np.einsum("iaib->iab", out[pos:end, pos:end].reshape(
-                c, q, c, q))[...] = piece
-            pos = end
+        q = piece.shape[-1]
+        if c and q:
+            np.ndarray(lead + (c, q, q), complex, out, pos * (rows + cols),
+                       out.strides[:-2] + (q * (rows + cols), rows, cols)
+                       )[...] = piece[..., None, :, :]
+            pos += c * q
     return out
 
 

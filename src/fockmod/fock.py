@@ -64,7 +64,8 @@ class LevelOp:
     brings a right B-linear operator there.  A product sums only over
     matching middle levels and components, so it never meets a zero block.
     The matrices may carry a leading sample axis, one operator per sample:
-    `@`, `+` and `-` broadcast over it.
+    `@`, `+` and `-` broadcast over it, and `norm`, `spectral_norm` and
+    `block` give one result per sample.
     """
 
     def __init__(self, rmult, sizes, blocks):
@@ -89,6 +90,13 @@ class LevelOp:
         """The samples of an operator whose matrices carry a sample axis."""
         return self._new({key: [x[samples] for x in X]
                           for key, X in self.blocks.items()})
+
+    @staticmethod
+    def stack(ops):
+        """Operators with the same blocks as one stacked over them."""
+        return ops[0]._new({key: [np.stack(xs) for xs in
+                                  zip(*(op.blocks[key] for op in ops))]
+                            for key in ops[0].blocks})
 
     def _check(self, other):
         if other.sizes != self.sizes or other.rmult != self.rmult:
@@ -141,11 +149,16 @@ class LevelOp:
                           if j <= max_level})
 
     def norm(self):
-        """Frobenius norm: kron(T_j, I_{n_j}) has n_j ||T_j||_F^2 as its
-        squared Frobenius norm."""
-        return float(np.sqrt(sum(n * np.vdot(x, x).real
-                                 for X in self.blocks.values()
-                                 for x, n in zip(X, self.sizes))))
+        """Frobenius norm, one value per sample: kron(T_j, I_{n_j}) has
+        n_j ||T_j||_F^2 as its squared Frobenius norm.  A stacked T_j's
+        flat rows times their conjugates round as np.vdot does."""
+        sq = 0.0
+        for X in self.blocks.values():
+            for x, n in zip(X, self.sizes):
+                f = x.reshape(x.shape[:-2] + (1, -1))
+                sq = sq + n * (np.vdot(x, x) if x.ndim == 2 else (
+                    f.conj() @ f.swapaxes(-1, -2))[..., 0, 0]).real
+        return np.sqrt(sq)
 
     def spectral_norm(self):
         """Exact spectral norm of an operator in which each input label and
@@ -162,7 +175,8 @@ class LevelOp:
 
     def block(self, i, j):
         """The dense level block (i, j): kron(T_c, I_{n_c}) on the diagonal
-        of the components' flat layout."""
+        of the components' flat layout, one per sample.  A missing block is
+        one zero matrix, without sample axes."""
         X = self.blocks.get((i, j))
         if X is None:
             return np.zeros((self.dims[i], self.dims[j]), complex)
@@ -319,7 +333,8 @@ def word(F: FockSpace, coeffs, hs, top):
     left, of the level blocks of the factors on the path k -> k - m -> k,
     which never reaches the top level's compressed creation.  The product is
     taken component by component (`FockSpace._left_level`,
-    `TensorStep.components`), on the levels m..top only."""
+    `TensorStep.components`), on the levels m..top only.  Stacked
+    coefficients and vectors (`stack_words`) give one word per sample."""
     if len(hs) % 2 or len(coeffs) != len(hs) + 1:
         raise StructureError("need 2m vectors and 2m + 1 coefficients")
     if any(h.parent is not F.bimodule for h in hs):
@@ -344,7 +359,7 @@ def word(F: FockSpace, coeffs, hs, top):
                     M, F.maps[j].components(h.flat), left(i + 1, j))]
             else:           # l(h)*: level j+1 -> level j
                 j = k - 2 * m + i
-                M = [x @ c.conj().T @ y for x, c, y in zip(
+                M = [x @ c.conj().swapaxes(-1, -2) @ y for x, c, y in zip(
                     M, F.maps[j].components(h.flat), left(i + 1, j + 1))]
         blocks[k, k] = M
     return F._level_op(blocks)
@@ -369,6 +384,25 @@ def random_word(F: FockSpace, rng, m):
     return coeffs, hs
 
 
+def stack_words(F: FockSpace, words):
+    """Words of one length (`random_word`) as one stacked over them."""
+    coeffs, hs = zip(*words)
+    return ([F.base.stack(c) for c in zip(*coeffs)],
+            [F.bimodule.stack(h) for h in zip(*hs)])
+
+
+def _diagonal(x: LevelOp, levels, samples):
+    """The dense level blocks (k, k), k in levels, of an operator stacked
+    over samples, a missing block as zeros."""
+    return [np.broadcast_to(x.block(k, k), (samples,) + (x.dims[k],) * 2)
+            for k in levels]
+
+
+def _rows(blocks):
+    """Blocks stacked over samples as one flat row per sample."""
+    return np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
+
+
 # -- verification operations ------------------------------------
 
 def masked_norm(M: LevelOp, max_level):
@@ -386,28 +420,27 @@ def creation_relations_check(F: FockSpace, rng,
                              tol=DEFAULT_TOL) -> VerificationReport:
     """l(h)*l(g) = <h,g>(1 - E_N) and b1 l(h) b2 = l(b1 h b2).  Each
     difference shifts every level by the same amount (0 and +1), so its
-    spectral norm is exactly the largest of its blocks'."""
+    spectral norm is exactly the largest of its blocks'.  Five samples
+    (h, g, b1, b2) are drawn one at a time and evaluated as one stack."""
     report = VerificationReport(suite="creation-relations")
-    H = F.bimodule
-    res_ls = res_bimod = 0.0
-    for _ in range(5):
-        h = H.random_vector(rng)
-        g = H.random_vector(rng)
-        b1 = F.base.random_element(rng)
-        b2 = F.base.random_element(rng)
-        lh = F.creation(h)
-        # the factor (1 - E_N): no block on the top level
-        rhs = F.left(H.inner(h, g)).restrict(F.N - 1)
-        res_ls = max(res_ls, (lh.adjoint() @ F.creation(g) - rhs)
-                     .spectral_norm() / max(1.0, h.norm() * g.norm()))
-        lhs2 = F.left(b1) @ lh @ F.left(b2)
-        rhs2 = F.creation(h.lmul(b1).rmul(b2))
-        res_bimod = max(res_bimod, (lhs2 - rhs2).spectral_norm()
-                        / max(1.0, b1.norm() * h.norm() * b2.norm()))
+    H, B = F.bimodule, F.base
+    h, g, b1, b2 = zip(*[(H.random_vector(rng), H.random_vector(rng),
+                          B.random_element(rng), B.random_element(rng))
+                         for _ in range(5)])
+    h, g, b1, b2 = H.stack(h), H.stack(g), B.stack(b1), B.stack(b2)
+    lh = F.creation(h)
+    # the factor (1 - E_N): no block on the top level
+    rhs = F.left(H.inner(h, g)).restrict(F.N - 1)
+    res_ls = ((lh.adjoint() @ F.creation(g) - rhs).spectral_norm()
+              / np.maximum(1.0, h.norm() * g.norm()))
+    lhs2 = F.left(b1) @ lh @ F.left(b2)
+    rhs2 = F.creation(h.lmul(b1).rmul(b2))
+    res_bimod = ((lhs2 - rhs2).spectral_norm()
+                 / np.maximum(1.0, b1.norm() * h.norm() * b2.norm()))
     report.add("creation-adjoint-relation", "l(h)* l(g) = <h,g> (1 - E_N)",
-               res_ls, tol)
+               float(np.max(res_ls)), tol)
     report.add("creation-bimodularity", "b1 l(h) b2 = l(b1 h b2)",
-               res_bimod, tol)
+               float(np.max(res_bimod)), tol)
     return report
 
 
@@ -431,19 +464,19 @@ def expectation_properties_check(F: FockSpace, rng,
     rhs = H.inner(h, g) if F.N >= 1 else F.base.zero()
     report.add("vacuum-pairing", "E(l(h)* l(g)) = <h,g>",
                (lhs - rhs).norm() / max(1.0, h.norm() * g.norm()), tol)
-    res_idem = res_ephi = 0.0
-    for _ in range(4):
-        # every level block, off the diagonal too, so that Phi moves T
-        T = F.random_placed(rng, [(i, j) for i in range(F.N + 1)
-                                  for j in range(F.N + 1)])
-        PT = F.gauge_expectation(T)
-        res_idem = max(res_idem, (F.gauge_expectation(PT) - PT).norm()
-                       / max(1.0, T.norm()))
-        res_ephi = max(res_ephi,
-                       (F.vacuum_expectation(T) - F.vacuum_expectation(PT)).norm()
-                       / max(1.0, T.norm()))
-    report.add("gauge-idempotent", "Phi . Phi = Phi", res_idem, 1e-12)
-    report.add("vacuum-gauge-compatible", "E = E . Phi", res_ephi, 1e-12)
+    # four samples of every level block, off the diagonal too, so that Phi
+    # moves T, drawn one at a time and evaluated as one stack
+    pairs = [(i, j) for i in range(F.N + 1) for j in range(F.N + 1)]
+    T = LevelOp.stack([F.random_placed(rng, pairs) for _ in range(4)])
+    PT = F.gauge_expectation(T)
+    scale = np.maximum(1.0, T.norm())
+    res_idem = (F.gauge_expectation(PT) - PT).norm() / scale
+    res_ephi = ((F.vacuum_expectation(T) - F.vacuum_expectation(PT)).norm()
+                / scale)
+    report.add("gauge-idempotent", "Phi . Phi = Phi",
+               float(np.max(res_idem)), 1e-12)
+    report.add("vacuum-gauge-compatible", "E = E . Phi",
+               float(np.max(res_ephi)), 1e-12)
     if F.N >= 1:
         report.add("gauge-kills-creation", "Phi(l(h)) = 0",
                    F.gauge_expectation(lh).norm() / max(1.0, h.norm()), tol)
@@ -462,8 +495,10 @@ def _check_depth(F: FockSpace, n):
 
 
 def _word_scale(coeffs, hs):
-    return max(1.0, np.prod([c.norm() for c in coeffs])
-               * np.prod([h.norm() for h in hs]))
+    """max(1, product of the norms of a stacked word's coefficients and
+    vectors) per sample, from one norm over each."""
+    return np.maximum(1.0, np.prod(coeffs[0].algebra.stack(coeffs).norm(), 0)
+                      * np.prod(hs[0].parent.stack(hs).norm(), 0))
 
 
 def ideal_structure_check(F: FockSpace, n, rng,
@@ -473,35 +508,36 @@ def ideal_structure_check(F: FockSpace, n, rng,
     level n, and absorb products of balanced words.  Everything is read off
     the words' level operators; residuals on levels below n are Frobenius
     norms, and the spectral norm of a block-diagonal operator is the largest
-    of its blocks'."""
+    of its blocks'.  Four generators x, each with a word a of one creator,
+    are drawn one at a time and evaluated as one stack."""
     _check_depth(F, n)
     report = VerificationReport(suite="ideal-structure")
-    one = F.base.identity()
-    res_kill = res_rank = res_prod = 0.0
-    for _ in range(4):
-        coeffs, hs = random_word(F, rng, n)
-        x = word(F, coeffs, hs, n)
-        scale = _word_scale(coeffs, hs)
-        res_kill = max(res_kill, x.restrict(n - 1).norm() / scale)
-        # explicit finite-rank form on level n: x w = u <v, w> with
-        # u = b_0 l(h_1) ... l(h_n) b_n 1 and v = b_2n* l(h_2n) ... l(h_n+1) 1
-        u = _vacuum_tensor(F, coeffs[:n + 1], hs[:n])
-        v = _vacuum_tensor(F, [c.adjoint() for c in coeffs[:n:-1]] + [one],
-                           hs[:n - 1:-1])
-        rank_one = F._level_op(
-            {(n, n): [uj @ vj.conj().T for uj, vj in zip(u.comps, v.comps)]})
-        res_rank = max(res_rank, (x - rank_one).spectral_norm() / scale)
-        # ideal property: (balanced word) . x still kills levels < n, where
-        # only the word's blocks on levels k < n act; they give its scale too
-        a = word(F, *random_word(F, rng, 1), n - 1)
-        res_prod = max(res_prod, (a @ x.restrict(n - 1)).norm()
-                       / (scale * max(1.0, a.spectral_norm())))
-    report.add("ideal-kills-lower-levels",
-               "x in I_n  =>  x|_{F_{n-1}} = 0", res_kill, tol, n=n)
-    report.add("ideal-finite-rank-form",
-               "x|_{level n} = u<v,.>", res_rank, tol, n=n)
+    draws = [(random_word(F, rng, n), random_word(F, rng, 1))
+             for _ in range(4)]
+    coeffs, hs = stack_words(F, [w for w, _ in draws])
+    x = word(F, coeffs, hs, n)
+    scale = _word_scale(coeffs, hs)
+    res_kill = x.restrict(n - 1).norm() / scale
+    # explicit finite-rank form on level n: x w = u <v, w> with
+    # u = b_0 l(h_1) ... l(h_n) b_n 1 and v = b_2n* l(h_2n) ... l(h_n+1) 1
+    u = _vacuum_tensor(F, coeffs[:n + 1], hs[:n])
+    v = _vacuum_tensor(F, [c.adjoint() for c in coeffs[:n:-1]]
+                       + [F.base.identity()], hs[:n - 1:-1])
+    rank_one = F._level_op({(n, n): [uj @ vj.conj().swapaxes(-1, -2)
+                                     for uj, vj in zip(u.comps, v.comps)]})
+    res_rank = (x - rank_one).spectral_norm() / scale
+    # ideal property: (balanced word) . x still kills levels < n, where
+    # only the word's blocks on levels k < n act; they give its scale too
+    a = word(F, *stack_words(F, [w for _, w in draws]), n - 1)
+    res_prod = ((a @ x.restrict(n - 1)).norm()
+                / (scale * np.maximum(1.0, a.spectral_norm())))
+    report.add("ideal-kills-lower-levels", "x in I_n  =>  x|_{F_{n-1}} = 0",
+               float(np.max(res_kill)), tol, n=n)
+    report.add("ideal-finite-rank-form", "x|_{level n} = u<v,.>",
+               float(np.max(res_rank)), tol, n=n)
     report.add("ideal-absorbs-products",
-               "A_n . I_n subset I_n (vanishing on F_{n-1})", res_prod, tol, n=n)
+               "A_n . I_n subset I_n (vanishing on F_{n-1})",
+               float(np.max(res_prod)), tol, n=n)
     return report
 
 
@@ -512,22 +548,23 @@ def quotient_dimension_check(F: FockSpace, n, rng,
     span.  The compression of a word is the word on levels < n; levels n
     and above are never evaluated.  A compressed word is read as the
     entries of its dense level blocks: the off-diagonal level blocks are
-    zero, so the ranks are those of the dense corners."""
+    zero, so the ranks are those of the dense corners.  The six words of
+    each length are drawn one at a time and evaluated as one stack."""
     _check_depth(F, n)
     report = VerificationReport(suite="filtration-quotient")
 
-    def compressed_span(depth):
-        return [np.concatenate([x.block(k, k).ravel() for k in range(n)])
-                for x in (word(F, *random_word(F, rng, m), n - 1)
-                          for m in range(depth + 1) for _ in range(6))]
+    def words(m):
+        return stack_words(F, [random_word(F, rng, m) for _ in range(6)])
 
-    res = 0.0
-    for _ in range(6):
-        coeffs, hs = random_word(F, rng, n)
-        res = max(res, word(F, coeffs, hs, n - 1).spectral_norm()
-                  / _word_scale(coeffs, hs))
+    def compressed_span(depth):
+        return np.concatenate([
+            _rows(_diagonal(word(F, *words(m), n - 1), range(n), 6))
+            for m in range(depth + 1)])
+
+    coeffs, hs = words(n)
+    res = word(F, coeffs, hs, n - 1).spectral_norm() / _word_scale(coeffs, hs)
     report.add("ideal-in-quotient-kernel",
-               "I_n compresses to 0 on F_{n-1}", res, tol, n=n)
+               "I_n compresses to 0 on F_{n-1}", float(np.max(res)), tol, n=n)
     r_n = complex_rank(compressed_span(n))
     r_lower = complex_rank(compressed_span(n - 1))
     report.add_bool("quotient-rank",
@@ -667,19 +704,19 @@ def toeplitz_endomorphism(F: FockSpace, a: LevelOp, L: LevelOp, rng,
     one_below = F.identity().restrict(F.N - 1)     # 1 - E_N
     res_iso = (L.adjoint() @ L - one_below).spectral_norm()
     report.add("truncated-isometry", "L* L = 1 - E_N", res_iso, tol)
-    res = 0.0
+    # three pairs (x, y), drawn one at a time and evaluated as one stack
     diagonal = [(k, k) for k in range(F.N + 1)]
-    for _ in range(3):
-        x = F.random_placed(rng, diagonal)
-        y = F.random_placed(rng, diagonal)
-        lhs = Lp @ x @ y @ Lps
-        rhs = (Lp @ x @ Lps) @ (Lp @ y @ Lps)
-        # difference is L x E_N y L*: vanishes below the truncation rim
-        res = max(res, masked_norm(lhs - rhs, F.N - 1)
-                  / max(1.0, x.norm() * y.norm()))
+    x, y = (LevelOp.stack(ops) for ops in zip(*[
+        (F.random_placed(rng, diagonal), F.random_placed(rng, diagonal))
+        for _ in range(3)]))
+    lhs = Lp @ x @ y @ Lps
+    rhs = (Lp @ x @ Lps) @ (Lp @ y @ Lps)
+    # difference is L x E_N y L*: vanishes below the truncation rim
+    res = (masked_norm(lhs - rhs, F.N - 1)
+           / np.maximum(1.0, x.norm() * y.norm()))
     report.add("multiplicative-on-degree-zero",
                "Psi(xy) = Psi(x)Psi(y) on the overflow-free domain",
-               res, 1e-7)
+               float(np.max(res)), 1e-7)
     return out, report
 
 
@@ -691,21 +728,20 @@ def endomorphism_injectivity_check(F: FockSpace, L: LevelOp, n,
     A balanced word is block diagonal with blocks x_k, so L x L* is block
     diagonal with blocks C_k x_k C_k* on the levels k + 1 <= N, C_k the
     block (k+1, k) of L.  Both ranks are read off the stacked level blocks:
-    no Fock-size word and no dense conjugation is formed."""
+    no Fock-size word and no dense conjugation is formed.  The five words
+    of each length are drawn one at a time and evaluated as one stack."""
     report = VerificationReport(suite="endomorphism-injectivity")
     if n < 0:
         raise PreconditionError("word depth must be nonnegative")
     if n > F.N - 1:
         raise PreconditionError("need n <= N - 1 for overflow-free words")
-    words = [[x.block(k, k) for k in range(F.N + 1)]
-             for x in (word(F, *random_word(F, rng, m), F.N)
-                       for m in range(n + 1) for _ in range(5))]
+    words = [_diagonal(word(F, *stack_words(
+        F, [random_word(F, rng, m) for _ in range(5)]), F.N),
+        range(F.N + 1), 5) for m in range(n + 1)]
     C = [L.block(k + 1, k) for k in range(F.N)]
-    r_in = complex_rank([np.concatenate([xk.ravel() for xk in x])
-                         for x in words])
-    r_out = complex_rank([np.concatenate([(c @ xk @ c.conj().T).ravel()
-                                          for c, xk in zip(C, x)])
-                          for x in words])
+    r_in = complex_rank(np.concatenate([_rows(x) for x in words]))
+    r_out = complex_rank(np.concatenate([
+        _rows([c @ xk @ c.conj().T for c, xk in zip(C, x)]) for x in words]))
     report.add_bool("rank-preserved",
                     "x -> L x L* preserves the rank of balanced-word spans",
                     r_in == r_out, rank_in=r_in, rank_out=r_out)

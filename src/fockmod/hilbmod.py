@@ -23,31 +23,35 @@ RANK_CUTOFF = 1e-10
 
 
 def _kron_eye(X, n):
-    """np.kron(X, I_n), entry for entry.  kron(I_n, X) is `place_copies`.
+    """np.kron(X, I_n), entry for entry, for the matrix on the last two axes
+    of X; leading sample axes are kept.  kron(I_n, X) is `place_copies`.
 
     X is written once into a zeroed 4-index array through a strided view of
     its diagonal: kron(X, I_n)[(a,i),(b,l)] = X[a,b] delta_il is the
     (r, n, c, n) array with X on the i = l diagonal."""
     X = np.asarray(X)
-    r, c = X.shape
+    lead, (r, c) = X.shape[:-2], X.shape[-2:]
     dtype = np.result_type(X.dtype, float)
-    out = np.zeros((r, n, c, n), dtype)
+    out = np.zeros(lead + (r, n, c, n), dtype)
     s = out.strides
-    np.ndarray((r, c, n), dtype, out, 0,
-               (s[0], s[2], s[1] + s[3]))[...] = X[:, :, None]
-    return out.reshape(r * n, c * n)
+    np.ndarray(lead + (r, c, n), dtype, out, 0,
+               s[:-4] + (s[-4], s[-2], s[-3] + s[-1]))[...] = X[..., None]
+    return out.reshape(lead + (r * n, c * n))
 
 
 def right_linear_matrix(Ts, sizes):
     """The dense matrix of a right B-linear map given by its components:
     the direct sum of kron(T_j, I_{n_j}), n = sizes, in the components'
-    flat layout.  T_j may be rectangular."""
-    out = np.zeros((sum(T.shape[0] * n for T, n in zip(Ts, sizes)),
-                    sum(T.shape[1] * n for T, n in zip(Ts, sizes))), complex)
+    flat layout.  T_j may be rectangular.  Components stacked over
+    samples give one matrix per sample."""
+    out = np.zeros(Ts[0].shape[:-2]
+                   + (sum(T.shape[-2] * n for T, n in zip(Ts, sizes)),
+                      sum(T.shape[-1] * n for T, n in zip(Ts, sizes))),
+                   complex)
     row = col = 0
     for T, n in zip(Ts, sizes):
-        r, c = T.shape
-        out[row:row + r * n, col:col + c * n] = _kron_eye(T, n)
+        r, c = T.shape[-2:]
+        out[..., row:row + r * n, col:col + c * n] = _kron_eye(T, n)
         row += r * n
         col += c * n
     return out
@@ -97,6 +101,11 @@ class HilbertBimodule:
     def random_vector(self, rng):
         return self.from_flat(rng.standard_normal(self.dim)
                               + 1j * rng.standard_normal(self.dim))
+
+    def stack(self, vectors):
+        """The vectors as one vector stacked over them, in order."""
+        return ModuleVector(self, [np.stack(cs) for cs in
+                                   zip(*(v.comps for v in vectors))])
 
     # -- actions as flat matrices -----------------------------------------
 
@@ -187,9 +196,6 @@ class ModuleVector:
         """Module norm ||<x,x>||^(1/2), one value per sample."""
         return np.sqrt(np.fmax(0.0, self.parent.inner(self, self).norm()))
 
-    def flat_norm(self):
-        return float(np.linalg.norm(self.flat))
-
     def __repr__(self):
         lead = self.comps[0].shape[:-2]
         norm = f"samples={lead}" if lead else f"norm={self.norm():.4g}"
@@ -218,24 +224,30 @@ def vector_to_element(x: ModuleVector) -> AlgebraElement:
 
 def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
                   rng=None) -> HilbertBimodule:
-    """Validated construction; checks the bimodule laws on a seeded sample."""
+    """Validated construction; checks the bimodule laws on three seeded
+    samples, drawn one at a time and checked as one stack.  The first
+    failure, sample by sample and law by law, raises."""
     module = HilbertBimodule(base, right_mult, left_mult, left_unitaries)
     rng = rng if rng is not None else np.random.default_rng(0)
-    for _ in range(3):
-        b = base.random_element(rng)
-        c = base.random_element(rng)
-        x = module.random_vector(rng)
-        y = module.random_vector(rng)
-        scale = max(1.0, b.norm() * x.norm() * y.norm())
-        res = (module.inner(x.lmul(b), y)
+    b, c, x, y = zip(*[(base.random_element(rng), base.random_element(rng),
+                        module.random_vector(rng), module.random_vector(rng))
+                       for _ in range(3)])
+    b, c, x, y = base.stack(b), base.stack(c), module.stack(x), module.stack(y)
+    res_adj = (module.inner(x.lmul(b), y)
                - module.inner(x, y.lmul(b.adjoint()))).norm()
-        if res > DEFAULT_TOL * scale:
-            raise StructureError(f"<b.x, y> = <x, b*.y> fails: residual {res:.2e}")
-        res = (module.left(b * c, x) - module.left(b, module.left(c, x))).flat_norm()
-        if res > DEFAULT_TOL * max(1.0, b.norm() * c.norm() * x.flat_norm()):
+    bad_adj = res_adj > DEFAULT_TOL * np.maximum(
+        1.0, b.norm() * x.norm() * y.norm())
+    res_mult = module.left(b * c, x) - module.left(b, module.left(c, x))
+    bad_mult = np.linalg.norm(res_mult.flat, axis=-1) > DEFAULT_TOL * \
+        np.maximum(1.0, b.norm() * c.norm() * np.linalg.norm(x.flat, axis=-1))
+    positive = module.inner(x, x).is_positive()
+    for s in range(3):
+        if bad_adj[s]:
+            raise StructureError(
+                f"<b.x, y> = <x, b*.y> fails: residual {res_adj[s]:.2e}")
+        if bad_mult[s]:
             raise StructureError("left action is not multiplicative")
-        gram = module.inner(x, x)
-        if not gram.is_positive():
+        if not positive[s]:
             raise StructureError("<x,x> is not positive")
     dead = module.annihilated_central_summands()
     if dead:
@@ -438,19 +450,23 @@ class TensorStep:
         (rho_j, r^K_j), rho and r^K the right multiplicities of T and K,
         with T_j = C_j (K_j) for each component j, so the matrix of
         k -> h (x) k is the direct sum of kron(C_j, I_{n_j}).  Row block
-        (k, t) of C_j is h_k @ U_j^K^* [rows of (k, t)]."""
+        (k, t) of C_j is h_k @ U_j^K^* [rows of (k, t)].  The leading axes
+        of a stack of flat rows h_flat are kept: one C_j per sample."""
         H, K, T = self.H, self.K, self.module
         sizes = H.base.block_sizes
-        h = [np.asarray(h_flat, complex)[H.offsets[k]:H.offsets[k + 1]]
-             .reshape(r, n) for k, (r, n) in enumerate(zip(H.right_mult,
-                                                           sizes))]
+        h_flat = np.asarray(h_flat, complex)
+        lead = h_flat.shape[:-1]
+        h = [h_flat[..., H.offsets[k]:H.offsets[k + 1]].reshape(
+            lead + (1, r, n))
+            for k, (r, n) in enumerate(zip(H.right_mult, sizes))]
         out = []
         for j, rK_j in enumerate(K.right_mult):
-            C = np.empty((T.right_mult[j], rK_j), complex)
+            C = np.empty(lead + (T.right_mult[j], rK_j), complex)
             for k, c, row, col in self._pieces[j]:
                 r_k, n_k = H.right_mult[k], sizes[k]
                 U = self._UKd[j][col:col + c * n_k].reshape(c, n_k, rK_j)
-                C[row:row + c * r_k] = (h[k] @ U).reshape(c * r_k, rK_j)
+                C[..., row:row + c * r_k, :] = (h[k] @ U).reshape(
+                    lead + (c * r_k, rK_j))
             out.append(C)
         return out
 

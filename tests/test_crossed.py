@@ -306,7 +306,8 @@ def test_action_refuses_a_label_outside_the_group(g):
 # on the same inputs and the same rng stream.
 
 def _close(new, old):
-    return abs(new - old) <= 1e-13 * abs(old)
+    """Bit-equal (a failed boolean check's inf too) or within 1e-13."""
+    return new == old or abs(new - old) <= 1e-13 * abs(old)
 
 
 def _same_report(new, old):

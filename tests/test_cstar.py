@@ -254,3 +254,26 @@ def test_top_singular_value_over_stacks_of_blocks():
     assert cstar.top_singular_value(mats, 0) == max(want)
     assert cstar.top_singular_value([], 0) == 0.0
     assert cstar.top_singular_value([np.zeros((0, 2, 2))], 1).shape == (0,)
+
+
+def test_stacked_traces_states_and_positivity_are_per_sample():
+    """trace, a state and the Hermitian and positive tests of a stacked
+    element give one value per sample, bit-equal to the sample's own; an
+    element of three samples over blocks (2, 1) has three traces."""
+    rng = np.random.default_rng(29)
+    for sizes in [(2, 1), (1, 2, 3)]:
+        A = CStarAlgebra(sizes)
+        xs = [A.random_element(rng) for _ in range(3)]
+        xs[1] = xs[1] * xs[1].adjoint()         # positive
+        xs[2] = xs[2] + xs[2].adjoint()         # Hermitian, indefinite
+        x = A.stack(xs)
+        rho = uniform_trace_state(A)
+        assert x.trace().shape == rho(x).shape == (3,)
+        for s, one in enumerate(xs):
+            assert x.trace()[s] == one.trace()
+            assert rho(x)[s] == rho(one)
+            assert x[s].trace() == one.trace()
+        assert list(x.is_hermitian()) == [False, True, True]
+        assert list(x.is_positive()) == [False, True, False]
+        assert [bool(one.is_positive()) for one in xs] == [False, True, False]
+    assert type(rho(xs[0])) is complex

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from fockmod import fock
+from fockmod import fock, hilbmod
+from fockmod.cli import Settings, run_suites
 from fockmod.cstar import (CStarAlgebra, PreconditionError, ResourceCapError,
-                           StructureError, block_diag_matrix)
+                           StructureError, block_diag_matrix,
+                           haar_unitary_matrix)
 from fockmod.fock import (FockSpace, LevelOp, creation_relations_check,
                           endomorphism_injectivity_check,
                           expectation_properties_check,
@@ -18,6 +20,8 @@ from fockmod.hilbmod import (HilbertBimodule, TensorStep, _kron_eye,
 from fockmod.instances import amalg_instances, creation_instances
 from fockmod.report import VerificationReport
 from tensor_reference import tensor_apply
+import fock_reference as fock_ref
+from test_crossed import _same_report, _twice
 
 RNG = np.random.default_rng(37)
 
@@ -255,7 +259,8 @@ def test_word_is_the_reference_diagonal():
 
 def test_quotient_corner_is_the_word_corner(monkeypatch):
     """The check's compressed words are the dense words' level blocks below
-    n, drawn in the order of the check's rng stream."""
+    n, drawn in the order of the check's rng stream: one stack of six words
+    per word length."""
     F = swap_fock(4)
     corners = []
 
@@ -269,15 +274,15 @@ def test_quotient_corner_is_the_word_corner(monkeypatch):
     rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
     rep = quotient_dimension_check(F, n, rng)
     assert rep.passed, rep.failures
-    ms = [n] * 6 + [m for depth in (n, n - 1)
-                    for m in range(depth + 1) for _ in range(6)]
+    ms = [n] + [m for depth in (n, n - 1) for m in range(depth + 1)]
     assert len(corners) == len(ms)
     for m, (top, x) in zip(ms, corners):
         assert top == n - 1
-        W = _dense_word(F, *random_word(F, rng_ref, m))
-        for k in range(n):
-            s = _level_slice(F, k)
-            assert np.array_equal(x.block(k, k), W[s, s])
+        for sample in range(6):
+            W = _dense_word(F, *random_word(F, rng_ref, m))
+            for k in range(n):
+                s = _level_slice(F, k)
+                assert np.array_equal(x[sample].block(k, k), W[s, s])
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -738,11 +743,16 @@ def test_tensor_step_components_are_the_applied_step(builder_spaces):
                                      in creation_instances(25, 5)]
     for F in spaces:
         h = F.bimodule.random_vector(rng)
+        hs = F.bimodule.stack([h, F.bimodule.random_vector(rng)])
         for step in F.maps:
             ref = tensor_apply(step, h.flat)
             assert np.linalg.norm(_place(step, step.components(h.flat))
                                   - ref) \
                 <= 1e-14 * max(1.0, np.linalg.norm(ref))
+            # a stack of vectors gives each sample's components, bit-equal
+            for s in range(2):
+                assert all(np.array_equal(c[s], d) for c, d in zip(
+                    step.components(hs.flat), step.components(hs[s].flat)))
 
 
 # Level operators over base blocks of mixed sizes: the plane's one
@@ -924,3 +934,147 @@ def test_injectivity_ranks_match_the_dense_conjugation():
                 F, op, n, np.random.default_rng(59))
             details = rep.checks[0].details
             assert (details["rank_in"], details["rank_out"]) == want
+
+
+def test_level_op_norms_and_blocks_are_per_sample():
+    """A stacked operator's norms and dense blocks are those of each
+    sample op[s], bit-equal."""
+    rng = np.random.default_rng(61)
+    for F in _level_op_spaces():
+        for pairs in _SHAPES[:3]:
+            ops = [_random_level_op(F, rng, pairs) for _ in range(3)]
+            op = LevelOp.stack(ops)
+            assert np.array_equal(op.norm(), [one.norm() for one in ops])
+            if pairs in _SHAPES[:2]:      # each label meets one block
+                assert np.array_equal(op.spectral_norm(),
+                                      [one.spectral_norm() for one in ops])
+            for s, one in enumerate(ops):
+                assert op[s].norm() == one.norm()
+                for i, j in pairs:
+                    assert np.array_equal(op.block(i, j)[s], one.block(i, j))
+
+
+# The stacked checks against the per-sample loops of fock_reference.py, on
+# the same inputs and the same rng stream: the creation-instance modules of
+# CLI seed 25 and a module over the unequal blocks (1, 3).
+
+def _unequal_blocks_module():
+    rng = np.random.default_rng(5)
+    return make_bimodule(CStarAlgebra((1, 3)), (4, 3), [(1, 1), (0, 1)],
+                         [haar_unitary_matrix(rng, r) for r in (4, 3)])
+
+
+def _reference_spaces():
+    return creation_instances(25, 5) + [(_unequal_blocks_module(), 3)]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_stacked_fock_checks_match_the_per_sample_loops(case):
+    H, N = _reference_spaces()[case]
+    F = FockSpace(H, N)
+    for new, old in [(creation_relations_check,
+                      fock_ref.creation_relations_check),
+                     (expectation_properties_check,
+                      fock_ref.expectation_properties_check)]:
+        _same_report(*_twice(case, lambda rng: new(F, rng),
+                             lambda rng: old(F, rng)))
+    for n in range(1, min(N, 2) + 1):
+        for new, old in [(ideal_structure_check,
+                          fock_ref.ideal_structure_check),
+                         (quotient_dimension_check,
+                          fock_ref.quotient_dimension_check)]:
+            _same_report(*_twice(case, lambda rng: new(F, n, rng),
+                                 lambda rng: old(F, n, rng)))
+    rng = np.random.default_rng(case)
+    L = F.creation(H.random_vector(rng))
+    a = word(F, *random_word(F, rng, 1), F.N)
+    (x, new), (y, old) = _twice(
+        case, lambda rng: toeplitz_endomorphism(F, a, L, rng),
+        lambda rng: fock_ref.toeplitz_endomorphism(F, a, L, rng))
+    _same_report(new, old)
+    assert np.array_equal(x.dense(), y.dense())
+    _same_report(*_twice(
+        case, lambda rng: endomorphism_injectivity_check(F, L, N - 1, rng),
+        lambda rng: fock_ref.endomorphism_injectivity_check(F, L, N - 1,
+                                                            rng)))
+    args = (H.base, H.right_mult, H.left_mult, H.left_unitaries)
+    new, old = _twice(case, lambda rng: make_bimodule(*args, rng=rng),
+                      lambda rng: fock_ref.make_bimodule(*args, rng=rng))
+    assert (new.right_mult, new.left_mult) == (old.right_mult, old.left_mult)
+
+
+def test_perturbed_left_unitaries_fail_make_bimodule_as_the_loop_does(
+        monkeypatch):
+    """A left unitary scaled by 1 + eta, let through unchecked, breaks
+    multiplicativity: both raise the same error, and at 3e-9 the loop stops
+    at every one of the three samples for some seed."""
+    def unchecked(sizes, col_sizes, mults, unitaries):
+        return [tuple(row) for row in mults], unitaries
+
+    U = _unequal_blocks_module().left_unitaries
+    monkeypatch.setattr(hilbmod, "multiplicity_form", unchecked)
+    B = CStarAlgebra((1, 3))
+    failing = set()
+    for eta in (1e-9, 3e-9, 3e-8):
+        V = [U[0] * (1 + eta), U[1]]
+        for seed in range(8):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            results = []
+            for build, rng in zip((make_bimodule, fock_ref.make_bimodule),
+                                  rngs):
+                try:
+                    results.append(build(B, (4, 3), [(1, 1), (0, 1)], V,
+                                         rng=rng).dim)
+                except StructureError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            assert (results[0] == 13) == (eta == 1e-9)
+            if eta == 3e-9:
+                failing.add(_samples_drawn(B, rngs[1], seed) - 1)
+    assert failing == {0, 1, 2}
+
+
+def _samples_drawn(B, rng, seed):
+    """How many samples of make_bimodule's law check the rng has drawn."""
+    H = HilbertBimodule(B, (4, 3), [(1, 1), (0, 1)], [np.eye(4), np.eye(3)])
+    probe = np.random.default_rng(seed)
+    for k in range(4):
+        if probe.bit_generator.state == rng.bit_generator.state:
+            return k
+        B.random_element(probe), B.random_element(probe)
+        H.random_vector(probe), H.random_vector(probe)
+    raise AssertionError("rng state matches no sample count")
+
+
+def test_a_wrong_right_side_fails_the_adjoint_relation(monkeypatch):
+    """Without its factor (1 - E_N) the right side <h,g> is wrong on the
+    top level: both evaluations fail there, with the same residual."""
+    F = FockSpace(*_reference_spaces()[5])
+    monkeypatch.setattr(LevelOp, "restrict", lambda self, max_level: self)
+    new, old = _twice(0, lambda rng: creation_relations_check(F, rng),
+                      lambda rng: fock_ref.creation_relations_check(F, rng))
+    _same_report(new, old)
+    assert [c.name for c in new.checks if not c.passed] \
+        == ["creation-adjoint-relation"]
+
+
+@pytest.mark.parametrize("suite, bound", [("fock", 300), ("ideal", 400),
+                                          (None, 80)])
+def test_fock_checks_make_few_svd_calls(monkeypatch, suite, bound):
+    """The samples of each check share their SVDs: at CLI seed 25 the fock
+    and ideal suites made 585 and 961 calls, and the bimodule validation of
+    creation_instances(25, 5) 189, when every sample had its own."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    if suite is None:
+        assert len(creation_instances(25, 5)) == 5
+    else:
+        reports = run_suites(None, (suite,), Settings(seed=25))
+        assert reports and all(r.passed for r in reports)
+    assert 0 < len(calls) <= bound

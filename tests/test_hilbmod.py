@@ -75,6 +75,14 @@ def test_placement_matches_block_diagonal_of_krons():
     assert np.allclose(F.left(b).dense(),
                        block_diag_matrix([lv.left_matrix(b)
                                           for lv in F.levels]), atol=1e-12)
+    # a stacked element is placed sample by sample, bit-equal
+    bs = H.base.stack([b, H.base.random_element(RNG)])
+    for j, (row, r) in enumerate(zip(H.left_mult, H.right_mult)):
+        for s in range(2):
+            assert np.array_equal(place_copies(bs.blocks, row, r)[s],
+                                  place_copies(bs[s].blocks, row, r))
+            assert np.array_equal(H.left_rep_block(j, bs)[s],
+                                  H.left_rep_block(j, bs[s]))
 
 
 def test_right_linear_matrix_places_rectangular_krons():
@@ -87,6 +95,8 @@ def test_right_linear_matrix_places_rectangular_krons():
     want[0:2, 0:1] = Ts[0]
     want[2:5, 5:14] = np.kron(Ts[2], np.eye(3))
     assert np.array_equal(M, want)
+    stacked = right_linear_matrix([np.stack([T, 2 * T]) for T in Ts], sizes)
+    assert np.array_equal(stacked, [M, 2 * M])
 
 
 def test_inner_product_sesquilinear_and_positive():
@@ -482,6 +492,8 @@ def test_kron_eye_equals_np_kron(shape, n):
     Xr = X.real
     assert np.array_equal(_kron_eye(Xr, n), np.kron(Xr, np.eye(n)))
     assert _kron_eye(Xr, n).dtype == np.kron(Xr, np.eye(n)).dtype
+    assert np.array_equal(_kron_eye(np.stack([X, Xr]), n),
+                          [np.kron(X, np.eye(n)), np.kron(Xr, np.eye(n))])
 
 
 def test_stacked_vectors_are_their_samples():
@@ -493,6 +505,7 @@ def test_stacked_vectors_are_their_samples():
     vs = [H.random_vector(rng) for _ in range(3)]
     b, c = H.base.random_element(rng), H.base.random_element(rng)
     x = H.from_flat(np.array([v.flat for v in vs]))
+    assert np.array_equal(H.stack(vs).flat, x.flat)
     y = x.lmul(b).rmul(c)
     gram = H.inner(x, y)
     for s, v in enumerate(vs):
