@@ -342,7 +342,7 @@ def compression_channels(F: FockSpace, span: SubmoduleSpan, level_bases, rng,
         for (k, _), D in d.blocks.items():
             for v in level_bases[k]:
                 res_rec = max(res_rec, float(np.linalg.norm(
-                    [np.linalg.norm(Dj @ vj) for Dj, vj in zip(D, v.comps)]))
+                    [np.linalg.norm(Dj @ vj) for Dj, vj in zip(D, v.blocks)]))
                     / scale)
     report.add("vector-reconstruction",
                "Q P_n x P_n Q v = x v on the tower below level n",
@@ -356,7 +356,7 @@ def localized_tensor_dim(module: HilbertBimodule, vectors):
     columns, summed over blocks."""
     total = 0
     for j in range(len(module.base.block_sizes)):
-        cols = [v.comps[j] for v in vectors if v.comps[j].size]
+        cols = [v.blocks[j] for v in vectors if v.blocks[j].size]
         if cols:
             total += complex_rank(np.hstack(cols).T)
     return total

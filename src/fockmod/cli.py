@@ -267,6 +267,11 @@ class Settings:
         return default if self.truncation is None else self.truncation
 
 
+# the Fock-space suites, whose runners also take the (bimodule, N) pairs of
+# `_fock_bimodules`
+FOCK_SUITES = ("fock", "ideal", "factorization", "toeplitz")
+
+
 def _fock_bimodules(ctx, st):
     if ctx and ctx["bimodules"]:
         N = st.N(3)
@@ -274,10 +279,10 @@ def _fock_bimodules(ctx, st):
     return ins.creation_instances(st.seed, count=5)
 
 
-def run_fock(ctx, st):
+def run_fock(ctx, st, bimodules):
     rng = st.rng()
     reports = []
-    for H, N in _fock_bimodules(ctx, st):
+    for H, N in bimodules:
         F = fk.FockSpace(H, st.N(N), dim_cap=st.dim_cap)
         rep = fk.creation_relations_check(F, rng, tol=st.tol)
         rep.merge(fk.expectation_properties_check(F, rng, tol=st.tol))
@@ -286,10 +291,10 @@ def run_fock(ctx, st):
     return reports
 
 
-def run_ideal(ctx, st):
+def run_ideal(ctx, st, bimodules):
     rng = st.rng()
     reports = []
-    for H, _ in _fock_bimodules(ctx, st)[:3]:
+    for H, _ in bimodules[:3]:
         N = st.N(4)
         F = fk.FockSpace(H, max(N, 3), dim_cap=st.dim_cap)
         for n in (1, 2):
@@ -300,7 +305,7 @@ def run_ideal(ctx, st):
     return reports
 
 
-def run_factorization(ctx, st):
+def run_factorization(ctx, st, bimodules):
     """Every shape (n, k, j) with 1 <= k(n+1) + j <= L = max_word_length.
     Per module, the tower of M is built once, to level L, which the shape
     (L - 1, 0, 1) reads and no shape passes, and the tower of its level
@@ -312,7 +317,7 @@ def run_factorization(ctx, st):
     if not shapes:
         return []
     reports = []
-    for H, _ in _fock_bimodules(ctx, st)[:2]:
+    for H, _ in bimodules[:2]:
         tower = fk.FockSpace(H, L, dim_cap=st.dim_cap)
         powers = {}
         for n, k, j in shapes:
@@ -325,9 +330,9 @@ def run_factorization(ctx, st):
     return reports
 
 
-def run_toeplitz(ctx, st):
+def run_toeplitz(ctx, st, bimodules):
     rng = st.rng()
-    candidates = [H for H, _ in _fock_bimodules(ctx, st)
+    candidates = [H for H, _ in bimodules
                   if all(r >= n for r, n in
                          zip(H.right_mult, H.base.block_sizes))]
     if not candidates:
@@ -486,9 +491,16 @@ RUNNERS = {
 
 
 def run_suites(ctx, names, st):
-    reports = []
+    """The reports of the named suites, in order.  The Fock-space suites
+    share one list of bimodules, built when the first of them runs."""
+    reports, bimodules = [], None
     for name in names:
-        reports.extend(RUNNERS[name](ctx, st))
+        args = (ctx, st)
+        if name in FOCK_SUITES:
+            if bimodules is None:
+                bimodules = _fock_bimodules(ctx, st)
+            args += (bimodules,)
+        reports.extend(RUNNERS[name](*args))
     for rep in reports:
         rep.seed = st.seed
     return reports

@@ -120,7 +120,7 @@ class GroupAction:
         """alpha_g(a) for every g, one batched product per stacked block:
         entry j holds over g the u a_s u* of `AlgebraAutomorphism.__call__`,
         behind the sample axes of a stacked a."""
-        if a.algebra != self.algebra:
+        if a.parent != self.algebra:
             raise StructureError("element belongs to a different algebra")
         return [u @ np.stack([a.blocks[s] for s in src], axis=-3) @ uh
                 for u, uh, src in zip(self._unitaries, self._adjoints,
@@ -129,7 +129,7 @@ class GroupAction:
     def apply_each(self, labels, a: AlgebraElement) -> AlgebraElement:
         """alpha_g(a) sample by sample, g = labels[s] for sample s of a
         stacked a, with one batched product per block."""
-        if a.algebra != self.algebra:
+        if a.parent != self.algebra:
             raise StructureError("element belongs to a different algebra")
         labels = np.asarray(labels, dtype=int)
         if labels.size:

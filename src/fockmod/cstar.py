@@ -1,9 +1,11 @@
 """Finite-dimensional C*-algebras as direct sums of full matrix blocks.
 
 An algebra is described by its ordered block sizes (n_1, ..., n_k); elements
-are lists of complex square matrices, one per block.  Flat coordinates
-concatenate the blocks row-major; with respect to the unnormalized block
-trace this identification is isometric, which the module layer relies on.
+are lists of complex square matrices, one per block.  `BlockSpace` and
+`BlockValue` hold that layout once, for algebra elements and for the module
+vectors of `hilbmod` alike.  Flat coordinates concatenate the blocks
+row-major; with respect to the unnormalized block trace this identification
+is isometric, which the module layer relies on.
 """
 
 from __future__ import annotations
@@ -30,14 +32,146 @@ class ResourceCapError(PreconditionError):
     """A configured dimension or time budget would be exceeded."""
 
 
-class CStarAlgebra:
+class BlockValue:
+    """A value of a `BlockSpace`: one complex matrix per block, or a stack
+    of samples, blocks that share leading sample axes.  Arithmetic
+    broadcasts over the samples, and `x[i]` takes samples; a subclass gives
+    `norm`, one value per sample."""
+
+    def __init__(self, parent, blocks):
+        blocks = list(blocks)
+        if len(blocks) != len(parent.shapes):
+            raise StructureError(f"{len(blocks)} components, expected "
+                                 f"{len(parent.shapes)}")
+        self.parent = parent
+        self.blocks = []
+        lead = None
+        for (r, c), b in zip(parent.shapes, blocks):
+            b = np.asarray(b, complex)
+            if lead is None:
+                lead = b.shape[:-2]
+            if b.shape != lead + (r, c):
+                raise StructureError(f"block shape {b.shape}, expected ({r},{c})")
+            self.blocks.append(b)
+
+    def __getitem__(self, samples):
+        """The samples of a stacked value."""
+        return type(self)(self.parent, [b[samples] for b in self.blocks])
+
+    @property
+    def flat(self):
+        return np.concatenate([b.reshape(b.shape[:-2] + (r * c,)) for (r, c), b
+                               in zip(self.parent.shapes, self.blocks)],
+                              axis=-1)
+
+    def _same(self, other):
+        if not isinstance(other, BlockValue) or other.parent != self.parent:
+            raise StructureError("operands belong to different spaces")
+        return other
+
+    def __add__(self, other):
+        other = self._same(other)
+        return type(self)(self.parent, [a + b for a, b in zip(self.blocks, other.blocks)])
+
+    def __sub__(self, other):
+        other = self._same(other)
+        return type(self)(self.parent, [a - b for a, b in zip(self.blocks, other.blocks)])
+
+    def __neg__(self):
+        return type(self)(self.parent, [-a for a in self.blocks])
+
+    def __mul__(self, z):
+        """The value times the scalar z."""
+        return type(self)(self.parent, [a * z for a in self.blocks])
+
+    def __rmul__(self, z):
+        return type(self)(self.parent, [z * a for a in self.blocks])
+
+    def __repr__(self):
+        lead = self.blocks[0].shape[:-2]
+        norm = f"samples={lead}" if lead else f"norm={self.norm():.4g}"
+        return f"{type(self).__name__}({self.parent!r}, {norm})"
+
+
+class BlockSpace:
+    """The layout of a block list: block j is a complex shapes[j] matrix.
+    Flat coordinates concatenate the blocks row-major, block j from
+    offsets[j] on.  A subclass names the class of its values as
+    `value_type`."""
+
+    def __init__(self, shapes):
+        self.shapes = tuple(shapes)
+        self.offsets = np.cumsum([0] + [r * c for r, c in self.shapes])
+        self.dim = int(self.offsets[-1])
+
+    def from_flat(self, vec):
+        """The value of a flat vector, or the stacked value of the flat
+        vectors on the last axis of an array."""
+        vec = np.asarray(vec, complex)
+        if vec.shape[-1:] != (self.dim,):
+            raise StructureError(
+                f"flat length {vec.shape[-1] if vec.ndim else 1}, "
+                f"expected {self.dim}")
+        return self.value_type(self, [
+            vec[..., self.offsets[j]:self.offsets[j + 1]]
+            .reshape(vec.shape[:-1] + shape)
+            for j, shape in enumerate(self.shapes)])
+
+    def basis(self):
+        """The values of the flat unit vectors, in order."""
+        return [self.from_flat(e) for e in np.eye(self.dim, dtype=complex)]
+
+    def stack(self, values):
+        """The values as one value stacked over them, in order."""
+        return self.value_type(self, [np.stack(bs) for bs in
+                                      zip(*(x.blocks for x in values))])
+
+
+class AlgebraElement(BlockValue):
+    """An element of a `CStarAlgebra`, or a stack of samples; `norm`,
+    `trace`, `is_hermitian` and `is_positive` give one value per sample."""
+
+    def __mul__(self, other):
+        if np.isscalar(other):
+            return BlockValue.__mul__(self, other)
+        other = self._same(other)
+        return AlgebraElement(self.parent, [a @ b for a, b in zip(self.blocks, other.blocks)])
+
+    def adjoint(self):
+        return AlgebraElement(self.parent,
+                              [a.conj().swapaxes(-1, -2) for a in self.blocks])
+
+    def trace(self):
+        return sum(np.trace(b, axis1=-2, axis2=-1) for b in self.blocks)
+
+    def norm(self):
+        """Operator norm: max over blocks of the largest singular value, one
+        value per sample."""
+        return top_singular_value(self.blocks, self.blocks[0].ndim - 2)
+
+    def is_hermitian(self):
+        return ((self - self.adjoint()).norm()
+                <= DEFAULT_TOL * np.maximum(1.0, self.norm()))
+
+    def is_positive(self):
+        scale = np.maximum(1.0, self.norm())
+        h = 0.5 * (self + self.adjoint())
+        return self.is_hermitian() & np.all(
+            [np.linalg.eigvalsh(b).min(-1) >= -PSD_CUTOFF * scale
+             for b in h.blocks], axis=0)
+
+
+class CStarAlgebra(BlockSpace):
+    """The direct sum of the full matrix algebras M_n, n in block_sizes."""
+
+    value_type = AlgebraElement
+
     def __init__(self, block_sizes):
         block_sizes = tuple(int(n) for n in block_sizes)
         if not block_sizes or any(n < 1 for n in block_sizes):
             raise StructureError(f"block sizes must be positive: {block_sizes}")
         self.block_sizes = block_sizes
-        self.dim = sum(n * n for n in block_sizes)
-        self._offsets = np.cumsum([0] + [n * n for n in block_sizes])
+        super().__init__((n, n) for n in block_sizes)
 
     def __repr__(self):
         return f"CStarAlgebra{self.block_sizes}"
@@ -73,116 +207,10 @@ class CStarAlgebra:
                 for q in range(n):
                     yield (j, p, q)
 
-    def basis(self):
-        return [self.matrix_unit(j, p, q) for (j, p, q) in self.unit_index_iter()]
-
-    def from_flat(self, vec):
-        """The element of a flat vector, or the stacked element of the flat
-        vectors on the last axis of an array."""
-        vec = np.asarray(vec, complex)
-        if vec.shape[-1:] != (self.dim,):
-            raise StructureError(
-                f"flat vector of length {vec.shape[-1] if vec.ndim else 1}, "
-                f"expected {self.dim}")
-        return AlgebraElement(self, [
-            vec[..., self._offsets[j]:self._offsets[j + 1]]
-            .reshape(vec.shape[:-1] + (n, n))
-            for j, n in enumerate(self.block_sizes)])
-
     def random_element(self, rng):
         return AlgebraElement(self, [
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for n in self.block_sizes])
-
-    def stack(self, elements):
-        """The elements as one element stacked over them, in order."""
-        return AlgebraElement(self, [np.stack(bs) for bs in
-                                     zip(*(x.blocks for x in elements))])
-
-
-class AlgebraElement:
-    """An element, or a stack of samples: blocks that share leading sample
-    axes.  Arithmetic broadcasts over the samples; `norm`, `trace`,
-    `is_hermitian` and `is_positive` give one value per sample."""
-
-    def __init__(self, algebra, blocks):
-        if len(blocks) != len(algebra.block_sizes):
-            raise StructureError("block count does not match the algebra")
-        self.algebra = algebra
-        self.blocks = []
-        lead = None
-        for n, b in zip(algebra.block_sizes, blocks):
-            b = np.asarray(b, complex)
-            if lead is None:
-                lead = b.shape[:-2]
-            if b.shape != lead + (n, n):
-                raise StructureError(f"block shape {b.shape}, expected ({n},{n})")
-            self.blocks.append(b)
-
-    def __getitem__(self, samples):
-        """The samples of a stacked element."""
-        return AlgebraElement(self.algebra, [b[samples] for b in self.blocks])
-
-    @property
-    def flat(self):
-        return np.concatenate([b.reshape(b.shape[:-2] + (n * n,)) for n, b
-                               in zip(self.algebra.block_sizes, self.blocks)],
-                              axis=-1)
-
-    def _same(self, other):
-        if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
-            raise StructureError("operands belong to different algebras")
-        return other
-
-    def __add__(self, other):
-        other = self._same(other)
-        return AlgebraElement(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other):
-        other = self._same(other)
-        return AlgebraElement(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.blocks])
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return AlgebraElement(self.algebra, [a * other for a in self.blocks])
-        other = self._same(other)
-        return AlgebraElement(self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
-
-    def __rmul__(self, other):
-        if np.isscalar(other):
-            return AlgebraElement(self.algebra, [other * a for a in self.blocks])
-        return NotImplemented
-
-    def adjoint(self):
-        return AlgebraElement(self.algebra,
-                              [a.conj().swapaxes(-1, -2) for a in self.blocks])
-
-    def trace(self):
-        return sum(np.trace(b, axis1=-2, axis2=-1) for b in self.blocks)
-
-    def norm(self):
-        """Operator norm: max over blocks of the largest singular value, one
-        value per sample."""
-        return top_singular_value(self.blocks, self.blocks[0].ndim - 2)
-
-    def is_hermitian(self):
-        return ((self - self.adjoint()).norm()
-                <= DEFAULT_TOL * np.maximum(1.0, self.norm()))
-
-    def is_positive(self):
-        scale = np.maximum(1.0, self.norm())
-        h = 0.5 * (self + self.adjoint())
-        return self.is_hermitian() & np.all(
-            [np.linalg.eigvalsh(b).min(-1) >= -PSD_CUTOFF * scale
-             for b in h.blocks], axis=0)
-
-    def __repr__(self):
-        lead = self.blocks[0].shape[:-2]
-        norm = f"samples={lead}" if lead else f"norm={self.norm():.4g}"
-        return f"AlgebraElement({self.algebra.block_sizes}, {norm})"
 
 
 def top_singular_value(mats, samples):
@@ -247,7 +275,7 @@ class StateFunctional:
 
     def __call__(self, x):
         """rho(x), one value per sample."""
-        if x.algebra != self.algebra:
+        if x.parent != self.algebra:
             raise StructureError("element belongs to a different algebra")
         val = sum(np.trace(d @ b, axis1=-2, axis2=-1)
                   for d, b in zip(self.densities, x.blocks))
@@ -280,7 +308,7 @@ class CPLinearMap:
         return cls(domain, codomain, np.array(cols).T)
 
     def __call__(self, x):
-        if x.algebra != self.domain:
+        if x.parent != self.domain:
             raise StructureError("element outside the map's domain")
         # a matrix-vector product per sample, the same arithmetic as for one
         # vector (a single product with all samples would round apart)
@@ -297,23 +325,12 @@ class CPLinearMap:
         row_off = np.cumsum([0] + list(self.domain.block_sizes))
         for (j, p, q) in self.domain.unit_index_iter():
             out = self(self.domain.matrix_unit(j, p, q))
-            choi[:, row_off[j] + p, :, row_off[j] + q] = block_diag_matrix(
-                out.blocks)
+            choi[:, row_off[j] + p, :, row_off[j] + q] = place_copies(
+                out.blocks, [1] * len(out.blocks), dC)
         return choi.reshape(dC * dA, dC * dA)
 
     def min_choi_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.choi_matrix()).min())
-
-
-def block_diag_matrix(blocks):
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total), complex)
-    off = 0
-    for b in blocks:
-        n = b.shape[0]
-        out[off:off + n, off:off + n] = b
-        off += n
-    return out
 
 
 # -- canonical multiplicity form --------------------------------------------
@@ -355,8 +372,9 @@ def place_copies(pieces, row, size):
     pieces[k], k in order: the direct sum of kron(I_{row[k]}, pieces[k]),
     padded with zeros, per sample of pieces that share leading axes.  The
     c copies of a q x q piece are written through one strided (c, q, q)
-    view, copy t starting t q rows and columns after the first."""
-    lead = pieces[0].shape[:-2]
+    view, copy t starting t q rows and columns after the first.  No pieces
+    give the zero matrix."""
+    lead = pieces[0].shape[:-2] if pieces else ()
     out = np.zeros(lead + (size, size), complex)
     rows, cols = out.strides[-2:]
     pos = 0
@@ -393,7 +411,7 @@ class UnitalHomomorphism:
                                 self.codomain.block_sizes[i]) @ u.conj().T
 
     def __call__(self, x):
-        if x.algebra != self.domain:
+        if x.parent != self.domain:
             raise StructureError("element outside the embedding's domain")
         return AlgebraElement(self.codomain,
                               [self.block_image(i, x)
@@ -421,7 +439,7 @@ class AlgebraAutomorphism:
             [[int(i == s) for i in range(k)] for s in self.source], unitaries)
 
     def __call__(self, x):
-        if x.algebra != self.algebra:
+        if x.parent != self.algebra:
             raise StructureError("element belongs to a different algebra")
         blocks = [u @ x.blocks[s] @ u.conj().T
                   for u, s in zip(self.unitaries, self.source)]
@@ -503,7 +521,7 @@ class ConditionalExpectation:
         self._to_base = to_base
 
     def __call__(self, a):
-        if a.algebra != self.algebra:
+        if a.parent != self.algebra:
             raise StructureError("element outside the expectation's domain")
         return self._to_base(a)
 

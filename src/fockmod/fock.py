@@ -150,14 +150,14 @@ class LevelOp:
 
     def norm(self):
         """Frobenius norm, one value per sample: kron(T_j, I_{n_j}) has
-        n_j ||T_j||_F^2 as its squared Frobenius norm.  A stacked T_j's
-        flat rows times their conjugates round as np.vdot does."""
+        n_j ||T_j||_F^2 as its squared Frobenius norm: the conjugate dot
+        product of T_j's flat row with itself, which `np.vecdot` rounds as
+        np.vdot does, per sample."""
         sq = 0.0
         for X in self.blocks.values():
             for x, n in zip(X, self.sizes):
-                f = x.reshape(x.shape[:-2] + (1, -1))
-                sq = sq + n * (np.vdot(x, x) if x.ndim == 2 else (
-                    f.conj() @ f.swapaxes(-1, -2))[..., 0, 0]).real
+                f = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+                sq = sq + n * np.vecdot(f, f).real
         return np.sqrt(sq)
 
     def spectral_norm(self):
@@ -497,7 +497,7 @@ def _check_depth(F: FockSpace, n):
 def _word_scale(coeffs, hs):
     """max(1, product of the norms of a stacked word's coefficients and
     vectors) per sample, from one norm over each."""
-    return np.maximum(1.0, np.prod(coeffs[0].algebra.stack(coeffs).norm(), 0)
+    return np.maximum(1.0, np.prod(coeffs[0].parent.stack(coeffs).norm(), 0)
                       * np.prod(hs[0].parent.stack(hs).norm(), 0))
 
 
@@ -524,7 +524,7 @@ def ideal_structure_check(F: FockSpace, n, rng,
     v = _vacuum_tensor(F, [c.adjoint() for c in coeffs[:n:-1]]
                        + [F.base.identity()], hs[:n - 1:-1])
     rank_one = F._level_op({(n, n): [uj @ vj.conj().swapaxes(-1, -2)
-                                     for uj, vj in zip(u.comps, v.comps)]})
+                                     for uj, vj in zip(u.blocks, v.blocks)]})
     res_rank = (x - rank_one).spectral_norm() / scale
     # ideal property: (balanced word) . x still kills levels < n, where
     # only the word's blocks on levels k < n act; they give its scale too
@@ -676,7 +676,7 @@ def isometric_vector(H: HilbertBimodule, rng) -> ModuleVector:
     """Random h with <h,h> = 1, so l(h) is a truncated isometry."""
     comps = []
     for r, n, raw in zip(H.right_mult, H.base.block_sizes,
-                         H.random_vector(rng).comps):
+                         H.random_vector(rng).blocks):
         if r < n:
             raise PreconditionError(
                 "no isometric vector: a component is too small")

@@ -22,7 +22,7 @@ def scalar_fit(b: AlgebraElement):
     """Best scalar s with b ~ s 1, plus the residual of the fit."""
     total = sum(algebra_blk.shape[0] for algebra_blk in b.blocks)
     s = sum(np.trace(blk) for blk in b.blocks) / total
-    return s, (b - b.algebra.identity() * s).norm()
+    return s, (b - b.parent.identity() * s).norm()
 
 
 def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,

@@ -14,9 +14,9 @@ import warnings
 
 import numpy as np
 
-from .cstar import (AlgebraElement, CPLinearMap, CStarAlgebra,
-                    PreconditionError, StateFunctional, StructureError,
-                    block_diag_matrix, multiplicity_form, place_copies,
+from .cstar import (AlgebraElement, BlockSpace, BlockValue, CPLinearMap,
+                    CStarAlgebra, PreconditionError, StateFunctional,
+                    StructureError, multiplicity_form, place_copies,
                     top_singular_value, DEFAULT_TOL)
 
 RANK_CUTOFF = 1e-10
@@ -57,7 +57,26 @@ def right_linear_matrix(Ts, sizes):
     return out
 
 
-class HilbertBimodule:
+class ModuleVector(BlockValue):
+    """A vector of a `HilbertBimodule`, or a stack of samples: component j
+    is block j of the module's layout, an r_j x n_j matrix."""
+
+    def rmul(self, b: AlgebraElement):
+        return ModuleVector(self.parent, [c @ bj for c, bj in zip(self.blocks, b.blocks)])
+
+    def lmul(self, b: AlgebraElement):
+        H = self.parent
+        return ModuleVector(H, [H.left_rep_block(j, b) @ xj
+                                for j, xj in enumerate(self.blocks)])
+
+    def norm(self):
+        """Module norm ||<x,x>||^(1/2), one value per sample."""
+        return np.sqrt(np.fmax(0.0, self.parent.inner(self, self).norm()))
+
+
+class HilbertBimodule(BlockSpace):
+    value_type = ModuleVector
+
     def __init__(self, base: CStarAlgebra, right_mult, left_mult, left_unitaries=None):
         self.base = base
         self.right_mult = tuple(int(r) for r in right_mult)
@@ -67,9 +86,7 @@ class HilbertBimodule:
         # into M_{r_j}; a negative r_j fails its multiplicity equation
         self.left_mult, self.left_unitaries = multiplicity_form(
             self.right_mult, base.block_sizes, left_mult, left_unitaries)
-        self.comp_dims = tuple(r * n for r, n in zip(self.right_mult, base.block_sizes))
-        self.offsets = np.cumsum([0] + list(self.comp_dims))
-        self.dim = int(self.offsets[-1])
+        super().__init__(zip(self.right_mult, base.block_sizes))
 
     def __repr__(self):
         return (f"HilbertBimodule(base={self.base.block_sizes}, "
@@ -80,32 +97,9 @@ class HilbertBimodule:
     def vector(self, comps):
         return ModuleVector(self, comps)
 
-    def from_flat(self, vec):
-        """The vector of a flat vector, or the stacked vector of the flat
-        vectors on the last axis of an array."""
-        vec = np.asarray(vec, complex)
-        if vec.shape[-1:] != (self.dim,):
-            raise StructureError(
-                f"flat length {vec.shape[-1] if vec.ndim else 1}, "
-                f"expected {self.dim}")
-        return ModuleVector(self, [
-            vec[..., self.offsets[j]:self.offsets[j + 1]]
-            .reshape(vec.shape[:-1] + (r, n))
-            for j, (r, n) in enumerate(zip(self.right_mult,
-                                           self.base.block_sizes))])
-
-    def basis(self):
-        eye = np.eye(self.dim, dtype=complex)
-        return [self.from_flat(eye[:, i]) for i in range(self.dim)]
-
     def random_vector(self, rng):
         return self.from_flat(rng.standard_normal(self.dim)
                               + 1j * rng.standard_normal(self.dim))
-
-    def stack(self, vectors):
-        """The vectors as one vector stacked over them, in order."""
-        return ModuleVector(self, [np.stack(cs) for cs in
-                                   zip(*(v.comps for v in vectors))])
 
     # -- actions as flat matrices -----------------------------------------
 
@@ -125,81 +119,17 @@ class HilbertBimodule:
             [self.left_rep_block(j, b) for j in range(len(self.right_mult))],
             self.base.block_sizes)
 
-    def left(self, b, x: "ModuleVector"):
-        comps = [self.left_rep_block(j, b) @ xj for j, xj in enumerate(x.comps)]
-        return ModuleVector(self, comps)
-
-    def inner(self, x: "ModuleVector", y: "ModuleVector") -> AlgebraElement:
+    def inner(self, x: ModuleVector, y: ModuleVector) -> AlgebraElement:
         """B-valued inner product, conjugate-linear in the first slot."""
         if x.parent is not self or y.parent is not self:
             raise StructureError("vectors belong to a different bimodule")
         return AlgebraElement(self.base, [xj.conj().swapaxes(-1, -2) @ yj
-                                          for xj, yj in zip(x.comps, y.comps)])
+                                          for xj, yj in zip(x.blocks, y.blocks)])
 
     def annihilated_central_summands(self):
         k = len(self.base.block_sizes)
         return [kk for kk in range(k)
                 if all(row[kk] == 0 for row in self.left_mult)]
-
-
-class ModuleVector:
-    """A vector, or a stack of samples: components that share leading
-    sample axes, like a stacked `AlgebraElement`."""
-
-    def __init__(self, parent: HilbertBimodule, comps):
-        self.parent = parent
-        self.comps = []
-        comps = list(comps)
-        if len(comps) != len(parent.right_mult):
-            raise StructureError(f"{len(comps)} components, expected "
-                                 f"{len(parent.right_mult)}")
-        lead = None
-        for (r, n), c in zip(zip(parent.right_mult, parent.base.block_sizes), comps):
-            c = np.asarray(c, complex)
-            if lead is None:
-                lead = c.shape[:-2]
-            if c.shape != lead + (r, n):
-                raise StructureError(f"component shape {c.shape}, expected ({r},{n})")
-            self.comps.append(c)
-
-    def __getitem__(self, samples):
-        """The samples of a stacked vector."""
-        return ModuleVector(self.parent, [c[samples] for c in self.comps])
-
-    @property
-    def flat(self):
-        return np.concatenate([c.reshape(c.shape[:-2] + (d,)) for d, c
-                               in zip(self.parent.comp_dims, self.comps)],
-                              axis=-1)
-
-    def __add__(self, other):
-        return ModuleVector(self.parent, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        return ModuleVector(self.parent, [a - b for a, b in zip(self.comps, other.comps)])
-
-    def __mul__(self, z):
-        return ModuleVector(self.parent, [a * z for a in self.comps])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def rmul(self, b: AlgebraElement):
-        return ModuleVector(self.parent, [c @ bj for c, bj in zip(self.comps, b.blocks)])
-
-    def lmul(self, b: AlgebraElement):
-        return self.parent.left(b, self)
-
-    def norm(self):
-        """Module norm ||<x,x>||^(1/2), one value per sample."""
-        return np.sqrt(np.fmax(0.0, self.parent.inner(self, self).norm()))
-
-    def __repr__(self):
-        lead = self.comps[0].shape[:-2]
-        norm = f"samples={lead}" if lead else f"norm={self.norm():.4g}"
-        return f"ModuleVector(dim={self.parent.dim}, {norm})"
 
 
 # -- building blocks -------------------------------------------------------
@@ -219,7 +149,7 @@ def element_to_vector(module: HilbertBimodule, b: AlgebraElement) -> ModuleVecto
 
 
 def vector_to_element(x: ModuleVector) -> AlgebraElement:
-    return AlgebraElement(x.parent.base, [c.copy() for c in x.comps])
+    return AlgebraElement(x.parent.base, [c.copy() for c in x.blocks])
 
 
 def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
@@ -237,7 +167,7 @@ def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
                - module.inner(x, y.lmul(b.adjoint()))).norm()
     bad_adj = res_adj > DEFAULT_TOL * np.maximum(
         1.0, b.norm() * x.norm() * y.norm())
-    res_mult = module.left(b * c, x) - module.left(b, module.left(c, x))
+    res_mult = x.lmul(b * c) - x.lmul(c).lmul(b)
     bad_mult = np.linalg.norm(res_mult.flat, axis=-1) > DEFAULT_TOL * \
         np.maximum(1.0, b.norm() * c.norm() * np.linalg.norm(x.flat, axis=-1))
     positive = module.inner(x, x).is_positive()
@@ -274,12 +204,9 @@ def _orthonormal_pieces(module, flats, drop_tol=None):
     lengthens t), and the block stops once U_j has r_j columns.  Pieces are
     visited input by input, then by block and column, each read as a strided
     column, as a module vector holds it (a contiguous copy rounds apart)."""
-    flats = np.asarray(flats, complex).reshape(-1, module.dim)
-    sizes, m = module.base.block_sizes, len(flats)
-    comps = [(j, flats[:, module.offsets[j]:module.offsets[j + 1]]
-              .reshape(m, r, n))
-             for j, (r, n) in enumerate(zip(module.right_mult, sizes))
-             if r and m]
+    sizes = module.base.block_sizes
+    blocks = module.from_flat(np.reshape(flats, (-1, module.dim))).blocks
+    comps = [(j, X) for j, X in enumerate(blocks) if X.size]
     if drop_tol is None:
         # ||x|| = max_j ||x_j||_2, the largest over all inputs
         drop_tol = 1e-8 * max(
@@ -338,7 +265,7 @@ class SubmoduleSpan:
 def projection_components(module, V):
     """The components of P h = sum_v v<v,h>: S_j S_j* with S_j the columns
     of every v_j side by side, so P is right B-linear."""
-    Ss = [np.hstack([np.zeros((r, 0), complex)] + [v.comps[j] for v in V])
+    Ss = [np.hstack([np.zeros((r, 0), complex)] + [v.blocks[j] for v in V])
           for j, r in enumerate(module.right_mult)]
     return [S @ S.conj().T for S in Ss]
 
@@ -541,7 +468,7 @@ def _merged_left(pieces, sizes):
              for s, n_s in enumerate(sizes)
              for (c, _), start in zip(pieces, starts)
              for i in range(c[s] * n_s)]
-    blk = block_diag_matrix([u for _, u in pieces])
+    blk = place_copies([u for _, u in pieces], [1] * len(pieces), starts[-1])
     return row, blk[:, np.array(sigma, dtype=int)]
 
 

@@ -115,7 +115,7 @@ def ideal_structure_check(F: FockSpace, n, rng,
         v = _vacuum_tensor(F, [c.adjoint() for c in coeffs[:n:-1]] + [one],
                            hs[:n - 1:-1])
         rank_one = F._level_op(
-            {(n, n): [uj @ vj.conj().T for uj, vj in zip(u.comps, v.comps)]})
+            {(n, n): [uj @ vj.conj().T for uj, vj in zip(u.blocks, v.blocks)]})
         res_rank = max(res_rank, (x - rank_one).spectral_norm() / scale)
         # ideal property: (balanced word) . x still kills levels < n, where
         # only the word's blocks on levels k < n act; they give its scale too
@@ -245,8 +245,7 @@ def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
                - module.inner(x, y.lmul(b.adjoint()))).norm()
         if res > DEFAULT_TOL * scale:
             raise StructureError(f"<b.x, y> = <x, b*.y> fails: residual {res:.2e}")
-        res = _flat_norm(module.left(b * c, x)
-                         - module.left(b, module.left(c, x)))
+        res = _flat_norm(x.lmul(b * c) - x.lmul(c).lmul(b))
         if res > DEFAULT_TOL * max(1.0, b.norm() * c.norm() * _flat_norm(x)):
             raise StructureError("left action is not multiplicative")
         gram = module.inner(x, x)

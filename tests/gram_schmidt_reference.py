@@ -25,7 +25,7 @@ def reference_gram_schmidt(X, drop_tol=None):
         for _ in range(2):
             for v in V:
                 w = w - v.rmul(module.inner(v, w))
-        t = w.comps[j][:, q]
+        t = w.blocks[j][:, q]
         length = float(np.linalg.norm(t))
         # w = w.e_{qq}, so <w,w> = |col|^2 e_qq and the module norm is |col|
         if length <= drop_tol:
@@ -36,5 +36,5 @@ def reference_gram_schmidt(X, drop_tol=None):
 
 def support(v):
     """The (component, column) pairs where v is nonzero."""
-    return [(j, q) for j, c in enumerate(v.comps)
+    return [(j, q) for j, c in enumerate(v.blocks)
             for q in range(c.shape[1]) if np.any(c[:, q] != 0)]

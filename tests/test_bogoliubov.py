@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from fockmod import bogoliubov as bg
 from fockmod import cli
@@ -14,8 +15,7 @@ from fockmod.bogoliubov import (BogoliubovMap, _fock_level_spans,
                                 identity_bogoliubov, kp_subspace,
                                 localized_tensor_dim, validate_bogoliubov)
 from fockmod.cstar import (AlgebraAutomorphism, CStarAlgebra,
-                           PreconditionError, block_diag_matrix,
-                           haar_unitary_matrix)
+                           PreconditionError, haar_unitary_matrix)
 from fockmod.fock import FockSpace, LevelOp
 from fockmod.freeprod import AmalgSetup
 from fockmod.hilbmod import (AugmentedModule, TensorStep, make_bimodule,
@@ -222,9 +222,9 @@ def _mixed_block_bogoliubov(rng):
     H = make_bimodule(B, (sum(sizes),) * len(sizes),
                       [(1,) * len(sizes)] * len(sizes), rng=rng)
     v = [haar_unitary_matrix(rng, n) for n in sizes]
-    U = block_diag_matrix(
-        [np.kron(block_diag_matrix([np.kron(haar_unitary_matrix(rng, 1), vk)
-                                    for vk in v]), vj.conj()) for vj in v])
+    U = block_diag(
+        *[np.kron(block_diag(*[np.kron(haar_unitary_matrix(rng, 1), vk)
+                               for vk in v]), vj.conj()) for vj in v])
     return BogoliubovMap(H, U, AlgebraAutomorphism(B, unitaries=v))
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from fockmod import crossed
 from fockmod import cstar
 from fockmod.cli import Settings, run_crossed, run_suites
 from fockmod.cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
                            PreconditionError, StructureError,
-                           block_diag_matrix, identity_automorphism)
+                           identity_automorphism)
 from fockmod.crossed import (CrossedProduct, FiniteGroup, GroupAction,
                              crossed_product, folner_average, folner_defect,
                              lift_automorphism, rep_unitary, smearing_map)
@@ -72,8 +73,7 @@ def dense_pi(C, a):
     M = np.zeros((C.group.order * dimV,) * 2, complex)
     for h in C.group.elements():
         s = slice(h * dimV, (h + 1) * dimV)
-        M[s, s] = block_diag_matrix(
-            list(C.action.apply(C.group.inv(h), a).blocks))
+        M[s, s] = block_diag(*C.action.apply(C.group.inv(h), a).blocks)
     return M
 
 
@@ -154,8 +154,8 @@ def test_crossed_suite_builds_no_dense_operator(monkeypatch):
 
     monkeypatch.setattr(LevelOp, "dense", refuse)
     monkeypatch.setattr(crossed.np, "kron", refuse)
-    monkeypatch.setattr(cstar, "block_diag_matrix", refuse)
-    monkeypatch.setattr(crossed, "block_diag_matrix", refuse, raising=False)
+    monkeypatch.setattr(cstar, "place_copies", refuse)
+    monkeypatch.setattr(crossed, "place_copies", refuse, raising=False)
     reports = run_suites(None, ("crossed",), Settings())
     assert reports and all(r.passed for r in reports)
 

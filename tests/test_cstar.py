@@ -8,6 +8,7 @@ from fockmod.cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
                            UnitalHomomorphism, flip_automorphism,
                            haar_unitary_matrix, identity_automorphism,
                            scalar_embedding, uniform_trace_state)
+from fockmod.hilbmod import trivial_module
 
 RNG = np.random.default_rng(11)
 
@@ -238,9 +239,12 @@ def test_stacked_elements_are_their_samples():
             assert all(np.array_equal(g, w)
                        for g, w in zip(got.blocks, want.blocks))
     assert np.array_equal(x.flat[2], xs[2].flat)
-    assert repr(x) == "AlgebraElement((1, 2, 2, 3), samples=(4,))"
-    with pytest.raises(StructureError, match="block shape"):
-        A.element([x.blocks[0]] + [b[0] for b in x.blocks[1:]])
+    assert repr(x) == "AlgebraElement(CStarAlgebra(1, 2, 2, 3), samples=(4,))"
+    # a module vector on the same layout is refused the same way
+    for space in (A, trivial_module(A)):
+        with pytest.raises(StructureError, match="block shape"):
+            space.value_type(space, [x.blocks[0]]
+                             + [b[0] for b in x.blocks[1:]])
 
 
 def test_top_singular_value_over_stacks_of_blocks():

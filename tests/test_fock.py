@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from fockmod import fock, hilbmod
 from fockmod.cli import Settings, run_suites
 from fockmod.cstar import (CStarAlgebra, PreconditionError, ResourceCapError,
-                           StructureError, block_diag_matrix,
-                           haar_unitary_matrix)
+                           StructureError, haar_unitary_matrix)
 from fockmod.fock import (FockSpace, LevelOp, creation_relations_check,
                           endomorphism_injectivity_check,
                           expectation_properties_check,
@@ -61,7 +61,7 @@ def _dense_word(F: FockSpace, coeffs, hs):
 
 def _right_matrix(F: FockSpace, b):
     """The dense right action of b on the Fock space, level by level."""
-    return block_diag_matrix([lv.right_matrix(b) for lv in F.levels])
+    return block_diag(*[lv.right_matrix(b) for lv in F.levels])
 
 
 def test_creation_commutation_relation():
@@ -88,7 +88,7 @@ def test_creation_left_module_map():
     H = F.bimodule
     x = H.random_vector(RNG)
     b = H.base.random_element(RNG)
-    lhs = F.creation(H.left(b, x)).dense()
+    lhs = F.creation(x.lmul(b)).dense()
     rhs = F.left(b).dense() @ F.creation(x).dense()
     assert masked_norm(_level_blocks(F, lhs - rhs), F.N - 1) < 1e-10
 
@@ -678,12 +678,12 @@ def _reference_left_matrix(F: FockSpace, b):
             for k, c in enumerate(lv.left_mult[j]):
                 if c:
                     pieces.append(np.kron(np.eye(c), b.blocks[k]))
-            diag = block_diag_matrix(pieces) if pieces \
+            diag = block_diag(*pieces) if pieces \
                 else np.zeros((lv.right_mult[j],) * 2, complex)
             u = lv.left_unitaries[j]
             comps.append(_kron_eye(u @ diag @ u.conj().T, n))
-        levels.append(block_diag_matrix(comps))
-    return block_diag_matrix(levels)
+        levels.append(block_diag(*comps))
+    return block_diag(*levels)
 
 
 def _reference_creation_matrix(F: FockSpace, h):
@@ -875,8 +875,8 @@ def test_expectations_of_level_ops_match_dense():
             got = F.vacuum_expectation(*factors)
             assert np.linalg.norm(got.flat - want) <= 1e-14 * max(
                 1.0, np.linalg.norm(Ad) * np.linalg.norm(Bd))
-        diag = block_diag_matrix([Ad[_level_slice(F, k), _level_slice(F, k)]
-                                  for k in range(F.N + 1)])
+        diag = block_diag(*[Ad[_level_slice(F, k), _level_slice(F, k)]
+                            for k in range(F.N + 1)])
         for M in (A, Ap):
             assert np.array_equal(F.gauge_expectation(M).dense(), diag)
         assert set(F.gauge_expectation(A).blocks) == {(1, 1)}
@@ -950,6 +950,10 @@ def test_level_op_norms_and_blocks_are_per_sample():
                                       [one.spectral_norm() for one in ops])
             for s, one in enumerate(ops):
                 assert op[s].norm() == one.norm()
+                # an unstacked operator against the np.vdot formula
+                sq = sum(n * np.vdot(x, x).real for X in one.blocks.values()
+                         for x, n in zip(X, one.sizes))
+                assert one.norm() == np.sqrt(sq)
                 for i, j in pairs:
                     assert np.array_equal(op.block(i, j)[s], one.block(i, j))
 

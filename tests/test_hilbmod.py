@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
-from fockmod.cstar import (CStarAlgebra, StructureError, UnitalHomomorphism,
-                          block_diag_matrix, place_copies,
+from fockmod.cstar import (AlgebraElement, CStarAlgebra, StructureError,
+                          UnitalHomomorphism, place_copies,
                           uniform_trace_state)
 from fockmod.fock import FockSpace
 from fockmod.hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
@@ -61,11 +62,14 @@ def test_placement_matches_block_diagonal_of_krons():
     for j, (row, r) in enumerate(zip(H.left_mult, H.right_mult)):
         pieces = [np.kron(np.eye(c), b.blocks[k])
                   for k, c in enumerate(row) if c]
-        diag = block_diag_matrix(pieces) if pieces \
+        diag = block_diag(*pieces) if pieces \
             else np.zeros((r, r), complex)
         assert np.array_equal(place_copies(b.blocks, row, r), diag)
         u = H.left_unitaries[j]
         assert np.array_equal(H.left_rep_block(j, b), u @ diag @ u.conj().T)
+    # no pieces, as a zero component of `_merged_left` has
+    for r in (0, 3):
+        assert np.array_equal(place_copies([], [], r), np.zeros((r, r)))
     iota = UnitalHomomorphism(H.base, CStarAlgebra((2, 4)), H.left_mult[:2],
                               H.left_unitaries[:2])
     for i in range(2):
@@ -73,8 +77,8 @@ def test_placement_matches_block_diagonal_of_krons():
                               H.left_rep_block(i, b))
     F = FockSpace(H, 2)
     assert np.allclose(F.left(b).dense(),
-                       block_diag_matrix([lv.left_matrix(b)
-                                          for lv in F.levels]), atol=1e-12)
+                       block_diag(*[lv.left_matrix(b) for lv in F.levels]),
+                       atol=1e-12)
     # a stacked element is placed sample by sample, bit-equal
     bs = H.base.stack([b, H.base.random_element(RNG)])
     for j, (row, r) in enumerate(zip(H.left_mult, H.right_mult)):
@@ -118,7 +122,7 @@ def test_left_action_is_adjointable_homomorphism():
     La, Lb = H.left_matrix(a), H.left_matrix(b)
     assert np.linalg.norm(H.left_matrix(a * b) - La @ Lb) < 1e-12
     x, y = H.random_vector(RNG), H.random_vector(RNG)
-    g = H.inner(H.left(a.adjoint(), x), y) - H.inner(x, H.left(a, y))
+    g = H.inner(x.lmul(a.adjoint()), y) - H.inner(x, y.lmul(a))
     assert g.norm() < 1e-12
 
 
@@ -127,7 +131,7 @@ def test_left_and_right_actions_commute():
     a = H.base.random_element(RNG)
     b = H.base.random_element(RNG)
     x = H.random_vector(RNG)
-    g = H.left(a, x.rmul(b)) - H.left(a, x).rmul(b)
+    g = x.rmul(b).lmul(a) - x.lmul(a).rmul(b)
     assert g.norm() < 1e-12
 
 
@@ -141,14 +145,16 @@ def test_trivial_module_round_trip():
 
 
 def test_module_vector_rejects_a_component_list_of_the_wrong_length():
+    """Module vectors and algebra elements alike, on the same layout."""
     B = CStarAlgebra((1, 2))
     T = trivial_module(B)
-    with pytest.raises(StructureError, match="1 components, expected 2"):
-        ModuleVector(T, [np.ones((1, 1))])
-    with pytest.raises(StructureError, match="3 components, expected 2"):
-        ModuleVector(T, [np.ones((1, 1)), np.ones((2, 2)), np.ones((2, 2))])
-    x = T.vector(iter([np.ones((1, 1)), np.ones((2, 2))]))
-    assert x.flat.size == T.dim == 5
+    for space, value in [(T, ModuleVector), (B, AlgebraElement)]:
+        with pytest.raises(StructureError, match="1 components, expected 2"):
+            value(space, [np.ones((1, 1))])
+        with pytest.raises(StructureError, match="3 components, expected 2"):
+            value(space, [np.ones((1, 1)), np.ones((2, 2)), np.ones((2, 2))])
+        x = value(space, iter([np.ones((1, 1)), np.ones((2, 2))]))
+        assert x.flat.size == space.dim == 5
 
 
 def test_gram_schmidt_orthonormal_minimal_projections():
@@ -168,8 +174,8 @@ def reference_projection(module, V):
     P = np.zeros((module.dim, module.dim), complex)
     for v in V:
         blocks = [np.kron(vj @ vj.conj().T, np.eye(n))
-                  for vj, n in zip(v.comps, module.base.block_sizes)]
-        P += block_diag_matrix(blocks)
+                  for vj, n in zip(v.blocks, module.base.block_sizes)]
+        P += block_diag(*blocks)
     return P
 
 
@@ -351,7 +357,7 @@ def test_interior_tensor_inner_products():
     t1 = step.module.from_flat(step.tensor(x1.flat, y1.flat))
     t2 = step.module.from_flat(step.tensor(x2.flat, y2.flat))
     want = step.module.inner(t1, t2)
-    got = H.inner(y1, H.left(H.inner(x1, x2), y2))
+    got = H.inner(y1, y2.lmul(H.inner(x1, x2)))
     assert (want - got).norm() < 1e-10
 
 
@@ -362,7 +368,7 @@ def test_tensor_balancing_over_base():
     x, y = H.random_vector(RNG), H.random_vector(RNG)
     b = B.random_element(RNG)
     lhs = step.module.from_flat(step.tensor(x.rmul(b).flat, y.flat))
-    rhs = step.module.from_flat(step.tensor(x.flat, H.left(b, y).flat))
+    rhs = step.module.from_flat(step.tensor(x.flat, y.lmul(b).flat))
     assert (lhs - rhs).norm() < 1e-10
 
 
@@ -387,7 +393,7 @@ def test_augmented_module_unit_vector():
     g = aug.module.inner(xi, xi)
     assert (g - aug.module.base.identity()).norm() < 1e-12
     b = H.base.random_element(RNG)
-    g = aug.module.left(b, xi) - xi.rmul(b)
+    g = xi.lmul(b) - xi.rmul(b)
     assert g.norm() < 1e-12
 
 
@@ -396,7 +402,7 @@ def test_gns_bimodule_inner_matches_state():
     rho = uniform_trace_state(B)
     H, xi = gns_bimodule(B, rho)
     b = B.random_element(RNG)
-    g = H.inner(xi, H.left(b, xi)) - B.scalar(rho(b))
+    g = H.inner(xi, xi.lmul(b)) - B.scalar(rho(b))
     assert g.norm() < 1e-10
 
 
@@ -450,8 +456,8 @@ def _kron_apply(step, h_flat):
         row = col = 0
         for k, n_k in enumerate(base.block_sizes):
             for _ in range(step.K.left_mult[j][k]):
-                rows = h.comps[k].shape[0]
-                M[row:row + rows, col:col + n_k] = h.comps[k]
+                rows = h.blocks[k].shape[0]
+                M[row:row + rows, col:col + n_k] = h.blocks[k]
                 row += rows
                 col += n_k
         B = M @ step.K.left_unitaries[j].conj().T
@@ -514,6 +520,7 @@ def test_stacked_vectors_are_their_samples():
         assert all(np.array_equal(g, h) for g, h in
                    zip(gram[s].blocks, H.inner(v, w).blocks))
         assert x.norm()[s] == v.norm()
-    assert repr(x) == f"ModuleVector(dim={H.dim}, samples=(3,))"
-    with pytest.raises(StructureError, match="flat length 2"):
-        H.from_flat(np.zeros((3, 2)))
+    assert repr(x) == f"ModuleVector({H!r}, samples=(3,))"
+    for space in (H, H.base):
+        with pytest.raises(StructureError, match="flat length 2"):
+            space.from_flat(np.zeros((3, 2)))
