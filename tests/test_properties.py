@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockmod.crossed import FiniteGroup
+from fockmod.cstar import PreconditionError
 from fockmod.freeprod import alternating_patterns, catalan, \
     semicircular_moments
 from fockmod.hilbmod import gram_schmidt, projection_from_basis
@@ -44,8 +45,14 @@ def test_alternating_patterns_never_repeat(n_families, budget):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_gram_schmidt_projection_idempotent_under_reruns(seed):
     rng = np.random.default_rng(seed)
-    B = random_algebra(rng)
-    H = random_bimodule(rng, B, dim_cap=24)
+    while True:
+        # redraw the base when the generator finds no bimodule under the cap,
+        # as the instance suites do
+        try:
+            H = random_bimodule(rng, random_algebra(rng), dim_cap=24)
+            break
+        except PreconditionError:
+            continue
     vectors = [H.random_vector(rng) for _ in range(3)]
     basis = gram_schmidt(vectors)
     again = gram_schmidt(basis)
