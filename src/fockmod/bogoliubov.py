@@ -6,8 +6,8 @@ from math import prod
 
 import numpy as np
 
-from .cstar import (AlgebraAutomorphism, PreconditionError, StructureError,
-                    identity_automorphism, DEFAULT_TOL)
+from .cstar import (AlgebraAutomorphism, LinearMap, PreconditionError,
+                    StructureError, DEFAULT_TOL)
 from .hilbmod import (AugmentedModule, HilbertBimodule, ModuleVector,
                       SubmoduleSpan, _orthonormal_pieces, complex_rank,
                       projection_components)
@@ -15,8 +15,8 @@ from .fock import FockSpace, LevelOp, word
 from .report import VerificationReport
 
 
-class BogoliubovMap:
-    """A complex-linear map U on a bimodule together with the base
+class BogoliubovMap(LinearMap):
+    """A complex-linear map U on a bimodule (`domain`) together with the base
     automorphism beta it twists by:
 
         <U h1, U h2> = beta(<h1, h2>),   U(b1 h b2) = beta(b1) U(h) beta(b2).
@@ -24,30 +24,13 @@ class BogoliubovMap:
 
     def __init__(self, module: HilbertBimodule, matrix,
                  beta: AlgebraAutomorphism):
-        matrix = np.asarray(matrix, complex)
-        if matrix.shape != (module.dim, module.dim):
-            raise StructureError(
-                f"map shape {matrix.shape}, expected square of {module.dim}")
+        super().__init__(module, module, matrix)
         if beta.algebra != module.base:
             raise StructureError("automorphism of a different base algebra")
-        self.module = module
-        self.matrix = matrix
         self.beta = beta
-
-    def __call__(self, x: ModuleVector) -> ModuleVector:
-        if x.parent is not self.module:
-            raise StructureError("vector outside the map's bimodule")
-        # a matrix-vector product per sample, the same arithmetic as for one
-        # vector (a single product with all samples would round apart)
-        return self.module.from_flat((self.matrix @ x.flat[..., None])[..., 0])
 
     def power(self, k):
         return np.linalg.matrix_power(self.matrix, k)
-
-
-def identity_bogoliubov(module: HilbertBimodule) -> BogoliubovMap:
-    return BogoliubovMap(module, np.eye(module.dim),
-                         identity_automorphism(module.base))
 
 
 def validate_bogoliubov(bog: BogoliubovMap, rng,
@@ -57,7 +40,7 @@ def validate_bogoliubov(bog: BogoliubovMap, rng,
     products of all pairs i <= j in one Gram product per block, and the
     four coefficient pairs, drawn one at a time, as one stack against every
     basis vector.  A violation is an error in the map, not a warning."""
-    H, beta = bog.module, bog.beta
+    H, beta = bog.domain, bog.beta
     report = VerificationReport(suite="twisted-linear-map")
     basis = H.from_flat(np.eye(H.dim))
     images = bog(basis)
@@ -82,7 +65,7 @@ def validate_bogoliubov(bog: BogoliubovMap, rng,
 def augmented_bogoliubov(aug: AugmentedModule, bog: BogoliubovMap):
     """Extension to H + B acting as U on H and as beta on the unit summand;
     it fixes the distinguished vector xi."""
-    if bog.module is not aug.plain:
+    if bog.domain is not aug.plain:
         raise StructureError("map lives on a different bimodule")
     EH, EB = aug.embed_module, aug.embed_base
     beta_vac = bog.beta.as_linear_map().matrix
@@ -141,7 +124,7 @@ def fock_extension(F: FockSpace, bog: BogoliubovMap, xi: ModuleVector = None,
     the level maps on one component of size 1 (`FockSpace.diagonal`).
 
     Returns (LevelOp, VerificationReport)."""
-    if bog.module is not F.bimodule:
+    if bog.domain is not F.bimodule:
         raise StructureError("map lives on a different bimodule")
     H, U = F.bimodule, bog.matrix
     report = VerificationReport(suite="second-quantization",
@@ -212,11 +195,11 @@ def kp_subspace(bog: BogoliubovMap, K: SubmoduleSpan, p, tol=DEFAULT_TOL):
     under both algebra actions."""
     if p < 1:
         raise PreconditionError("power count must be at least 1")
-    if K.parent is not bog.module:
+    if K.parent is not bog.domain:
         raise StructureError("span lives on a different bimodule")
     if not K.basis:
         raise PreconditionError("growth subspace K is zero")
-    H = bog.module
+    H = bog.domain
     gens = []
     for i in range(p):
         Ui = bog.power(i)

@@ -8,7 +8,6 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import bogoliubov as bg
@@ -22,6 +21,9 @@ from .cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
                     identity_automorphism)
 from .hilbmod import AugmentedModule, make_bimodule, submodule_projection
 from .report import VerificationReport, _jsonable
+
+# last: resident while the package's modules compile, it raises peak RSS
+import jsonschema
 
 SUITES = ("fock", "ideal", "factorization", "toeplitz", "crossed", "free",
           "amalg", "bog")
@@ -394,7 +396,7 @@ def run_free(ctx, st):
     res_odd = max(abs(moments[2 * k + 1]) for k in range(0, 4))
     report.add("even-moments", "psi(s^{2k}) = catalan(k)", res_even, st.tol)
     report.add("odd-moments", "psi(s^{2k+1}) = 0", res_odd, 1e-12)
-    _, haar_rep = fp.haar_unitary(N)
+    _, haar_rep = fp.haar_unitary(N, tol=st.tol)
     B = CStarAlgebra((1,))
     rho = ins.random_state(rng, B)
     toep = fp.toeplitz_state_check(B, rho, min(st.N(4), 6), rng, tol=st.tol,
@@ -453,16 +455,16 @@ def run_bog(ctx, st):
         if not rep.passed:
             continue
         n = entry["n"]
-        F = fk.FockSpace(bog.module, max(n, st.N(n)), dim_cap=st.dim_cap)
+        F = fk.FockSpace(bog.domain, max(n, st.N(n)), dim_cap=st.dim_cap)
         reports.append(bg.fock_extension(F, bog, tol=st.tol)[1])
-        aug = AugmentedModule(bog.module)
+        aug = AugmentedModule(bog.domain)
         bog_t = bg.augmented_bogoliubov(aug, bog)
         Ft = fk.FockSpace(aug.module, min(F.N, 3), dim_cap=st.dim_cap)
         reports.append(bg.fock_extension(Ft, bog_t, xi=aug.xi,
                                          tol=st.tol)[1])
         span = entry["subspace"]
         if span is None:
-            basis = bog.module.basis()
+            basis = bog.domain.basis()
             span = submodule_projection([basis[0], basis[-1]])
         spans, rep = bg.kp_subspace(bog, span, entry["p_max"], tol=st.tol)
         reports.append(rep)

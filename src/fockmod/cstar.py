@@ -290,8 +290,9 @@ def uniform_trace_state(algebra):
 
 # -- linear and completely positive maps -----------------------------------
 
-class CPLinearMap:
-    """Linear map between algebras, stored as a matrix on flat coordinates."""
+class LinearMap:
+    """Linear map between block spaces (algebras or bimodules), stored as a
+    matrix on flat coordinates."""
 
     def __init__(self, domain, codomain, matrix):
         matrix = np.asarray(matrix, complex)
@@ -302,17 +303,22 @@ class CPLinearMap:
         self.codomain = codomain
         self.matrix = matrix
 
-    @classmethod
-    def from_callable(cls, domain, codomain, fn):
-        cols = [fn(e).flat for e in domain.basis()]
-        return cls(domain, codomain, np.array(cols).T)
-
     def __call__(self, x):
         if x.parent != self.domain:
             raise StructureError("element outside the map's domain")
         # a matrix-vector product per sample, the same arithmetic as for one
         # vector (a single product with all samples would round apart)
         return self.codomain.from_flat((self.matrix @ x.flat[..., None])[..., 0])
+
+
+class CPLinearMap(LinearMap):
+    """Linear map between algebras, with its Choi matrix for complete
+    positivity."""
+
+    @classmethod
+    def from_callable(cls, domain, codomain, fn):
+        cols = [fn(e).flat for e in domain.basis()]
+        return cls(domain, codomain, np.array(cols).T)
 
     def choi_matrix(self):
         """Choi matrix of the map extended to the full matrix algebra
@@ -542,7 +548,8 @@ class ConditionalExpectation:
         return K
 
     @property
-    def has_faithful_gns(self):
+    def is_faithful(self):
+        """phi(a* a) = 0 implies a = 0: `gns_gram` is positive definite."""
         K = self.gns_gram()
         lam = np.linalg.eigvalsh((K + K.conj().T) / 2)
         return lam.min() > PSD_CUTOFF * max(1.0, lam.max())
@@ -571,7 +578,7 @@ class ConditionalExpectation:
         report.add("complete-positivity", "Choi(phi) >= 0",
                    max(0.0, -lam), 1e-8)
         report.add_bool("faithful-gns", "phi(a* a) = 0 implies a = 0",
-                        self.has_faithful_gns)
+                        self.is_faithful)
         return report
 
 

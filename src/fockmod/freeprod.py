@@ -228,8 +228,8 @@ class AmalgSetup:
                  phi2: ConditionalExpectation, N, dim_cap=DEFAULT_DIM_CAP):
         if phi1.base.block_sizes != phi2.base.block_sizes:
             raise PreconditionError("expectations target different bases")
-        if not (phi1.has_faithful_gns and phi2.has_faithful_gns):
-            raise PreconditionError("expectation without faithful GNS")
+        if not (phi1.is_faithful and phi2.is_faithful):
+            raise PreconditionError("expectation is not faithful")
         self.phi1, self.phi2 = phi1, phi2
         self.B = phi1.base
         self.A1, self.A2 = phi1.algebra, phi2.algebra

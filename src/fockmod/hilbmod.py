@@ -307,9 +307,9 @@ class TensorStep:
     preserves the balanced inner product and both actions.
 
     Simple tensors are formed in batches (`tensor`), and k -> h (x) k by
-    its components (`components`).  The matrix S of the step, column
-    (i, l) the flat e_i (x) e_l, is never formed: `nonzeros` lists its
-    entries, a few per row.
+    its components (`components`), both by one piece walk (`_walk`).  The
+    matrix S of the step, column (i, l) the flat e_i (x) e_l, is never
+    formed: `nonzeros` lists its entries, a few per row.
     """
 
     def __init__(self, H: HilbertBimodule, K: HilbertBimodule):
@@ -339,63 +339,55 @@ class TensorStep:
         self.module = HilbertBimodule(base, rho, left, unitaries)
         self._UKd = [u.conj().T for u in K.left_unitaries]
 
+    def _walk(self, h_flat, M, C):
+        """The piece walk: row block (k, t) of each C_j becomes h_k @ M_j[rows
+        of (k, t)], rows of U_j^K^* that piece (k, c, row, col) covers.
+        Returns C; leading axes of h_flat and M_j broadcast to C_j's."""
+        H = self.H
+        sizes = H.base.block_sizes
+        h_flat = np.asarray(h_flat, complex)
+        h = [h_flat[..., H.offsets[k]:H.offsets[k + 1]].reshape(
+            h_flat.shape[:-1] + (1, r, n))
+            for k, (r, n) in enumerate(zip(H.right_mult, sizes))]
+        for j, (M_j, C_j) in enumerate(zip(M, C)):
+            cols = M_j.shape[-1]
+            for k, c, row, col in self._pieces[j]:
+                r_k, n_k = H.right_mult[k], sizes[k]
+                M_k = M_j[..., col:col + c * n_k, :].reshape(
+                    M_j.shape[:-2] + (c, n_k, cols))
+                C_j[..., row:row + c * r_k, :] = (h[k] @ M_k).reshape(
+                    C_j.shape[:-2] + (c * r_k, cols))
+        return C
+
     def tensor(self, Hs, Ks):
         """Flat simple tensors h_s (x) k_s of stacked flat rows Hs of H and
         Ks of K, as rows of flat T.  Leading axes broadcast, so one h against
         many k is Hs of shape (1, dim H).
 
-        Component j is (U_j^K^* k_j) cut into row blocks, one per (k, t),
-        each multiplied by h_k from the left: never kron(B, I_{n_j})."""
-        H, K, T = self.H, self.K, self.module
-        Hs = np.asarray(Hs, complex)
-        Ks = np.asarray(Ks, complex)
-        lead = np.broadcast_shapes(Hs.shape[:-1], Ks.shape[:-1])
-        sizes = H.base.block_sizes
-        h_blocks = [Hs[..., H.offsets[k]:H.offsets[k + 1]].reshape(
-            Hs.shape[:-1] + (1, r, n))
-            for k, (r, n) in enumerate(zip(H.right_mult, sizes))]
-        out = np.zeros(lead + (T.dim,), complex)
-        for j, n_j in enumerate(sizes):
-            rho_j, rK_j = T.right_mult[j], K.right_mult[j]
-            if rho_j == 0 or rK_j == 0:
-                continue
-            Kt = self._UKd[j] @ Ks[..., K.offsets[j]:K.offsets[j + 1]].reshape(
-                Ks.shape[:-1] + (rK_j, n_j))
-            # a view: writing Tj fills component j of out
-            Tj = out[..., T.offsets[j]:T.offsets[j + 1]].reshape(
-                lead + (rho_j, n_j))
-            for k, c, row, col in self._pieces[j]:
-                r_k, n_k = H.right_mult[k], sizes[k]
-                Kt_k = Kt[..., col:col + c * n_k, :].reshape(
-                    Kt.shape[:-2] + (c, n_k, n_j))
-                Tj[..., row:row + c * r_k, :] = (h_blocks[k] @ Kt_k).reshape(
-                    lead + (c * r_k, n_j))
+        Component j is the piece walk on U_j^K^* k_j, written in place in
+        the flat rows: never kron(B, I_{n_j})."""
+        K, T = self.K, self.module
+        Hs, Ks = np.asarray(Hs, complex), np.asarray(Ks, complex)
+        out = np.empty(np.broadcast_shapes(Hs.shape[:-1], Ks.shape[:-1])
+                       + (T.dim,), complex)
+        Kt = (U @ Ks[..., a:b].reshape(Ks.shape[:-1] + shape)
+              for U, a, b, shape
+              in zip(self._UKd, K.offsets, K.offsets[1:], K.shapes))
+        views = [out[..., a:b].reshape(out.shape[:-1] + shape)
+                 for a, b, shape in zip(T.offsets, T.offsets[1:], T.shapes)]
+        self._walk(Hs, Kt, views)
         return out
 
     def components(self, h_flat):
         """k -> h (x) k by components: the matrices C_j of shape
         (rho_j, r^K_j), rho and r^K the right multiplicities of T and K,
         with T_j = C_j (K_j) for each component j, so the matrix of
-        k -> h (x) k is the direct sum of kron(C_j, I_{n_j}).  Row block
-        (k, t) of C_j is h_k @ U_j^K^* [rows of (k, t)].  The leading axes
-        of a stack of flat rows h_flat are kept: one C_j per sample."""
-        H, K, T = self.H, self.K, self.module
-        sizes = H.base.block_sizes
-        h_flat = np.asarray(h_flat, complex)
-        lead = h_flat.shape[:-1]
-        h = [h_flat[..., H.offsets[k]:H.offsets[k + 1]].reshape(
-            lead + (1, r, n))
-            for k, (r, n) in enumerate(zip(H.right_mult, sizes))]
-        out = []
-        for j, rK_j in enumerate(K.right_mult):
-            C = np.empty(lead + (T.right_mult[j], rK_j), complex)
-            for k, c, row, col in self._pieces[j]:
-                r_k, n_k = H.right_mult[k], sizes[k]
-                U = self._UKd[j][col:col + c * n_k].reshape(c, n_k, rK_j)
-                C[..., row:row + c * r_k, :] = (h[k] @ U).reshape(
-                    lead + (c * r_k, rK_j))
-            out.append(C)
-        return out
+        k -> h (x) k is the direct sum of kron(C_j, I_{n_j}).  C_j is the
+        piece walk on U_j^K^*.  The leading axes of a stack of flat rows
+        h_flat are kept: one C_j per sample."""
+        return self._walk(h_flat, self._UKd, [
+            np.empty(np.shape(h_flat)[:-1] + (rho, r), complex)
+            for rho, r in zip(self.module.right_mult, self.K.right_mult)])
 
     def nonzeros(self):
         """The nonzero entries of the map S: kron(flat H, flat K) -> flat T,

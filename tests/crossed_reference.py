@@ -135,7 +135,7 @@ def folner_average(C, F, m, rng, tol=1e-12, words=None):
 
 
 def validate_bogoliubov(bog, rng, tol=DEFAULT_TOL):
-    H, beta = bog.module, bog.beta
+    H, beta = bog.domain, bog.beta
     report = VerificationReport(suite="twisted-linear-map")
     basis = H.basis()
     images = [bog(e) for e in basis]

@@ -12,10 +12,11 @@ from fockmod.bogoliubov import (BogoliubovMap, _fock_level_spans,
                                 _random_flat, augmented_bogoliubov,
                                 compression_channels,
                                 entropy_bound_report, fock_extension,
-                                identity_bogoliubov, kp_subspace,
+                                kp_subspace,
                                 localized_tensor_dim, validate_bogoliubov)
 from fockmod.cstar import (AlgebraAutomorphism, CStarAlgebra,
-                           PreconditionError, haar_unitary_matrix)
+                           PreconditionError, haar_unitary_matrix,
+                           identity_automorphism)
 from fockmod.fock import FockSpace, LevelOp
 from fockmod.freeprod import AmalgSetup
 from fockmod.hilbmod import (AugmentedModule, TensorStep, make_bimodule,
@@ -30,10 +31,14 @@ from tensor_reference import tensor_apply, tensor_matrix
 RNG = np.random.default_rng(61)
 
 
+def identity_map(H):
+    return BogoliubovMap(H, np.eye(H.dim), identity_automorphism(H.base))
+
+
 def test_identity_map_validates():
     B = CStarAlgebra((1, 1))
     H = make_bimodule(B, (1, 1), [(0, 1), (1, 0)])
-    rep = validate_bogoliubov(identity_bogoliubov(H), rng=RNG, tol=1e-9)
+    rep = validate_bogoliubov(identity_map(H), rng=RNG, tol=1e-9)
     assert rep.passed, rep.failures
 
 
@@ -61,7 +66,7 @@ def test_invalid_matrix_fails_inner_twist():
 def test_identity_extension_is_identity():
     H, K, U = multiplicity_shift_instance()
     F = FockSpace(H, 2)
-    FI, rep = fock_extension(F, identity_bogoliubov(H), tol=1e-9)
+    FI, rep = fock_extension(F, identity_map(H), tol=1e-9)
     assert rep.passed, rep.failures
     assert np.linalg.norm(FI.dense() - np.eye(F.dim)) < 1e-9
 
@@ -128,9 +133,9 @@ def test_compression_channels_stay_in_component_form(monkeypatch):
 
     H, K, U = multiplicity_shift_instance()
     bog = random_bogoliubov(np.random.default_rng(3))
-    Kr = submodule_projection([bog.module.random_vector(RNG)])
+    Kr = submodule_projection([bog.domain.random_vector(RNG)])
     cases = [(FockSpace(H, 3), U, K, n) for n in (1, 2, 3)] + [
-        (FockSpace(bog.module, 2), bog, Kr, 2)]
+        (FockSpace(bog.domain, 2), bog, Kr, 2)]
     for F, bog_map, span, n in cases:
         spans, _ = kp_subspace(bog_map, span, 2)
         towers = _fock_level_spans(F, n, spans[-1])
@@ -192,9 +197,9 @@ def _reference_level_maps(F, bog):
 def _assert_matches_per_vector_construction(bog, augmented):
     xi = None
     if augmented:
-        aug = AugmentedModule(bog.module)
+        aug = AugmentedModule(bog.domain)
         bog, xi = augmented_bogoliubov(aug, bog), aug.xi
-    F = FockSpace(bog.module, 3)
+    F = FockSpace(bog.domain, 3)
     M, rep = fock_extension(F, bog, xi=xi, tol=1e-9)
     assert rep.passed, rep.failures
     for k, ref in enumerate(_reference_level_maps(F, bog)):
@@ -207,8 +212,8 @@ def _assert_matches_per_vector_construction(bog, augmented):
 def test_extension_matches_per_vector_construction(augmented):
     bog = random_bogoliubov(np.random.default_rng(5))
     assert np.linalg.norm(bog.matrix @ bog.matrix.conj().T
-                          - np.eye(bog.module.dim)) < 1e-9
-    assert np.count_nonzero(np.abs(bog.matrix) > 1e-12) > bog.module.dim
+                          - np.eye(bog.domain.dim)) < 1e-9
+    assert np.count_nonzero(np.abs(bog.matrix) > 1e-12) > bog.domain.dim
     _assert_matches_per_vector_construction(bog, augmented)
 
 
@@ -276,7 +281,7 @@ def _tensor_step_modules():
     their augmentations."""
     modules = [H for H, _ in creation_instances(25, 5)]
     for bog in _intertwining_cases():
-        modules += [bog.module, AugmentedModule(bog.module).module]
+        modules += [bog.domain, AugmentedModule(bog.domain).module]
     return modules
 
 
@@ -355,7 +360,7 @@ def test_growth_chain_spans_are_the_prefix_spans(case):
     bog, K, _, p_max = _entropy_cases()[case]
     spans, rep = kp_subspace(bog, K, p_max)
     assert rep.passed, rep.failures
-    gens = [bog.module.from_flat(bog.power(i) @ g.flat)
+    gens = [bog.domain.from_flat(bog.power(i) @ g.flat)
             for i in range(p_max) for g in K.generators]
     r = len(K.generators)
     assert len(spans) == p_max
@@ -366,8 +371,8 @@ def test_growth_chain_spans_are_the_prefix_spans(case):
         assert all(np.array_equal(x.flat, y.flat)
                    for x, y in zip(span.basis, want.basis))
         assert np.array_equal(span.projection, want.projection)
-    zero = submodule_projection([bog.module.from_flat(np.zeros(
-        bog.module.dim))])
+    zero = submodule_projection([bog.domain.from_flat(np.zeros(
+        bog.domain.dim))])
     with pytest.raises(PreconditionError, match="growth subspace K is zero"):
         kp_subspace(bog, zero, p_max)
 
@@ -380,13 +385,13 @@ def test_perturbed_map_fails_the_level_solves(case):
         bog = random_bogoliubov(np.random.default_rng(5))
     else:
         bog = multiplicity_shift_instance()[2]
-    _, rep = fock_extension(FockSpace(bog.module, 3), bog, tol=1e-9)
+    _, rep = fock_extension(FockSpace(bog.domain, 3), bog, tol=1e-9)
     assert rep.passed, rep.failures
     rng = np.random.default_rng(3)
     noise = rng.standard_normal(bog.matrix.shape) \
         + 1j * rng.standard_normal(bog.matrix.shape)
-    bad = BogoliubovMap(bog.module, bog.matrix + 1e-3 * noise, bog.beta)
-    _, rep = fock_extension(FockSpace(bad.module, 3), bad, tol=1e-9)
+    bad = BogoliubovMap(bog.domain, bog.matrix + 1e-3 * noise, bog.beta)
+    _, rep = fock_extension(FockSpace(bad.domain, 3), bad, tol=1e-9)
     assert {c.name for c in rep.failures} \
         == {"tensor-consistency", "creation-intertwining"}
 
@@ -414,9 +419,9 @@ def _intertwining_cases():
 def _extension(bog, augmented):
     xi = None
     if augmented:
-        aug = AugmentedModule(bog.module)
+        aug = AugmentedModule(bog.domain)
         bog, xi = augmented_bogoliubov(aug, bog), aug.xi
-    F = FockSpace(bog.module, 3)
+    F = FockSpace(bog.domain, 3)
     M, rep = fock_extension(F, bog, xi=xi, tol=1e-9)
     res = {c.name: c.residual for c in rep.checks}["creation-intertwining"]
     return F, bog, M, rep, res
@@ -502,7 +507,7 @@ def _reference_entropy_bound_report(F, bog, K, n, p_max, rng, samples=3,
 
 
 def _first_and_last(bog):
-    basis = bog.module.basis()
+    basis = bog.domain.basis()
     return submodule_projection([basis[0], basis[-1]])
 
 
@@ -518,7 +523,7 @@ def _entropy_cases():
 @pytest.mark.parametrize("case", range(3))
 def test_entropy_reports_match_per_level_reference(case):
     bog, K, levels, p_max = _entropy_cases()[case]
-    F = FockSpace(bog.module, max(levels))
+    F = FockSpace(bog.domain, max(levels))
     rng, rng_ref = np.random.default_rng(19), np.random.default_rng(19)
     spans, _ = kp_subspace(bog, K, p_max)
     towers = _towers(F, max(levels), spans)

@@ -600,12 +600,14 @@ def test_dimension_cap_reaches_toeplitz_state(tmp_path, capsys):
 
 def test_tol_flag_reaches_quotient_kernel_check(tmp_path):
     out = tmp_path / "report.json"
-    main(["--suite", "ideal", "--tol", "1e-30", "--format", "json",
-          "--out", str(out)])
-    checks = [c for r in json.loads(out.read_text())["reports"]
-              for c in r["checks"] if c["name"] == "ideal-in-quotient-kernel"]
-    assert checks
-    assert {c["threshold"] for c in checks} == {1e-30}
+    for suite, name in [("ideal", "ideal-in-quotient-kernel"),
+                        ("free", "unitarity")]:
+        main(["--suite", suite, "--tol", "1e-30", "--format", "json",
+              "--out", str(out)])
+        checks = [c for r in json.loads(out.read_text())["reports"]
+                  for c in r["checks"] if c["name"] == name]
+        assert checks
+        assert {c["threshold"] for c in checks} == {1e-30}
 
 
 def test_invalid_twisted_map_fails(tmp_path, capsys):

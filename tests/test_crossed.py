@@ -425,7 +425,7 @@ def _bogoliubov_maps():
     _, _, shift = multiplicity_shift_instance()
     _, flip = flip_twisted_module()
     maps = [shift, random_bogoliubov(rng), flip]
-    perturbed = [BogoliubovMap(b.module, b.matrix + 1e-3 * rng.standard_normal(
+    perturbed = [BogoliubovMap(b.domain, b.matrix + 1e-3 * rng.standard_normal(
         b.matrix.shape), b.beta) for b in maps]
     return maps, perturbed
 

@@ -6,9 +6,9 @@ import pytest
 
 from fockmod.cli import Settings, run_amalg
 from fockmod.cstar import (CStarAlgebra, ConditionalExpectation,
-                           PreconditionError)
+                           PreconditionError, StateFunctional)
 from fockmod.fock import FockSpace, LevelOp
-from fockmod.freeprod import (alpha_beta_conditions,
+from fockmod.freeprod import (AmalgSetup, alpha_beta_conditions,
                               amalg_setup, build_W, catalan, freeness_check,
                               haar_unitary, scalar_creation,
                               semicircular_moments, swap_commutation,
@@ -61,7 +61,18 @@ def test_haar_unitary_moments_vanish():
 def test_base_expectation_validate():
     A = CStarAlgebra((2,))
     phi = ConditionalExpectation.from_state(random_state(RNG, A))
+    assert phi.is_faithful
     assert phi.validate(RNG).passed
+    # density diag(1, 0) annihilates no central summand of M_2, yet
+    # phi(e_22* e_22) = 0: the expectation is not faithful, and faithful-gns
+    # is the one law that fails
+    rho = StateFunctional(A, [np.diag([1.0, 0.0])])
+    phi = ConditionalExpectation.from_state(rho)
+    assert rho.has_faithful_gns and not phi.is_faithful
+    rep = phi.validate(np.random.default_rng(0))
+    assert [c.name for c in rep.failures] == ["faithful-gns"]
+    with pytest.raises(PreconditionError, match="not faithful"):
+        AmalgSetup(phi, phi, 2)
 
 
 def test_base_expectation_flags_non_positive_map():

@@ -441,9 +441,9 @@ TENSOR_PAIRS = [
 
 
 def _kron_apply(step, h_flat):
-    """TensorStep.apply as it was before `tensor`: the matrix of
-    k -> h (x) k assembled from kron(M U_j^K*, I_{n_j}) per block.  Kept as
-    the reference for `tensor` and `apply`."""
+    """The matrix of k -> h (x) k assembled from kron(M U_j^K*, I_{n_j})
+    per block: a second reference for `tensor`, next to the loops of
+    `tensor_reference`."""
     h = step.H.from_flat(h_flat)
     base = step.H.base
     out = np.zeros((step.module.dim, step.K.dim), complex)

@@ -1,5 +1,6 @@
 """Import hygiene of the package, checked with the standard library's ast:
-every public name resolves, and no module imports a name it never uses."""
+the package binds nothing but its submodules, and no module imports a name
+it never uses."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,14 @@ import fockmod
 SRC = Path(fockmod.__file__).parent
 
 
-def test_public_names_resolve():
-    assert [n for n in fockmod.__all__ if not hasattr(fockmod, n)] == []
+def test_package_binds_only_its_submodules():
+    """Every name is imported from the module that defines it: the package
+    file holds its docstring alone, and the package binds no public name
+    but its submodules."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert [ast.get_docstring(tree) is not None, len(tree.body)] == [True, 1]
+    submodules = {path.stem for path in SRC.glob("*.py")}
+    assert {n for n in vars(fockmod) if not n.startswith("_")} <= submodules
 
 
 def _imports(tree):
