@@ -308,27 +308,25 @@ def run_ideal(ctx, st, bimodules):
 
 
 def run_factorization(ctx, st, bimodules):
-    """Every shape (n, k, j) with 1 <= k(n+1) + j <= L = max_word_length.
-    Per module, the tower of M is built once, to level L, which the shape
-    (L - 1, 0, 1) reads and no shape passes, and the tower of its level
-    n + 1 once per n, to the largest k of that n."""
+    """Every shape (n, k, j) with 1 <= k(n+1) + j <= L = max_word_length,
+    in one `_factorization` call per module.  The tower of M is built to
+    level L, which the shape (L - 1, 0, 1) reads and no shape passes, and
+    the tower of each level n + 1 to the largest k of that n."""
     rng = st.rng()
     L = st.max_word_length
     shapes = [(n, k, j) for n in range(L) for k in range(L)
               for j in range(n + 1) if 0 < k * (n + 1) + j <= L]
     if not shapes:
         return []
+    k_top = {}
+    for n, k, _ in shapes:
+        k_top[n] = max(k, k_top.get(n, 0))
     reports = []
     for H, _ in bimodules[:2]:
         tower = fk.FockSpace(H, L, dim_cap=st.dim_cap)
-        powers = {}
-        for n, k, j in shapes:
-            if n not in powers:
-                k_top = max(kk for nn, kk, _ in shapes if nn == n)
-                powers[n] = fk.FockSpace(tower.levels[n + 1], k_top,
-                                         dim_cap=st.dim_cap)
-            reports.append(fk._factorization(tower, powers[n], n, k, j, rng,
-                                             tol=st.tol))
+        powers = {n: fk.FockSpace(tower.levels[n + 1], k, dim_cap=st.dim_cap)
+                  for n, k in k_top.items()}
+        reports += fk._factorization(tower, powers, shapes, rng, st.tol)
     return reports
 
 

@@ -261,7 +261,8 @@ class StateFunctional:
             if np.linalg.norm(d - d.conj().T) > DEFAULT_TOL * max(
                     1.0, np.linalg.norm(d)):
                 raise PreconditionError("density block is not Hermitian")
-            if np.linalg.eigvalsh(d).min() < -PSD_CUTOFF * max(1.0, np.linalg.norm(d, 2)):
+            if np.linalg.eigvalsh(d).min() < -PSD_CUTOFF * max(
+                    1.0, top_singular_value([d], 0)):
                 raise PreconditionError("density block is not positive semidefinite")
             total += np.trace(d).real
             self.densities.append(d)

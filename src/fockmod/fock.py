@@ -578,33 +578,35 @@ def fock_factorization_check(M: HilbertBimodule, n, k, j, rng,
                              dim_cap=DEFAULT_DIM_CAP) -> VerificationReport:
     """Tensor-regrouping factorization: the (k(n+1)+j)-fold power of a
     bimodule is isometrically the j-fold power tensored with the k-fold power
-    of the (n+1)-fold power.
-
-    dim + 8 samples, dim the dimension of the power, go through each tensor
-    step at once, as stacked flat rows; the B-valued Gram tables of the
-    first 25 samples are compared with one batched product per base
-    block."""
+    of the (n+1)-fold power.  `_factorization` of this one shape, on towers
+    built to the levels it reads."""
     if not (0 <= j <= n):
         raise PreconditionError("need 0 <= j <= n")
     m = k * (n + 1) + j
     if m < 1:
         raise PreconditionError("empty regrouping")
     tower = FockSpace(M, max(m, n + 1), dim_cap)
-    return _factorization(tower, FockSpace(tower.levels[n + 1], k, dim_cap),
-                          n, k, j, rng, tol)
+    powers = {n: FockSpace(tower.levels[n + 1], k, dim_cap)}
+    return _factorization(tower, powers, [(n, k, j)], rng, tol)[0]
 
 
-def _factorization(tower: FockSpace, powers: FockSpace, n, k, j, rng,
-                   tol) -> VerificationReport:
-    """`fock_factorization_check` of the shape (n, k, j) on the tower of M,
-    up to a level of at least max(k(n+1)+j, n+1), and the tower of its level
-    n+1, up to a level of at least k.  Tensor steps are deterministic, so
-    one tower of each serves every shape that fits in it."""
-    m = k * (n + 1) + j
+def _factorization(tower: FockSpace, powers, shapes, rng,
+                   tol) -> list[VerificationReport]:
+    """The report of `fock_factorization_check` for each shape (n, k, j), in
+    order, on the tower of M, up to a level of at least max(k(n+1)+j, n+1)
+    for every shape, and powers[n], the tower of its level n+1, up to a
+    level of at least every k of that n.  Tensor steps are deterministic, so
+    one tower of each serves every shape that fits in it.
+
+    Shape by shape, dim + 8 samples, dim the dimension of the power, are
+    drawn in one call and go through each tensor step at once, as stacked
+    flat rows; the k groups of n+1 factors fold as one stack.  The B-valued
+    Gram tables of the first 25 samples take one product per base block.
+    Only their differences and diagonals are kept, and the spectral norms of
+    every shape are taken together at the end."""
     M = tower.bimodule
-    report = VerificationReport(suite="fock-factorization",
-                                parameters={"n": n, "k": k, "j": j})
     levels, maps = tower.levels, tower.maps
+    triu, kept, done = {}, [], []
 
     def fold(X):
         """Rows h_1 (x) ... (x) h_p of the stacked vectors X[:, i]."""
@@ -613,63 +615,78 @@ def _factorization(tower: FockSpace, powers: FockSpace, n, k, j, rng,
             v = maps[i + 1].tensor(X[:, -2 - i], v)
         return v
 
-    left_mod = levels[m]
-    # right side: levels[j] (x) ( levels[n+1] )^{(x) k}
-    if k == 0:
-        right_mod = levels[j]
-    elif j == 0:
-        right_mod = powers.levels[k]
-    else:
-        cross_step = TensorStep(levels[j], powers.levels[k])
-        right_mod = cross_step.module
-
-    def embed_right(X):
-        if k == 0:
-            return fold(X[:, :j])
-        ys = [fold(X[:, j + i * (n + 1): j + (i + 1) * (n + 1)])
-              for i in range(k)]
-        y = ys[-1]
-        for i in range(k - 2, -1, -1):
-            y = powers.maps[k - 1 - i].tensor(ys[i], y)
-        if j == 0:
-            return y
-        return cross_step.tensor(fold(X[:, :j]), y)
-
-    report.add_bool("dimension-equality",
-                    "dim of the regrouped power equals dim of the plain power",
-                    left_mod.dim == right_mod.dim,
-                    left=left_mod.dim, right=right_mod.dim)
-    samples = left_mod.dim + 8
-    # the draws of M.random_vector, sample by sample and factor by factor
-    Z = rng.standard_normal((samples, m, 2, M.dim))
-    X = Z[:, :, 0] + 1j * Z[:, :, 1]
-    lefts, rights = fold(X), embed_right(X)
-    pairs = min(samples, 25)
-    s, t = np.triu_indices(pairs)
-
     def gram_pairs(mod, V, b, n_b):
-        """Block b of <v_s, v_t> for the pairs s <= t of the first rows."""
+        """Block b of <v_s, v_t> for the pairs s <= t of the first rows: the
+        pair blocks of C* C, C the rows' components side by side."""
+        r_b = mod.right_mult[b]
         C = V[:pairs, mod.offsets[b]:mod.offsets[b + 1]].reshape(
-            pairs, mod.right_mult[b], n_b)
-        return C.conj().transpose(0, 2, 1)[s] @ C[t]
+            pairs, r_b, n_b).transpose(1, 0, 2).reshape(r_b, pairs * n_b)
+        return (C.conj().T @ C).reshape(pairs, n_b, pairs, n_b)[s, :, t]
 
-    diff = np.zeros(len(s))
-    sq_norms = np.zeros(pairs)
-    for b, n_b in enumerate(M.base.block_sizes):
-        gl = gram_pairs(left_mod, lefts, b, n_b)
-        diff = np.maximum(diff, np.linalg.norm(
-            gl - gram_pairs(right_mod, rights, b, n_b), 2, axis=(1, 2)))
-        sq_norms = np.maximum(sq_norms, np.linalg.norm(gl[s == t], 2,
-                                                       axis=(1, 2)))
-    norms = np.sqrt(sq_norms)
-    res = float(np.max(diff / np.maximum(1.0, norms[s] * norms[t])))
-    report.add("gram-equality",
-               "regrouping preserves the B-valued inner product", res, tol)
-    rank_l = complex_rank(lefts)
-    report.add_bool("span-coverage",
-                    "sampled simple tensors span the regrouped power",
-                    rank_l == left_mod.dim, rank=rank_l, dim=left_mod.dim)
-    return report
+    for n, k, j in shapes:
+        m = k * (n + 1) + j
+        Y = powers[n]
+        report = VerificationReport(suite="fock-factorization",
+                                    parameters={"n": n, "k": k, "j": j})
+        left_mod = levels[m]
+        # right side: levels[j] (x) ( levels[n+1] )^{(x) k}
+        if k == 0:
+            right_mod = levels[j]
+        elif j == 0:
+            right_mod = Y.levels[k]
+        else:
+            cross_step = TensorStep(levels[j], Y.levels[k])
+            right_mod = cross_step.module
+        report.add_bool(
+            "dimension-equality",
+            "dim of the regrouped power equals dim of the plain power",
+            left_mod.dim == right_mod.dim,
+            left=left_mod.dim, right=right_mod.dim)
+        samples = left_mod.dim + 8
+        # the draws of M.random_vector, sample by sample and factor by factor
+        Z = rng.standard_normal((samples, m, 2, M.dim))
+        X = Z[:, :, 0] + 1j * Z[:, :, 1]
+        lefts = fold(X)
+        if k == 0:
+            rights = fold(X[:, :j])
+        else:
+            # the k groups of n+1 factors, one stack of k * samples rows
+            ys = fold(X[:, j:].reshape(samples, k, n + 1, -1).swapaxes(0, 1)
+                      .reshape(k * samples, n + 1, -1)).reshape(k, samples, -1)
+            rights = ys[-1]
+            for i in range(k - 2, -1, -1):
+                rights = Y.maps[k - 1 - i].tensor(ys[i], rights)
+            if j:
+                rights = cross_step.tensor(fold(X[:, :j]), rights)
+        pairs = min(samples, 25)
+        if pairs not in triu:
+            triu[pairs] = np.triu_indices(pairs)
+        s, t = triu[pairs]
+        kept.append([])
+        for b, n_b in enumerate(M.base.block_sizes):
+            gl = gram_pairs(left_mod, lefts, b, n_b)
+            gr = gram_pairs(right_mod, rights, b, n_b)
+            kept[-1].append(np.concatenate([gl - gr, gl[s == t]]))
+        done.append((report, s, t, complex_rank(lefts), left_mod.dim))
+    # per base block, every shape's differences and diagonals in one stack.
+    # A 1 x 1 block's norm is |x|, far cheaper than an SVD each; it is taken
+    # here and not in `top_singular_value`, since LAPACK's value can differ
+    # from |x| in the last bit, and the other checks share that helper.
+    stacks = [np.concatenate(x) for x in zip(*kept)]
+    tops = top_singular_value([x for x in stacks if x.shape[1:] != (1, 1)], 1)
+    for x in stacks:
+        if x.shape[1:] == (1, 1):
+            tops = np.maximum(tops, np.abs(x[:, 0, 0]))
+    ends = np.cumsum([len(blocks[0]) for blocks in kept])
+    for (report, s, t, rank, dim), top in zip(done, np.split(tops, ends)):
+        diff, norms = top[:len(s)], np.sqrt(top[len(s):])
+        res = float(np.max(diff / np.maximum(1.0, norms[s] * norms[t])))
+        report.add("gram-equality",
+                   "regrouping preserves the B-valued inner product", res, tol)
+        report.add_bool("span-coverage",
+                        "sampled simple tensors span the regrouped power",
+                        rank == dim, rank=rank, dim=dim)
+    return [report for report, *_ in done]
 
 
 def isometric_vector(H: HilbertBimodule, rng) -> ModuleVector:

@@ -2,7 +2,12 @@
 their samples were stacked: one sample, one level operator and one norm at a
 time.  The loops are kept as they were, as the reference the stacked
 evaluation is compared with; `make_bimodule` takes the flat norm, which
-`ModuleVector` no longer has a method for, as np.linalg.norm of `flat`."""
+`ModuleVector` no longer has a method for, as np.linalg.norm of `flat`.
+
+`_factorization` is the factorization check as it was before the shapes of
+one tower were evaluated together, one shape per call with its own folds,
+Gram tables and spectral norms, and `run_factorization` the suite's loop
+over the shapes that called it."""
 
 import warnings
 
@@ -11,7 +16,7 @@ import numpy as np
 from fockmod.cstar import PreconditionError, StructureError, DEFAULT_TOL
 from fockmod.fock import (FockSpace, LevelOp, _check_depth, _vacuum_tensor,
                           masked_norm, random_word, word)
-from fockmod.hilbmod import HilbertBimodule, complex_rank
+from fockmod.hilbmod import HilbertBimodule, TensorStep, complex_rank
 from fockmod.report import VerificationReport
 
 
@@ -256,3 +261,104 @@ def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
         warnings.warn(f"left action annihilates a central summand {dead}",
                       stacklevel=2)
     return module
+
+
+def _factorization(tower: FockSpace, powers: FockSpace, n, k, j, rng,
+                   tol) -> VerificationReport:
+    """`fock_factorization_check` of the shape (n, k, j) on the tower of M,
+    up to a level of at least max(k(n+1)+j, n+1), and the tower of its level
+    n+1, up to a level of at least k.  Tensor steps are deterministic, so
+    one tower of each serves every shape that fits in it."""
+    m = k * (n + 1) + j
+    M = tower.bimodule
+    report = VerificationReport(suite="fock-factorization",
+                                parameters={"n": n, "k": k, "j": j})
+    levels, maps = tower.levels, tower.maps
+
+    def fold(X):
+        """Rows h_1 (x) ... (x) h_p of the stacked vectors X[:, i]."""
+        v = X[:, -1]
+        for i in range(X.shape[1] - 1):
+            v = maps[i + 1].tensor(X[:, -2 - i], v)
+        return v
+
+    left_mod = levels[m]
+    # right side: levels[j] (x) ( levels[n+1] )^{(x) k}
+    if k == 0:
+        right_mod = levels[j]
+    elif j == 0:
+        right_mod = powers.levels[k]
+    else:
+        cross_step = TensorStep(levels[j], powers.levels[k])
+        right_mod = cross_step.module
+
+    def embed_right(X):
+        if k == 0:
+            return fold(X[:, :j])
+        ys = [fold(X[:, j + i * (n + 1): j + (i + 1) * (n + 1)])
+              for i in range(k)]
+        y = ys[-1]
+        for i in range(k - 2, -1, -1):
+            y = powers.maps[k - 1 - i].tensor(ys[i], y)
+        if j == 0:
+            return y
+        return cross_step.tensor(fold(X[:, :j]), y)
+
+    report.add_bool("dimension-equality",
+                    "dim of the regrouped power equals dim of the plain power",
+                    left_mod.dim == right_mod.dim,
+                    left=left_mod.dim, right=right_mod.dim)
+    samples = left_mod.dim + 8
+    # the draws of M.random_vector, sample by sample and factor by factor
+    Z = rng.standard_normal((samples, m, 2, M.dim))
+    X = Z[:, :, 0] + 1j * Z[:, :, 1]
+    lefts, rights = fold(X), embed_right(X)
+    pairs = min(samples, 25)
+    s, t = np.triu_indices(pairs)
+
+    def gram_pairs(mod, V, b, n_b):
+        """Block b of <v_s, v_t> for the pairs s <= t of the first rows."""
+        C = V[:pairs, mod.offsets[b]:mod.offsets[b + 1]].reshape(
+            pairs, mod.right_mult[b], n_b)
+        return C.conj().transpose(0, 2, 1)[s] @ C[t]
+
+    diff = np.zeros(len(s))
+    sq_norms = np.zeros(pairs)
+    for b, n_b in enumerate(M.base.block_sizes):
+        gl = gram_pairs(left_mod, lefts, b, n_b)
+        diff = np.maximum(diff, np.linalg.norm(
+            gl - gram_pairs(right_mod, rights, b, n_b), 2, axis=(1, 2)))
+        sq_norms = np.maximum(sq_norms, np.linalg.norm(gl[s == t], 2,
+                                                       axis=(1, 2)))
+    norms = np.sqrt(sq_norms)
+    res = float(np.max(diff / np.maximum(1.0, norms[s] * norms[t])))
+    report.add("gram-equality",
+               "regrouping preserves the B-valued inner product", res, tol)
+    rank_l = complex_rank(lefts)
+    report.add_bool("span-coverage",
+                    "sampled simple tensors span the regrouped power",
+                    rank_l == left_mod.dim, rank=rank_l, dim=left_mod.dim)
+    return report
+
+
+def run_factorization(st, bimodules):
+    """The suite's reports, one `_factorization` call per shape, on the
+    towers the suite shares between the shapes of a module."""
+    rng = st.rng()
+    L = st.max_word_length
+    shapes = [(n, k, j) for n in range(L) for k in range(L)
+              for j in range(n + 1) if 0 < k * (n + 1) + j <= L]
+    if not shapes:
+        return []
+    reports = []
+    for H, _ in bimodules[:2]:
+        tower = FockSpace(H, L, dim_cap=st.dim_cap)
+        powers = {}
+        for n, k, j in shapes:
+            if n not in powers:
+                k_top = max(kk for nn, kk, _ in shapes if nn == n)
+                powers[n] = FockSpace(tower.levels[n + 1], k_top,
+                                      dim_cap=st.dim_cap)
+            reports.append(_factorization(tower, powers[n], n, k, j, rng,
+                                          tol=st.tol))
+    return reports

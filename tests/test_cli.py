@@ -1,12 +1,14 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fockmod import cli
+import fock_reference as fock_ref
+from fockmod import cli, fock
 from fockmod.cli import (EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION,
                          EXIT_RESOURCE, SUITES, InstanceError, Settings,
                          build_instance, emit, main, parse_instance,
@@ -514,6 +516,101 @@ def test_shared_towers_give_the_per_shape_residuals():
                                 for c in r.checks]) for r in reports]
 
     assert rows(got) == rows(want)
+
+
+def _factorization_run(run, seed, max_word_length, bimodules):
+    """The reports of a factorization suite runner, and the state of the
+    rng it drew from after the run."""
+    st = Settings(seed=seed, max_word_length=max_word_length)
+    rng = st.rng()
+    st.rng = lambda: rng
+    return run(st, bimodules), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 3, 25, 50, 54])
+def test_factorization_suite_matches_the_per_shape_reference(seed):
+    """The suite, one `_factorization` call per tower, gives the reports of
+    the per-shape reference loop in order, from the same rng stream, with
+    the Gram residuals equal up to rounding."""
+    bimodules = creation_instances(seed, count=5)
+    for L in range(1, 6):
+        got, got_state = _factorization_run(
+            lambda st, b: cli.run_factorization(None, st, b), seed, L,
+            bimodules)
+        want, want_state = _factorization_run(fock_ref.run_factorization,
+                                              seed, L, bimodules)
+        assert got_state == want_state
+        assert [(r.suite, r.parameters,
+                 [(c.name, c.passed, c.details) for c in r.checks])
+                for r in got] == \
+            [(r.suite, r.parameters,
+              [(c.name, c.passed, c.details) for c in r.checks])
+             for r in want]
+        for a, b in zip(got, want):
+            for x, y in zip(a.checks, b.checks):
+                if x.name == "gram-equality":
+                    assert abs(x.residual - y.residual) <= 1e-15
+                else:
+                    assert x.residual == y.residual
+
+
+def test_factorization_defect_in_one_shape_fails_that_shape_alone(
+        monkeypatch):
+    """A right side scaled by 2 in the cross step of the shape (2, 1, 2)
+    fails that shape's Gram equality and moves no other shape's residual,
+    so the norms taken together at the end go back to their own shapes."""
+    st = Settings(seed=25)
+    bimodules = creation_instances(st.seed, count=5)
+    clean = cli.run_factorization(None, st, bimodules)
+    core, tensor, towers = fock._factorization, TensorStep.tensor, []
+
+    def recorded(tower, powers, *args):
+        towers.append((tower, powers))
+        return core(tower, powers, *args)
+
+    def planted(self, Hs, Ks):
+        out = tensor(self, Hs, Ks)
+        if towers and self.H is towers[-1][0].levels[2] \
+                and self.K is towers[-1][1][2].levels[1]:
+            return 2 * out
+        return out
+
+    monkeypatch.setattr(fock, "_factorization", recorded)
+    monkeypatch.setattr(TensorStep, "tensor", planted)
+    planted_run = cli.run_factorization(None, st, bimodules)
+    assert len(towers) == 2
+    assert [r.parameters for r in planted_run] == \
+        [r.parameters for r in clean]
+    failed = [(r.parameters, c.name) for r in planted_run
+              for c in r.checks if not c.passed]
+    assert failed == [({"n": 2, "k": 1, "j": 2}, "gram-equality")] * 2
+    for a, b in zip(planted_run, clean):
+        if a.parameters != {"n": 2, "k": 1, "j": 2}:
+            assert [(c.name, c.residual) for c in a.checks] == \
+                [(c.name, c.residual) for c in b.checks]
+
+
+def _traced_peak(run):
+    """The tracemalloc peak, in bytes, of one call of run."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_factorization_suite_memory_stays_at_the_per_shape_loop():
+    """Folding shape by shape keeps the suite's traced peak within a
+    quarter of the per-shape reference loop's.  One untraced run first, so
+    that neither peak holds what the first run of the process allocates
+    once."""
+    st = Settings(seed=54)
+    run_suites(None, ("factorization",), st)
+    want = _traced_peak(lambda: fock_ref.run_factorization(
+        st, cli._fock_bimodules(None, st)))
+    got = _traced_peak(lambda: run_suites(None, ("factorization",), st))
+    assert got <= 1.25 * want
 
 
 @pytest.mark.parametrize("truncation", ["0", "1"])

@@ -1,6 +1,6 @@
 """Import hygiene of the package, checked with the standard library's ast:
-the package binds nothing but its submodules, and no module imports a name
-it never uses."""
+the package binds nothing but its submodules, no module imports a name it
+never uses, and singular values are taken in one place."""
 
 import ast
 from pathlib import Path
@@ -163,3 +163,33 @@ def test_every_default_is_overridden_somewhere():
                 unset.append(f"{path.name}: "
                              f"{owner + '.' if owner else ''}{fn}({param})")
     assert unset == []
+
+
+def _singular_value_calls(node):
+    """Lines of the calls under node that take singular values: an svd of
+    a linalg module, or a linalg norm of order 2."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            name = ast.unparse(call.func)
+            order = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "ord"), None)
+            if name.endswith("linalg.svd") or (
+                    name.endswith("linalg.norm")
+                    and isinstance(order, ast.Constant) and order.value == 2):
+                yield call.lineno
+
+
+def test_singular_values_go_through_one_helper():
+    """The largest singular value is `cstar.top_singular_value`'s, one
+    batched SVD per matrix shape; `hilbmod.complex_rank` is the one other
+    SVD, for a numerical rank."""
+    allowed = {("cstar.py", "top_singular_value"),
+               ("hilbmod.py", "complex_rank")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (path.name, getattr(node, "name", None)) not in allowed:
+                found += [f"{path.name}:{line}"
+                          for line in _singular_value_calls(node)]
+    assert found == []
