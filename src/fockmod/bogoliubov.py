@@ -239,8 +239,7 @@ def _fock_level_spans(F: FockSpace, n, span: SubmoduleSpan):
         raise StructureError("span lives outside the Fock bimodule")
     if n > F.N:
         raise PreconditionError("tower level exceeds the truncation")
-    level_bases = [[F.levels[0].from_flat(col)
-                    for col in np.eye(F.levels[0].dim)]]
+    level_bases = [F.levels[0].basis()]
     G = V = np.array([v.flat for v in span.basis]).reshape(
         -1, F.bimodule.dim)
     for k, level in enumerate(F.levels[1:n + 1]):

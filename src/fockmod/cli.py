@@ -309,24 +309,16 @@ def run_ideal(ctx, st, bimodules):
 
 def run_factorization(ctx, st, bimodules):
     """Every shape (n, k, j) with 1 <= k(n+1) + j <= L = max_word_length,
-    in one `_factorization` call per module.  The tower of M is built to
-    level L, which the shape (L - 1, 0, 1) reads and no shape passes, and
-    the tower of each level n + 1 to the largest k of that n."""
+    in one `_factorization` call per module."""
     rng = st.rng()
     L = st.max_word_length
     shapes = [(n, k, j) for n in range(L) for k in range(L)
               for j in range(n + 1) if 0 < k * (n + 1) + j <= L]
     if not shapes:
         return []
-    k_top = {}
-    for n, k, _ in shapes:
-        k_top[n] = max(k, k_top.get(n, 0))
     reports = []
     for H, _ in bimodules[:2]:
-        tower = fk.FockSpace(H, L, dim_cap=st.dim_cap)
-        powers = {n: fk.FockSpace(tower.levels[n + 1], k, dim_cap=st.dim_cap)
-                  for n, k in k_top.items()}
-        reports += fk._factorization(tower, powers, shapes, rng, st.tol)
+        reports += fk._factorization(H, shapes, rng, st.tol, st.dim_cap)
     return reports
 
 

@@ -218,18 +218,20 @@ def top_singular_value(mats, samples):
     holds matrices on its last two axes; its first `samples` axes are sample
     axes, shared by all the arrays and kept in the result, and every other
     axis, like the list, is maximized over.  One batched SVD per matrix
-    shape; an empty matrix has no singular value, and no matrix gives 0.0."""
+    shape, but a 1 x 1 matrix's singular value is its modulus; an empty
+    matrix has no singular value, and no matrix gives 0.0."""
     stacks = {}
     for x in mats:
         if x.shape[-1] and x.shape[-2]:
             stacks.setdefault(x.shape[-2:], []).append(x)
     top = 0.0
-    for xs in stacks.values():
+    for shape, xs in stacks.items():
         x = xs[0] if len(xs) == 1 else np.concatenate(
             [y.reshape(y.shape[:samples] + (prod(y.shape[samples:-2]),)
                        + y.shape[-2:]) for y in xs], samples)
         # each matrix's singular values descend: the first is the largest
-        s = np.linalg.svd(x, compute_uv=False)[..., 0]
+        s = (np.abs(x[..., 0, 0]) if shape == (1, 1)
+             else np.linalg.svd(x, compute_uv=False)[..., 0])
         if s.ndim > samples:
             s = s.reshape(s.shape[:samples] + (prod(s.shape[samples:]),)) \
                 .max(-1)
@@ -538,21 +540,18 @@ class ConditionalExpectation:
         emb = scalar_embedding(rho.algebra)
         return cls(emb, lambda a: emb.domain.scalar(rho(a)))
 
-    def gns_gram(self):
-        basis = self.algebra.basis()
-        n = len(basis)
-        K = np.zeros((n, n), complex)
-        for u in range(n):
-            for v in range(n):
-                val = self(basis[u].adjoint() * basis[v])
-                K[u, v] = sum(np.trace(blk) for blk in val.blocks)
-        return K
-
     @property
     def is_faithful(self):
-        """phi(a* a) = 0 implies a = 0: `gns_gram` is positive definite."""
-        K = self.gns_gram()
-        lam = np.linalg.eigvalsh((K + K.conj().T) / 2)
+        """phi(a* a) = 0 implies a = 0: the Gram matrix tr phi(b_u* b_v) on
+        the matrix units b_u is positive definite.  That matrix is the direct
+        sum of I_{n_j} (x) W_j, W_j[q, s] = tr phi(e^j_qs), so it has the
+        eigenvalues of the W_j, read off the matrix of phi."""
+        mat = CPLinearMap.from_callable(self.algebra, self.base, self).matrix
+        W = self.algebra.from_flat(sum(
+            mat[o + p * (n + 1)] for o, n in
+            zip(self.base.offsets, self.base.block_sizes) for p in range(n)))
+        lam = np.concatenate([np.linalg.eigvalsh((w + w.conj().T) / 2)
+                              for w in W.blocks])
         return lam.min() > PSD_CUTOFF * max(1.0, lam.max())
 
     def validate(self, rng, tol=DEFAULT_TOL) -> VerificationReport:

@@ -578,25 +578,22 @@ def fock_factorization_check(M: HilbertBimodule, n, k, j, rng,
                              dim_cap=DEFAULT_DIM_CAP) -> VerificationReport:
     """Tensor-regrouping factorization: the (k(n+1)+j)-fold power of a
     bimodule is isometrically the j-fold power tensored with the k-fold power
-    of the (n+1)-fold power.  `_factorization` of this one shape, on towers
-    built to the levels it reads."""
+    of the (n+1)-fold power.  `_factorization` of this one shape."""
     if not (0 <= j <= n):
         raise PreconditionError("need 0 <= j <= n")
     m = k * (n + 1) + j
     if m < 1:
         raise PreconditionError("empty regrouping")
-    tower = FockSpace(M, max(m, n + 1), dim_cap)
-    powers = {n: FockSpace(tower.levels[n + 1], k, dim_cap)}
-    return _factorization(tower, powers, [(n, k, j)], rng, tol)[0]
+    return _factorization(M, [(n, k, j)], rng, tol, dim_cap)[0]
 
 
-def _factorization(tower: FockSpace, powers, shapes, rng,
-                   tol) -> list[VerificationReport]:
+def _factorization(M: HilbertBimodule, shapes, rng, tol,
+                   dim_cap) -> list[VerificationReport]:
     """The report of `fock_factorization_check` for each shape (n, k, j), in
-    order, on the tower of M, up to a level of at least max(k(n+1)+j, n+1)
-    for every shape, and powers[n], the tower of its level n+1, up to a
-    level of at least every k of that n.  Tensor steps are deterministic, so
-    one tower of each serves every shape that fits in it.
+    order, on one tower of M, built to the highest max(k(n+1)+j, n+1) over
+    the shapes, and powers[n], the tower of its level n+1, built to the
+    largest k of that n.  Tensor steps are deterministic, so one tower of
+    each serves every shape.
 
     Shape by shape, dim + 8 samples, dim the dimension of the power, are
     drawn in one call and go through each tensor step at once, as stacked
@@ -604,7 +601,13 @@ def _factorization(tower: FockSpace, powers, shapes, rng,
     Gram tables of the first 25 samples take one product per base block.
     Only their differences and diagonals are kept, and the spectral norms of
     every shape are taken together at the end."""
-    M = tower.bimodule
+    k_top = {}
+    for n, k, _ in shapes:
+        k_top[n] = max(k, k_top.get(n, 0))
+    tower = FockSpace(M, max(max(k * (n + 1) + j, n + 1)
+                             for n, k, j in shapes), dim_cap)
+    powers = {n: FockSpace(tower.levels[n + 1], k, dim_cap)
+              for n, k in k_top.items()}
     levels, maps = tower.levels, tower.maps
     triu, kept, done = {}, [], []
 
@@ -668,15 +671,8 @@ def _factorization(tower: FockSpace, powers, shapes, rng,
             gr = gram_pairs(right_mod, rights, b, n_b)
             kept[-1].append(np.concatenate([gl - gr, gl[s == t]]))
         done.append((report, s, t, complex_rank(lefts), left_mod.dim))
-    # per base block, every shape's differences and diagonals in one stack.
-    # A 1 x 1 block's norm is |x|, far cheaper than an SVD each; it is taken
-    # here and not in `top_singular_value`, since LAPACK's value can differ
-    # from |x| in the last bit, and the other checks share that helper.
-    stacks = [np.concatenate(x) for x in zip(*kept)]
-    tops = top_singular_value([x for x in stacks if x.shape[1:] != (1, 1)], 1)
-    for x in stacks:
-        if x.shape[1:] == (1, 1):
-            tops = np.maximum(tops, np.abs(x[:, 0, 0]))
+    # per base block, every shape's differences and diagonals in one stack
+    tops = top_singular_value([np.concatenate(x) for x in zip(*kept)], 1)
     ends = np.cumsum([len(blocks[0]) for blocks in kept])
     for (report, s, t, rank, dim), top in zip(done, np.split(tops, ends)):
         diff, norms = top[:len(s)], np.sqrt(top[len(s):])

@@ -115,11 +115,11 @@ def semicircle_cdf(t):
         / (4.0 * np.pi)
 
 
-def haar_unitary(N, k_max=6, tol=DEFAULT_TOL):
+def haar_unitary(N, tol=DEFAULT_TOL):
     """u = exp(2 pi i F(s)) for the semicircle distribution function F,
     applied to the truncated semicircular element by functional calculus.
 
-    Returns (u, report); the report carries |psi(u^k)| for 1 <= k <= k_max."""
+    Returns (u, report); the report carries |psi(u^k)| for 1 <= k <= 6."""
     l = scalar_creation(N)
     s = l + l.conj().T
     lam, V = np.linalg.eigh(s)
@@ -130,7 +130,7 @@ def haar_unitary(N, k_max=6, tol=DEFAULT_TOL):
     moments = {}
     power = np.eye(N + 1, dtype=complex)
     worst = 0.0
-    for k in range(1, k_max + 1):
+    for k in range(1, 7):
         power = power @ u
         moments[k] = abs(complex(power[0, 0]))
         worst = max(worst, moments[k])
@@ -221,8 +221,9 @@ def freeness_check(families, expectation, embed, budget, rng,
 
 class AmalgSetup:
     """A = A1 + A2, D = B + B inside A, the swap-twisted expectation eta,
-    the eta-creation operator L on the truncated Fock space of the bimodule
-    of eta, and the derived operators P and W, all as level operators."""
+    the eta-creation operator L and its adjoint Ls on the truncated Fock
+    space of the bimodule of eta, and the derived operators P and W, all as
+    level operators."""
 
     def __init__(self, phi1: ConditionalExpectation,
                  phi2: ConditionalExpectation, N, dim_cap=DEFAULT_DIM_CAP):
@@ -238,24 +239,20 @@ class AmalgSetup:
         self.D = CStarAlgebra(tuple(self.B.block_sizes) * 2)
         self.N = N
         nb = len(self.B.block_sizes)
-        n1 = len(self.A1.block_sizes)
-        mults = []
-        unitaries = []
-        for j, row in enumerate(phi1.embedding.multiplicities):
-            mults.append(tuple(row) + (0,) * nb)
-            unitaries.append(phi1.embedding.unitaries[j])
-        for j, row in enumerate(phi2.embedding.multiplicities):
-            mults.append((0,) * nb + tuple(row))
-            unitaries.append(phi2.embedding.unitaries[j])
-        self.embed_D = UnitalHomomorphism(self.D, self.A, mults, unitaries)
-        self._n1 = n1
+        e1, e2 = phi1.embedding, phi2.embedding
+        self.embed_D = UnitalHomomorphism(
+            self.D, self.A,
+            [row + (0,) * nb for row in e1.multiplicities]
+            + [(0,) * nb + row for row in e2.multiplicities],
+            e1.unitaries + e2.unitaries)
+        self._n1 = len(self.A1.block_sizes)
         self.alpha = AlgebraAutomorphism(
             self.D, tuple(range(nb, 2 * nb)) + tuple(range(nb)))
         self.eta_map = CPLinearMap.from_callable(self.A, self.A, self.eta)
         self.H, self.xi = cp_bimodule(self.A, self.eta_map)
         self.F = FockSpace(self.H, N, dim_cap=dim_cap)
         L = self.L = self.F.creation(self.xi)
-        Ls = L.adjoint()
+        Ls = self.Ls = L.adjoint()
         self.P = self.F.identity() - L @ L @ Ls @ Ls
         self.W = self.P @ (L + Ls) @ self.P
 
@@ -323,7 +320,7 @@ def amalg_setup(phi1: ConditionalExpectation, phi2: ConditionalExpectation,
         res_inner = max(res_inner,
                         (S.H.inner(S.xi, S.xi.lmul(a)) - S.eta(a)).norm()
                         / max(1.0, a.norm()))
-        diff = S.L.adjoint() @ (S.op(a) @ S.L.restrict(N - 1)) \
+        diff = S.Ls @ (S.op(a) @ S.L.restrict(N - 1)) \
             - S.op(S.eta(a)).restrict(N - 1)
         res_comp = max(res_comp, masked_norm(diff, N - 1)
                        / max(1.0, a.norm()))
@@ -342,8 +339,7 @@ def build_W(setup: AmalgSetup, tol=DEFAULT_TOL):
     if setup.N < 3:
         raise PreconditionError(
             "need truncation at least 3 for overflow-free room")
-    F, L = setup.F, setup.L
-    Ls = L.adjoint()
+    F, L, Ls = setup.F, setup.L, setup.Ls
     P, W = setup.P, setup.W
     dom = setup.N - 2
     Lc, Lsc, Pc, Wc = (X.restrict(dom) for X in (L, Ls, P, W))
@@ -367,8 +363,7 @@ def build_W(setup: AmalgSetup, tol=DEFAULT_TOL):
 
 def swap_commutation(setup: AmalgSetup, tol=DEFAULT_TOL) -> VerificationReport:
     """L d = alpha(d) L and its consequences, for d over a basis of D."""
-    L = setup.L
-    Ls = L.adjoint()
+    L, Ls = setup.L, setup.Ls
     P, W = setup.P, setup.W
     dom = setup.N - 2
     Lc, Lsc, Pc, Wc = (X.restrict(dom) for X in (L, Ls, P, W))
@@ -463,8 +458,7 @@ def la_freeness_check(setup: AmalgSetup, budget, rng,
                       threshold=DEFAULT_TOL) -> VerificationReport:
     """Moment freeness of {L, L*} and the coefficient algebra over D, four
     samples per pattern."""
-    L = setup.L
-    Ls = L.adjoint()
+    L, Ls = setup.L, setup.Ls
     words = [L, Ls, L @ Ls, Ls @ L, L + Ls]
 
     def family_toeplitz(r):
@@ -474,11 +468,8 @@ def la_freeness_check(setup: AmalgSetup, budget, rng,
     def family_coeff(r):
         return setup.op(setup.A.random_element(r))
 
-    def embed(d):
-        return setup.op_d(d)
-
     return freeness_check([family_toeplitz, family_coeff],
-                          lambda factors: setup.psi(*factors), embed,
+                          lambda factors: setup.psi(*factors), setup.op_d,
                           budget, rng, samples_per_pattern=4,
                           threshold=threshold,
                           note="families: words in {L, L*}; coefficients",
@@ -513,23 +504,24 @@ def corner_freeness_check(setup: AmalgSetup, budget, rng,
                          "corner copies of the two amalgamands")
 
 
-def alpha_beta_conditions(setup: AmalgSetup, rng, samples=5,
+def alpha_beta_conditions(setup: AmalgSetup, rng,
                           tol=DEFAULT_TOL) -> VerificationReport:
     """The two distributional conditions characterizing L over psi: vanishing
-    of unmatched words and the compressed-expectation formula."""
+    of unmatched words, five samples per word length, and the
+    compressed-expectation formula on five samples."""
     L = setup.L
     report = VerificationReport(suite="creation-distribution")
     worst = 0.0
     for k in range(1, min(3, setup.N) + 1):
-        for _ in range(samples):
+        for _ in range(5):
             worst = max(worst, _coefficient_moment(setup, rng, [[L]] * k))
     report.add("unmatched-words", "psi(a1 L a2 ... L a_{k+1}) = 0",
                worst, tol)
     res = 0.0
-    for _ in range(samples):
+    for _ in range(5):
         a = setup.A.random_element(rng)
         oa = setup.op(a)
-        diff = L.adjoint() @ (oa @ L.restrict(setup.N - 1)) \
+        diff = setup.Ls @ (oa @ L.restrict(setup.N - 1)) \
             - setup.op_d(setup.eta_D(setup.embed_D(setup.psi(oa)))) \
             .restrict(setup.N - 1)
         res = max(res, masked_norm(diff, setup.N - 1) / max(1.0, a.norm()))

@@ -54,36 +54,32 @@ def random_state(rng, algebra: CStarAlgebra) -> StateFunctional:
 
 # -- criterion instance suites ----------------------------------------------
 
+def _random_modules(rng, dim_cap):
+    """Bimodules with at most two copies per block over random bases, one
+    per draw of a base under which `random_bimodule` finds one."""
+    while True:
+        base = random_algebra(rng)
+        try:
+            H = random_bimodule(rng, base, max_copies=2, dim_cap=dim_cap)
+        except PreconditionError:
+            continue
+        yield H
+
+
 def creation_instances(seed, count=20):
     """(bimodule, truncation) pairs with bases up to blocks (2,3), underlying
     dimension at most 12, truncation at most 4."""
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        base = random_algebra(rng)
-        try:
-            H = random_bimodule(rng, base, max_copies=2, dim_cap=12)
-        except PreconditionError:
-            continue
-        N = int(rng.integers(2, 5))
-        out.append((H, N))
-    return out
+    return [(H, int(rng.integers(2, 5)))
+            for H in itertools.islice(_random_modules(rng, 12), count)]
 
 
 def vector_families(seed, count=50):
     """(module, vectors) pairs, one to four vectors each, for
     orthogonalization and projection laws."""
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        base = random_algebra(rng)
-        try:
-            H = random_bimodule(rng, base, max_copies=2, dim_cap=24)
-        except PreconditionError:
-            continue
-        m = int(rng.integers(1, 5))
-        out.append((H, [H.random_vector(rng) for _ in range(m)]))
-    return out
+    return [(H, [H.random_vector(rng) for _ in range(int(rng.integers(1, 5)))])
+            for H in itertools.islice(_random_modules(rng, 24), count)]
 
 
 def amalg_instances(seed):

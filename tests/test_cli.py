@@ -562,23 +562,30 @@ def test_factorization_defect_in_one_shape_fails_that_shape_alone(
     st = Settings(seed=25)
     bimodules = creation_instances(st.seed, count=5)
     clean = cli.run_factorization(None, st, bimodules)
-    core, tensor, towers = fock._factorization, TensorStep.tensor, []
+    tensor, built = TensorStep.tensor, []
 
-    def recorded(tower, powers, *args):
-        towers.append((tower, powers))
-        return core(tower, powers, *args)
+    class Recorded(fock.FockSpace):
+        """A Fock space that records itself once built."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    def towers():
+        """The towers of M, one per module checked."""
+        return [T for T in built if any(T.bimodule is H for H, _ in bimodules)]
 
     def planted(self, Hs, Ks):
         out = tensor(self, Hs, Ks)
-        if towers and self.H is towers[-1][0].levels[2] \
-                and self.K is towers[-1][1][2].levels[1]:
+        if any(self.H is T.levels[2] and self.K is Y.levels[1]
+               for T in towers() for Y in built if Y.bimodule is T.levels[3]):
             return 2 * out
         return out
 
-    monkeypatch.setattr(fock, "_factorization", recorded)
+    monkeypatch.setattr(fock, "FockSpace", Recorded)
     monkeypatch.setattr(TensorStep, "tensor", planted)
     planted_run = cli.run_factorization(None, st, bimodules)
-    assert len(towers) == 2
+    assert len(towers()) == 2
     assert [r.parameters for r in planted_run] == \
         [r.parameters for r in clean]
     failed = [(r.parameters, c.name) for r in planted_run

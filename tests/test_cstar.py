@@ -248,14 +248,30 @@ def test_stacked_elements_are_their_samples():
 
 
 def test_top_singular_value_over_stacks_of_blocks():
+    """Per sample, the largest singular value of every matrix, each 1 x 1
+    matrix's being its modulus; the 1 x 1 matrices, scaled by 3, are the
+    largest in some samples and not in others."""
     rng = np.random.default_rng(19)
     mats = [rng.standard_normal((3, 5, 2, 2)), rng.standard_normal((3, 2, 4)),
             rng.standard_normal((3, 0, 4)), rng.standard_normal((3, 1, 2, 2))]
-    want = [max(np.linalg.norm(m, 2) for x in mats if x.size
-                for m in x[s].reshape((-1,) + x.shape[-2:]))
-            for s in range(3)]
-    assert np.array_equal(cstar.top_singular_value(mats, 1), want)
-    assert cstar.top_singular_value(mats, 0) == max(want)
+    mats += [3 * (rng.standard_normal((3, 4, 1, 1))
+                  + 1j * rng.standard_normal((3, 4, 1, 1))),
+             3 * rng.standard_normal((3, 1, 1))]
+
+    def top(m):
+        return abs(m[0, 0]) if m.shape == (1, 1) else np.linalg.norm(m, 2)
+
+    for kept in (mats[:4], mats, mats[4:]):
+        want = [max(top(m) for x in kept if x.size
+                    for m in x[s].reshape((-1,) + x.shape[-2:]))
+                for s in range(3)]
+        assert np.array_equal(cstar.top_singular_value(kept, 1), want)
+        assert cstar.top_singular_value(kept, 0) == max(want)
+        assert [cstar.top_singular_value([x[s] for x in kept], 0)
+                for s in range(3)] == want
+    assert any(top(m) > max(top(n) for x in mats[:4] if x.size
+                            for n in x[s].reshape((-1,) + x.shape[-2:]))
+               for s in range(3) for m in mats[4][s])
     assert cstar.top_singular_value([], 0) == 0.0
     assert cstar.top_singular_value([np.zeros((0, 2, 2))], 1).shape == (0,)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fockmod.cli import Settings, run_amalg
-from fockmod.cstar import (CStarAlgebra, ConditionalExpectation,
+from fockmod.cstar import (PSD_CUTOFF, CStarAlgebra, ConditionalExpectation,
                            PreconditionError, StateFunctional)
 from fockmod.fock import FockSpace, LevelOp
 from fockmod.freeprod import (AmalgSetup, alpha_beta_conditions,
@@ -53,15 +53,35 @@ def test_scalar_creation_shift_relations():
 
 
 def test_haar_unitary_moments_vanish():
-    u, rep = haar_unitary(8, k_max=4, tol=1e-9)
+    u, rep = haar_unitary(8, tol=1e-9)
     assert rep.passed, rep.failures
     assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) < 1e-12
+
+
+def gram_is_faithful(phi):
+    """The definition `is_faithful` stands for: the (dim A)^2 Gram matrix
+    tr phi(b_u* b_v) over the basis of A is positive definite."""
+    basis = phi.algebra.basis()
+    K = np.array([[sum(np.trace(blk) for blk in phi(u.adjoint() * v).blocks)
+                   for v in basis] for u in basis])
+    lam = np.linalg.eigvalsh((K + K.conj().T) / 2)
+    return lam.min() > PSD_CUTOFF * max(1.0, lam.max())
 
 
 def test_base_expectation_validate():
     A = CStarAlgebra((2,))
     phi = ConditionalExpectation.from_state(random_state(RNG, A))
     assert phi.is_faithful
+    rng = np.random.default_rng(59)
+    for sizes in [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)]:
+        for _ in range(3):
+            psi = ConditionalExpectation.from_state(
+                random_state(rng, CStarAlgebra(sizes)))
+            assert psi.is_faithful and gram_is_faithful(psi)
+    # a zero density block annihilates a central summand
+    zero_block = ConditionalExpectation.from_state(StateFunctional(
+        CStarAlgebra((1, 2)), [np.zeros((1, 1)), np.eye(2) / 2]))
+    assert not zero_block.is_faithful and not gram_is_faithful(zero_block)
     assert phi.validate(RNG).passed
     # density diag(1, 0) annihilates no central summand of M_2, yet
     # phi(e_22* e_22) = 0: the expectation is not faithful, and faithful-gns
@@ -69,6 +89,7 @@ def test_base_expectation_validate():
     rho = StateFunctional(A, [np.diag([1.0, 0.0])])
     phi = ConditionalExpectation.from_state(rho)
     assert rho.has_faithful_gns and not phi.is_faithful
+    assert not gram_is_faithful(phi)
     rep = phi.validate(np.random.default_rng(0))
     assert [c.name for c in rep.failures] == ["faithful-gns"]
     with pytest.raises(PreconditionError, match="not faithful"):
@@ -86,6 +107,7 @@ def test_base_expectation_flags_non_positive_map():
     rep = bad.validate(RNG)
     names = {c.name for c in rep.checks if not c.passed}
     assert "complete-positivity" in names
+    assert not bad.is_faithful and not gram_is_faithful(bad)
     anchors = {c.anchor for c in rep.checks if not c.passed}
     assert "Choi(phi) >= 0" in anchors
 
@@ -119,7 +141,7 @@ def test_amalg_alternating_moments_vanish():
 
 def test_amalg_alpha_beta_conditions():
     setup = small_setup()
-    rep = alpha_beta_conditions(setup, RNG, samples=3, tol=1e-9)
+    rep = alpha_beta_conditions(setup, RNG, tol=1e-9)
     assert rep.passed, rep.failures
 
 
