@@ -364,7 +364,7 @@ def run_crossed(ctx, st):
         _, lift_rep = cr.lift_automorphism(
             C, identity_automorphism(algebra), rng, tol=st.tol)
         reports.append(lift_rep)
-        ident = CPLinearMap.from_callable(algebra, algebra, lambda a: a)
+        ident = CPLinearMap(algebra, algebra, np.eye(algebra.dim))
         reports.append(cr.folner_average(C, list(group.elements()), ident,
                                          rng=rng))
         smear = cr.smearing_map(algebra, 0.25)

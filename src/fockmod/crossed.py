@@ -10,9 +10,9 @@ import itertools
 import numpy as np
 
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
-                    CStarAlgebra, PreconditionError, StructureError,
-                    automorphism_distances, identity_automorphism,
-                    uniform_trace_state, DEFAULT_TOL)
+                    CStarAlgebra, ConditionalExpectation, PreconditionError,
+                    StructureError, automorphism_distances,
+                    identity_automorphism, uniform_trace_state, DEFAULT_TOL)
 from .fock import LevelOp
 from .report import VerificationReport
 
@@ -111,10 +111,6 @@ class GroupAction:
             raise StructureError(
                 "action is not a homomorphism: "
                 f"alpha_{g} . alpha_{h} != alpha_{group.mul(g, h)}")
-
-    def apply(self, g, a: AlgebraElement) -> AlgebraElement:
-        self.group.members([g])
-        return self.autos[g](a)
 
     def orbit(self, a: AlgebraElement):
         """alpha_g(a) for every g, one batched product per stacked block:
@@ -375,9 +371,6 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng,
 def smearing_map(algebra: CStarAlgebra, eps) -> CPLinearMap:
     """Unital CP map (1 - eps) id + eps rho(.) 1, rho the normalized trace;
     defect on a is eps * norm(a - rho(a) 1)."""
-    rho = uniform_trace_state(algebra)
-
-    def act(a):
-        return a * (1 - eps) + algebra.identity() * (eps * rho(a))
-
-    return CPLinearMap.from_callable(algebra, algebra, act)
+    rho = ConditionalExpectation.from_state(uniform_trace_state(algebra))
+    return CPLinearMap(algebra, algebra, (1 - eps) * np.eye(algebra.dim)
+                       + eps * np.outer(algebra.identity().flat, rho.matrix))

@@ -518,27 +518,23 @@ def flip_automorphism(algebra):
 
 # -- conditional expectations ---------------------------------------------
 
-class ConditionalExpectation:
-    """Conditional expectation phi: A -> B, presented by a unital embedding
-    iota of B into A together with the B-valued coordinate map to_base.
-    `validate` checks the laws that make the pair an expectation."""
+class ConditionalExpectation(CPLinearMap):
+    """Conditional expectation phi: A -> B, the completely positive map of
+    its matrix, of size dim B x dim A, together with the unital embedding
+    iota of B into A it projects onto.  `validate` checks the laws that make
+    the pair an expectation."""
 
-    def __init__(self, embedding: UnitalHomomorphism, to_base):
+    def __init__(self, embedding: UnitalHomomorphism, matrix):
+        super().__init__(embedding.codomain, embedding.domain, matrix)
         self.embedding = embedding
-        self.algebra = embedding.codomain
-        self.base = embedding.domain
-        self._to_base = to_base
-
-    def __call__(self, a):
-        if a.parent != self.algebra:
-            raise StructureError("element outside the expectation's domain")
-        return self._to_base(a)
+        self.algebra, self.base = self.domain, self.codomain
 
     @classmethod
     def from_state(cls, rho: StateFunctional):
-        """A state, viewed as the expectation onto the scalars."""
-        emb = scalar_embedding(rho.algebra)
-        return cls(emb, lambda a: emb.domain.scalar(rho(a)))
+        """A state, viewed as the expectation onto the scalars: the one row
+        of rho(a) = sum_j tr(d_j a_j) is the flat d_j^T."""
+        return cls(scalar_embedding(rho.algebra), rho.algebra.element(
+            [d.T for d in rho.densities]).flat[None])
 
     @property
     def is_faithful(self):
@@ -546,9 +542,8 @@ class ConditionalExpectation:
         the matrix units b_u is positive definite.  That matrix is the direct
         sum of I_{n_j} (x) W_j, W_j[q, s] = tr phi(e^j_qs), so it has the
         eigenvalues of the W_j, read off the matrix of phi."""
-        mat = CPLinearMap.from_callable(self.algebra, self.base, self).matrix
         W = self.algebra.from_flat(sum(
-            mat[o + p * (n + 1)] for o, n in
+            self.matrix[o + p * (n + 1)] for o, n in
             zip(self.base.offsets, self.base.block_sizes) for p in range(n)))
         lam = np.concatenate([np.linalg.eigvalsh((w + w.conj().T) / 2)
                               for w in W.blocks])
@@ -573,10 +568,8 @@ class ConditionalExpectation:
                            / max(1.0, b1.norm()))
         report.add("bimodularity", "phi(b1 a b2) = b1 phi(a) b2", res_bi, tol)
         report.add("idempotence", "phi . iota = id", res_idem, tol)
-        lam = CPLinearMap.from_callable(
-            self.algebra, self.base, self).min_choi_eigenvalue()
         report.add("complete-positivity", "Choi(phi) >= 0",
-                   max(0.0, -lam), 1e-8)
+                   max(0.0, -self.min_choi_eigenvalue()), 1e-8)
         report.add_bool("faithful-gns", "phi(a* a) = 0 implies a = 0",
                         self.is_faithful)
         return report

@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
-                    CStarAlgebra, ConditionalExpectation, PreconditionError,
-                    StateFunctional, UnitalHomomorphism, DEFAULT_TOL)
+                    CStarAlgebra, ConditionalExpectation, LinearMap,
+                    PreconditionError, StateFunctional, UnitalHomomorphism,
+                    DEFAULT_TOL)
 from .fock import DEFAULT_DIM_CAP, FockSpace, masked_norm
 from .hilbmod import cp_bimodule, gns_bimodule
 from .report import VerificationReport
@@ -220,10 +221,12 @@ def freeness_check(families, expectation, embed, budget, rng,
 # -- amalgamated two-algebra construction -----------------------------------
 
 class AmalgSetup:
-    """A = A1 + A2, D = B + B inside A, the swap-twisted expectation eta,
-    the eta-creation operator L and its adjoint Ls on the truncated Fock
-    space of the bimodule of eta, and the derived operators P and W, all as
-    level operators."""
+    """A = A1 + A2, D = B + B inside A, and three maps of A held as their
+    matrices: phi = phi1 + phi2 onto D, eta_D, phi with its two B halves
+    swapped, and the swap-twisted expectation eta = embed_D . eta_D (also
+    `eta_map`).  Then the eta-creation operator L and its adjoint Ls on the
+    truncated Fock space of the bimodule of eta, and the derived operators
+    P and W, all as level operators."""
 
     def __init__(self, phi1: ConditionalExpectation,
                  phi2: ConditionalExpectation, N, dim_cap=DEFAULT_DIM_CAP):
@@ -245,10 +248,17 @@ class AmalgSetup:
             [row + (0,) * nb for row in e1.multiplicities]
             + [(0,) * nb + row for row in e2.multiplicities],
             e1.unitaries + e2.unitaries)
-        self._n1 = len(self.A1.block_sizes)
         self.alpha = AlgebraAutomorphism(
             self.D, tuple(range(nb, 2 * nb)) + tuple(range(nb)))
-        self.eta_map = CPLinearMap.from_callable(self.A, self.A, self.eta)
+        mat = np.zeros((self.D.dim, self.A.dim), complex)
+        mat[:self.B.dim, :self.A1.dim] = phi1.matrix
+        mat[self.B.dim:, self.A1.dim:] = phi2.matrix
+        self.phi = LinearMap(self.A, self.D, mat)
+        self.eta_D = LinearMap(self.A, self.D, np.roll(mat, self.B.dim, 0))
+        self.eta = self.eta_map = CPLinearMap(
+            self.A, self.A,
+            CPLinearMap.from_callable(self.D, self.A, self.embed_D).matrix
+            @ self.eta_D.matrix)
         self.H, self.xi = cp_bimodule(self.A, self.eta_map)
         self.F = FockSpace(self.H, N, dim_cap=dim_cap)
         L = self.L = self.F.creation(self.xi)
@@ -261,23 +271,8 @@ class AmalgSetup:
     def pair(self, a1: AlgebraElement, a2: AlgebraElement) -> AlgebraElement:
         return self.A.element(list(a1.blocks) + list(a2.blocks))
 
-    def split(self, a: AlgebraElement):
-        return (self.A1.element(a.blocks[:self._n1]),
-                self.A2.element(a.blocks[self._n1:]))
-
     def dpair(self, b1: AlgebraElement, b2: AlgebraElement) -> AlgebraElement:
         return self.D.element(list(b1.blocks) + list(b2.blocks))
-
-    def phi(self, a: AlgebraElement) -> AlgebraElement:
-        a1, a2 = self.split(a)
-        return self.dpair(self.phi1(a1), self.phi2(a2))
-
-    def eta_D(self, a: AlgebraElement) -> AlgebraElement:
-        a1, a2 = self.split(a)
-        return self.dpair(self.phi2(a2), self.phi1(a1))
-
-    def eta(self, a: AlgebraElement) -> AlgebraElement:
-        return self.embed_D(self.eta_D(a))
 
     # operators on the Fock space -------------------------------------------
 

@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 
 from .cstar import (AlgebraElement, BlockSpace, BlockValue, CPLinearMap,
-                    CStarAlgebra, PreconditionError, StateFunctional,
-                    StructureError, multiplicity_form, place_copies,
-                    top_singular_value, DEFAULT_TOL)
+                    CStarAlgebra, ConditionalExpectation, PreconditionError,
+                    StateFunctional, StructureError, multiplicity_form,
+                    place_copies, top_singular_value, DEFAULT_TOL)
 
 RANK_CUTOFF = 1e-10
 
@@ -487,8 +487,8 @@ def gns_bimodule(B: CStarAlgebra, rho: StateFunctional):
     if not rho.has_faithful_gns:
         warnings.warn("state annihilates a central summand; the quotient "
                       "bimodule has a non-injective left action", stacklevel=2)
-    return cp_bimodule(B, CPLinearMap.from_callable(
-        B, B, lambda b: B.scalar(rho(b))))
+    return cp_bimodule(B, CPLinearMap(B, B, np.outer(
+        B.identity().flat, ConditionalExpectation.from_state(rho).matrix)))
 
 
 def cp_bimodule(A: CStarAlgebra, eta):

@@ -74,14 +74,6 @@ def creation_instances(seed, count=20):
             for H in itertools.islice(_random_modules(rng, 12), count)]
 
 
-def vector_families(seed, count=50):
-    """(module, vectors) pairs, one to four vectors each, for
-    orthogonalization and projection laws."""
-    rng = np.random.default_rng(seed)
-    return [(H, [H.random_vector(rng) for _ in range(int(rng.integers(1, 5)))])
-            for H in itertools.islice(_random_modules(rng, 24), count)]
-
-
 def amalg_instances(seed):
     """Three structurally distinct (phi1, phi2) pairs over a common base."""
     rng = np.random.default_rng(seed)

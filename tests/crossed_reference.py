@@ -8,6 +8,12 @@ from fockmod.crossed import CrossedProduct, folner_defect, rep_unitary
 from fockmod.report import VerificationReport
 
 
+def apply(action, g, a):
+    """alpha_g(a), for g a label of the action's group."""
+    action.group.members([g])
+    return action.autos[g](a)
+
+
 def check_action(group, autos):
     """The homomorphism check of `GroupAction.__init__`, pair by pair."""
     for g in group.elements():
@@ -44,7 +50,7 @@ def crossed_product(algebra, action, rng, tol=DEFAULT_TOL):
             a = algebra.random_element(rng)
             pa, na = C.pi(a), a.norm()
             res_cov = max(res_cov, (
-                L @ pa @ L.adjoint() - C.pi(action.apply(g, a)))
+                L @ pa @ L.adjoint() - C.pi(apply(action, g, a)))
                 .spectral_norm() / max(1.0, na))
             b = algebra.random_element(rng)
             res_hom = max(res_hom, (pa @ C.pi(b) - C.pi(a * b))
@@ -106,10 +112,10 @@ def folner_average(C, F, m, rng, tol=1e-12, words=None):
         total = C.algebra.zero()
         m_defect = 0.0
         for t in sorted(gF.intersection(F)):
-            at = C.action.apply(G.inv(t), a)
+            at = apply(C.action, G.inv(t), a)
             mat = m(at)
             m_defect = max(m_defect, (mat - at).norm())
-            total = total + C.action.apply(t, mat)
+            total = total + apply(C.action, t, mat)
         L = C.lam(g)
         out = C.pi(total * (1.0 / len(F))) @ L
         dev = (out - C.pi(a) @ L).spectral_norm()

@@ -25,7 +25,9 @@ from fockmod.hilbmod import (gram_schmidt, make_bimodule,
                              trivial_module)
 from fockmod.instances import (amalg_instances, creation_instances,
                                crossed_instances, multiplicity_shift_instance,
-                               random_state, vector_families)
+                               random_state)
+
+from instance_families import vector_families
 
 SEED = 2026
 _cache = {}
@@ -239,8 +241,9 @@ def test_criterion_11_negative_controls():
     phi = ConditionalExpectation.from_state(random_state(rng, A))
     scalars = phi.embedding.domain
     Fm = np.diag([1.5, -0.5]).astype(complex)
-    bad = ConditionalExpectation(
-        phi.embedding, lambda a: scalars.scalar(np.trace(Fm @ a.blocks[0])))
+    bad = ConditionalExpectation(phi.embedding, CPLinearMap.from_callable(
+        A, scalars, lambda a: scalars.scalar(np.trace(Fm @ a.blocks[0])))
+        .matrix)
     vrep = bad.validate(rng)
     bad_eta = (not vrep.passed) and any(
         c.anchor == "Choi(phi) >= 0" for c in vrep.failures)

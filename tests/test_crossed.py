@@ -7,7 +7,7 @@ from fockmod import cstar
 from fockmod.cli import Settings, run_crossed, run_suites
 from fockmod.cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
                            PreconditionError, StructureError,
-                           identity_automorphism)
+                           identity_automorphism, uniform_trace_state)
 from fockmod.crossed import (CrossedProduct, FiniteGroup, GroupAction,
                              crossed_product, folner_average, folner_defect,
                              lift_automorphism, rep_unitary, smearing_map)
@@ -73,7 +73,8 @@ def dense_pi(C, a):
     M = np.zeros((C.group.order * dimV,) * 2, complex)
     for h in C.group.elements():
         s = slice(h * dimV, (h + 1) * dimV)
-        M[s, s] = block_diag(*C.action.apply(C.group.inv(h), a).blocks)
+        M[s, s] = block_diag(
+            *ref.apply(C.action, C.group.inv(h), a).blocks)
     return M
 
 
@@ -114,7 +115,7 @@ def test_orbit_is_the_action_of_every_element():
             a = A.random_element(rng)
             orbit = action.orbit(a)
             for g in G.elements():
-                want = action.apply(g, a)
+                want = ref.apply(action, g, a)
                 got = A.element([X[g] for X in orbit])
                 assert (got - want).norm() <= 1e-15 * max(1.0, a.norm())
 
@@ -134,6 +135,18 @@ def test_actions_with_unitaries_pass_every_crossed_check():
         assert exact.passed, exact.failures
         smeared = folner_average(C, [0], smearing_map(A, 0.25), rng=rng)
         assert smeared.passed, smeared.failures
+
+
+def test_smearing_map_matches_its_formula():
+    """(1 - eps) a + eps rho(a) 1, rho the normalized trace, as a matrix."""
+    for sizes, eps in [((1,), 0.5), ((2, 2), 0.25), ((1, 1, 1), 0.25),
+                       ((2, 3), 0.1)]:
+        A = CStarAlgebra(sizes)
+        rho = uniform_trace_state(A)
+        want = CPLinearMap.from_callable(
+            A, A, lambda a: a * (1 - eps) + A.identity() * (eps * rho(a)))
+        got = smearing_map(A, eps).matrix
+        assert np.max(np.abs(got - want.matrix)) <= 1e-14
 
 
 def test_orbit_and_pi_refuse_an_element_of_another_algebra():
@@ -180,8 +193,8 @@ def test_group_action_is_homomorphism():
     x = A.random_element(RNG)
     for g in G.elements():
         for h in G.elements():
-            lhs = action.apply(G.mul(g, h), x)
-            rhs = action.apply(g, action.apply(h, x))
+            lhs = ref.apply(action, G.mul(g, h), x)
+            rhs = ref.apply(action, g, ref.apply(action, h, x))
             assert (lhs - rhs).norm() < 1e-12
 
 
@@ -200,7 +213,7 @@ def test_covariance_relation():
     for g in G.elements():
         lam = C.lam(g)
         lhs = lam @ C.pi(a) @ lam.adjoint()
-        rhs = C.pi(action.apply(g, a))
+        rhs = C.pi(ref.apply(action, g, a))
         assert (lhs - rhs).norm() < 1e-12
 
 
@@ -296,9 +309,10 @@ def test_action_refuses_a_label_outside_the_group(g):
     group, algebra, action = crossed_instances(0)[1]
     a = algebra.random_element(np.random.default_rng(3))
     with pytest.raises(PreconditionError, match="elements of a group"):
-        action.apply(g, a)
+        ref.apply(action, g, a)
     for h in group.elements():
-        for x, y in zip(action.apply(h, a).blocks, action.autos[h](a).blocks):
+        for x, y in zip(ref.apply(action, h, a).blocks,
+                        action.autos[h](a).blocks):
             assert np.array_equal(x, y)
 
 

@@ -3,12 +3,13 @@ import pytest
 
 from fockmod import cstar
 from fockmod.cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
-                           PreconditionError,
+                           ConditionalExpectation, PreconditionError,
                            StateFunctional, StructureError,
                            UnitalHomomorphism, flip_automorphism,
                            haar_unitary_matrix, identity_automorphism,
                            scalar_embedding, uniform_trace_state)
 from fockmod.hilbmod import trivial_module
+from fockmod.instances import random_state
 
 RNG = np.random.default_rng(11)
 
@@ -297,3 +298,20 @@ def test_stacked_traces_states_and_positivity_are_per_sample():
         assert list(x.is_positive()) == [False, True, False]
         assert [bool(one.is_positive()) for one in xs] == [False, True, False]
     assert type(rho(xs[0])) is complex
+
+
+def test_expectation_of_a_state_is_its_row():
+    """from_state's 1 x dim A row applied to a stack of samples gives the
+    state's own sum_j tr(d_j a_j); a matrix of another shape is refused."""
+    rng = np.random.default_rng(17)
+    for sizes in [(1,), (3,), (2, 1), (1, 2, 2)]:
+        A = CStarAlgebra(sizes)
+        rho = random_state(rng, A)
+        phi = ConditionalExpectation.from_state(rho)
+        assert phi.matrix.shape == (1, A.dim)
+        a = A.stack([A.random_element(rng) for _ in range(7)])
+        got = phi(a).blocks[0][:, 0, 0]
+        assert np.max(np.abs(got - rho(a))) <= 1e-14
+        for shape in [(2, A.dim), (1, A.dim + 1), (A.dim,)]:
+            with pytest.raises(StructureError):
+                ConditionalExpectation(phi.embedding, np.zeros(shape))

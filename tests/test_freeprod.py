@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fockmod.cli import Settings, run_amalg
-from fockmod.cstar import (PSD_CUTOFF, CStarAlgebra, ConditionalExpectation,
-                           PreconditionError, StateFunctional)
+from fockmod.cstar import (PSD_CUTOFF, CPLinearMap, CStarAlgebra,
+                           ConditionalExpectation, PreconditionError,
+                           StateFunctional)
 from fockmod.fock import FockSpace, LevelOp
 from fockmod.freeprod import (AmalgSetup, alpha_beta_conditions,
                               amalg_setup, build_W, catalan, freeness_check,
@@ -14,7 +15,7 @@ from fockmod.freeprod import (AmalgSetup, alpha_beta_conditions,
                               semicircular_moments, swap_commutation,
                               toeplitz_state_check, wunitary_vanishing)
 from fockmod.hilbmod import trivial_module
-from fockmod.instances import random_state
+from fockmod.instances import amalg_instances, random_state
 
 RNG = np.random.default_rng(53)
 
@@ -101,15 +102,39 @@ def test_base_expectation_flags_non_positive_map():
     phi = ConditionalExpectation.from_state(random_state(RNG, A))
     scalars = phi.embedding.domain
     F = np.diag([1.5, -0.5]).astype(complex)
-    bad = ConditionalExpectation(
-        phi.embedding,
-        lambda a: scalars.scalar(np.trace(F @ a.blocks[0])))
+    bad = ConditionalExpectation(phi.embedding, CPLinearMap.from_callable(
+        A, scalars, lambda a: scalars.scalar(np.trace(F @ a.blocks[0])))
+        .matrix)
     rep = bad.validate(RNG)
     names = {c.name for c in rep.checks if not c.passed}
     assert "complete-positivity" in names
     assert not bad.is_faithful and not gram_is_faithful(bad)
     anchors = {c.anchor for c in rep.checks if not c.passed}
     assert "Choi(phi) >= 0" in anchors
+
+
+def test_amalg_maps_match_their_formulas():
+    """phi, eta_D and eta of `AmalgSetup`, held as matrices, against the
+    formulas they stand for, on the default amalgamands of seed 0."""
+    for phi1, phi2 in amalg_instances(0):
+        S = AmalgSetup(phi1, phi2, 2)
+        n1 = len(S.A1.block_sizes)
+
+        def halves(a):
+            return (S.A1.element(a.blocks[:n1]),
+                    S.A2.element(a.blocks[n1:]))
+
+        def eta(a):
+            a1, a2 = halves(a)
+            return S.embed_D(S.dpair(phi2(a2), phi1(a1)))
+
+        want = CPLinearMap.from_callable(S.A, S.A, eta).matrix
+        assert np.max(np.abs(S.eta_map.matrix - want)) <= 1e-14
+        assert S.eta is S.eta_map
+        for a in S.A.basis():
+            a1, a2 = halves(a)
+            assert (S.phi(a) - S.dpair(phi1(a1), phi2(a2))).norm() == 0.0
+            assert (S.eta_D(a) - S.dpair(phi2(a2), phi1(a1))).norm() == 0.0
 
 
 def test_toeplitz_state_reproduction():

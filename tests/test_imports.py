@@ -1,6 +1,7 @@
 """Import hygiene of the package, checked with the standard library's ast:
 the package binds nothing but its submodules, no module imports a name it
-never uses, and singular values are taken in one place."""
+never uses, singular values are taken in one place, and no map is written
+by formula."""
 
 import ast
 from pathlib import Path
@@ -192,4 +193,38 @@ def test_singular_values_go_through_one_helper():
             if (path.name, getattr(node, "name", None)) not in allowed:
                 found += [f"{path.name}:{line}"
                           for line in _singular_value_calls(node)]
+    assert found == []
+
+
+def _formula_maps(tree):
+    """Lines of the `from_callable` calls under tree that pass a lambda, or
+    a function defined inside another function, as an argument."""
+    nested = {node.name for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if isinstance(node, ast.FunctionDef) and node is not fn}
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and ast.unparse(call.func).endswith(
+                "from_callable"):
+            args = call.args + [k.value for k in call.keywords]
+            if any(isinstance(a, ast.Lambda) or (isinstance(a, ast.Name)
+                                                  and a.id in nested)
+                   for a in args):
+                yield call.lineno
+
+
+def test_no_map_is_written_by_formula():
+    """A map that `src/` writes from a formula is written as its matrix:
+    `from_callable`, which evaluates a callable on a basis, only takes maps
+    that are objects of their own (an automorphism, an embedding)."""
+    planted = ast.parse("def f(A):\n"
+                        "    def g(a):\n"
+                        "        return a\n"
+                        "    CPLinearMap.from_callable(A, A, g)\n"
+                        "    return from_callable(A, A, fn=lambda a: a)\n")
+    assert list(_formula_maps(planted)) == [4, 5]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _formula_maps(tree)]
     assert found == []

@@ -5,7 +5,9 @@ import numpy as np
 from fockmod import instances
 from fockmod.cstar import PreconditionError
 from fockmod.instances import (creation_instances, random_algebra,
-                               random_bimodule, vector_families)
+                               random_bimodule)
+
+from instance_families import vector_families
 
 
 def reference_creation_instances(seed, count):
