@@ -17,8 +17,7 @@ from . import freeprod as fp
 from . import instances as ins
 from .cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
                     ConditionalExpectation, PreconditionError,
-                    ResourceCapError, StateFunctional, StructureError,
-                    identity_automorphism)
+                    ResourceCapError, StructureError, identity_automorphism)
 from .hilbmod import AugmentedModule, make_bimodule, submodule_projection
 from .report import VerificationReport, _jsonable
 
@@ -117,7 +116,7 @@ KINDS = {
     "states": _Kind(
         {"algebra": "algebras"},
         {"densities": {"type": "array", "items": _CMATRIX}}, {},
-        lambda d, algebra: StateFunctional(
+        lambda d, algebra: ConditionalExpectation.from_densities(
             algebra, _complex_arrays(d, "densities"))),
     "groups": _Kind(
         {}, {"table": {"type": "array", "items": {"type": "array",
@@ -131,8 +130,7 @@ KINDS = {
                              for m in d["automorphisms"]])),
     "amalgamated": _Kind(
         {"state1": "states", "state2": "states"}, {}, {},
-        lambda d, rho1, rho2: (ConditionalExpectation.from_state(rho1),
-                               ConditionalExpectation.from_state(rho2))),
+        lambda d, rho1, rho2: (rho1, rho2)),
     "bogoliubov": _Kind(
         {"bimodule": "bimodules"}, {"matrix": _CMATRIX},
         {"beta": _AUTOMORPHISM, "subspace": {"type": "array",
@@ -340,13 +338,11 @@ def run_toeplitz(ctx, st, bimodules):
         rep.parameters.update({"N": F.N, "dim": F.dim})
         reports.append(rep)
     if ctx and ctx["states"]:
-        pairs = [(rho.algebra, rho) for rho in ctx["states"].values()]
+        states = list(ctx["states"].values())
     else:
-        B = CStarAlgebra((1, 1))
-        pairs = [(B, ins.random_state(rng, B))]
-    for B, rho in pairs[:2]:
-        reports.append(fp.toeplitz_state_check(B, rho, st.N(4), rng,
-                                               tol=st.tol,
+        states = [ins.random_state(rng, CStarAlgebra((1, 1)))]
+    for rho in states[:2]:
+        reports.append(fp.toeplitz_state_check(rho, st.N(4), rng, tol=st.tol,
                                                dim_cap=st.dim_cap))
     return reports
 
@@ -387,9 +383,8 @@ def run_free(ctx, st):
     report.add("even-moments", "psi(s^{2k}) = catalan(k)", res_even, st.tol)
     report.add("odd-moments", "psi(s^{2k+1}) = 0", res_odd, 1e-12)
     _, haar_rep = fp.haar_unitary(N, tol=st.tol)
-    B = CStarAlgebra((1,))
-    rho = ins.random_state(rng, B)
-    toep = fp.toeplitz_state_check(B, rho, min(st.N(4), 6), rng, tol=st.tol,
+    rho = ins.random_state(rng, CStarAlgebra((1,)))
+    toep = fp.toeplitz_state_check(rho, min(st.N(4), 6), rng, tol=st.tol,
                                    dim_cap=st.dim_cap)
     return [report, haar_rep, toep]
 

@@ -10,9 +10,9 @@ import itertools
 import numpy as np
 
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
-                    CStarAlgebra, ConditionalExpectation, PreconditionError,
-                    StructureError, automorphism_distances,
-                    identity_automorphism, uniform_trace_state, DEFAULT_TOL)
+                    CStarAlgebra, PreconditionError, StructureError,
+                    automorphism_distances, identity_automorphism,
+                    uniform_trace_state, DEFAULT_TOL)
 from .fock import LevelOp
 from .report import VerificationReport
 
@@ -99,7 +99,7 @@ class GroupAction:
         self._adjoints = [u.conj().transpose(0, 2, 1) for u in self._unitaries]
         # alpha_g . alpha_h against alpha_{gh} for every pair (g, h) at once:
         # block j of the composite comes from block src_h(src_g(j)) through
-        # u^g_j u^h_{src_g(j)}, as in `AlgebraAutomorphism.compose`
+        # u^g_j u^h_{src_g(j)}
         S, gh = self._sources, group.table
         comp = [u[:, None] @ np.stack([self._unitaries[s] for s in src])
                 for u, src in zip(self._unitaries, S)]
@@ -114,8 +114,8 @@ class GroupAction:
 
     def orbit(self, a: AlgebraElement):
         """alpha_g(a) for every g, one batched product per stacked block:
-        entry j holds over g the u a_s u* of `AlgebraAutomorphism.__call__`,
-        behind the sample axes of a stacked a."""
+        entry j holds over g the block u a_s u* of alpha_g(a), behind the
+        sample axes of a stacked a."""
         if a.parent != self.algebra:
             raise StructureError("element belongs to a different algebra")
         return [u @ np.stack([a.blocks[s] for s in src], axis=-3) @ uh
@@ -127,9 +127,9 @@ class GroupAction:
         stacked a, with one batched product per block."""
         if a.parent != self.algebra:
             raise StructureError("element belongs to a different algebra")
-        labels = np.asarray(labels, dtype=int)
-        if labels.size:
+        if len(labels):
             self.group.members(labels)
+        labels = np.asarray(labels, dtype=int)
         rows = np.arange(len(labels)), labels
         return self.algebra.element([
             u[labels] @ np.stack([a.blocks[s] for s in src], axis=-3)[rows]
@@ -371,6 +371,6 @@ def folner_average(C: CrossedProduct, F, m: CPLinearMap, rng,
 def smearing_map(algebra: CStarAlgebra, eps) -> CPLinearMap:
     """Unital CP map (1 - eps) id + eps rho(.) 1, rho the normalized trace;
     defect on a is eps * norm(a - rho(a) 1)."""
-    rho = ConditionalExpectation.from_state(uniform_trace_state(algebra))
+    rho = uniform_trace_state(algebra)
     return CPLinearMap(algebra, algebra, (1 - eps) * np.eye(algebra.dim)
                        + eps * np.outer(algebra.identity().flat, rho.matrix))

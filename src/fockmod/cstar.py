@@ -193,9 +193,6 @@ class CStarAlgebra(BlockSpace):
     def identity(self):
         return AlgebraElement(self, [np.eye(n, dtype=complex) for n in self.block_sizes])
 
-    def scalar(self, z):
-        return AlgebraElement(self, [z * np.eye(n, dtype=complex) for n in self.block_sizes])
-
     def matrix_unit(self, j, p, q):
         blocks = [np.zeros((n, n), complex) for n in self.block_sizes]
         blocks[j][p, q] = 1.0
@@ -243,52 +240,6 @@ def haar_unitary_matrix(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-# -- states ----------------------------------------------------------------
-
-class StateFunctional:
-    """Positive unital functional rho(x) = sum_j tr(density_j x_j)."""
-
-    def __init__(self, algebra, density_blocks):
-        if len(density_blocks) != len(algebra.block_sizes):
-            raise StructureError("one density per block required")
-        self.algebra = algebra
-        self.densities = []
-        total = 0.0
-        for n, d in zip(algebra.block_sizes, density_blocks):
-            d = np.asarray(d, complex)
-            if d.shape != (n, n):
-                raise StructureError(f"density shape {d.shape}, expected ({n},{n})")
-            if np.linalg.norm(d - d.conj().T) > DEFAULT_TOL * max(
-                    1.0, np.linalg.norm(d)):
-                raise PreconditionError("density block is not Hermitian")
-            if np.linalg.eigvalsh(d).min() < -PSD_CUTOFF * max(
-                    1.0, top_singular_value([d], 0)):
-                raise PreconditionError("density block is not positive semidefinite")
-            total += np.trace(d).real
-            self.densities.append(d)
-        if abs(total - 1.0) > DEFAULT_TOL:
-            raise PreconditionError(f"total trace {total}, expected 1")
-
-    @property
-    def has_faithful_gns(self):
-        """Faithful GNS representation: no central summand is annihilated."""
-        return all(np.linalg.norm(d) > 0 for d in self.densities)
-
-    def __call__(self, x):
-        """rho(x), one value per sample."""
-        if x.parent != self.algebra:
-            raise StructureError("element belongs to a different algebra")
-        val = sum(np.trace(d @ b, axis1=-2, axis2=-1)
-                  for d, b in zip(self.densities, x.blocks))
-        return complex(val) if np.ndim(val) == 0 else val
-
-
-def uniform_trace_state(algebra):
-    """Normalized trace: densities I/(total dimension of the identity)."""
-    total = sum(algebra.block_sizes)
-    return StateFunctional(algebra, [np.eye(n) / total for n in algebra.block_sizes])
 
 
 # -- linear and completely positive maps -----------------------------------
@@ -426,13 +377,18 @@ class UnitalHomomorphism:
                               [self.block_image(i, x)
                                for i in range(len(self.codomain.block_sizes))])
 
+    def as_linear_map(self):
+        """The map's matrix on flat coordinates, from its images of a
+        basis."""
+        return CPLinearMap.from_callable(self.domain, self.codomain, self)
 
-class AlgebraAutomorphism:
+
+class AlgebraAutomorphism(UnitalHomomorphism):
     """Automorphism in permutation + inner canonical form.
 
     beta(x)_j = u_j x_{source[j]} u_j*, where source is a permutation of the
-    block indices preserving block sizes: the multiplicity form whose row j
-    is one copy of block source[j].
+    block indices preserving block sizes: the unital homomorphism of the
+    algebra into itself whose row j is one copy of block source[j].
     """
 
     def __init__(self, algebra, source=None, unitaries=None):
@@ -443,28 +399,9 @@ class AlgebraAutomorphism:
         self.source = tuple(int(s) for s in source)
         if sorted(self.source) != list(range(k)):
             raise StructureError("block map is not a permutation")
-        _, self.unitaries = multiplicity_form(
-            algebra.block_sizes, algebra.block_sizes,
-            [[int(i == s) for i in range(k)] for s in self.source], unitaries)
-
-    def __call__(self, x):
-        if x.parent != self.algebra:
-            raise StructureError("element belongs to a different algebra")
-        blocks = [u @ x.blocks[s] @ u.conj().T
-                  for u, s in zip(self.unitaries, self.source)]
-        return AlgebraElement(self.algebra, blocks)
-
-    def compose(self, other: "AlgebraAutomorphism"):
-        """self after other."""
-        if other.algebra != self.algebra:
-            raise StructureError("automorphisms of different algebras")
-        source = tuple(other.source[s] for s in self.source)
-        unitaries = [u @ other.unitaries[s]
-                     for u, s in zip(self.unitaries, self.source)]
-        return AlgebraAutomorphism(self.algebra, source, unitaries)
-
-    def as_linear_map(self):
-        return CPLinearMap.from_callable(self.algebra, self.algebra, self)
+        super().__init__(algebra, algebra,
+                         [[int(i == s) for i in range(k)]
+                          for s in self.source], unitaries)
 
     def distance_to(self, other: "AlgebraAutomorphism"):
         """Max norm difference on the matrix-unit basis
@@ -530,11 +467,37 @@ class ConditionalExpectation(CPLinearMap):
         self.algebra, self.base = self.domain, self.codomain
 
     @classmethod
-    def from_state(cls, rho: StateFunctional):
-        """A state, viewed as the expectation onto the scalars: the one row
-        of rho(a) = sum_j tr(d_j a_j) is the flat d_j^T."""
-        return cls(scalar_embedding(rho.algebra), rho.algebra.element(
-            [d.T for d in rho.densities]).flat[None])
+    def from_densities(cls, algebra, densities):
+        """The state rho(a) = sum_j tr(d_j a_j) of one positive density d_j
+        per block, of total trace 1, as the expectation onto the scalars:
+        its one row is the flat d_j^T."""
+        if len(densities) != len(algebra.block_sizes):
+            raise StructureError("one density per block required")
+        checked = []
+        total = 0.0
+        for n, d in zip(algebra.block_sizes, densities):
+            d = np.asarray(d, complex)
+            if d.shape != (n, n):
+                raise StructureError(f"density shape {d.shape}, expected ({n},{n})")
+            if np.linalg.norm(d - d.conj().T) > DEFAULT_TOL * max(
+                    1.0, np.linalg.norm(d)):
+                raise PreconditionError("density block is not Hermitian")
+            if np.linalg.eigvalsh(d).min() < -PSD_CUTOFF * max(
+                    1.0, top_singular_value([d], 0)):
+                raise PreconditionError("density block is not positive semidefinite")
+            total += np.trace(d).real
+            checked.append(d.T)
+        if abs(total - 1.0) > DEFAULT_TOL:
+            raise PreconditionError(f"total trace {total}, expected 1")
+        return cls(scalar_embedding(algebra), algebra.element(checked).flat[None])
+
+    @property
+    def has_faithful_gns(self):
+        """The GNS representation is faithful: no central summand of A is
+        annihilated, so no block of A has only zero columns in the
+        matrix."""
+        return all(self.matrix[:, o:p].any() for o, p in
+                   zip(self.algebra.offsets, self.algebra.offsets[1:]))
 
     @property
     def is_faithful(self):
@@ -580,3 +543,10 @@ def scalar_embedding(algebra):
     scalars = CStarAlgebra((1,))
     mults = [(n,) for n in algebra.block_sizes]
     return UnitalHomomorphism(scalars, algebra, mults)
+
+
+def uniform_trace_state(algebra):
+    """Normalized trace: densities I/(total dimension of the identity)."""
+    total = sum(algebra.block_sizes)
+    return ConditionalExpectation.from_densities(
+        algebra, [np.eye(n) / total for n in algebra.block_sizes])

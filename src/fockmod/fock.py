@@ -573,23 +573,11 @@ def quotient_dimension_check(F: FockSpace, n, rng,
     return report
 
 
-def fock_factorization_check(M: HilbertBimodule, n, k, j, rng,
-                             tol=DEFAULT_TOL,
-                             dim_cap=DEFAULT_DIM_CAP) -> VerificationReport:
-    """Tensor-regrouping factorization: the (k(n+1)+j)-fold power of a
-    bimodule is isometrically the j-fold power tensored with the k-fold power
-    of the (n+1)-fold power.  `_factorization` of this one shape."""
-    if not (0 <= j <= n):
-        raise PreconditionError("need 0 <= j <= n")
-    m = k * (n + 1) + j
-    if m < 1:
-        raise PreconditionError("empty regrouping")
-    return _factorization(M, [(n, k, j)], rng, tol, dim_cap)[0]
-
-
 def _factorization(M: HilbertBimodule, shapes, rng, tol,
                    dim_cap) -> list[VerificationReport]:
-    """The report of `fock_factorization_check` for each shape (n, k, j), in
+    """Tensor-regrouping factorization: the (k(n+1)+j)-fold power of a
+    bimodule M is isometrically the j-fold power tensored with the k-fold
+    power of the (n+1)-fold power.  The report of each shape (n, k, j), in
     order, on one tower of M, built to the highest max(k(n+1)+j, n+1) over
     the shapes, and powers[n], the tower of its level n+1, built to the
     largest k of that n.  Tensor steps are deterministic, so one tower of

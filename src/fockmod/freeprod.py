@@ -10,8 +10,7 @@ import numpy as np
 
 from .cstar import (AlgebraAutomorphism, AlgebraElement, CPLinearMap,
                     CStarAlgebra, ConditionalExpectation, LinearMap,
-                    PreconditionError, StateFunctional, UnitalHomomorphism,
-                    DEFAULT_TOL)
+                    PreconditionError, UnitalHomomorphism, DEFAULT_TOL)
 from .fock import DEFAULT_DIM_CAP, FockSpace, masked_norm
 from .hilbmod import cp_bimodule, gns_bimodule
 from .report import VerificationReport
@@ -26,17 +25,19 @@ def scalar_fit(b: AlgebraElement):
     return s, (b - b.parent.identity() * s).norm()
 
 
-def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,
+def toeplitz_state_check(rho: ConditionalExpectation, N, rng,
                          tol=DEFAULT_TOL,
                          dim_cap=DEFAULT_DIM_CAP) -> VerificationReport:
-    """The creation operator of the cyclic vector of the bimodule of a state:
+    """The creation operator of the cyclic vector of the bimodule of a state
+    rho on B, the expectation onto the scalars:
     l(xi)* b l(xi) = rho(b) 1 on 6 random b, the vacuum expectation is
     scalar on 12 random words in l(xi) of at most N letters, and the scalar
     state is supported on 1 - l(xi) l(xi)*.  A word of at most N letters
     climbs at most N levels, so the truncation never cuts it."""
     if not rho.has_faithful_gns:
         raise PreconditionError("state annihilates a central summand")
-    module, xi = gns_bimodule(B, rho)
+    B = rho.algebra
+    module, xi = gns_bimodule(rho)
     F = FockSpace(module, N, dim_cap=dim_cap)
     L = F.creation(xi)
     Ls = L.adjoint()
@@ -46,7 +47,7 @@ def toeplitz_state_check(B: CStarAlgebra, rho: StateFunctional, N, rng,
     res = 0.0
     for _ in range(6):
         b = B.random_element(rng)
-        diff = Ls @ F.left(b) @ L - one * rho(b)
+        diff = Ls @ F.left(b) @ L - one * rho(b).flat[0]
         res = max(res, masked_norm(diff, N - 1) / max(1.0, b.norm()))
     report.add("compressed-state", "l(xi)* b l(xi) = rho(b) 1", res, tol)
 
@@ -257,8 +258,7 @@ class AmalgSetup:
         self.eta_D = LinearMap(self.A, self.D, np.roll(mat, self.B.dim, 0))
         self.eta = self.eta_map = CPLinearMap(
             self.A, self.A,
-            CPLinearMap.from_callable(self.D, self.A, self.embed_D).matrix
-            @ self.eta_D.matrix)
+            self.embed_D.as_linear_map().matrix @ self.eta_D.matrix)
         self.H, self.xi = cp_bimodule(self.A, self.eta_map)
         self.F = FockSpace(self.H, N, dim_cap=dim_cap)
         L = self.L = self.F.creation(self.xi)

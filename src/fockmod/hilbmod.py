@@ -16,8 +16,8 @@ import numpy as np
 
 from .cstar import (AlgebraElement, BlockSpace, BlockValue, CPLinearMap,
                     CStarAlgebra, ConditionalExpectation, PreconditionError,
-                    StateFunctional, StructureError, multiplicity_form,
-                    place_copies, top_singular_value, DEFAULT_TOL)
+                    StructureError, multiplicity_form, place_copies,
+                    top_singular_value, DEFAULT_TOL)
 
 RANK_CUTOFF = 1e-10
 
@@ -477,18 +477,18 @@ class AugmentedModule:
 
 # -- GNS and CP-map bimodules ----------------------------------------------
 
-def gns_bimodule(B: CStarAlgebra, rho: StateFunctional):
-    """L^2(B, rho) (x) B: quotient of B (x) B under
+def gns_bimodule(rho: ConditionalExpectation):
+    """L^2(B, rho) (x) B, for a state rho on B viewed as the expectation onto
+    the scalars: the quotient of B (x) B under
     <a(x)b, a'(x)b'> = b* rho(a* a') b', the bimodule of the completely
     positive map b -> rho(b) 1.  Returns (module, xi) with xi the class of
     1 (x) 1, satisfying <xi, b.xi> = rho(b) 1."""
-    if rho.algebra != B:
-        raise StructureError("state on a different algebra")
+    B = rho.algebra
     if not rho.has_faithful_gns:
         warnings.warn("state annihilates a central summand; the quotient "
                       "bimodule has a non-injective left action", stacklevel=2)
-    return cp_bimodule(B, CPLinearMap(B, B, np.outer(
-        B.identity().flat, ConditionalExpectation.from_state(rho).matrix)))
+    return cp_bimodule(B, CPLinearMap(B, B, np.outer(B.identity().flat,
+                                                     rho.matrix)))
 
 
 def cp_bimodule(A: CStarAlgebra, eta):

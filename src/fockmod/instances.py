@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 
 from .cstar import (AlgebraAutomorphism, CStarAlgebra, ConditionalExpectation,
-                    PreconditionError, StateFunctional, flip_automorphism,
-                    haar_unitary_matrix, identity_automorphism)
+                    PreconditionError, flip_automorphism, haar_unitary_matrix,
+                    identity_automorphism)
 from .hilbmod import HilbertBimodule, make_bimodule, submodule_projection
 from .crossed import FiniteGroup, GroupAction
 from .bogoliubov import BogoliubovMap
@@ -41,15 +41,17 @@ def random_bimodule(rng, base: CStarAlgebra, max_copies=2,
     raise PreconditionError("no bimodule found under the dimension cap")
 
 
-def random_state(rng, algebra: CStarAlgebra) -> StateFunctional:
-    """A faithful state: each density z z* + 0.2, z random, normalized."""
+def random_state(rng, algebra: CStarAlgebra) -> ConditionalExpectation:
+    """A faithful state, as the expectation onto the scalars: each density
+    z z* + 0.2, z random, normalized."""
     densities = []
     for n in algebra.block_sizes:
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         d = z @ z.conj().T + 0.2 * np.eye(n)
         densities.append(d)
     total = sum(np.trace(d).real for d in densities)
-    return StateFunctional(algebra, [d / total for d in densities])
+    return ConditionalExpectation.from_densities(
+        algebra, [d / total for d in densities])
 
 
 # -- criterion instance suites ----------------------------------------------
@@ -80,9 +82,7 @@ def amalg_instances(seed):
     out = []
     for sizes1, sizes2 in (((1, 1), (2,)), ((2,), (1, 1)), ((1, 1), (1, 1, 1))):
         A1, A2 = CStarAlgebra(sizes1), CStarAlgebra(sizes2)
-        phi1 = ConditionalExpectation.from_state(random_state(rng, A1))
-        phi2 = ConditionalExpectation.from_state(random_state(rng, A2))
-        out.append((phi1, phi2))
+        out.append((random_state(rng, A1), random_state(rng, A2)))
     return out
 
 

@@ -1,9 +1,11 @@
 """The crossed-product checks and the Bogoliubov validation as they were
 before their samples were stacked: one sample, one level operator and one
 automorphism at a time.  The loops are kept as they were, as the reference
-the stacked evaluation is compared with."""
+the stacked evaluation is compared with; `compose` is the composite of two
+automorphisms, which the package forms for whole actions at once."""
 
-from fockmod.cstar import PreconditionError, StructureError, DEFAULT_TOL
+from fockmod.cstar import (AlgebraAutomorphism, PreconditionError,
+                          StructureError, DEFAULT_TOL)
 from fockmod.crossed import CrossedProduct, folner_defect, rep_unitary
 from fockmod.report import VerificationReport
 
@@ -14,11 +16,21 @@ def apply(action, g, a):
     return action.autos[g](a)
 
 
+def compose(a, b):
+    """The automorphism a after b: block j comes from block
+    b.source[a.source[j]] through a.unitaries[j] b.unitaries[a.source[j]]."""
+    if b.algebra != a.algebra:
+        raise StructureError("automorphisms of different algebras")
+    source = tuple(b.source[s] for s in a.source)
+    unitaries = [u @ b.unitaries[s] for u, s in zip(a.unitaries, a.source)]
+    return AlgebraAutomorphism(a.algebra, source, unitaries)
+
+
 def check_action(group, autos):
     """The homomorphism check of `GroupAction.__init__`, pair by pair."""
     for g in group.elements():
         for h in group.elements():
-            comp = autos[g].compose(autos[h])
+            comp = compose(autos[g], autos[h])
             if comp.distance_to(
                     autos[group.mul(g, h)]) > DEFAULT_TOL:
                 raise StructureError(
@@ -64,8 +76,8 @@ def crossed_product(algebra, action, rng, tol=DEFAULT_TOL):
 def lift_automorphism(C, beta, rng, tol=DEFAULT_TOL):
     G = C.group
     for g in G.elements():
-        d = beta.compose(C.action.autos[g]).distance_to(
-            C.action.autos[g].compose(beta))
+        d = compose(beta, C.action.autos[g]).distance_to(
+            compose(C.action.autos[g], beta))
         if d > tol:
             raise PreconditionError(
                 f"beta does not commute with the action at group element {g}")

@@ -7,15 +7,17 @@ evaluation is compared with; `make_bimodule` takes the flat norm, which
 `_factorization` is the factorization check as it was before the shapes of
 one tower were evaluated together, one shape per call with its own folds,
 Gram tables and spectral norms, and `run_factorization` the suite's loop
-over the shapes that called it."""
+over the shapes that called it.  `fock_factorization_check` is the
+package's check of one shape, with the preconditions on that shape."""
 
 import warnings
 
 import numpy as np
 
+from fockmod import fock
 from fockmod.cstar import PreconditionError, StructureError, DEFAULT_TOL
-from fockmod.fock import (FockSpace, LevelOp, _check_depth, _vacuum_tensor,
-                          masked_norm, random_word, word)
+from fockmod.fock import (DEFAULT_DIM_CAP, FockSpace, LevelOp, _check_depth,
+                          _vacuum_tensor, masked_norm, random_word, word)
 from fockmod.hilbmod import HilbertBimodule, TensorStep, complex_rank
 from fockmod.report import VerificationReport
 
@@ -261,6 +263,19 @@ def make_bimodule(base, right_mult, left_mult, left_unitaries=None,
         warnings.warn(f"left action annihilates a central summand {dead}",
                       stacklevel=2)
     return module
+
+
+def fock_factorization_check(M: HilbertBimodule, n, k, j, rng,
+                             tol=DEFAULT_TOL,
+                             dim_cap=DEFAULT_DIM_CAP) -> VerificationReport:
+    """Tensor-regrouping factorization of the one shape (n, k, j): the
+    package's check of all shapes of a tower, called with this shape."""
+    if not (0 <= j <= n):
+        raise PreconditionError("need 0 <= j <= n")
+    m = k * (n + 1) + j
+    if m < 1:
+        raise PreconditionError("empty regrouping")
+    return fock._factorization(M, [(n, k, j)], rng, tol, dim_cap)[0]
 
 
 def _factorization(tower: FockSpace, powers: FockSpace, n, k, j, rng,

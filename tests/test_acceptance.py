@@ -13,8 +13,7 @@ from fockmod.crossed import (CrossedProduct, crossed_product, folner_average,
                              smearing_map)
 from fockmod.fock import (FockSpace, creation_relations_check,
                           expectation_properties_check,
-                          fock_factorization_check, ideal_structure_check,
-                          quotient_dimension_check)
+                          ideal_structure_check, quotient_dimension_check)
 from fockmod.freeprod import (amalg_setup, build_W, catalan,
                               corner_freeness_check, freeness_check,
                               la_freeness_check,
@@ -27,6 +26,7 @@ from fockmod.instances import (amalg_instances, creation_instances,
                                crossed_instances, multiplicity_shift_instance,
                                random_state)
 
+from fock_reference import fock_factorization_check
 from instance_families import vector_families
 
 SEED = 2026
@@ -238,11 +238,11 @@ def test_criterion_11_negative_controls():
                      "b1 l(h) b2 = l(b1 h b2)") for c in rep.failures)
 
     A = CStarAlgebra((2,))
-    phi = ConditionalExpectation.from_state(random_state(rng, A))
+    phi = random_state(rng, A)
     scalars = phi.embedding.domain
     Fm = np.diag([1.5, -0.5]).astype(complex)
     bad = ConditionalExpectation(phi.embedding, CPLinearMap.from_callable(
-        A, scalars, lambda a: scalars.scalar(np.trace(Fm @ a.blocks[0])))
+        A, scalars, lambda a: scalars.identity() * np.trace(Fm @ a.blocks[0]))
         .matrix)
     vrep = bad.validate(rng)
     bad_eta = (not vrep.passed) and any(

@@ -14,7 +14,7 @@ from fockmod.cli import (EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION,
                          build_instance, emit, main, parse_instance,
                          run_suites)
 from fockmod.cstar import PreconditionError
-from fockmod.fock import FockSpace, LevelOp, fock_factorization_check
+from fockmod.fock import FockSpace, LevelOp
 from fockmod.hilbmod import TensorStep
 from fockmod.instances import creation_instances
 from fockmod.report import VerificationReport
@@ -507,7 +507,7 @@ def test_shared_towers_give_the_per_shape_residuals():
     st = Settings(seed=25)
     got = run_suites(None, ("factorization",), st)
     rng = np.random.default_rng(st.seed)
-    want = [fock_factorization_check(H, n, k, j, rng, tol=st.tol)
+    want = [fock_ref.fock_factorization_check(H, n, k, j, rng, tol=st.tol)
             for H, _ in creation_instances(st.seed, count=5)[:2]
             for n, k, j in _factorization_shapes(st.max_word_length)]
 

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from fockmod.cstar import (CPLinearMap, CStarAlgebra, PreconditionError,
-                           StateFunctional, StructureError)
+from fockmod.cstar import (CPLinearMap, CStarAlgebra, ConditionalExpectation,
+                           PreconditionError, StructureError)
 from fockmod.freeprod import AmalgSetup
 from fockmod.hilbmod import cp_bimodule, gns_bimodule
 from fockmod.instances import amalg_instances, random_state
@@ -52,7 +52,8 @@ def kraus_map(A, counts, rng):
 
 
 def state_map(B, rho):
-    return CPLinearMap.from_callable(B, B, lambda b: B.scalar(rho(b)))
+    return CPLinearMap.from_callable(
+        B, B, lambda b: B.identity() * rho(b).flat[0])
 
 
 def _amalg_cases():
@@ -69,11 +70,12 @@ def _gns_cases():
     for sizes in ((1,), (2,), (1, 1), (2, 1)):
         B = CStarAlgebra(sizes)
         rho = random_state(rng, B)
-        out.append((B, state_map(B, rho), gns_bimodule(B, rho)))
+        out.append((B, state_map(B, rho), gns_bimodule(rho)))
     B = CStarAlgebra((2, 1))
-    rho = StateFunctional(B, [np.diag([0.7, 0.3]), np.zeros((1, 1))])
+    rho = ConditionalExpectation.from_densities(
+        B, [np.diag([0.7, 0.3]), np.zeros((1, 1))])
     with pytest.warns(UserWarning, match="central summand"):
-        out.append((B, state_map(B, rho), gns_bimodule(B, rho)))
+        out.append((B, state_map(B, rho), gns_bimodule(rho)))
     return out
 
 

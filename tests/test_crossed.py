@@ -144,7 +144,8 @@ def test_smearing_map_matches_its_formula():
         A = CStarAlgebra(sizes)
         rho = uniform_trace_state(A)
         want = CPLinearMap.from_callable(
-            A, A, lambda a: a * (1 - eps) + A.identity() * (eps * rho(a)))
+            A, A,
+            lambda a: a * (1 - eps) + A.identity() * (eps * rho(a).flat[0]))
         got = smearing_map(A, eps).matrix
         assert np.max(np.abs(got - want.matrix)) <= 1e-14
 
@@ -161,13 +162,22 @@ def test_orbit_and_pi_refuse_an_element_of_another_algebra():
 
 def test_crossed_suite_builds_no_dense_operator(monkeypatch):
     """pi, lambda and the lift stay level operators: the crossed suite runs
-    with the dense bridges it used to take refused."""
+    with the dense bridges it used to take refused.  `place_copies` may
+    place one copy of one block, the block image of an automorphism, but
+    no block diagonal of several."""
     def refuse(*args, **kwargs):
         raise AssertionError("dense crossed-product operator built")
 
+    place = cstar.place_copies
+
+    def one_copy(pieces, row, size):
+        if sum(row) > 1:
+            refuse()
+        return place(pieces, row, size)
+
     monkeypatch.setattr(LevelOp, "dense", refuse)
     monkeypatch.setattr(crossed.np, "kron", refuse)
-    monkeypatch.setattr(cstar, "place_copies", refuse)
+    monkeypatch.setattr(cstar, "place_copies", one_copy)
     monkeypatch.setattr(crossed, "place_copies", refuse, raising=False)
     reports = run_suites(None, ("crossed",), Settings())
     assert reports and all(r.passed for r in reports)
@@ -305,11 +315,14 @@ def test_lambda_refuses_a_label_outside_the_group(g):
 
 @pytest.mark.parametrize("g", [-1, 3, 1.5])
 def test_action_refuses_a_label_outside_the_group(g):
-    """On Z/3, -1 would index alpha_2 and 3 would fall off the list."""
+    """On Z/3, -1 would index alpha_2, 3 would fall off the list and 1.5
+    would be read as 1; the labels are checked before they are used."""
     group, algebra, action = crossed_instances(0)[1]
     a = algebra.random_element(np.random.default_rng(3))
     with pytest.raises(PreconditionError, match="elements of a group"):
         ref.apply(action, g, a)
+    with pytest.raises(PreconditionError, match="elements of a group"):
+        action.apply_each([g], algebra.stack([a]))
     for h in group.elements():
         for x, y in zip(ref.apply(action, h, a).blocks,
                         action.autos[h](a).blocks):

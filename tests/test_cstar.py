@@ -4,12 +4,13 @@ import pytest
 from fockmod import cstar
 from fockmod.cstar import (AlgebraAutomorphism, CPLinearMap, CStarAlgebra,
                            ConditionalExpectation, PreconditionError,
-                           StateFunctional, StructureError,
-                           UnitalHomomorphism, flip_automorphism,
-                           haar_unitary_matrix, identity_automorphism,
-                           scalar_embedding, uniform_trace_state)
+                           StructureError, UnitalHomomorphism,
+                           flip_automorphism, haar_unitary_matrix,
+                           identity_automorphism, scalar_embedding,
+                           uniform_trace_state)
 from fockmod.hilbmod import trivial_module
-from fockmod.instances import random_state
+
+from crossed_reference import compose
 
 RNG = np.random.default_rng(11)
 
@@ -40,20 +41,21 @@ def test_norm_is_operator_norm():
 def test_state_positivity_and_unitality():
     A = CStarAlgebra((2, 2))
     rho = uniform_trace_state(A)
-    assert abs(rho(A.identity()) - 1.0) < 1e-12
+    assert abs(rho(A.identity()).flat[0] - 1.0) < 1e-12
     x = A.random_element(RNG)
-    val = rho(x.adjoint() * x)
+    val = rho(x.adjoint() * x).flat[0]
     assert val.real >= -1e-12 and abs(val.imag) < 1e-12
 
 
 def test_state_rejects_non_hermitian_density():
     A = CStarAlgebra((2,))
     with pytest.raises(PreconditionError):
-        StateFunctional(A, [np.array([[0.5, 1.0], [0.0, 0.5]])])
+        ConditionalExpectation.from_densities(
+            A, [np.array([[0.5, 1.0], [0.0, 0.5]])])
 
 
 @pytest.mark.parametrize("build", [
-    lambda B: StateFunctional(B, [np.eye(1)]),
+    lambda B: ConditionalExpectation.from_densities(B, [np.eye(1)]),
     lambda B: UnitalHomomorphism(B, B, [(1, 0), (0, 1)], [np.eye(1)]),
     lambda B: AlgebraAutomorphism(B, unitaries=[np.eye(1)]),
 ], ids=["state-densities", "homomorphism-unitaries",
@@ -61,6 +63,58 @@ def test_state_rejects_non_hermitian_density():
 def test_constructors_reject_short_lists(build):
     with pytest.raises(StructureError):
         build(CStarAlgebra((1, 1)))
+
+
+@pytest.mark.parametrize("densities, error, message", [
+    ([np.eye(2) / 2], StructureError, "one density per block required"),
+    ([np.eye(1), np.eye(1)], StructureError,
+     r"density shape \(1, 1\), expected \(2,2\)"),
+    ([[[0.5, 0.1], [0.0, 0.25]], [[0.25]]], PreconditionError,
+     "density block is not Hermitian"),
+    ([np.diag([0.75, -0.25]), [[0.5]]], PreconditionError,
+     "density block is not positive semidefinite"),
+    ([np.eye(2) / 2, [[0.5]]], PreconditionError,
+     "total trace 1.5, expected 1"),
+], ids=["count", "shape", "hermitian", "positive", "trace"])
+def test_densities_are_checked(densities, error, message):
+    with pytest.raises(error, match=message):
+        ConditionalExpectation.from_densities(CStarAlgebra((2, 1)), densities)
+
+
+def test_faithful_gns_asks_for_every_summand():
+    """A state has a faithful GNS representation unless a density block is
+    zero, whatever the rank of the others."""
+    A = CStarAlgebra((2, 1))
+    for densities, want in [([np.eye(2) / 3, [[1 / 3]]], True),
+                            ([np.diag([1.0, 0.0]), [[0.0]]], False),
+                            ([np.zeros((2, 2)), [[1.0]]], False),
+                            ([np.diag([0.5, 0.0]), [[0.5]]], True)]:
+        rho = ConditionalExpectation.from_densities(A, densities)
+        assert rho.has_faithful_gns is want
+
+
+def test_automorphism_is_its_multiplicity_form():
+    """An automorphism is the unital homomorphism of the algebra into itself
+    whose row j is one copy of block source[j]: it maps x to the blocks
+    u_j x_{source[j]} u_j*, bit-equal, on a stack of samples, and its
+    matrix is that formula's on the basis."""
+    A = CStarAlgebra((2, 1, 2))
+    rng = np.random.default_rng(23)
+    us = [haar_unitary_matrix(rng, n) for n in A.block_sizes]
+    beta = AlgebraAutomorphism(A, (2, 1, 0), us)
+    assert isinstance(beta, UnitalHomomorphism)
+    assert "__call__" not in vars(AlgebraAutomorphism)
+    assert beta.multiplicities == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+    def formula(x):
+        return A.element([u @ x.blocks[s] @ u.conj().T
+                          for u, s in zip(us, beta.source)])
+
+    x = A.stack([A.random_element(rng) for _ in range(3)])
+    assert all(np.array_equal(g, w)
+               for g, w in zip(beta(x).blocks, formula(x).blocks))
+    assert np.array_equal(beta.as_linear_map().matrix,
+                          CPLinearMap.from_callable(A, A, formula).matrix)
 
 
 def test_unital_homomorphism_multiplicative():
@@ -116,7 +170,7 @@ def test_automorphism_composition_and_distance():
     A = CStarAlgebra((2,))
     beta = AlgebraAutomorphism(A, unitaries=[haar_unitary_matrix(RNG, 2)])
     ident = identity_automorphism(A)
-    assert beta.compose(ident).distance_to(beta) < 1e-9
+    assert compose(beta, ident).distance_to(beta) < 1e-9
     assert ident.distance_to(ident) < 1e-12
 
 
@@ -133,7 +187,7 @@ def test_distance_matches_the_matrix_unit_definition():
                                              for n in A.block_sizes])
              for source in [(0, 1, 2, 3, 4), (1, 0, 2, 3, 4),
                             (0, 1, 2, 4, 3), (1, 0, 2, 4, 3)]]
-    autos += [autos[1].compose(autos[2]), autos[3].compose(autos[3]),
+    autos += [compose(autos[1], autos[2]), compose(autos[3], autos[3]),
               AlgebraAutomorphism(A, (1, 0, 2, 4, 3))]
     ident = identity_automorphism(A)
     assert ident.distance_to(identity_automorphism(A)) == 0.0
@@ -289,29 +343,47 @@ def test_stacked_traces_states_and_positivity_are_per_sample():
         xs[2] = xs[2] + xs[2].adjoint()         # Hermitian, indefinite
         x = A.stack(xs)
         rho = uniform_trace_state(A)
-        assert x.trace().shape == rho(x).shape == (3,)
+        assert x.trace().shape == rho(x).flat[:, 0].shape == (3,)
         for s, one in enumerate(xs):
             assert x.trace()[s] == one.trace()
-            assert rho(x)[s] == rho(one)
+            assert rho(x).flat[s, 0] == rho(one).flat[0]
             assert x[s].trace() == one.trace()
         assert list(x.is_hermitian()) == [False, True, True]
         assert list(x.is_positive()) == [False, True, False]
         assert [bool(one.is_positive()) for one in xs] == [False, True, False]
-    assert type(rho(xs[0])) is complex
+    assert rho(xs[0]).flat.shape == (1,)
+
+
+def random_densities(rng, A):
+    """One positive density per block of A, of total trace 1."""
+    ds = []
+    for n in A.block_sizes:
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ds.append(z @ z.conj().T + 0.2 * np.eye(n))
+    total = sum(np.trace(d).real for d in ds)
+    return [d / total for d in ds]
+
+
+def trace_pairing(densities, x):
+    """sum_j tr(d_j x_j), one value per sample of x: the state of the
+    densities by its formula, the reference for its row."""
+    return sum(np.trace(d @ b, axis1=-2, axis2=-1)
+               for d, b in zip(densities, x.blocks))
 
 
 def test_expectation_of_a_state_is_its_row():
-    """from_state's 1 x dim A row applied to a stack of samples gives the
-    state's own sum_j tr(d_j a_j); a matrix of another shape is refused."""
+    """from_densities's 1 x dim A row applied to a stack of samples gives
+    the state's own sum_j tr(d_j a_j); a matrix of another shape is
+    refused."""
     rng = np.random.default_rng(17)
     for sizes in [(1,), (3,), (2, 1), (1, 2, 2)]:
         A = CStarAlgebra(sizes)
-        rho = random_state(rng, A)
-        phi = ConditionalExpectation.from_state(rho)
+        ds = random_densities(rng, A)
+        phi = ConditionalExpectation.from_densities(A, ds)
         assert phi.matrix.shape == (1, A.dim)
         a = A.stack([A.random_element(rng) for _ in range(7)])
         got = phi(a).blocks[0][:, 0, 0]
-        assert np.max(np.abs(got - rho(a))) <= 1e-14
+        assert np.max(np.abs(got - trace_pairing(ds, a))) <= 1e-14
         for shape in [(2, A.dim), (1, A.dim + 1), (A.dim,)]:
             with pytest.raises(StructureError):
                 ConditionalExpectation(phi.embedding, np.zeros(shape))

@@ -9,10 +9,9 @@ from fockmod.cstar import (CStarAlgebra, PreconditionError, ResourceCapError,
 from fockmod.fock import (FockSpace, LevelOp, creation_relations_check,
                           endomorphism_injectivity_check,
                           expectation_properties_check,
-                          fock_factorization_check, ideal_structure_check,
-                          isometric_vector, masked_norm, power_dims,
-                          quotient_dimension_check, random_word,
-                          toeplitz_endomorphism, word)
+                          ideal_structure_check, isometric_vector,
+                          masked_norm, power_dims, quotient_dimension_check,
+                          random_word, toeplitz_endomorphism, word)
 from fockmod.freeprod import AmalgSetup
 from fockmod.hilbmod import (HilbertBimodule, TensorStep, _kron_eye,
                              complex_rank, element_to_vector, make_bimodule,
@@ -21,6 +20,7 @@ from fockmod.instances import amalg_instances, creation_instances
 from fockmod.report import VerificationReport
 from tensor_reference import tensor_apply
 import fock_reference as fock_ref
+from fock_reference import fock_factorization_check
 from test_crossed import _same_report, _twice
 
 RNG = np.random.default_rng(37)

@@ -6,8 +6,7 @@ import pytest
 
 from fockmod.cli import Settings, run_amalg
 from fockmod.cstar import (PSD_CUTOFF, CPLinearMap, CStarAlgebra,
-                           ConditionalExpectation, PreconditionError,
-                           StateFunctional)
+                           ConditionalExpectation, PreconditionError)
 from fockmod.fock import FockSpace, LevelOp
 from fockmod.freeprod import (AmalgSetup, alpha_beta_conditions,
                               amalg_setup, build_W, catalan, freeness_check,
@@ -24,8 +23,8 @@ def small_setup(N=4, seed=2):
     rng = np.random.default_rng(seed)
     A1 = CStarAlgebra((1, 1))
     A2 = CStarAlgebra((2,))
-    phi1 = ConditionalExpectation.from_state(random_state(rng, A1))
-    phi2 = ConditionalExpectation.from_state(random_state(rng, A2))
+    phi1 = random_state(rng, A1)
+    phi2 = random_state(rng, A2)
     setup, rep = amalg_setup(phi1, phi2, N, rng, tol=1e-9)
     assert rep.passed, rep.failures
     return setup
@@ -71,25 +70,24 @@ def gram_is_faithful(phi):
 
 def test_base_expectation_validate():
     A = CStarAlgebra((2,))
-    phi = ConditionalExpectation.from_state(random_state(RNG, A))
+    phi = random_state(RNG, A)
     assert phi.is_faithful
     rng = np.random.default_rng(59)
     for sizes in [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)]:
         for _ in range(3):
-            psi = ConditionalExpectation.from_state(
-                random_state(rng, CStarAlgebra(sizes)))
+            psi = random_state(rng, CStarAlgebra(sizes))
             assert psi.is_faithful and gram_is_faithful(psi)
     # a zero density block annihilates a central summand
-    zero_block = ConditionalExpectation.from_state(StateFunctional(
-        CStarAlgebra((1, 2)), [np.zeros((1, 1)), np.eye(2) / 2]))
+    zero_block = ConditionalExpectation.from_densities(
+        CStarAlgebra((1, 2)), [np.zeros((1, 1)), np.eye(2) / 2])
     assert not zero_block.is_faithful and not gram_is_faithful(zero_block)
+    assert not zero_block.has_faithful_gns
     assert phi.validate(RNG).passed
     # density diag(1, 0) annihilates no central summand of M_2, yet
     # phi(e_22* e_22) = 0: the expectation is not faithful, and faithful-gns
     # is the one law that fails
-    rho = StateFunctional(A, [np.diag([1.0, 0.0])])
-    phi = ConditionalExpectation.from_state(rho)
-    assert rho.has_faithful_gns and not phi.is_faithful
+    phi = ConditionalExpectation.from_densities(A, [np.diag([1.0, 0.0])])
+    assert phi.has_faithful_gns and not phi.is_faithful
     assert not gram_is_faithful(phi)
     rep = phi.validate(np.random.default_rng(0))
     assert [c.name for c in rep.failures] == ["faithful-gns"]
@@ -99,11 +97,11 @@ def test_base_expectation_validate():
 
 def test_base_expectation_flags_non_positive_map():
     A = CStarAlgebra((2,))
-    phi = ConditionalExpectation.from_state(random_state(RNG, A))
+    phi = random_state(RNG, A)
     scalars = phi.embedding.domain
     F = np.diag([1.5, -0.5]).astype(complex)
     bad = ConditionalExpectation(phi.embedding, CPLinearMap.from_callable(
-        A, scalars, lambda a: scalars.scalar(np.trace(F @ a.blocks[0])))
+        A, scalars, lambda a: scalars.identity() * np.trace(F @ a.blocks[0]))
         .matrix)
     rep = bad.validate(RNG)
     names = {c.name for c in rep.checks if not c.passed}
@@ -140,7 +138,7 @@ def test_amalg_maps_match_their_formulas():
 def test_toeplitz_state_reproduction():
     B = CStarAlgebra((1, 1))
     rho = random_state(RNG, B)
-    rep = toeplitz_state_check(B, rho, 4, RNG, tol=1e-9)
+    rep = toeplitz_state_check(rho, 4, RNG, tol=1e-9)
     assert rep.passed, rep.failures
 
 

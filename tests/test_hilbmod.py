@@ -400,9 +400,9 @@ def test_augmented_module_unit_vector():
 def test_gns_bimodule_inner_matches_state():
     B = CStarAlgebra((2,))
     rho = uniform_trace_state(B)
-    H, xi = gns_bimodule(B, rho)
+    H, xi = gns_bimodule(rho)
     b = B.random_element(RNG)
-    g = H.inner(xi, xi.lmul(b)) - B.scalar(rho(b))
+    g = H.inner(xi, xi.lmul(b)) - B.identity() * rho(b).flat[0]
     assert g.norm() < 1e-10
 
 
